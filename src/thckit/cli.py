@@ -79,7 +79,8 @@ def _add_aggregation_flags(parser: argparse.ArgumentParser) -> None:
                         help="bootstrap confidence level (default %(default)s)")
     parser.add_argument("--seed", type=int, default=0, help="master seed for resampling")
     parser.add_argument("--workers", type=int, default=1,
-                        help="threads for bootstrap resampling; never affects results")
+                        help="threads that run chunks of bootstrap replicates; never "
+                             "affects results and gave no speedup on a 2-core host")
     parser.add_argument("--ranking-mode", choices=[m.value for m in RankingMode],
                         default=RankingMode.SPAN.value,
                         help="fractional ranking rule (default %(default)s)")

@@ -5,8 +5,10 @@ consumes: human-normalized scores, the interquartile mean (IQM), stratified
 bootstrap confidence intervals, and plain mean +/- standard deviation spreads.
 
 All functions are pure. The bootstrap draws every replicate's randomness from
-a counter-based generator keyed on ``(seed, replicate index)``, so results are
-bit-identical regardless of how replicates are scheduled across workers.
+a counter-based generator keyed on ``(seed, replicate index)`` and evaluates
+replicates in bounded-memory chunks (one vectorised sort, trim and mean per
+chunk), so results are bit-identical regardless of chunk size or of how chunks
+are scheduled across worker threads.
 """
 
 from __future__ import annotations
@@ -152,21 +154,43 @@ def derive_seed(master: int, *parts: object) -> int:
     return int.from_bytes(sha256(text.encode("utf-8")).digest()[:8], "big")
 
 
-def _replicate_rng(seed: int, replicate: int) -> np.random.Generator:
-    # Counter-based stream: each replicate owns a disjoint 2^128-draw block,
-    # so parallel evaluation cannot change the numbers.
-    return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, replicate, 0]))
+# Resampled entries held per chunk of replicates (indices plus samples,
+# 8 bytes each), so working memory stays near 1 MiB at any resample count.
+_CHUNK_ENTRIES = 1 << 16
 
 
-def _bootstrap_replicate(rows: tuple[np.ndarray, ...], seed: int, replicate: int) -> float:
-    rng = _replicate_rng(seed, replicate)
-    pooled = np.concatenate(
-        [row[rng.integers(0, row.size, size=row.size)] for row in rows]
-    )
-    return iqm(pooled)
+def _iqm_replicates(values: np.ndarray, sizes: np.ndarray, seed: int,
+                    start: int, stop: int) -> np.ndarray:
+    """IQM of bootstrap replicates ``start .. stop-1`` of the pooled rows.
+
+    Replicate ``k`` draws from a Philox stream keyed ``(seed, counter=[0, 0,
+    k, 0])``: each replicate owns a disjoint 2^128-draw block, so the result
+    does not depend on how replicates are chunked or scheduled. One bit
+    generator is reset to each replicate's counter in turn and draws every
+    row's indices in a single ``integers`` call; numpy draws a broadcast
+    ``high`` element by element through the same bounded path as one call per
+    row, and a size-1 row consumes no draws on either path.
+    """
+    bitgen = np.random.Philox(key=seed)
+    gen = np.random.Generator(bitgen)
+    fresh = bitgen.state
+    counter = fresh["state"]["counter"]
+    highs = np.repeat(sizes, sizes)
+    idx = np.empty((stop - start, values.size), dtype=np.int64)
+    for j, k in enumerate(range(start, stop)):
+        counter[2] = k
+        bitgen.state = fresh
+        idx[j] = gen.integers(0, highs)
+    idx += np.repeat(np.cumsum(sizes) - sizes, sizes)
+    samples = values[idx]
+    samples.sort(axis=1)
+    # Each replicate's mean over a contiguous slice sums pairwise exactly like
+    # the 1-D ``iqm``, so the replicate statistics are bit-identical to it.
+    trim = values.size // 4
+    return samples[:, trim: values.size - trim].mean(axis=1)
 
 
-_STATISTICS = {"iqm": iqm}
+_STATISTICS = ("iqm",)
 
 
 def stratified_bootstrap_ci(
@@ -185,9 +209,13 @@ def stratified_bootstrap_ci(
     is the empirical ``(1-confidence)/2`` and ``1-(1-confidence)/2``
     percentile pair of the replicate statistics.
 
+    Replicates are evaluated in chunks of at most ``_CHUNK_ENTRIES``
+    resampled entries: one index draw per replicate, then one sort, trim and
+    mean per chunk, so working memory stays bounded at any ``resamples``.
+
     Deterministic for fixed ``(matrix, statistic, resamples, confidence,
-    seed)``; ``workers`` only schedules replicates and never changes the
-    result. A degenerate matrix (all rows constant) yields a zero-width
+    seed)``; ``workers`` threads only schedule whole chunks and never change
+    the result. A degenerate matrix (all rows constant) yields a zero-width
     interval rather than an error.
     """
     if statistic not in _STATISTICS:
@@ -199,20 +227,24 @@ def stratified_bootstrap_ci(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
+    values = matrix.pooled()
+    sizes = np.array([row.size for row in matrix.rows])
+    chunk = max(1, _CHUNK_ENTRIES // values.size)
     stats = np.empty(resamples, dtype=float)
-    if workers == 1:
-        for k in range(resamples):
-            stats[k] = _bootstrap_replicate(matrix.rows, seed, k)
-    else:
-        def run_chunk(start: int, stop: int) -> None:
-            for k in range(start, stop):
-                stats[k] = _bootstrap_replicate(matrix.rows, seed, k)
 
-        chunk = -(-resamples // workers)
-        bounds = [(i, min(i + chunk, resamples)) for i in range(0, resamples, chunk)]
+    def run_chunk(start: int) -> None:
+        stop = min(start + chunk, resamples)
+        stats[start:stop] = _iqm_replicates(values, sizes, seed, start, stop)
+
+    starts = range(0, resamples, chunk)
+    if workers == 1:
+        for start in starts:
+            run_chunk(start)
+    else:
+        # Each chunk builds its own bit generator: resetting the state of a
+        # shared one is not thread-safe.
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for future in [pool.submit(run_chunk, a, b) for a, b in bounds]:
-                future.result()
+            list(pool.map(run_chunk, starts))
 
     alpha = (1.0 - confidence) / 2.0
     lower, upper = np.percentile(stats, [100.0 * alpha, 100.0 * (1.0 - alpha)])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -262,3 +263,39 @@ class TestStratifiedBootstrap:
         narrow = stratified_bootstrap_ci(matrix, resamples=500, confidence=0.5, seed=1)
         wide = stratified_bootstrap_ci(matrix, resamples=500, confidence=0.99, seed=1)
         assert wide.lower <= narrow.lower and narrow.upper <= wide.upper
+
+
+class TestBatchedBootstrap:
+    """The chunked kernel against the per-replicate reference resampler."""
+
+    @pytest.mark.parametrize("replicates_per_chunk", [1, 7, 10**6])
+    def test_bit_identical_to_reference_across_chunkings(self, monkeypatch, replicates_per_chunk):
+        rng = np.random.default_rng(replicates_per_chunk)
+        for case in range(12):
+            # Alternate a few long rows with many short ones.
+            n_rows = int(rng.integers(1, 4)) if case % 2 else int(rng.integers(1, 27))
+            max_size = 300 if case % 2 else 12
+            sizes = rng.integers(1, max_size + 1, size=n_rows)
+            sizes[rng.random(n_rows) < 0.2] = 1
+            rows = [np.round(rng.normal(scale=3, size=size), 1) for size in sizes]
+            resamples = MIN_RESAMPLES + 1 + 7 * int(rng.integers(0, 20))
+            seed = int(rng.integers(0, 2**63))
+            monkeypatch.setattr("thckit.stats._CHUNK_ENTRIES",
+                                replicates_per_chunk * int(sizes.sum()))
+            iv = stratified_bootstrap_ci(ScoreMatrix(rows), resamples=resamples, seed=seed)
+            ref = reference_bootstrap(rows, resamples, DEFAULT_CONFIDENCE, seed)
+            assert (iv.lower, iv.upper) == ref, f"case {case}: sizes {sizes.tolist()}"
+
+    @pytest.mark.parametrize("resamples", [2_000, 50_000])
+    def test_memory_bounded_at_any_resample_count(self, resamples):
+        rng = np.random.default_rng(8)
+        matrix = ScoreMatrix([rng.normal(size=5) for _ in range(26)])
+        tracemalloc.start()
+        try:
+            stratified_bootstrap_ci(matrix, resamples=resamples, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The replicate statistics and np.percentile's copy of them are the
+        # only allocations that grow with the resample count.
+        assert peak - 2 * resamples * 8 < 4 * 2**20
