@@ -35,7 +35,6 @@ from .consistency import (
 from .dataset import (
     Axis,
     BaselineTable,
-    ContextKey,
     DatasetError,
     EmptySliceError,
     RunRecord,
@@ -74,7 +73,6 @@ __all__ = [
     "Axis",
     "BaselineTable",
     "ConsistencyReport",
-    "ContextKey",
     "DatasetError",
     "EmptySliceError",
     "HyperparameterConsistency",

@@ -184,9 +184,8 @@ def _write_json(path: str, data: Any) -> None:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.runs, args.baselines, args.schema)
-    hps = sorted({rec.hyperparameter for rec in dataset.records})
     environments = {rec.environment for rec in dataset.records}
-    print(f"OK: {len(dataset)} runs across {len(hps)} hyperparameter(s), "
+    print(f"OK: {len(dataset)} runs across {len(dataset.index)} hyperparameter(s), "
           f"{len(environments)} environment(s)")
     return EXIT_OK
 

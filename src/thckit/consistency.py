@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.stats import kendalltau
 
-from .dataset import Axis, ContextKey, EmptySliceError, SweepDataset, slice_scores
+from .dataset import Axis, EmptySliceError, SweepDataset, slice_scores
 from .ranking import RankingMode, RankingTable, compute_rankings
 from .stats import (
     DEFAULT_CONFIDENCE,
@@ -169,14 +169,18 @@ def normalized_ptp(
     return [p / total for p in spreads]
 
 
+def _profile_spreads(profile: RankProfile, mode: PtpNormalization) -> list[float]:
+    """Normalized rank spread of each of the profile's values, in order."""
+    return normalized_ptp([ptp(row) for row in profile.ranks], m=len(profile.values), mode=mode)
+
+
 def thc(profile: RankProfile, mode: PtpNormalization = PtpNormalization.MAX) -> float:
     """THC score of a profile: mean normalized rank spread over its values.
 
     A single-context profile scores 0 (there is nothing to be inconsistent
     about), as does one whose values keep identical ranks everywhere.
     """
-    spreads = [ptp(row) for row in profile.ranks]
-    normalized = normalized_ptp(spreads, m=len(profile.values), mode=mode)
+    normalized = _profile_spreads(profile, mode)
     return float(sum(normalized) / len(normalized))
 
 
@@ -294,29 +298,31 @@ class ConsistencyReport:
 
 
 def _present(dataset: SweepDataset, hyperparameter: str, axis: Axis) -> list[str]:
-    seen = {rec.axis_value(axis) for rec in dataset.records_for(hyperparameter)}
+    """Declared agents or data regimes with runs of ``hyperparameter``, in
+    schema order."""
+    position = (Axis.AGENT, Axis.DATA_REGIME).index(axis)
+    seen = {pair[position] for pair in dataset.index.get(hyperparameter, {})}
     return [v for v in dataset.schema.axis_values(axis) if v in seen]
 
 
 def _aggregate_cell(
     dataset: SweepDataset,
-    groups: dict[tuple[str, str], list[float]],
+    groups: Mapping[str, Mapping[str, tuple[float, ...]]],
     value: str,
     environments: Sequence[str],
     options: AssemblyOptions,
     seed_key: tuple,
 ) -> tuple[Interval, float, list[str]] | tuple[None, None, list[str]]:
     """Build the interval and point estimate for one (context, value) cell
-    from its per-environment score groups.
+    from the score groups of ``environments`` in one slice node.
 
     Returns ``(None, None, dropped)`` when no group has enough seeds.
     """
     rows: list[list[float]] = []
-    labels: list[str] = []
     dropped: list[str] = []
     for env in environments:
-        scores = groups.get((env, value), [])
-        if not scores:
+        scores = groups.get(env, {}).get(value)
+        if scores is None:
             continue
         if len(scores) < 2:
             dropped.append(env)
@@ -324,7 +330,6 @@ def _aggregate_cell(
         rnd = dataset.baselines.random_score(env)
         hum = dataset.baselines.human_score(env)
         rows.append([human_normalize(s, rnd, hum) for s in scores])
-        labels.append(env)
     if not rows:
         return None, None, dropped
 
@@ -332,7 +337,7 @@ def _aggregate_cell(
     if options.interval_source is IntervalSource.MEAN_SD:
         return mean_and_spread(pooled), float(np.mean(pooled)), dropped
     interval = stratified_bootstrap_ci(
-        ScoreMatrix(rows, labels=labels),
+        ScoreMatrix(rows),
         statistic="iqm",
         resamples=options.resamples,
         confidence=options.confidence,
@@ -367,7 +372,7 @@ def assemble_profiles(
     skipped: list[SkippedHyperparameter] = []
 
     for hp in schema.hyperparameters:
-        if not dataset.records_for(hp):
+        if hp not in dataset.index:
             continue
         for combo in _combos(dataset, hp, setup, options):
             result = _profile_for(dataset, hp, setup, combo, options)
@@ -421,36 +426,26 @@ def _profile_for(
 ) -> RankProfile | SkippedHyperparameter:
     axis = setup.axis
     schema = dataset.schema
-    env_pinned = combo.get("environment")
-    env_scope = [env_pinned] if env_pinned else list(schema.environments)
+    # A pinned environment is the only one read; the setup that varies
+    # environments never has one pinned.
+    env_scope = [combo["environment"]] if combo.get("environment") else list(schema.environments)
 
-    # Per context label, the per-environment score groups for this combo.
-    context_groups: dict[str, dict[tuple[str, str], list[float]]] = {}
+    # Per context label, the slice node holding its runs. A context counts
+    # as having data even when a pinned environment has none of them.
+    context_groups: dict[str, Mapping[str, Mapping[str, tuple[float, ...]]]] = {}
     if setup is TransferSetup.ACROSS_ENVIRONMENTS:
-        key = ContextKey(varying=Axis.ENVIRONMENT,
-                         agent=combo["agent"], data_regime=combo["data_regime"])
         try:
-            groups = slice_scores(dataset, key, hp)
+            groups = slice_scores(dataset, hp, combo["agent"], combo["data_regime"])
         except EmptySliceError:
             groups = {}
-        for env in schema.environments:
-            per_env = {(env, value): scores for (label, value), scores in groups.items()
-                       if label == env and scores}
-            if per_env:
-                context_groups[env] = per_env
+        context_groups = {env: groups for env in groups}
     else:
         for label in _present(dataset, hp, axis):
-            coords = dict(combo)
-            coords.pop("environment", None)
-            coords[axis.value] = label
-            key = ContextKey(varying=Axis.ENVIRONMENT, **coords)
+            coords = {**combo, axis.value: label}
             try:
-                groups = slice_scores(dataset, key, hp)
+                context_groups[label] = slice_scores(dataset, hp, coords["agent"], coords["data_regime"])
             except EmptySliceError:
                 continue
-            if env_pinned:
-                groups = {k: v for k, v in groups.items() if k[0] == env_pinned}
-            context_groups[label] = groups
 
     contexts = [c for c in schema.axis_values(axis) if c in context_groups]
     if len(contexts) < 2:
@@ -460,9 +455,7 @@ def _profile_for(
     per_context: dict[str, dict[str, tuple[Interval, float]]] = {}
     for label in contexts:
         groups = context_groups[label]
-        envs_here = [env_pinned] if env_pinned else (
-            [label] if setup is TransferSetup.ACROSS_ENVIRONMENTS else env_scope
-        )
+        envs_here = [label] if setup is TransferSetup.ACROSS_ENVIRONMENTS else env_scope
         cells: dict[str, tuple[Interval, float]] = {}
         thin: list[str] = []
         for value in declared_values:
@@ -530,8 +523,7 @@ def rank_context(
     :class:`EmptySliceError` when the selector matches nothing and
     ``ValueError`` when no value has enough seeds to rank.
     """
-    key = ContextKey(varying=Axis.ENVIRONMENT, agent=agent, data_regime=data_regime)
-    groups = slice_scores(dataset, key, hyperparameter)
+    groups = slice_scores(dataset, hyperparameter, agent, data_regime)
     environments = [environment] if environment else list(dataset.schema.environments)
 
     settings = []
@@ -574,8 +566,6 @@ def build_consistency_report(
     assembled = assemble_profiles(dataset, setup, options)
     entries = []
     for profile in assembled.profiles:
-        spreads = [ptp(row) for row in profile.ranks]
-        normalized = normalized_ptp(spreads, m=len(profile.values), mode=normalization)
         kendall = None
         if include_kendall:
             defined = len(profile.values) >= 2
@@ -588,8 +578,8 @@ def build_consistency_report(
             fixed=dict(profile.fixed),
             contexts=profile.contexts,
             values=profile.values,
-            thc=float(sum(normalized) / len(normalized)),
-            normalized_ptp=dict(zip(profile.values, normalized)),
+            thc=thc(profile, normalization),
+            normalized_ptp=dict(zip(profile.values, _profile_spreads(profile, normalization))),
             kendall=kendall,
         ))
     report = ConsistencyReport(TransferSetup(setup), tuple(entries), assembled.skipped)

@@ -5,6 +5,13 @@ A sweep is stored in long form, one row per training run, keyed by
 validates every row against a declared schema and a per-environment baseline
 table; the resulting :class:`SweepDataset` is immutable and safe to share.
 
+While validating, the dataset builds one read-only index of its runs:
+``hyperparameter -> (agent, data_regime) -> environment -> value -> scores``,
+with each leaf a tuple of final scores ordered by seed. Only combinations
+that were run appear in it. :func:`slice_scores` returns one
+``(agent, data_regime)`` node of it; callers take their output order from
+the schema, never from the index.
+
 Hyper-parameter values are opaque strings compared by exact match. ``"0.5"``
 and ``"0.50"`` are different settings on purpose: ranking only needs
 identity, and numeric coercion silently corrupts keys.
@@ -15,9 +22,11 @@ from __future__ import annotations
 import csv
 import enum
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import yaml
@@ -25,7 +34,6 @@ import yaml
 __all__ = [
     "Axis",
     "BaselineTable",
-    "ContextKey",
     "DatasetError",
     "EmptySliceError",
     "RunRecord",
@@ -64,7 +72,8 @@ class DatasetError(ValueError):
 
 
 class EmptySliceError(LookupError):
-    """Raised when a context selector matches no records at all."""
+    """Raised when an (agent, data regime) pair has no runs of a
+    hyper-parameter at all."""
 
 
 class Axis(str, enum.Enum):
@@ -97,9 +106,6 @@ class RunRecord:
     def key(self) -> tuple[str, str, str, str, str, int]:
         return (self.agent, self.environment, self.data_regime,
                 self.hyperparameter, self.value, self.seed)
-
-    def axis_value(self, axis: Axis) -> str:
-        return getattr(self, Axis(axis).value)
 
 
 @dataclass(frozen=True)
@@ -179,46 +185,28 @@ class SweepSchema:
         }[Axis(axis)]
 
 
-@dataclass(frozen=True)
-class ContextKey:
-    """Coordinates of one analysis context.
-
-    Exactly one axis varies; the other two are pinned to concrete
-    identifiers. Slicing groups scores by the varying axis's labels.
-    """
-
-    varying: Axis
-    agent: str | None = None
-    environment: str | None = None
-    data_regime: str | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "varying", Axis(self.varying))
-        if getattr(self, self.varying.value) is not None:
-            raise ValueError(f"varying axis {self.varying.value!r} must not be fixed")
-        for axis in Axis:
-            if axis is not self.varying and getattr(self, axis.value) is None:
-                raise ValueError(f"non-varying axis {axis.value!r} must be fixed")
-
-    def fixed(self) -> dict[str, str]:
-        """The pinned coordinates as a plain mapping."""
-        return {axis.value: getattr(self, axis.value)
-                for axis in Axis if axis is not self.varying}
-
-    def matches(self, record: RunRecord) -> bool:
-        return all(record.axis_value(Axis(name)) == value
-                   for name, value in self.fixed().items())
+def _freeze(node: dict | list) -> Mapping | tuple[float, ...]:
+    """Read-only copy of a nested dict whose leaves are ``(seed, score)``
+    lists; each leaf becomes a tuple of scores ordered by seed."""
+    if isinstance(node, dict):
+        return MappingProxyType({key: _freeze(child) for key, child in node.items()})
+    return tuple(score for _, score in sorted(node))
 
 
 class SweepDataset:
-    """Validated, immutable collection of run records plus baselines."""
+    """Validated, immutable collection of run records plus baselines.
 
-    __slots__ = ("records", "baselines", "schema", "_by_hyperparameter")
+    ``index`` maps hyperparameter -> (agent, data_regime) -> environment ->
+    value -> seed-ordered scores, holding only combinations that were run.
+    """
+
+    __slots__ = ("records", "baselines", "schema", "index")
 
     def __init__(self, records: Iterable[RunRecord], baselines: BaselineTable, schema: SweepSchema):
         records = tuple(records)
         problems = []
         seen: set[tuple] = set()
+        nodes: dict = defaultdict(lambda: defaultdict(lambda: defaultdict(dict)))
         for rec in records:
             if rec.agent not in schema.agents:
                 problems.append(f"unknown agent {rec.agent!r}")
@@ -238,17 +226,15 @@ class SweepDataset:
             seen.add(rec.key)
             if len(problems) >= MAX_DIAGNOSTICS:
                 break
+            nodes[rec.hyperparameter][rec.agent, rec.data_regime][rec.environment] \
+                .setdefault(rec.value, []).append((rec.seed, rec.final_score))
         if problems:
             raise DatasetError(problems)
 
         object.__setattr__(self, "records", records)
         object.__setattr__(self, "baselines", baselines)
         object.__setattr__(self, "schema", schema)
-        by_hp: dict[str, list[RunRecord]] = {}
-        for rec in records:
-            by_hp.setdefault(rec.hyperparameter, []).append(rec)
-        object.__setattr__(self, "_by_hyperparameter",
-                           {hp: tuple(rs) for hp, rs in by_hp.items()})
+        object.__setattr__(self, "index", _freeze(nodes))
 
     def __setattr__(self, name, value):
         raise AttributeError("SweepDataset is immutable")
@@ -262,15 +248,6 @@ class SweepDataset:
         return (self.records == other.records
                 and self.baselines == other.baselines
                 and self.schema == other.schema)
-
-    def records_for(self, hyperparameter: str) -> tuple[RunRecord, ...]:
-        return self._by_hyperparameter.get(hyperparameter, ())
-
-    def normalize(self, record: RunRecord) -> float:
-        """Human-normalized final score of a record."""
-        rnd = self.baselines.random_score(record.environment)
-        hum = self.baselines.human_score(record.environment)
-        return (record.final_score - rnd) / (hum - rnd)
 
 
 def _iter_csv_rows(stream: IO[str], source: str) -> Iterator[tuple[int, list[str]]]:
@@ -420,40 +397,27 @@ def load_dataset(run_log_path: str | Path, baselines_path: str | Path,
 
 def slice_scores(
     dataset: SweepDataset,
-    context: ContextKey,
     hyperparameter: str,
-) -> dict[tuple[str, str], list[float]]:
-    """Group one hyper-parameter's per-seed final scores by (varying-axis
-    label, value).
+    agent: str,
+    data_regime: str,
+) -> Mapping[str, Mapping[str, tuple[float, ...]]]:
+    """One hyper-parameter's per-seed final scores for one (agent, data
+    regime) pair, grouped by environment and then by value.
 
-    The full declared grid is returned: combinations that were never run
-    appear as empty lists rather than vanishing. Within a group, scores are
-    ordered by seed. Raises ``KeyError`` for an undeclared hyper-parameter
-    and :class:`EmptySliceError` when nothing matches the context at all.
+    The result is the read-only index node: only groups that were run
+    appear, and within a group, scores are ordered by seed. Raises
+    ``KeyError`` for an undeclared hyper-parameter and
+    :class:`EmptySliceError` when the pair has no runs of it at all.
     """
-    schema = dataset.schema
-    if hyperparameter not in schema.hyperparameters:
+    if hyperparameter not in dataset.schema.hyperparameters:
         raise KeyError(f"hyperparameter {hyperparameter!r} is not declared in the schema")
-
-    labels = schema.axis_values(context.varying)
-    values = schema.hyperparameters[hyperparameter]
-    cells: dict[tuple[str, str], list[tuple[int, float]]] = {
-        (label, value): [] for label in labels for value in values
-    }
-    matched = 0
-    for rec in dataset.records_for(hyperparameter):
-        if not context.matches(rec):
-            continue
-        cells[(rec.axis_value(context.varying), rec.value)].append((rec.seed, rec.final_score))
-        matched += 1
-    if matched == 0:
+    try:
+        return dataset.index[hyperparameter][agent, data_regime]
+    except KeyError:
+        context = {"agent": agent, "data_regime": data_regime}
         raise EmptySliceError(
-            f"no records for hyperparameter {hyperparameter!r} in context {context.fixed()}"
-        )
-    return {
-        key: [score for _, score in sorted(pairs)]
-        for key, pairs in cells.items()
-    }
+            f"no records for hyperparameter {hyperparameter!r} in context {context}"
+        ) from None
 
 
 # -- schema and dataset serialization ---------------------------------------

@@ -74,9 +74,9 @@ class ScoreMatrix:
     the only stratum.
     """
 
-    __slots__ = ("rows", "labels")
+    __slots__ = ("rows",)
 
-    def __init__(self, rows: Iterable[Sequence[float]], labels: Sequence[str] | None = None):
+    def __init__(self, rows: Iterable[Sequence[float]]):
         collected = []
         for i, row in enumerate(rows):
             arr = np.asarray(row, dtype=float)
@@ -89,11 +89,6 @@ class ScoreMatrix:
         if not collected:
             raise ValueError("score matrix must have at least one row")
         self.rows: tuple[np.ndarray, ...] = tuple(collected)
-        if labels is not None:
-            labels = tuple(labels)
-            if len(labels) != len(self.rows):
-                raise ValueError("label count does not match row count")
-        self.labels: tuple[str, ...] | None = labels
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -101,13 +96,6 @@ class ScoreMatrix:
     def pooled(self) -> np.ndarray:
         """All entries concatenated in row order."""
         return np.concatenate(self.rows)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ScoreMatrix):
-            return NotImplemented
-        return self.labels == other.labels and len(self.rows) == len(other.rows) and all(
-            np.array_equal(a, b) for a, b in zip(self.rows, other.rows)
-        )
 
 
 def human_normalize(score: float, random_score: float, human_score: float) -> float:

@@ -6,11 +6,12 @@ import io
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thckit.dataset import (
     Axis,
     BaselineTable,
-    ContextKey,
     DatasetError,
     EmptySliceError,
     RunRecord,
@@ -25,6 +26,7 @@ from thckit.dataset import (
     write_baselines,
     write_run_log,
 )
+from thckit.stats import human_normalize
 
 from conftest import write_dataset_files
 
@@ -72,7 +74,6 @@ class TestRunRecord:
     def test_key_roundtrip(self):
         rec = RunRecord("a1", "e1", "r1", "lr", "0.1", 3, 1.25)
         assert rec.key == ("a1", "e1", "r1", "lr", "0.1", 3)
-        assert rec.axis_value(Axis.ENVIRONMENT) == "e1"
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError):
@@ -117,22 +118,6 @@ class TestSweepSchema:
             SweepSchema(**base)
 
 
-class TestContextKey:
-    def test_fixed_and_matches(self):
-        key = ContextKey(varying=Axis.ENVIRONMENT, agent="a1", data_regime="r1")
-        assert key.fixed() == {"agent": "a1", "data_regime": "r1"}
-        assert key.matches(RunRecord("a1", "e1", "r1", "lr", "0.1", 0, 1.0))
-        assert not key.matches(RunRecord("a2", "e1", "r1", "lr", "0.1", 0, 1.0))
-
-    def test_varying_axis_must_be_free(self):
-        with pytest.raises(ValueError):
-            ContextKey(varying=Axis.ENVIRONMENT, agent="a1", environment="e1", data_regime="r1")
-
-    def test_other_axes_must_be_fixed(self):
-        with pytest.raises(ValueError):
-            ContextKey(varying=Axis.ENVIRONMENT, agent="a1")
-
-
 class TestParse:
     def test_valid_sample(self):
         ds = parse_dataset(io.StringIO(RUNS_CSV), io.StringIO(BASELINES_CSV), small_schema())
@@ -142,7 +127,9 @@ class TestParse:
     def test_normalize(self):
         ds = parse_dataset(io.StringIO(RUNS_CSV), io.StringIO(BASELINES_CSV), small_schema())
         by_key = {rec.key: rec for rec in ds.records}
-        assert ds.normalize(by_key[("a1", "e2", "r1", "lr", "0.01", 0)]) == pytest.approx(0.2)
+        rec = by_key[("a1", "e2", "r1", "lr", "0.01", 0)]
+        rnd, hum = ds.baselines.random_score("e2"), ds.baselines.human_score("e2")
+        assert human_normalize(rec.final_score, rnd, hum) == pytest.approx(0.2)
 
     def test_header_mismatch(self):
         bad = RUNS_CSV.replace("final_score", "score")
@@ -212,62 +199,106 @@ class TestSweepDataset:
         with pytest.raises(DatasetError, match="duplicate record key"):
             SweepDataset(records, small_baselines(), small_schema())
 
-    def test_records_for(self):
-        ds = SweepDataset(make_records(), small_baselines(), small_schema())
-        assert len(ds.records_for("lr")) == len(ds)
-        assert ds.records_for("bs") == ()
-
     def test_equality(self):
         a = SweepDataset(make_records(), small_baselines(), small_schema())
         b = SweepDataset(make_records(), small_baselines(), small_schema())
         assert a == b
 
 
+def reference_slice(ds: SweepDataset, hyperparameter: str, agent: str, data_regime: str) -> dict:
+    """Brute-force filter-and-sort over every record, for checking the index."""
+    pairs: dict[str, dict[str, list[tuple[int, float]]]] = {}
+    for rec in ds.records:
+        if (rec.hyperparameter, rec.agent, rec.data_regime) == (hyperparameter, agent, data_regime):
+            pairs.setdefault(rec.environment, {}).setdefault(rec.value, []).append(
+                (rec.seed, rec.final_score))
+    return {env: {value: tuple(score for _, score in sorted(runs)) for value, runs in by_value.items()}
+            for env, by_value in pairs.items()}
+
+
+# Sparse record sets in arbitrary order: unique keys drawn from a grid of
+# 2 agents x 2 environments x 2 regimes x 3 settings x 8 seeds, so seeds
+# arrive shuffled and most groups are never run.
+record_sets = st.lists(
+    st.tuples(st.sampled_from(("a1", "a2")),
+              st.sampled_from(("e1", "e2")),
+              st.sampled_from(("r1", "r2")),
+              st.sampled_from((("lr", "0.1"), ("lr", "0.01"), ("bs", "32"))),
+              st.integers(0, 7),
+              st.floats(-1e6, 1e6))
+    .map(lambda t: RunRecord(t[0], t[1], t[2], *t[3], t[4], t[5])),
+    max_size=40,
+    unique_by=lambda rec: rec.key,
+)
+
+
 class TestSlice:
     def test_grouping_counts(self):
         ds = SweepDataset(make_records(seeds=5), small_baselines(), small_schema())
-        key = ContextKey(varying=Axis.ENVIRONMENT, agent="a1", data_regime="r1")
-        groups = slice_scores(ds, key, "lr")
-        assert len(groups) == 4
-        assert all(len(scores) == 5 for scores in groups.values())
+        groups = slice_scores(ds, "lr", "a1", "r1")
+        assert sum(len(by_value) for by_value in groups.values()) == 4
+        assert all(len(scores) == 5 for by_value in groups.values() for scores in by_value.values())
 
     def test_partition_property(self):
         ds = SweepDataset(make_records(seeds=5), small_baselines(), small_schema())
-        key = ContextKey(varying=Axis.ENVIRONMENT, agent="a1", data_regime="r1")
-        groups = slice_scores(ds, key, "lr")
+        groups = slice_scores(ds, "lr", "a1", "r1")
         pooled = Counter()
-        for scores in groups.values():
-            pooled.update(scores)
+        for by_value in groups.values():
+            for scores in by_value.values():
+                pooled.update(scores)
         expected = Counter(rec.final_score for rec in ds.records
-                           if key.matches(rec) and rec.hyperparameter == "lr")
+                           if (rec.agent, rec.data_regime, rec.hyperparameter) == ("a1", "r1", "lr"))
         assert pooled == expected
 
     def test_scores_ordered_by_seed(self):
         records = [RunRecord("a1", "e1", "r1", "lr", "0.1", seed, score)
                    for seed, score in ((2, 30.0), (0, 10.0), (1, 20.0))]
         ds = SweepDataset(records, small_baselines(), small_schema())
-        key = ContextKey(varying=Axis.ENVIRONMENT, agent="a1", data_regime="r1")
-        assert slice_scores(ds, key, "lr")[("e1", "0.1")] == [10.0, 20.0, 30.0]
+        assert list(slice_scores(ds, "lr", "a1", "r1")["e1"]["0.1"]) == [10.0, 20.0, 30.0]
 
-    def test_full_grid_reported_including_empty_groups(self):
+    def test_groups_never_run_are_absent(self):
         records = [RunRecord("a1", "e1", "r1", "lr", "0.1", 0, 1.0)]
         ds = SweepDataset(records, small_baselines(), small_schema())
-        key = ContextKey(varying=Axis.ENVIRONMENT, agent="a1", data_regime="r1")
-        groups = slice_scores(ds, key, "lr")
-        assert set(groups) == {("e1", "0.1"), ("e1", "0.01"), ("e2", "0.1"), ("e2", "0.01")}
-        assert groups[("e2", "0.01")] == []
+        groups = slice_scores(ds, "lr", "a1", "r1")
+        assert {env: dict(by_value) for env, by_value in groups.items()} == {"e1": {"0.1": (1.0,)}}
+
+    def test_groups_are_read_only(self):
+        ds = SweepDataset(make_records(), small_baselines(), small_schema())
+        groups = slice_scores(ds, "lr", "a1", "r1")
+        with pytest.raises(TypeError):
+            groups["e1"] = {}
+        with pytest.raises(TypeError):
+            groups["e1"]["0.1"] = ()
+        with pytest.raises(TypeError):
+            groups["e1"]["0.1"][0] = 99.0
+        with pytest.raises(TypeError):
+            ds.index["lr"] = {}
+        assert slice_scores(ds, "lr", "a1", "r1")["e1"]["0.1"] == (0.0, 1.0, 2.0, 3.0, 4.0)
 
     def test_undeclared_hyperparameter(self):
         ds = SweepDataset(make_records(), small_baselines(), small_schema())
-        key = ContextKey(varying=Axis.ENVIRONMENT, agent="a1", data_regime="r1")
         with pytest.raises(KeyError):
-            slice_scores(ds, key, "momentum")
+            slice_scores(ds, "momentum", "a1", "r1")
 
     def test_empty_slice(self):
         ds = SweepDataset(make_records(), small_baselines(), small_schema())
-        key = ContextKey(varying=Axis.ENVIRONMENT, agent="a2", data_regime="r2")
         with pytest.raises(EmptySliceError):
-            slice_scores(ds, key, "lr")
+            slice_scores(ds, "lr", "a2", "r2")
+
+    @settings(max_examples=200, deadline=None)
+    @given(record_sets)
+    def test_matches_brute_force_filter_and_sort(self, records):
+        ds = SweepDataset(records, small_baselines(), small_schema())
+        for hp in ("lr", "bs"):
+            for agent in ("a1", "a2"):
+                for regime in ("r1", "r2"):
+                    expected = reference_slice(ds, hp, agent, regime)
+                    if not expected:
+                        with pytest.raises(EmptySliceError):
+                            slice_scores(ds, hp, agent, regime)
+                        continue
+                    groups = slice_scores(ds, hp, agent, regime)
+                    assert {env: dict(by_value) for env, by_value in groups.items()} == expected
 
 
 class TestRoundTrip:

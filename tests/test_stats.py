@@ -80,10 +80,6 @@ class TestScoreMatrix:
         with pytest.raises(ValueError):
             ScoreMatrix([[1.0, float("nan")]])
 
-    def test_label_count_checked(self):
-        with pytest.raises(ValueError):
-            ScoreMatrix([[1.0]], labels=("a", "b"))
-
 
 class TestHumanNormalize:
     def test_unit_interval(self):

@@ -14,6 +14,7 @@ from thckit.consistency import (
     build_consistency_report,
 )
 from thckit.dataset import Axis, parse_dataset, write_baselines, write_run_log
+from thckit.stats import human_normalize
 from thckit.synth import (
     PlantedDesign,
     PlantedHyperparameter,
@@ -111,7 +112,7 @@ class TestGenerate:
         design = simple_design()
         dataset = generate(design)
         means = design.true_means(design.hyperparameters[0])
-        for record in dataset.records_for("lr"):
+        for record in (r for r in dataset.records if r.hyperparameter == "lr"):
             vi = design.hyperparameters[0].values.index(record.value)
             ci = design.environments.index(record.environment)
             assert record.final_score == means[vi, ci]
@@ -127,7 +128,8 @@ class TestGenerate:
         assert all(dataset.baselines.scores[e] == (0.0, 1.0)
                    for e in dataset.baselines.scores)
         record = dataset.records[0]
-        assert dataset.normalize(record) == record.final_score
+        rnd, hum = dataset.baselines.scores[record.environment]
+        assert human_normalize(record.final_score, rnd, hum) == record.final_score
 
     def test_generation_is_deterministic(self):
         design = simple_design(noise_scale=0.5, seed=123)
