@@ -1,9 +1,9 @@
 """Command-line pipeline: validate, rank, thc, report, synth.
 
 Exit codes: 0 success, 1 dataset validation failure, 2 usage error (bad
-flags, unreadable files, selectors matching nothing), 3 degenerate
-computation (a setup with nothing comparable, or an undefined Kendall
-statistic under --strict).
+flags, unreadable files, unknown pinned identifiers, selectors matching
+nothing), 3 degenerate computation (a setup with nothing comparable, or an
+undefined Kendall statistic under --strict).
 """
 
 from __future__ import annotations
@@ -157,8 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _options(args: argparse.Namespace) -> AssemblyOptions:
     return AssemblyOptions(
-        interval_source=IntervalSource(args.interval_source),
-        ranking_mode=RankingMode(args.ranking_mode),
+        interval_source=args.interval_source,
+        ranking_mode=args.ranking_mode,
         resamples=args.resamples,
         confidence=args.confidence,
         seed=args.seed,
@@ -228,9 +228,8 @@ def _cmd_thc(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.runs, args.baselines, args.schema)
     setup = _SETUPS[args.setup]
     options = _options(args)
-    normalization = PtpNormalization(args.ptp_normalization)
     report, _ = build_consistency_report(
-        dataset, setup, options, normalization, include_kendall=args.kendall)
+        dataset, setup, options, args.ptp_normalization, include_kendall=args.kendall)
 
     if not report.entries:
         reasons = "; ".join(f"{s.hyperparameter}: {s.reason}" for s in report.skipped)
@@ -245,7 +244,7 @@ def _cmd_thc(args: argparse.Namespace) -> int:
     if args.json:
         _write_json(args.json, {
             "setup": setup.value,
-            "ptp_normalization": normalization.value,
+            "ptp_normalization": args.ptp_normalization,
             "entries": [entry_to_dict(e, args.kendall) for e in report.entries],
             "skipped": [{"hyperparameter": s.hyperparameter, "fixed": dict(s.fixed),
                          "reason": s.reason} for s in report.skipped],
@@ -274,7 +273,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         inputs["schema"] = hashlib.sha256(bundled_schema_bytes()).hexdigest()
 
     bundle = build_report_bundle(
-        dataset, setups, options, PtpNormalization(args.ptp_normalization),
+        dataset, setups, options, args.ptp_normalization,
         include_kendall=args.kendall, inputs=inputs)
     written = write_report_bundle(bundle, args.out)
     print(f"wrote {len(written)} files under {args.out}")
@@ -329,10 +328,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except DegenerateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except EmptySliceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except KeyError as exc:
+    except (EmptySliceError, KeyError) as exc:
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return EXIT_USAGE
     except (OSError, ValueError) as exc:

@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.stats import kendalltau
 
-from .dataset import Axis, EmptySliceError, SweepDataset, slice_scores
+from .dataset import Axis, EmptySliceError, SweepDataset, SweepSchema, slice_scores
 from .ranking import RankingMode, RankingTable, compute_rankings
 from .stats import (
     DEFAULT_CONFIDENCE,
@@ -268,6 +268,7 @@ class SkippedHyperparameter:
 class AssembledProfiles:
     profiles: tuple[RankProfile, ...]
     skipped: tuple[SkippedHyperparameter, ...]
+    setup: TransferSetup
 
 
 @dataclass(frozen=True)
@@ -303,6 +304,13 @@ def _present(dataset: SweepDataset, hyperparameter: str, axis: Axis) -> list[str
     position = (Axis.AGENT, Axis.DATA_REGIME).index(axis)
     seen = {pair[position] for pair in dataset.index.get(hyperparameter, {})}
     return [v for v in dataset.schema.axis_values(axis) if v in seen]
+
+
+def _check_pins(schema: SweepSchema, pins: Mapping[Axis, str | None]) -> None:
+    """Raise ``KeyError`` for a pinned coordinate the schema does not declare."""
+    for axis, value in pins.items():
+        if value is not None and value not in schema.axis_values(axis):
+            raise KeyError(f"unknown {axis.value} {value!r}")
 
 
 def _aggregate_cell(
@@ -361,11 +369,13 @@ def assemble_profiles(
     setup varies them or ``options.environment`` pins one. Hyper-parameters
     that cannot be compared across the setup (fewer than two contexts with
     data, or no value rankable in every context) are skipped with a reason.
+    A pinned coordinate the schema does not declare raises ``KeyError``.
     """
     setup = TransferSetup(setup)
     axis = setup.axis
     if getattr(options, axis.value) is not None:
         raise ValueError(f"cannot fix {axis.value!r}; it is the varying axis of setup {setup.value!r}")
+    _check_pins(dataset.schema, {a: getattr(options, a.value) for a in Axis})
 
     schema = dataset.schema
     profiles: list[RankProfile] = []
@@ -382,7 +392,7 @@ def assemble_profiles(
             else:
                 profiles.append(result)
 
-    return AssembledProfiles(tuple(profiles), tuple(skipped))
+    return AssembledProfiles(tuple(profiles), tuple(skipped), setup)
 
 
 def _combos(
@@ -402,13 +412,9 @@ def _combos(
             return [pinned]
         return _present(dataset, hp, axis)
 
-    if setup is TransferSetup.ACROSS_AGENTS:
-        free_axes = [Axis.DATA_REGIME]
-    elif setup is TransferSetup.ACROSS_DATA_REGIMES:
-        free_axes = [Axis.AGENT]
-    else:
-        free_axes = [Axis.AGENT, Axis.DATA_REGIME]
-    if options.environment is not None and setup is not TransferSetup.ACROSS_ENVIRONMENTS:
+    # assemble_profiles has rejected a pin on the varying axis.
+    free_axes = [a for a in (Axis.AGENT, Axis.DATA_REGIME) if a is not setup.axis]
+    if options.environment is not None:
         free_axes.append(Axis.ENVIRONMENT)
 
     combos: list[dict[str, str]] = []
@@ -520,9 +526,11 @@ def rank_context(
 
     Environments are pooled as strata unless ``environment`` pins one.
     Returns the ranking table and per-value point estimates. Raises
+    ``KeyError`` for an undeclared hyper-parameter or environment,
     :class:`EmptySliceError` when the selector matches nothing and
     ``ValueError`` when no value has enough seeds to rank.
     """
+    _check_pins(dataset.schema, {Axis.ENVIRONMENT: environment})
     groups = slice_scores(dataset, hyperparameter, agent, data_regime)
     environments = [environment] if environment else list(dataset.schema.environments)
 
@@ -582,5 +590,5 @@ def build_consistency_report(
             normalized_ptp=dict(zip(profile.values, _profile_spreads(profile, normalization))),
             kendall=kendall,
         ))
-    report = ConsistencyReport(TransferSetup(setup), tuple(entries), assembled.skipped)
+    report = ConsistencyReport(assembled.setup, tuple(entries), assembled.skipped)
     return report, assembled.profiles

@@ -1,11 +1,16 @@
 """Experiment sweep data model: run logs, baselines, schemas, and slicing.
 
 A sweep is stored in long form, one row per training run, keyed by
-``(agent, environment, data_regime, hyperparameter, value, seed)``. Parsing
-validates every row against a declared schema and a per-environment baseline
-table; the resulting :class:`SweepDataset` is immutable and safe to share.
+``(agent, environment, data_regime, hyperparameter, value, seed)``. The
+resulting :class:`SweepDataset` is immutable and safe to share.
 
-While validating, the dataset builds one read-only index of its runs:
+Each rule is stated once: the run-record rules in ``SweepDataset._admit``,
+the baseline rules in ``_admit_baselines``. Direct construction of a
+:class:`SweepDataset` or :class:`BaselineTable` applies them and reports
+unprefixed diagnostics; :func:`parse_dataset` checks only what needs the
+text and sends each row through them once, prefixed ``source:lineno:``.
+
+While admitting records, the dataset builds one read-only index of its runs:
 ``hyperparameter -> (agent, data_regime) -> environment -> value -> scores``,
 with each leaf a tuple of final scores ordered by seed. Only combinations
 that were run appear in it. :func:`slice_scores` returns one
@@ -27,7 +32,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import yaml
 
@@ -86,7 +91,8 @@ class Axis(str, enum.Enum):
 
 @dataclass(frozen=True)
 class RunRecord:
-    """Final score of one training run."""
+    """Final score of one training run, checked when it enters a
+    :class:`SweepDataset`. A run-log cell that did not convert is ``None``."""
 
     agent: str
     environment: str
@@ -95,12 +101,6 @@ class RunRecord:
     value: str
     seed: int
     final_score: float
-
-    def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if not math.isfinite(self.final_score):
-            raise ValueError(f"final_score must be finite, got {self.final_score}")
 
     @property
     def key(self) -> tuple[str, str, str, str, str, int]:
@@ -115,9 +115,14 @@ class BaselineTable:
     scores: Mapping[str, tuple[float, float]]
 
     def __post_init__(self) -> None:
-        bad = [env for env, (rnd, hum) in self.scores.items() if hum == rnd]
-        if bad:
-            raise ValueError(f"human_score equals random_score for environments: {sorted(bad)}")
+        _admit_baselines((None, [], (env, *pair)) for env, pair in self.scores.items())
+
+    @classmethod
+    def _parsed(cls, rows: Iterable[tuple], source: str) -> BaselineTable:
+        """Table from parsed rows, which pass through the rules only here."""
+        table = cls.__new__(cls)
+        object.__setattr__(table, "scores", _admit_baselines(rows, source))
+        return table
 
     def __contains__(self, environment: str) -> bool:
         return environment in self.scores
@@ -131,6 +136,33 @@ class BaselineTable:
 
     def human_score(self, environment: str) -> float:
         return self.scores[environment][1]
+
+
+def _admit_baselines(rows: Iterable[tuple], source: str | None = None) -> dict[str, tuple[float, float]]:
+    """Apply every baseline rule once per row and return the scores by
+    environment. ``rows`` are as ``SweepDataset._admit`` reads them, with
+    ``(environment, random, human)`` items; a row gets at most one problem."""
+    problems: list[str] = []
+    scores: dict[str, tuple[float, float]] = {}
+    for line, found, entry in rows:
+        if not found:
+            env, rnd, hum = entry
+            if rnd is None or hum is None:
+                found = [f"non-numeric score for environment {env!r}"]
+            elif not (math.isfinite(rnd) and math.isfinite(hum)):
+                found = [f"non-finite baseline score for environment {env!r}"]
+            elif hum == rnd:
+                found = [f"human_score equals random_score for environment {env!r}"]
+            elif env in scores:
+                found = [f"duplicate baseline row for environment {env!r}"]
+            else:
+                scores[env] = (rnd, hum)
+                continue
+        prefix = "" if line is None else f"{source}:{line[0]}: "
+        problems.extend(prefix + problem for problem in found)
+    if problems:
+        raise DatasetError(problems)
+    return scores
 
 
 def _stringify(value: object) -> str:
@@ -203,35 +235,69 @@ class SweepDataset:
     __slots__ = ("records", "baselines", "schema", "index")
 
     def __init__(self, records: Iterable[RunRecord], baselines: BaselineTable, schema: SweepSchema):
-        records = tuple(records)
-        problems = []
+        self._admit(((None, [], rec) for rec in records), baselines, schema)
+
+    @classmethod
+    def _parsed(cls, rows: Iterable[tuple], baselines: BaselineTable, schema: SweepSchema,
+                source: str) -> SweepDataset:
+        """Dataset from parsed rows, which pass through the rules only here."""
+        dataset = cls.__new__(cls)
+        dataset._admit(rows, baselines, schema, source)
+        return dataset
+
+    def _admit(self, rows: Iterable[tuple], baselines: BaselineTable, schema: SweepSchema,
+               source: str | None = None) -> None:
+        """Apply every run-record rule once per row, in diagnostic order, and
+        index the rows that pass. ``rows`` yields ``(line, problems, record)``:
+        ``line`` is ``(lineno, cells)`` for a file row and None for a record
+        given directly, ``problems`` lists what parsing found, and ``record``
+        is None for a row with the wrong number of cells."""
+        records: list[RunRecord] = []
+        problems: list[str] = []
         seen: set[tuple] = set()
         nodes: dict = defaultdict(lambda: defaultdict(lambda: defaultdict(dict)))
-        for rec in records:
-            if rec.agent not in schema.agents:
-                problems.append(f"unknown agent {rec.agent!r}")
-            if rec.environment not in schema.environments:
-                problems.append(f"unknown environment {rec.environment!r}")
-            if rec.data_regime not in schema.data_regimes:
-                problems.append(f"unknown data_regime {rec.data_regime!r}")
-            declared = schema.hyperparameters.get(rec.hyperparameter)
-            if declared is None:
-                problems.append(f"unknown hyperparameter {rec.hyperparameter!r}")
-            elif rec.value not in declared:
-                problems.append(f"value {rec.value!r} not declared for hyperparameter {rec.hyperparameter!r}")
-            if rec.environment in schema.environments and rec.environment not in baselines:
-                problems.append(f"no baseline scores for environment {rec.environment!r}")
-            if rec.key in seen:
-                problems.append(f"duplicate record key {rec.key}")
-            seen.add(rec.key)
+        for line, found, rec in rows:
             if len(problems) >= MAX_DIAGNOSTICS:
+                if source is not None:
+                    problems.append(f"{source}: stopping after {MAX_DIAGNOSTICS} problems")
                 break
-            nodes[rec.hyperparameter][rec.agent, rec.data_regime][rec.environment] \
-                .setdefault(rec.value, []).append((rec.seed, rec.final_score))
+            if rec is not None:
+                seed_ok = rec.seed is not None and rec.seed >= 0
+                if not seed_ok:
+                    found.append(f"column 'seed' must be a non-negative integer, got {_cell(line, 5, rec.seed)!r}")
+                if rec.final_score is None:
+                    found.append(f"column 'final_score' is not a number: {_cell(line, 6, None)!r}")
+                elif not math.isfinite(rec.final_score):
+                    found.append(f"column 'final_score' must be finite, got {_cell(line, 6, rec.final_score)!r}")
+                if rec.agent not in schema.agents:
+                    found.append(f"unknown agent {rec.agent!r}")
+                if rec.environment not in schema.environments:
+                    found.append(f"unknown environment {rec.environment!r}")
+                elif rec.environment not in baselines:
+                    found.append(f"no baseline scores for environment {rec.environment!r}")
+                if rec.data_regime not in schema.data_regimes:
+                    found.append(f"unknown data_regime {rec.data_regime!r}")
+                declared = schema.hyperparameters.get(rec.hyperparameter)
+                if declared is None:
+                    found.append(f"unknown hyperparameter {rec.hyperparameter!r}")
+                elif rec.value not in declared:
+                    found.append(f"value {rec.value!r} not declared for hyperparameter {rec.hyperparameter!r}")
+                # A seed that is not valid makes no key, so it cannot collide.
+                if seed_ok:
+                    if rec.key in seen:
+                        found.append(f"duplicate record key {rec.key}")
+                    seen.add(rec.key)
+            if found:
+                prefix = "" if line is None else f"{source}:{line[0]}: "
+                problems.extend(prefix + problem for problem in found)
+            else:
+                records.append(rec)
+                nodes[rec.hyperparameter][rec.agent, rec.data_regime][rec.environment] \
+                    .setdefault(rec.value, []).append((rec.seed, rec.final_score))
         if problems:
             raise DatasetError(problems)
 
-        object.__setattr__(self, "records", records)
+        object.__setattr__(self, "records", tuple(records))
         object.__setattr__(self, "baselines", baselines)
         object.__setattr__(self, "schema", schema)
         object.__setattr__(self, "index", _freeze(nodes))
@@ -250,137 +316,66 @@ class SweepDataset:
                 and self.schema == other.schema)
 
 
-def _iter_csv_rows(stream: IO[str], source: str) -> Iterator[tuple[int, list[str]]]:
+def _cell(line: tuple[int, list[str]] | None, column: int, value: object) -> str:
+    """The spelling a diagnostic quotes: the run-log cell, else the value."""
+    return str(value) if line is None else line[1][column]
+
+
+def _convert(kind: type, text: str) -> int | float | None:
+    try:
+        return kind(text)
+    except ValueError:
+        return None
+
+
+def _file_rows(stream: IO[str], source: str, header: tuple[str, ...], what: str,
+               make: Callable[[list[str]], tuple[list[str], Any]]) -> Iterator[tuple]:
+    """Rows after a checked header line, as ``SweepDataset._admit`` reads
+    them; ``make(cells)`` gives a row's text problems and item."""
+    columns = len(header)
     for lineno, line in enumerate(stream, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         try:
-            row = next(csv.reader([line]))
+            cells = [cell.strip() for cell in next(csv.reader([line]))]
         except csv.Error as exc:
             raise DatasetError([f"{source}:{lineno}: malformed row: {exc}"]) from exc
-        yield lineno, [cell.strip() for cell in row]
+        if header:
+            if tuple(cells) != header:
+                raise DatasetError([f"{source}:{lineno}: expected header {','.join(header)!r}, got {','.join(cells)!r}"])
+            header = ()
+        elif len(cells) != columns:
+            yield (lineno, cells), [f"expected {columns} columns, got {len(cells)}"], None
+        else:
+            yield ((lineno, cells), *make(cells))
+    if header:
+        raise DatasetError([f"{source}: {what} is empty"])
 
 
-def _check_header(row: list[str], expected: tuple[str, ...], source: str, lineno: int) -> None:
-    if tuple(row) != expected:
-        raise DatasetError([
-            f"{source}:{lineno}: expected header {','.join(expected)!r}, got {','.join(row)!r}"
-        ])
-
-
-def _parse_baselines(stream: IO[str], source: str) -> BaselineTable:
-    problems: list[str] = []
-    scores: dict[str, tuple[float, float]] = {}
-    rows = _iter_csv_rows(stream, source)
-    try:
-        lineno, header = next(rows)
-    except StopIteration:
-        raise DatasetError([f"{source}: baseline table is empty"]) from None
-    _check_header(header, BASELINES_HEADER, source, lineno)
-    for lineno, row in rows:
-        if len(row) != len(BASELINES_HEADER):
-            problems.append(f"{source}:{lineno}: expected {len(BASELINES_HEADER)} columns, got {len(row)}")
-            continue
-        env, rnd_text, hum_text = row
-        try:
-            rnd = float(rnd_text)
-            hum = float(hum_text)
-        except ValueError:
-            problems.append(f"{source}:{lineno}: non-numeric score for environment {env!r}")
-            continue
-        if not (math.isfinite(rnd) and math.isfinite(hum)):
-            problems.append(f"{source}:{lineno}: non-finite baseline score for environment {env!r}")
-            continue
-        if hum == rnd:
-            problems.append(f"{source}:{lineno}: human_score equals random_score for environment {env!r}")
-            continue
-        if env in scores:
-            problems.append(f"{source}:{lineno}: duplicate baseline row for environment {env!r}")
-            continue
-        scores[env] = (rnd, hum)
-    if problems:
-        raise DatasetError(problems)
-    return BaselineTable(scores)
+def _run_log_entry(cells: list[str]) -> tuple[list[str], RunRecord]:
+    agent, env, regime, hp, value, seed, score = cells
+    empty = [f"empty column {RUN_LOG_HEADER[i]!r}" for i in range(5) if not cells[i]]
+    return empty, RunRecord(agent, env, regime, hp, value, _convert(int, seed), _convert(float, score))
 
 
 def parse_dataset(run_log: IO[str], baselines: IO[str], schema: SweepSchema) -> SweepDataset:
     """Parse and validate a run log and baseline table against a schema.
 
-    Raises :class:`DatasetError` carrying one diagnostic per problem row:
-    malformed rows (with line number and column), identifiers absent from the
-    schema, duplicate record keys, missing baselines, and non-finite scores.
+    Parsing checks what needs the text: the header, the column count, empty
+    identifiers, and int/float conversion. Each row then passes once through
+    the rules that direct construction of :class:`BaselineTable` and
+    :class:`SweepDataset` applies. Raises :class:`DatasetError` carrying one
+    diagnostic per problem, prefixed ``source:lineno:``; a bad baseline table
+    is reported before the run log is read.
     """
-    run_source = getattr(run_log, "name", "<run log>")
     base_source = getattr(baselines, "name", "<baselines>")
-    baseline_table = _parse_baselines(baselines, base_source)
-
-    problems: list[str] = []
-    records: list[RunRecord] = []
-    seen: set[tuple] = set()
-    rows = _iter_csv_rows(run_log, run_source)
-    try:
-        lineno, header = next(rows)
-    except StopIteration:
-        raise DatasetError([f"{run_source}: run log is empty"]) from None
-    _check_header(header, RUN_LOG_HEADER, run_source, lineno)
-
-    for lineno, row in rows:
-        if len(problems) >= MAX_DIAGNOSTICS:
-            problems.append(f"{run_source}: stopping after {MAX_DIAGNOSTICS} problems")
-            break
-        if len(row) != len(RUN_LOG_HEADER):
-            problems.append(f"{run_source}:{lineno}: expected {len(RUN_LOG_HEADER)} columns, got {len(row)}")
-            continue
-        agent, env, regime, hp, value, seed_text, score_text = row
-        row_problems = []
-        for column, ident in (("agent", agent), ("environment", env),
-                              ("data_regime", regime), ("hyperparameter", hp), ("value", value)):
-            if not ident:
-                row_problems.append(f"{run_source}:{lineno}: empty column {column!r}")
-        try:
-            seed = int(seed_text)
-            if seed < 0:
-                raise ValueError
-        except ValueError:
-            row_problems.append(f"{run_source}:{lineno}: column 'seed' must be a non-negative integer, got {seed_text!r}")
-            seed = 0
-        try:
-            score = float(score_text)
-        except ValueError:
-            row_problems.append(f"{run_source}:{lineno}: column 'final_score' is not a number: {score_text!r}")
-            score = 0.0
-        if not math.isfinite(score):
-            row_problems.append(f"{run_source}:{lineno}: column 'final_score' must be finite, got {score_text!r}")
-            score = 0.0
-
-        if agent not in schema.agents:
-            row_problems.append(f"{run_source}:{lineno}: unknown agent {agent!r}")
-        if env not in schema.environments:
-            row_problems.append(f"{run_source}:{lineno}: unknown environment {env!r}")
-        elif env not in baseline_table:
-            row_problems.append(f"{run_source}:{lineno}: no baseline scores for environment {env!r}")
-        if regime not in schema.data_regimes:
-            row_problems.append(f"{run_source}:{lineno}: unknown data_regime {regime!r}")
-        declared = schema.hyperparameters.get(hp)
-        if declared is None:
-            row_problems.append(f"{run_source}:{lineno}: unknown hyperparameter {hp!r}")
-        elif value not in declared:
-            row_problems.append(f"{run_source}:{lineno}: value {value!r} not declared for hyperparameter {hp!r}")
-
-        key = (agent, env, regime, hp, value, seed)
-        if key in seen:
-            row_problems.append(f"{run_source}:{lineno}: duplicate record key {key}")
-        seen.add(key)
-
-        if row_problems:
-            problems.extend(row_problems)
-        else:
-            records.append(RunRecord(agent, env, regime, hp, value, seed, score))
-
-    if problems:
-        raise DatasetError(problems)
-    return SweepDataset(records, baseline_table, schema)
+    rows = _file_rows(baselines, base_source, BASELINES_HEADER, "baseline table",
+                      lambda cells: ([], (cells[0], _convert(float, cells[1]), _convert(float, cells[2]))))
+    table = BaselineTable._parsed(rows, base_source)
+    run_source = getattr(run_log, "name", "<run log>")
+    rows = _file_rows(run_log, run_source, RUN_LOG_HEADER, "run log", _run_log_entry)
+    return SweepDataset._parsed(rows, table, schema, run_source)
 
 
 def load_dataset(run_log_path: str | Path, baselines_path: str | Path,

@@ -126,6 +126,25 @@ class TestRank:
         assert "error:" in capsys.readouterr().err
 
 
+class TestUndeclaredPins:
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["thc", "--setup", "agents", "--environment", "zz"],
+                     "unknown environment 'zz'", id="thc-environment"),
+        pytest.param(["thc", "--setup", "environments", "--data-regime", "zz"],
+                     "unknown data_regime 'zz'", id="thc-data-regime"),
+        pytest.param(["report", "--setup", "data-regimes", "--agent", "zz"],
+                     "unknown agent 'zz'", id="report-agent"),
+        pytest.param(["rank", "--hyperparameter", "ha", "--agent", "agent01",
+                      "--data-regime", "regime01", "--environment", "zz"],
+                     "unknown environment 'zz'", id="rank-environment"),
+    ])
+    def test_exits_2(self, reference_paths, tmp_path, capsys, argv, message):
+        out = ["--out", str(tmp_path / "bundle")] if argv[0] == "report" else []
+        assert main([argv[0], *dataset_args(reference_paths), *argv[1:], *out]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "bundle").exists()
+
+
 class TestThc:
     def test_table_and_json_agree(self, reference_paths, tmp_path, capsys):
         sidecar = tmp_path / "thc.json"

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import io
+import math
+import re
 from collections import Counter
 
 import pytest
@@ -75,14 +77,6 @@ class TestRunRecord:
         rec = RunRecord("a1", "e1", "r1", "lr", "0.1", 3, 1.25)
         assert rec.key == ("a1", "e1", "r1", "lr", "0.1", 3)
 
-    def test_negative_seed_rejected(self):
-        with pytest.raises(ValueError):
-            RunRecord("a1", "e1", "r1", "lr", "0.1", -1, 1.0)
-
-    def test_nonfinite_score_rejected(self):
-        with pytest.raises(ValueError):
-            RunRecord("a1", "e1", "r1", "lr", "0.1", 0, float("nan"))
-
 
 class TestBaselineTable:
     def test_lookup(self):
@@ -94,6 +88,112 @@ class TestBaselineTable:
     def test_equal_scores_rejected(self):
         with pytest.raises(ValueError):
             BaselineTable({"e1": (5.0, 5.0)})
+
+
+# The records RUNS_CSV holds, for building the same input directly.
+RUNS_RECORDS = [
+    RunRecord("a1", "e1", "r1", "lr", "0.1", 0, 1.5),
+    RunRecord("a1", "e1", "r1", "lr", "0.1", 1, 2.5),
+    RunRecord("a1", "e2", "r1", "lr", "0.01", 0, 300.0),
+    RunRecord("a1", "e2", "r1", "lr", "0.01", 1, 500.0),
+]
+
+
+def with_record(*fields):
+    return lambda: SweepDataset(RUNS_RECORDS + [RunRecord(*fields)], small_baselines(), small_schema())
+
+
+def with_baseline(env, rnd, hum):
+    return lambda: BaselineTable({**small_baselines().scores, env: (rnd, hum)})
+
+
+# One single-fault kind per row: the run log and baseline table to parse,
+# the exact diagnostics parse_dataset gives, and a direct construction of the
+# same input (None where only text can hold the fault) that must give the
+# same diagnostics without their "source:lineno: " prefix. Faulty seeds use
+# agent a2 so that no earlier row shares the rest of their key.
+FAULTS = [
+    pytest.param(RUNS_CSV + "a1,e1,r1,lr,0.1,7\n", BASELINES_CSV,
+                 ["<run log>:8: expected 7 columns, got 6"], None, id="column-count"),
+    pytest.param(RUNS_CSV + ",e1,r1,lr,0.1,7,1.0\n", BASELINES_CSV,
+                 ["<run log>:8: empty column 'agent'", "<run log>:8: unknown agent ''"], None,
+                 id="empty-identifier"),
+    pytest.param(RUNS_CSV + "a2,e1,r1,lr,0.1,x,1.0\n", BASELINES_CSV,
+                 ["<run log>:8: column 'seed' must be a non-negative integer, got 'x'"], None,
+                 id="bad-seed"),
+    pytest.param(RUNS_CSV + "a2,e1,r1,lr,0.1,-3,1.0\n", BASELINES_CSV,
+                 ["<run log>:8: column 'seed' must be a non-negative integer, got '-3'"],
+                 with_record("a2", "e1", "r1", "lr", "0.1", -3, 1.0), id="negative-seed"),
+    pytest.param(RUNS_CSV + "a1,e1,r1,lr,0.1,7,nope\n", BASELINES_CSV,
+                 ["<run log>:8: column 'final_score' is not a number: 'nope'"], None,
+                 id="non-numeric-score"),
+    pytest.param(RUNS_CSV + "a1,e1,r1,lr,0.1,7,inf\n", BASELINES_CSV,
+                 ["<run log>:8: column 'final_score' must be finite, got 'inf'"],
+                 with_record("a1", "e1", "r1", "lr", "0.1", 7, math.inf), id="infinite-score"),
+    pytest.param(RUNS_CSV + "zz,e1,r1,lr,0.1,7,1.0\n", BASELINES_CSV,
+                 ["<run log>:8: unknown agent 'zz'"],
+                 with_record("zz", "e1", "r1", "lr", "0.1", 7, 1.0), id="unknown-agent"),
+    pytest.param(RUNS_CSV + "a1,zz,r1,lr,0.1,7,1.0\n", BASELINES_CSV,
+                 ["<run log>:8: unknown environment 'zz'"],
+                 with_record("a1", "zz", "r1", "lr", "0.1", 7, 1.0), id="unknown-environment"),
+    pytest.param(RUNS_CSV + "a1,e1,zz,lr,0.1,7,1.0\n", BASELINES_CSV,
+                 ["<run log>:8: unknown data_regime 'zz'"],
+                 with_record("a1", "e1", "zz", "lr", "0.1", 7, 1.0), id="unknown-regime"),
+    pytest.param(RUNS_CSV + "a1,e1,r1,zz,0.1,7,1.0\n", BASELINES_CSV,
+                 ["<run log>:8: unknown hyperparameter 'zz'"],
+                 with_record("a1", "e1", "r1", "zz", "0.1", 7, 1.0), id="unknown-hyperparameter"),
+    pytest.param(RUNS_CSV + "a1,e1,r1,lr,0.7,7,1.0\n", BASELINES_CSV,
+                 ["<run log>:8: value '0.7' not declared for hyperparameter 'lr'"],
+                 with_record("a1", "e1", "r1", "lr", "0.7", 7, 1.0), id="undeclared-value"),
+    pytest.param(RUNS_CSV, "environment,random_score,human_score\ne1,0,1\n",
+                 ["<run log>:6: no baseline scores for environment 'e2'",
+                  "<run log>:7: no baseline scores for environment 'e2'"],
+                 lambda: SweepDataset(RUNS_RECORDS, BaselineTable({"e1": (0.0, 1.0)}), small_schema()),
+                 id="missing-baseline"),
+    pytest.param(RUNS_CSV + "a1,e1,r1,lr,0.1,0,9.9\n", BASELINES_CSV,
+                 ["<run log>:8: duplicate record key ('a1', 'e1', 'r1', 'lr', '0.1', 0)"],
+                 with_record("a1", "e1", "r1", "lr", "0.1", 0, 9.9), id="duplicate-key"),
+    pytest.param(RUNS_CSV, BASELINES_CSV + "e3,nan,1\n",
+                 ["<baselines>:4: non-finite baseline score for environment 'e3'"],
+                 with_baseline("e3", math.nan, 1.0), id="non-finite-baseline"),
+    pytest.param(RUNS_CSV, BASELINES_CSV + "e3,7,7\n",
+                 ["<baselines>:4: human_score equals random_score for environment 'e3'"],
+                 with_baseline("e3", 7.0, 7.0), id="equal-baseline"),
+    pytest.param(RUNS_CSV, BASELINES_CSV + "e1,0,1\n",
+                 ["<baselines>:4: duplicate baseline row for environment 'e1'"], None,
+                 id="duplicate-baseline"),
+]
+
+
+class TestFaultTable:
+    @pytest.mark.parametrize("runs, baselines, diagnostics, direct", FAULTS)
+    def test_single_fault(self, runs, baselines, diagnostics, direct):
+        with pytest.raises(DatasetError) as excinfo:
+            parse_dataset(io.StringIO(runs), io.StringIO(baselines), small_schema())
+        assert excinfo.value.diagnostics == diagnostics
+        if direct is not None:
+            with pytest.raises(DatasetError) as excinfo:
+                direct()
+            assert excinfo.value.diagnostics == [re.sub(r"^<[a-z ]+>:\d+: ", "", d) for d in diagnostics]
+
+    def test_diagnostics_quote_cells_as_written(self):
+        runs = RUNS_CSV + "a2,e1,r1,lr,0.1,-03,NaN\n"
+        with pytest.raises(DatasetError) as excinfo:
+            parse_dataset(io.StringIO(runs), io.StringIO(BASELINES_CSV), small_schema())
+        assert excinfo.value.diagnostics == [
+            "<run log>:8: column 'seed' must be a non-negative integer, got '-03'",
+            "<run log>:8: column 'final_score' must be finite, got 'NaN'",
+        ]
+
+    def test_unparsed_seeds_never_collide(self):
+        # Both rows share the rest of their key with the seed-0 row on line 3.
+        runs = RUNS_CSV + "a1,e1,r1,lr,0.1,x,1.0\na1,e1,r1,lr,0.1,y,1.0\n"
+        with pytest.raises(DatasetError) as excinfo:
+            parse_dataset(io.StringIO(runs), io.StringIO(BASELINES_CSV), small_schema())
+        assert excinfo.value.diagnostics == [
+            "<run log>:8: column 'seed' must be a non-negative integer, got 'x'",
+            "<run log>:9: column 'seed' must be a non-negative integer, got 'y'",
+        ]
 
 
 class TestSweepSchema:
