@@ -39,8 +39,8 @@ from .ranking import RankingMode
 from .report import (
     build_report_bundle,
     consistency_rows,
-    entry_to_dict,
     file_digest,
+    report_to_dict,
     write_report_bundle,
 )
 from .stats import DEFAULT_CONFIDENCE, DEFAULT_RESAMPLES
@@ -78,9 +78,6 @@ def _add_aggregation_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--confidence", type=float, default=DEFAULT_CONFIDENCE,
                         help="bootstrap confidence level (default %(default)s)")
     parser.add_argument("--seed", type=int, default=0, help="master seed for resampling")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="threads that run chunks of bootstrap replicates; never "
-                             "affects results and gave no speedup on a 2-core host")
     parser.add_argument("--ranking-mode", choices=[m.value for m in RankingMode],
                         default=RankingMode.SPAN.value,
                         help="fractional ranking rule (default %(default)s)")
@@ -162,7 +159,6 @@ def _options(args: argparse.Namespace) -> AssemblyOptions:
         resamples=args.resamples,
         confidence=args.confidence,
         seed=args.seed,
-        workers=args.workers,
         agent=getattr(args, "agent", None) if args.command != "rank" else None,
         environment=getattr(args, "environment", None) if args.command != "rank" else None,
         data_regime=getattr(args, "data_regime", None) if args.command != "rank" else None,
@@ -242,13 +238,9 @@ def _cmd_thc(args: argparse.Namespace) -> int:
         print(f"skipped {skip.hyperparameter}" + (f" [{fixed}]" if fixed else "") + f": {skip.reason}")
 
     if args.json:
-        _write_json(args.json, {
-            "setup": setup.value,
-            "ptp_normalization": args.ptp_normalization,
-            "entries": [entry_to_dict(e, args.kendall) for e in report.entries],
-            "skipped": [{"hyperparameter": s.hyperparameter, "fixed": dict(s.fixed),
-                         "reason": s.reason} for s in report.skipped],
-        })
+        _write_json(args.json, {"setup": setup.value,
+                                "ptp_normalization": args.ptp_normalization,
+                                **report_to_dict(report, args.kendall)})
 
     if args.strict and args.kendall:
         undefined = []
@@ -263,8 +255,15 @@ def _cmd_thc(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.runs, args.baselines, args.schema)
-    setups = list(_SETUPS.values()) if args.setup == "all" else [_SETUPS[args.setup]]
     options = _options(args)
+    if args.setup != "all":
+        setups = [_SETUPS[args.setup]]
+    else:
+        # A pinned axis cannot vary, so "all" leaves out the setups that vary one.
+        setups = [s for s in _SETUPS.values() if getattr(options, s.axis.value) is None]
+        if not setups:
+            raise ValueError("every setup varies a pinned axis; pin at most two of "
+                             "--agent, --environment and --data-regime")
 
     inputs = {"runs": file_digest(args.runs), "baselines": file_digest(args.baselines)}
     if args.schema:

@@ -247,7 +247,6 @@ class AssemblyOptions:
     resamples: int = DEFAULT_RESAMPLES
     confidence: float = DEFAULT_CONFIDENCE
     seed: int = 0
-    workers: int = 1
     agent: str | None = None
     environment: str | None = None
     data_regime: str | None = None
@@ -346,11 +345,9 @@ def _aggregate_cell(
         return mean_and_spread(pooled), float(np.mean(pooled)), dropped
     interval = stratified_bootstrap_ci(
         ScoreMatrix(rows),
-        statistic="iqm",
         resamples=options.resamples,
         confidence=options.confidence,
         seed=derive_seed(options.seed, *seed_key),
-        workers=options.workers,
     )
     return interval, iqm(pooled), dropped
 
@@ -526,11 +523,12 @@ def rank_context(
 
     Environments are pooled as strata unless ``environment`` pins one.
     Returns the ranking table and per-value point estimates. Raises
-    ``KeyError`` for an undeclared hyper-parameter or environment,
-    :class:`EmptySliceError` when the selector matches nothing and
-    ``ValueError`` when no value has enough seeds to rank.
+    ``KeyError`` for an undeclared hyper-parameter, agent, data regime or
+    environment, :class:`EmptySliceError` when the selector matches nothing
+    and ``ValueError`` when no value has enough seeds to rank.
     """
-    _check_pins(dataset.schema, {Axis.ENVIRONMENT: environment})
+    _check_pins(dataset.schema, {Axis.AGENT: agent, Axis.DATA_REGIME: data_regime,
+                                 Axis.ENVIRONMENT: environment})
     groups = slice_scores(dataset, hyperparameter, agent, data_regime)
     environments = [environment] if environment else list(dataset.schema.environments)
 

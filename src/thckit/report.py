@@ -4,7 +4,7 @@ A report bundle is the precomputed layer a results browser would sit on
 top of: consistency tables, per-context rankings, aggregation intervals,
 plot-ready series, a small vector bar chart, and a manifest of content
 digests. Every byte is determined by the input files, flags, and seed;
-nothing here reads clocks, hostnames, or thread counts.
+nothing here reads clocks or hostnames.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .consistency import (
 from .dataset import SweepDataset
 
 __all__ = ["ReportBundle", "build_report_bundle", "write_report_bundle",
-           "consistency_rows", "entry_to_dict"]
+           "consistency_rows", "entry_to_dict", "report_to_dict"]
 
 
 @dataclass(frozen=True)
@@ -62,8 +62,7 @@ def build_report_bundle(
 ) -> ReportBundle:
     """Score every requested setup and collect provenance.
 
-    ``inputs`` maps input names to content digests; thread count is
-    deliberately not recorded because it never affects results.
+    ``inputs`` maps input names to content digests.
     """
     setups = [TransferSetup(s) for s in setups]
     if len(set(setups)) != len(setups):
@@ -115,6 +114,15 @@ def entry_to_dict(entry: HyperparameterConsistency, include_kendall: bool) -> di
         data["kendall_w"] = None if kendall is None else kendall.w
         data["kendall_mean_tau"] = None if kendall is None else kendall.mean_tau
     return data
+
+
+def report_to_dict(report: ConsistencyReport, include_kendall: bool) -> dict[str, Any]:
+    """Scored entries and skipped hyper-parameters of one setup, as JSON data."""
+    return {
+        "entries": [entry_to_dict(e, include_kendall) for e in report.entries],
+        "skipped": [{"hyperparameter": s.hyperparameter, "fixed": dict(s.fixed),
+                     "reason": s.reason} for s in report.skipped],
+    }
 
 
 def consistency_rows(report: ConsistencyReport, include_kendall: bool) -> list[list[str]]:
@@ -243,11 +251,7 @@ def _bundle_files(bundle: ReportBundle) -> dict[str, bytes]:
         for skip in report.skipped:
             skipped.append([report.setup.value, skip.hyperparameter,
                             _fixed_label(skip.fixed), skip.reason])
-        setups_json[report.setup.value] = {
-            "entries": [entry_to_dict(e, include_kendall) for e in report.entries],
-            "skipped": [{"hyperparameter": s.hyperparameter, "fixed": dict(s.fixed),
-                         "reason": s.reason} for s in report.skipped],
-        }
+        setups_json[report.setup.value] = report_to_dict(report, include_kendall)
         for profile in profiles:
             fixed = _fixed_label(profile.fixed)
             for table in profile.tables:

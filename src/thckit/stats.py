@@ -6,15 +6,13 @@ bootstrap confidence intervals, and plain mean +/- standard deviation spreads.
 
 All functions are pure. The bootstrap draws every replicate's randomness from
 a counter-based generator keyed on ``(seed, replicate index)`` and evaluates
-replicates in bounded-memory chunks (one vectorised sort, trim and mean per
-chunk), so results are bit-identical regardless of chunk size or of how chunks
-are scheduled across worker threads.
+replicates serially in bounded-memory chunks (one vectorised sort, trim and
+mean per chunk), so results are bit-identical regardless of chunk size.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from hashlib import sha256
 from typing import Iterable, Sequence
@@ -147,92 +145,63 @@ def derive_seed(master: int, *parts: object) -> int:
 _CHUNK_ENTRIES = 1 << 16
 
 
-def _iqm_replicates(values: np.ndarray, sizes: np.ndarray, seed: int,
-                    start: int, stop: int) -> np.ndarray:
-    """IQM of bootstrap replicates ``start .. stop-1`` of the pooled rows.
-
-    Replicate ``k`` draws from a Philox stream keyed ``(seed, counter=[0, 0,
-    k, 0])``: each replicate owns a disjoint 2^128-draw block, so the result
-    does not depend on how replicates are chunked or scheduled. One bit
-    generator is reset to each replicate's counter in turn and draws every
-    row's indices in a single ``integers`` call; numpy draws a broadcast
-    ``high`` element by element through the same bounded path as one call per
-    row, and a size-1 row consumes no draws on either path.
-    """
-    bitgen = np.random.Philox(key=seed)
-    gen = np.random.Generator(bitgen)
-    fresh = bitgen.state
-    counter = fresh["state"]["counter"]
-    highs = np.repeat(sizes, sizes)
-    idx = np.empty((stop - start, values.size), dtype=np.int64)
-    for j, k in enumerate(range(start, stop)):
-        counter[2] = k
-        bitgen.state = fresh
-        idx[j] = gen.integers(0, highs)
-    idx += np.repeat(np.cumsum(sizes) - sizes, sizes)
-    samples = values[idx]
-    samples.sort(axis=1)
-    # Each replicate's mean over a contiguous slice sums pairwise exactly like
-    # the 1-D ``iqm``, so the replicate statistics are bit-identical to it.
-    trim = values.size // 4
-    return samples[:, trim: values.size - trim].mean(axis=1)
-
-
-_STATISTICS = ("iqm",)
-
-
 def stratified_bootstrap_ci(
     matrix: ScoreMatrix,
-    statistic: str = "iqm",
     resamples: int = DEFAULT_RESAMPLES,
     confidence: float = DEFAULT_CONFIDENCE,
     seed: int = 0,
-    workers: int = 1,
 ) -> Interval:
-    """Percentile bootstrap interval for an aggregate statistic, resampling
-    each environment row independently (stratified).
+    """Percentile bootstrap interval for the IQM, resampling each environment
+    row independently (stratified).
 
     Every replicate resamples each row with replacement to its own length,
-    pools the entries, and evaluates the statistic on the pool; the interval
-    is the empirical ``(1-confidence)/2`` and ``1-(1-confidence)/2``
-    percentile pair of the replicate statistics.
+    pools the entries, and takes their IQM; the interval is the empirical
+    ``(1-confidence)/2`` and ``1-(1-confidence)/2`` percentile pair of the
+    replicate IQMs.
 
-    Replicates are evaluated in chunks of at most ``_CHUNK_ENTRIES``
-    resampled entries: one index draw per replicate, then one sort, trim and
+    Replicate ``k`` draws from a Philox stream keyed ``(seed, counter=[0, 0,
+    k, 0])``: each replicate owns a disjoint 2^128-draw block, so the result
+    does not depend on how replicates are chunked. One bit generator is reset
+    to each replicate's counter in turn and draws every row's indices in a
+    single ``integers`` call; numpy draws a broadcast ``high`` element by
+    element through the same bounded path as one call per row, and a size-1
+    row consumes no draws on either path. Replicates are then evaluated in
+    chunks of at most ``_CHUNK_ENTRIES`` resampled entries, one sort, trim and
     mean per chunk, so working memory stays bounded at any ``resamples``.
 
-    Deterministic for fixed ``(matrix, statistic, resamples, confidence,
-    seed)``; ``workers`` threads only schedule whole chunks and never change
-    the result. A degenerate matrix (all rows constant) yields a zero-width
-    interval rather than an error.
+    Deterministic for fixed ``(matrix, resamples, confidence, seed)``. A
+    degenerate matrix (all rows constant) yields a zero-width interval rather
+    than an error.
     """
-    if statistic not in _STATISTICS:
-        raise ValueError(f"unknown statistic {statistic!r}; supported: {sorted(_STATISTICS)}")
     if resamples < MIN_RESAMPLES:
         raise ValueError(f"resamples must be >= {MIN_RESAMPLES}, got {resamples}")
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
 
     values = matrix.pooled()
     sizes = np.array([row.size for row in matrix.rows])
-    chunk = max(1, _CHUNK_ENTRIES // values.size)
+    highs = np.repeat(sizes, sizes)
+    offsets = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    trim = values.size // 4
+    chunk = min(resamples, max(1, _CHUNK_ENTRIES // values.size))
+    bitgen = np.random.Philox(key=seed)
+    gen = np.random.Generator(bitgen)
+    fresh = bitgen.state
+    counter = fresh["state"]["counter"]
+    idx = np.empty((chunk, values.size), dtype=np.int64)
     stats = np.empty(resamples, dtype=float)
-
-    def run_chunk(start: int) -> None:
-        stop = min(start + chunk, resamples)
-        stats[start:stop] = _iqm_replicates(values, sizes, seed, start, stop)
-
-    starts = range(0, resamples, chunk)
-    if workers == 1:
-        for start in starts:
-            run_chunk(start)
-    else:
-        # Each chunk builds its own bit generator: resetting the state of a
-        # shared one is not thread-safe.
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_chunk, starts))
+    for start in range(0, resamples, chunk):
+        block = idx[:resamples - start]
+        for j in range(len(block)):
+            counter[2] = start + j
+            bitgen.state = fresh
+            block[j] = gen.integers(0, highs)
+        block += offsets
+        samples = values[block]
+        samples.sort(axis=1)
+        # Each replicate's mean over a contiguous slice sums pairwise exactly
+        # like the 1-D ``iqm``, so the replicate IQMs are bit-identical to it.
+        stats[start:start + len(block)] = samples[:, trim: values.size - trim].mean(axis=1)
 
     alpha = (1.0 - confidence) / 2.0
     lower, upper = np.percentile(stats, [100.0 * alpha, 100.0 * (1.0 - alpha)])

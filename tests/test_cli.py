@@ -137,6 +137,12 @@ class TestUndeclaredPins:
         pytest.param(["rank", "--hyperparameter", "ha", "--agent", "agent01",
                       "--data-regime", "regime01", "--environment", "zz"],
                      "unknown environment 'zz'", id="rank-environment"),
+        pytest.param(["rank", "--hyperparameter", "ha", "--agent", "zz",
+                      "--data-regime", "regime01"],
+                     "unknown agent 'zz'", id="rank-agent"),
+        pytest.param(["rank", "--hyperparameter", "ha", "--agent", "agent01",
+                      "--data-regime", "zz"],
+                     "unknown data_regime 'zz'", id="rank-data-regime"),
     ])
     def test_exits_2(self, reference_paths, tmp_path, capsys, argv, message):
         out = ["--out", str(tmp_path / "bundle")] if argv[0] == "report" else []
@@ -218,6 +224,44 @@ class TestReport:
         entries = {e["hyperparameter"]: e
                    for e in report["setups"]["environments"]["entries"]}
         assert entries["ha"]["thc"] == pytest.approx(2.5 / 3)
+
+    def test_all_leaves_out_setups_that_vary_a_pin(self, reference_paths, tmp_path, capsys):
+        out = tmp_path / "bundle"
+        assert main(["report", *dataset_args(reference_paths), "--out", str(out),
+                     "--environment", "g1", "--interval-source", "mean_sd"]) == 0
+        capsys.readouterr()
+        report = json.loads((out / "report.json").read_text())
+        assert report["provenance"]["flags"]["setups"] == ["agents", "data_regimes"]
+        assert report["provenance"]["flags"]["environment"] == "g1"
+        assert list(report["setups"]) == ["agents", "data_regimes"]
+
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["--setup", "environments", "--environment", "g1"],
+                     "cannot fix 'environment'", id="explicit-setup"),
+        pytest.param(["--agent", "agent01", "--environment", "g1",
+                      "--data-regime", "regime01"],
+                     "every setup varies a pinned axis", id="all-pinned"),
+    ])
+    def test_pinned_varying_axis_exits_2(self, reference_paths, tmp_path, capsys,
+                                         argv, message):
+        out = tmp_path / "bundle"
+        assert main(["report", *dataset_args(reference_paths), "--out", str(out), *argv]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_json_matches_thc_sidecar(self, reference_paths, tmp_path, capsys):
+        sidecar = tmp_path / "thc.json"
+        out = tmp_path / "bundle"
+        common = [*dataset_args(reference_paths), "--setup", "environments",
+                  "--interval-source", "mean_sd", "--kendall"]
+        assert main(["thc", *common, "--json", str(sidecar)]) == 0
+        assert main(["report", *common, "--out", str(out)]) == 0
+        capsys.readouterr()
+        thc = json.loads(sidecar.read_text())
+        report = json.loads((out / "report.json").read_text())
+        assert thc.pop("setup") == "environments"
+        assert thc.pop("ptp_normalization") == "max"
+        assert thc == report["setups"]["environments"]
 
 
 class TestSynth:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import math
 
@@ -27,7 +28,7 @@ from thckit.consistency import (
     rank_context,
     thc,
 )
-from thckit.dataset import EmptySliceError
+from thckit.dataset import EmptySliceError, SweepDataset
 
 from conftest import dataset_from_intervals, reference_trajectory_cells
 
@@ -398,16 +399,6 @@ class TestAssembly:
             assert np.array_equal(a.ranks, b.ranks)
             assert a.points == b.points
 
-    def test_workers_do_not_change_assembly(self):
-        dataset = dataset_from_intervals(reference_trajectory_cells())
-        serial = assemble_profiles(dataset, TransferSetup.ACROSS_ENVIRONMENTS,
-                                   AssemblyOptions(resamples=150, seed=9, workers=1))
-        threaded = assemble_profiles(dataset, TransferSetup.ACROSS_ENVIRONMENTS,
-                                     AssemblyOptions(resamples=150, seed=9, workers=4))
-        for a, b in zip(serial.profiles, threaded.profiles):
-            assert np.array_equal(a.ranks, b.ranks)
-            assert a.points == b.points
-
     def test_report_includes_kendall_when_requested(self):
         dataset = dataset_from_intervals(reference_trajectory_cells())
         options = AssemblyOptions(interval_source=IntervalSource.MEAN_SD)
@@ -445,8 +436,13 @@ class TestRankContext:
 
     def test_selector_matching_nothing(self):
         dataset = dataset_from_intervals(reference_trajectory_cells())
-        with pytest.raises(EmptySliceError):
+        with pytest.raises(KeyError, match="unknown agent 'agent99'"):
             rank_context(dataset, "ha", agent="agent99", data_regime="regime01")
+        # A declared agent without runs selects nothing.
+        schema = dataclasses.replace(dataset.schema, agents=("agent01", "agent02"))
+        declared = SweepDataset(dataset.records, dataset.baselines, schema)
+        with pytest.raises(EmptySliceError):
+            rank_context(declared, "ha", agent="agent02", data_regime="regime01")
 
     def test_pinned_environment_without_enough_seeds(self):
         cells = {"hp": {

@@ -6,6 +6,7 @@ import io
 import math
 import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -449,6 +450,14 @@ class TestSchemaConfig:
     def test_missing_keys_rejected(self):
         with pytest.raises(DatasetError, match="'environments' must be a list"):
             load_schema(io.StringIO("agents: [a1]\ndata_regimes: [r1]\nhyperparameters: {lr: ['0.1']}\n"))
+
+    def test_readme_example_loads(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        [block] = re.findall(r"```yaml\n(.*?)```", readme, flags=re.DOTALL)
+        schema = load_schema(io.StringIO(block))
+        assert schema.data_regimes == ("100k", "40M")
+        assert schema.hyperparameters["learning_rate"] == ("0.001", "0.0001", "1e-05")
+        assert schema.defaults == {"learning_rate": "0.0001"}
 
 
 class TestBundledSchema:

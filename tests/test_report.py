@@ -108,13 +108,6 @@ class TestBundle:
             write_report_bundle(bundle, tmp_path / name)
         assert read_tree(tmp_path / "one") == read_tree(tmp_path / "two")
 
-    def test_thread_count_does_not_change_bytes(self, reference_dataset_cached, tmp_path):
-        for name, workers in (("serial", 1), ("threaded", 4)):
-            options = AssemblyOptions(resamples=120, seed=3, workers=workers)
-            bundle = build_report_bundle(reference_dataset_cached, ALL_SETUPS, options)
-            write_report_bundle(bundle, tmp_path / name)
-        assert read_tree(tmp_path / "serial") == read_tree(tmp_path / "threaded")
-
     def test_report_json_shape(self, reference_dataset_cached, tmp_path):
         bundle = build_report_bundle(
             reference_dataset_cached, [TransferSetup.ACROSS_ENVIRONMENTS], MEAN_SD,

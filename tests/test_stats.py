@@ -214,14 +214,6 @@ class TestStratifiedBootstrap:
         b = stratified_bootstrap_ci(matrix, resamples=300, seed=12)
         assert (a.lower, a.upper) != (b.lower, b.upper)
 
-    @pytest.mark.parametrize("workers", [2, 3, 8])
-    def test_worker_count_never_changes_bits(self, workers):
-        rng = np.random.default_rng(99)
-        matrix = ScoreMatrix([rng.normal(size=6) for _ in range(4)])
-        serial = stratified_bootstrap_ci(matrix, resamples=250, seed=5, workers=1)
-        threaded = stratified_bootstrap_ci(matrix, resamples=250, seed=5, workers=workers)
-        assert (serial.lower, serial.upper) == (threaded.lower, threaded.upper)
-
     def test_matches_reference_resampler(self):
         rng = np.random.default_rng(2024)
         for case in range(20):
@@ -248,10 +240,6 @@ class TestStratifiedBootstrap:
             stratified_bootstrap_ci(matrix, confidence=0.0)
         with pytest.raises(ValueError):
             stratified_bootstrap_ci(matrix, confidence=1.0)
-        with pytest.raises(ValueError):
-            stratified_bootstrap_ci(matrix, statistic="median")
-        with pytest.raises(ValueError):
-            stratified_bootstrap_ci(matrix, workers=0)
 
     def test_wider_confidence_widens_interval(self):
         rng = np.random.default_rng(21)
