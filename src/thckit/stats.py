@@ -4,10 +4,23 @@ Converts raw per-seed scores into the aggregate intervals the ranking layer
 consumes: human-normalized scores, the interquartile mean (IQM), stratified
 bootstrap confidence intervals, and plain mean +/- standard deviation spreads.
 
-All functions are pure. The bootstrap draws every replicate's randomness from
-a counter-based generator keyed on ``(seed, replicate index)`` and evaluates
-replicates serially in bounded-memory chunks (one vectorised sort, trim and
-mean per chunk), so results are bit-identical regardless of chunk size.
+All functions are pure. The bootstrap's replicate ``k`` draws exactly the
+indices that numpy's ``Generator(Philox(key=seed, counter=[0, 0, k, 0]))``
+would give from ``integers``, bit for bit, but computes them for a whole chunk
+of replicates in one vectorised pass:
+
+- block ``b`` of replicate ``k`` is Philox4x64-10 of counter ``[b + 1, 0, k,
+  0]`` under key ``[seed mod 2**64, seed >> 64]``, its 64-bit products built
+  from 32-bit limbs;
+- each 64-bit output word gives two uint32 draws, low word first;
+- a row of size ``n > 1`` maps each draw ``u`` to ``(u * n) >> 32`` (Lemire's
+  bounded step, as numpy does), and a size-1 row draws nothing;
+- a replicate where any draw's low 32 bits of ``u * n`` fall below ``n``
+  might be one numpy rejects and redraws, so it is redone by resetting a
+  ``Philox`` to its counter and calling ``integers``.
+
+Replicates are evaluated in bounded-memory chunks (one vectorised sort, trim
+and mean per chunk), so results are bit-identical regardless of chunk size.
 """
 
 from __future__ import annotations
@@ -54,10 +67,6 @@ class Interval:
     @property
     def width(self) -> float:
         return self.upper - self.lower
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lower + self.upper)
 
     def overlaps(self, other: "Interval") -> bool:
         """True when the closed intervals share at least one point."""
@@ -140,9 +149,62 @@ def derive_seed(master: int, *parts: object) -> int:
     return int.from_bytes(sha256(text.encode("utf-8")).digest()[:8], "big")
 
 
-# Resampled entries held per chunk of replicates (indices plus samples,
-# 8 bytes each), so working memory stays near 1 MiB at any resample count.
-_CHUNK_ENTRIES = 1 << 16
+# Resampled entries per chunk of replicates. At a chunk's peak an entry holds
+# up to about 27 bytes (its share of the Philox blocks, its 64-bit draw and
+# the redraw check's temporaries, then its index and sample; measured with
+# tracemalloc), so working memory stays under 1 MiB at any resample count.
+_CHUNK_ENTRIES = 1 << 15
+
+# Philox4x64-10 constants (Salmon et al. 2011, "Parallel random numbers: as
+# easy as 1, 2, 3"), as in numpy's ``Philox``.
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+# Unsigned operands keep every array uint64 under numpy 1.x promotion too.
+_LOW32 = np.uint64(0xFFFFFFFF)
+_32 = np.uint64(32)
+
+
+def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit products ``m * x``, the high
+    word assembled from 32-bit limbs so no partial product overflows."""
+    m_lo, m_hi = m & _LOW32, m >> _32
+    x_lo, x_hi = x & _LOW32, x >> _32
+    t = m_hi * x_lo + ((m_lo * x_lo) >> _32)
+    u = m_lo * x_hi + (t & _LOW32)
+    return m_hi * x_hi + (t >> _32) + (u >> _32), m * x
+
+
+def _philox_blocks(key: int, replicates: np.ndarray, blocks: int) -> np.ndarray:
+    """The first ``blocks`` Philox4x64-10 output blocks of each replicate.
+
+    Returns a ``(len(replicates), 4 * blocks)`` uint64 array whose row ``i``
+    equals ``Philox(key=key, counter=[0, 0, replicates[i], 0]).random_raw(4 *
+    blocks)``: block ``b`` (from 0) is the generator applied to counter
+    ``[b + 1, 0, replicates[i], 0]`` (numpy increments the counter before each
+    block) and key words ``[key mod 2**64, key >> 64]``.
+    """
+    c0 = np.arange(1, blocks + 1, dtype=np.uint64)[np.newaxis, :]
+    c2 = np.asarray(replicates, dtype=np.uint64)[:, np.newaxis]
+    c1 = c3 = np.zeros((1, 1), dtype=np.uint64)
+    k0, k1 = key & 0xFFFFFFFFFFFFFFFF, key >> 64
+    for r in range(_PHILOX_ROUNDS):
+        key0 = np.uint64((k0 + r * _PHILOX_W[0]) & 0xFFFFFFFFFFFFFFFF)
+        key1 = np.uint64((k1 + r * _PHILOX_W[1]) & 0xFFFFFFFFFFFFFFFF)
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ key0, lo1, hi0 ^ c3 ^ key1, lo0
+    return np.stack((c0, c1, c2, c3), axis=-1).reshape(len(replicates), -1)
+
+
+def _redraw_risk(scaled: np.ndarray, limit: np.ndarray) -> np.ndarray:
+    """Replicates with a lane whose Lemire step might reject its draw.
+
+    numpy rejects ``u`` for bound ``n`` when the low 32 bits of ``u * n`` fall
+    below ``(2**32 - n) % n``; ``n`` bounds that threshold, so a lane at or
+    above ``limit`` (``n``, or 0 for a lane that draws nothing) never redraws.
+    """
+    return ((scaled & _LOW32) < limit).any(axis=1)
 
 
 def stratified_bootstrap_ci(
@@ -159,49 +221,82 @@ def stratified_bootstrap_ci(
     ``(1-confidence)/2`` and ``1-(1-confidence)/2`` percentile pair of the
     replicate IQMs.
 
-    Replicate ``k`` draws from a Philox stream keyed ``(seed, counter=[0, 0,
-    k, 0])``: each replicate owns a disjoint 2^128-draw block, so the result
-    does not depend on how replicates are chunked. One bit generator is reset
-    to each replicate's counter in turn and draws every row's indices in a
-    single ``integers`` call; numpy draws a broadcast ``high`` element by
-    element through the same bounded path as one call per row, and a size-1
-    row consumes no draws on either path. Replicates are then evaluated in
-    chunks of at most ``_CHUNK_ENTRIES`` resampled entries, one sort, trim and
-    mean per chunk, so working memory stays bounded at any ``resamples``.
+    Replicate ``k`` draws the indices that ``Generator(Philox(key=seed,
+    counter=[0, 0, k, 0])).integers(0, highs)`` would, where ``highs`` holds
+    each pooled entry's row size: each replicate owns a disjoint 2^128-draw
+    block, so the result does not depend on how replicates are chunked.
+    Those draws are computed for a whole chunk of replicates at once:
+
+    - Block ``b`` (from 0) of replicate ``k`` is Philox4x64-10 of counter
+      ``[b + 1, 0, k, 0]`` under key ``[seed mod 2**64, seed >> 64]``; its
+      four 64-bit words give eight uint32 draws, low word first.
+    - Each entry of a row of size ``n > 1`` takes the next uint32 ``u`` and
+      becomes ``(u * n) >> 32``, numpy's Lemire step (Lemire 2019, "Fast
+      random integer generation in an interval"). Size-1 rows draw nothing.
+    - numpy redraws ``u`` when the low 32 bits of ``u * n`` fall below
+      ``(2**32 - n) % n``. Any replicate with a lane whose low bits fall
+      below ``n`` (probability under ``n / 2**32`` per draw) is redone by
+      resetting one ``Philox`` to its counter and calling ``integers``.
+
+    Replicates are evaluated in chunks of at most ``_CHUNK_ENTRIES`` resampled
+    entries, one sort, trim and mean per chunk, so working memory stays
+    bounded at any ``resamples``.
 
     Deterministic for fixed ``(matrix, resamples, confidence, seed)``. A
     degenerate matrix (all rows constant) yields a zero-width interval rather
-    than an error.
+    than an error. ``seed`` must lie in ``[0, 2**128)``.
     """
     if resamples < MIN_RESAMPLES:
         raise ValueError(f"resamples must be >= {MIN_RESAMPLES}, got {resamples}")
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
 
-    values = matrix.pooled()
-    sizes = np.array([row.size for row in matrix.rows])
-    highs = np.repeat(sizes, sizes)
-    offsets = np.repeat(np.cumsum(sizes) - sizes, sizes)
-    trim = values.size // 4
-    chunk = min(resamples, max(1, _CHUNK_ENTRIES // values.size))
+    # Built first so that a seed outside [0, 2**128) raises ValueError.
     bitgen = np.random.Philox(key=seed)
     gen = np.random.Generator(bitgen)
     fresh = bitgen.state
     counter = fresh["state"]["counter"]
-    idx = np.empty((chunk, values.size), dtype=np.int64)
+
+    values = matrix.pooled()
+    sizes = np.array([row.size for row in matrix.rows])
+    highs = np.repeat(sizes, sizes)
+    offsets = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    drawn = highs > 1
+    # Position of each entry's uint32 in its replicate's stream, as the 64-bit
+    # word it sits in and the shift that brings it to the low half. An entry
+    # that draws nothing reads word 0 and scales it by 1, which gives 0.
+    position = np.where(drawn, np.cumsum(drawn) - 1, 0)
+    word, shift = position // 2, (position % 2 * 32).astype(np.uint64)
+    blocks = max(1, (int(drawn.sum()) + 7) // 8)
+    bound = highs.astype(np.uint64)
+    limit = np.where(drawn, bound, np.uint64(0))
+    trim = values.size // 4
+    chunk = min(resamples, max(1, _CHUNK_ENTRIES // values.size))
     stats = np.empty(resamples, dtype=float)
     for start in range(0, resamples, chunk):
-        block = idx[:resamples - start]
-        for j in range(len(block)):
+        stop = min(start + chunk, resamples)
+        words = _philox_blocks(seed, np.arange(start, stop), blocks)
+        # ``take`` keeps each replicate's row contiguous, which the mean below needs.
+        idx = np.take(words, word, axis=1)
+        del words
+        idx >>= shift
+        idx &= _LOW32
+        idx *= bound
+        redo = np.flatnonzero(_redraw_risk(idx, limit))
+        idx >>= _32
+        # The indices are far below 2**63, and numpy gathers faster with int64.
+        idx = idx.view(np.int64)
+        for j in redo:
             counter[2] = start + j
             bitgen.state = fresh
-            block[j] = gen.integers(0, highs)
-        block += offsets
-        samples = values[block]
+            idx[j] = gen.integers(0, highs)
+        idx += offsets
+        samples = values[idx]
+        del idx
         samples.sort(axis=1)
         # Each replicate's mean over a contiguous slice sums pairwise exactly
         # like the 1-D ``iqm``, so the replicate IQMs are bit-identical to it.
-        stats[start:start + len(block)] = samples[:, trim: values.size - trim].mean(axis=1)
+        stats[start:stop] = samples[:, trim: values.size - trim].mean(axis=1)
 
     alpha = (1.0 - confidence) / 2.0
     lower, upper = np.percentile(stats, [100.0 * alpha, 100.0 * (1.0 - alpha)])

@@ -15,6 +15,7 @@ from thckit.stats import (
     Interval,
     MIN_RESAMPLES,
     ScoreMatrix,
+    _philox_blocks,
     derive_seed,
     human_normalize,
     iqm,
@@ -30,7 +31,6 @@ class TestInterval:
     def test_bounds_and_accessors(self):
         iv = Interval(1.0, 3.0)
         assert iv.width == 2.0
-        assert iv.midpoint == 2.0
 
     def test_zero_width_allowed(self):
         assert Interval(2.0, 2.0).width == 0.0
@@ -240,6 +240,11 @@ class TestStratifiedBootstrap:
             stratified_bootstrap_ci(matrix, confidence=0.0)
         with pytest.raises(ValueError):
             stratified_bootstrap_ci(matrix, confidence=1.0)
+        # Philox keys are 128-bit and non-negative; a uint64 cast would wrap.
+        with pytest.raises(ValueError):
+            stratified_bootstrap_ci(matrix, seed=-1)
+        with pytest.raises(ValueError):
+            stratified_bootstrap_ci(matrix, seed=2**128)
 
     def test_wider_confidence_widens_interval(self):
         rng = np.random.default_rng(21)
@@ -283,3 +288,72 @@ class TestBatchedBootstrap:
         # The replicate statistics and np.percentile's copy of them are the
         # only allocations that grow with the resample count.
         assert peak - 2 * resamples * 8 < 4 * 2**20
+
+
+def random_rows(rng, max_rows=26, max_size=12):
+    sizes = rng.integers(1, max_size + 1, size=int(rng.integers(1, max_rows + 1)))
+    sizes[rng.random(sizes.size) < 0.2] = 1
+    return [np.round(rng.normal(scale=3, size=size), 1) for size in sizes]
+
+
+class TestVectorisedDraw:
+    """The vectorised Philox stream and its scalar redraw fallback."""
+
+    def test_blocks_match_numpy_raw_stream(self):
+        rng = np.random.default_rng(66)
+        for case in range(50):
+            # Key words from the full 128-bit range, the high word often 0.
+            high = 0 if case % 3 == 0 else int(rng.integers(0, 2**64, dtype=np.uint64))
+            key = high << 64 | int(rng.integers(0, 2**64, dtype=np.uint64))
+            replicates = rng.integers(0, 2**64, size=int(rng.integers(1, 6)), dtype=np.uint64)
+            blocks = int(rng.integers(1, 20))
+            got = _philox_blocks(key, replicates, blocks)
+            for row, k in zip(got, replicates):
+                # numpy turns a list holding ints of 2**63 or more into float64.
+                counter = np.array([0, 0, k, 0], dtype=np.uint64)
+                raw = np.random.Philox(key=key, counter=counter).random_raw(4 * blocks)
+                assert np.array_equal(row, raw), f"case {case}: key {key:#x}, replicate {k}"
+
+    def test_seeds_above_64_bits_match_reference(self):
+        rng = np.random.default_rng(67)
+        for case in range(8):
+            rows = random_rows(rng)
+            high, low = rng.integers(1, 2**64, size=2, dtype=np.uint64)
+            seed = int(high) << 64 | int(low)
+            iv = stratified_bootstrap_ci(ScoreMatrix(rows), resamples=MIN_RESAMPLES, seed=seed)
+            ref = reference_bootstrap(rows, MIN_RESAMPLES, DEFAULT_CONFIDENCE, seed)
+            assert (iv.lower, iv.upper) == ref, f"case {case}: seed {seed:#x}"
+
+    @pytest.mark.parametrize("fires", ["every replicate", "one replicate"])
+    def test_forced_fallback_matches_reference(self, monkeypatch, fires):
+        calls = []
+
+        def risk(scaled, limit):
+            calls.append(len(scaled))
+            if fires == "every replicate":
+                return np.ones(len(scaled), dtype=bool)
+            return np.arange(len(scaled)) == 3
+
+        monkeypatch.setattr("thckit.stats._redraw_risk", risk)
+        rng = np.random.default_rng(68)
+        for case in range(6):
+            rows = random_rows(rng)
+            seed = int(rng.integers(0, 2**63))
+            resamples = MIN_RESAMPLES + int(rng.integers(0, 50))
+            iv = stratified_bootstrap_ci(ScoreMatrix(rows), resamples=resamples, seed=seed)
+            ref = reference_bootstrap(rows, resamples, DEFAULT_CONFIDENCE, seed)
+            assert (iv.lower, iv.upper) == ref, f"case {case}: sizes {[len(r) for r in rows]}"
+        assert calls
+
+    def test_genuine_redraw_matches_reference(self):
+        # numpy rejects a draw u for bound n when (u * n) mod 2**32 falls below
+        # (2**32 - n) % n, about 1.7e-6 of draws at n = 10,000. Under this seed
+        # replicate 80 draws such a u (the first one in its stream is really
+        # rejected), and the interval moves if it is kept.
+        n, seed = 10_000, 2**64 + 3
+        raw = np.random.Philox(key=seed, counter=[0, 0, 80, 0]).random_raw(n // 2)
+        u = np.stack([raw & 0xFFFFFFFF, raw >> np.uint64(32)], axis=-1).ravel()
+        assert np.any((u * np.uint64(n)) % 2**32 < (2**32 - n) % n)
+        row = np.round(np.random.default_rng(0).normal(size=n), 2)
+        iv = stratified_bootstrap_ci(ScoreMatrix([row]), resamples=MIN_RESAMPLES, seed=seed)
+        assert (iv.lower, iv.upper) == reference_bootstrap([row], MIN_RESAMPLES, DEFAULT_CONFIDENCE, seed)
