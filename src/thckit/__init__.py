@@ -14,6 +14,7 @@ __version__ = "0.1.0"
 from .consistency import (
     AssembledProfiles,
     AssemblyOptions,
+    CellTable,
     ConsistencyReport,
     HyperparameterConsistency,
     IntervalSource,
@@ -72,6 +73,7 @@ __all__ = [
     "AssemblyOptions",
     "Axis",
     "BaselineTable",
+    "CellTable",
     "ConsistencyReport",
     "DatasetError",
     "EmptySliceError",

@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.stats import kendalltau
 
-from .dataset import Axis, EmptySliceError, SweepDataset, SweepSchema, slice_scores
+from .dataset import Axis, SweepDataset, SweepSchema, slice_scores
 from .ranking import RankingMode, RankingTable, compute_rankings
 from .stats import (
     DEFAULT_CONFIDENCE,
@@ -40,6 +40,7 @@ from .stats import (
 __all__ = [
     "AssembledProfiles",
     "AssemblyOptions",
+    "CellTable",
     "ConsistencyReport",
     "HyperparameterConsistency",
     "IntervalSource",
@@ -312,77 +313,111 @@ def _check_pins(schema: SweepSchema, pins: Mapping[Axis, str | None]) -> None:
             raise KeyError(f"unknown {axis.value} {value!r}")
 
 
-def _aggregate_cell(
-    dataset: SweepDataset,
-    groups: Mapping[str, Mapping[str, tuple[float, ...]]],
-    value: str,
-    environments: Sequence[str],
-    options: AssemblyOptions,
-    seed_key: tuple,
-) -> tuple[Interval, float, list[str]] | tuple[None, None, list[str]]:
-    """Build the interval and point estimate for one (context, value) cell
-    from the score groups of ``environments`` in one slice node.
+class CellTable:
+    """Memoised interval and point estimate of every cell of one dataset.
 
-    Returns ``(None, None, dropped)`` when no group has enough seeds.
+    A cell is one (hyper-parameter, value, agent, data regime, environment
+    scope); ``environment=None`` pools all declared environments as
+    bootstrap strata. A cell's bootstrap seed is derived from its identity
+    alone, so every setup and subcommand that reads a cell gets the same
+    interval, and each cell is normalised, aggregated and warned about once.
     """
-    rows: list[list[float]] = []
-    dropped: list[str] = []
-    for env in environments:
-        scores = groups.get(env, {}).get(value)
-        if scores is None:
-            continue
-        if len(scores) < 2:
-            dropped.append(env)
-            continue
-        rnd = dataset.baselines.random_score(env)
-        hum = dataset.baselines.human_score(env)
-        rows.append([human_normalize(s, rnd, hum) for s in scores])
-    if not rows:
-        return None, None, dropped
 
-    pooled = [s for row in rows for s in row]
-    if options.interval_source is IntervalSource.MEAN_SD:
-        return mean_and_spread(pooled), float(np.mean(pooled)), dropped
-    interval = stratified_bootstrap_ci(
-        ScoreMatrix(rows),
-        resamples=options.resamples,
-        confidence=options.confidence,
-        seed=derive_seed(options.seed, *seed_key),
-    )
-    return interval, iqm(pooled), dropped
+    def __init__(self, dataset: SweepDataset, options: AssemblyOptions) -> None:
+        self.dataset = dataset
+        self.options = options
+        self._cells: dict[tuple, tuple[Interval, float] | None] = {}
+
+    def get(self, hp: str, value: str, agent: str, data_regime: str,
+            environment: str | None = None) -> tuple[Interval, float] | None:
+        """``(interval, point)`` of one cell, or ``None`` when no environment
+        group of it has at least 2 seeds."""
+        key = (hp, value, agent, data_regime, environment)
+        if key not in self._cells:
+            self._cells[key] = self._aggregate(*key)
+        return self._cells[key]
+
+    def context(self, hp: str, agent: str, data_regime: str,
+                environment: str | None = None) -> dict[str, tuple[Interval, float]]:
+        """The rankable cells of one context: value -> ``(interval, point)``,
+        in schema order, leaving out values whose cell is ``None``."""
+        found = {}
+        for value in self.dataset.schema.hyperparameters[hp]:
+            cell = self.get(hp, value, agent, data_regime, environment)
+            if cell is not None:
+                found[value] = cell
+        return found
+
+    def _aggregate(self, hp: str, value: str, agent: str, data_regime: str,
+                   environment: str | None) -> tuple[Interval, float] | None:
+        dataset, options = self.dataset, self.options
+        groups = dataset.index.get(hp, {}).get((agent, data_regime), {})
+        scope = dataset.schema.environments if environment is None else (environment,)
+        rows: list[list[float]] = []
+        thin: list[str] = []
+        for env in scope:
+            scores = groups.get(env, {}).get(value)
+            if scores is None:
+                continue
+            if len(scores) < 2:
+                thin.append(env)
+                continue
+            rnd = dataset.baselines.random_score(env)
+            hum = dataset.baselines.human_score(env)
+            rows.append([human_normalize(s, rnd, hum) for s in scores])
+        if thin:
+            logger.warning("%s=%s, agent %s, regime %s: dropping groups with fewer than 2 seeds: %s",
+                           hp, value, agent, data_regime, ", ".join(thin))
+        if not rows:
+            return None
+
+        pooled = [s for row in rows for s in row]
+        if options.interval_source is IntervalSource.MEAN_SD:
+            return mean_and_spread(pooled), float(np.mean(pooled))
+        interval = stratified_bootstrap_ci(
+            ScoreMatrix(rows),
+            resamples=options.resamples,
+            confidence=options.confidence,
+            seed=derive_seed(options.seed, hp, value, agent, data_regime, environment or "*"),
+        )
+        return interval, iqm(pooled)
 
 
 def assemble_profiles(
     dataset: SweepDataset,
     setup: TransferSetup,
     options: AssemblyOptions = AssemblyOptions(),
+    *,
+    cells: CellTable | None = None,
 ) -> AssembledProfiles:
     """Build one rank profile per (hyper-parameter, complementary-coordinate
     combination) for a transfer setup.
 
-    Per context, per-value seed scores are normalized and aggregated into an
-    interval (per ``options.interval_source``), ranked, and collected into a
-    profile. Environments act as resampling strata and are pooled unless the
-    setup varies them or ``options.environment`` pins one. Hyper-parameters
-    that cannot be compared across the setup (fewer than two contexts with
-    data, or no value rankable in every context) are skipped with a reason.
-    A pinned coordinate the schema does not declare raises ``KeyError``.
+    Each context's values are ranked by their cells' intervals, read from
+    ``cells`` (a fresh :class:`CellTable` when omitted). Environments are
+    pooled as strata unless the setup varies them or ``options.environment``
+    pins one. Hyper-parameters that cannot be compared across the setup
+    (fewer than two contexts with data, or no value rankable in every
+    context) are skipped with a reason. An undeclared pin raises
+    ``KeyError``; a table of another dataset or other options ``ValueError``.
     """
     setup = TransferSetup(setup)
     axis = setup.axis
     if getattr(options, axis.value) is not None:
         raise ValueError(f"cannot fix {axis.value!r}; it is the varying axis of setup {setup.value!r}")
     _check_pins(dataset.schema, {a: getattr(options, a.value) for a in Axis})
+    if cells is None:
+        cells = CellTable(dataset, options)
+    elif cells.dataset is not dataset or cells.options != options:
+        raise ValueError("cell table was built from another dataset or other options")
 
-    schema = dataset.schema
     profiles: list[RankProfile] = []
     skipped: list[SkippedHyperparameter] = []
-
-    for hp in schema.hyperparameters:
+    for hp in dataset.schema.hyperparameters:
         if hp not in dataset.index:
             continue
         for combo in _combos(dataset, hp, setup, options):
-            result = _profile_for(dataset, hp, setup, combo, options)
+            result = _profile_for(dataset, hp, setup, combo, cells)
             if isinstance(result, SkippedHyperparameter):
                 logger.warning("skipping %s %s: %s", hp, dict(combo), result.reason)
                 skipped.append(result)
@@ -425,63 +460,29 @@ def _profile_for(
     hp: str,
     setup: TransferSetup,
     combo: dict[str, str],
-    options: AssemblyOptions,
+    cells: CellTable,
 ) -> RankProfile | SkippedHyperparameter:
     axis = setup.axis
     schema = dataset.schema
-    # A pinned environment is the only one read; the setup that varies
-    # environments never has one pinned.
-    env_scope = [combo["environment"]] if combo.get("environment") else list(schema.environments)
+    node_of = dataset.index[hp]
 
-    # Per context label, the slice node holding its runs. A context counts
-    # as having data even when a pinned environment has none of them.
-    context_groups: dict[str, Mapping[str, Mapping[str, tuple[float, ...]]]] = {}
-    if setup is TransferSetup.ACROSS_ENVIRONMENTS:
-        try:
-            groups = slice_scores(dataset, hp, combo["agent"], combo["data_regime"])
-        except EmptySliceError:
-            groups = {}
-        context_groups = {env: groups for env in groups}
-    else:
-        for label in _present(dataset, hp, axis):
-            coords = {**combo, axis.value: label}
-            try:
-                context_groups[label] = slice_scores(dataset, hp, coords["agent"], coords["data_regime"])
-            except EmptySliceError:
-                continue
+    def has_runs(label: str) -> bool:
+        # A context counts as having data even when a pinned environment
+        # has none of its runs.
+        coords = {**combo, axis.value: label}
+        node = node_of.get((coords["agent"], coords["data_regime"]))
+        return node is not None and (axis is not Axis.ENVIRONMENT or label in node)
 
-    contexts = [c for c in schema.axis_values(axis) if c in context_groups]
+    contexts = [c for c in schema.axis_values(axis) if has_runs(c)]
     if len(contexts) < 2:
         return SkippedHyperparameter(hp, dict(combo), f"only {len(contexts)} context(s) with data")
 
-    declared_values = schema.hyperparameters[hp]
-    per_context: dict[str, dict[str, tuple[Interval, float]]] = {}
-    for label in contexts:
-        groups = context_groups[label]
-        envs_here = [label] if setup is TransferSetup.ACROSS_ENVIRONMENTS else env_scope
-        cells: dict[str, tuple[Interval, float]] = {}
-        thin: list[str] = []
-        for value in declared_values:
-            interval, point, dropped = _aggregate_cell(
-                dataset, groups, value, envs_here, options,
-                seed_key=(setup.value, hp, value, label, tuple(sorted(combo.items()))),
-            )
-            thin.extend(f"{value}@{env}" for env in dropped)
-            if interval is not None:
-                cells[value] = (interval, point)
-        if thin:
-            logger.warning(
-                "%s, context %s %s: dropping groups with fewer than 2 seeds: %s",
-                hp, label, dict(combo), ", ".join(thin),
-            )
-        if cells:
-            per_context[label] = cells
-
-    contexts = [c for c in contexts if c in per_context]
+    per_context = {label: cells.context(hp, **combo, **{axis.value: label}) for label in contexts}
+    contexts = [c for c in contexts if per_context[c]]
     if len(contexts) < 2:
         return SkippedHyperparameter(hp, dict(combo), f"only {len(contexts)} context(s) with rankable values")
 
-    common = [v for v in declared_values if all(v in per_context[c] for c in contexts)]
+    common = [v for v in schema.hyperparameters[hp] if all(v in per_context[c] for c in contexts)]
     partial = sorted({v for c in contexts for v in per_context[c]} - set(common))
     if partial:
         logger.warning("%s %s: excluding values not rankable in every context: %s",
@@ -493,7 +494,7 @@ def _profile_for(
     points: dict[tuple[str, str], float] = {}
     for label in contexts:
         settings = [(value, per_context[label][value][0]) for value in common]
-        table = compute_rankings(settings, mode=options.ranking_mode,
+        table = compute_rankings(settings, mode=cells.options.ranking_mode,
                                  hyperparameter=hp, context={**combo, axis.value: label})
         tables.append(table)
         for value in common:
@@ -521,41 +522,28 @@ def rank_context(
 ) -> tuple[RankingTable, dict[str, float]]:
     """Rank one hyper-parameter's values in a single context.
 
-    Environments are pooled as strata unless ``environment`` pins one.
-    Returns the ranking table and per-value point estimates. Raises
-    ``KeyError`` for an undeclared hyper-parameter, agent, data regime or
-    environment, :class:`EmptySliceError` when the selector matches nothing
-    and ``ValueError`` when no value has enough seeds to rank.
+    Environments are pooled as strata unless ``environment`` pins one. Each
+    value's interval is its :class:`CellTable` cell, so it equals the one
+    every ``report`` setup gives that cell. Returns the ranking table and
+    per-value point estimates. Raises ``KeyError`` for an undeclared
+    hyper-parameter, agent, data regime or environment,
+    :class:`EmptySliceError` when the selector matches nothing and
+    ``ValueError`` when no value has enough seeds to rank.
     """
     _check_pins(dataset.schema, {Axis.AGENT: agent, Axis.DATA_REGIME: data_regime,
                                  Axis.ENVIRONMENT: environment})
-    groups = slice_scores(dataset, hyperparameter, agent, data_regime)
-    environments = [environment] if environment else list(dataset.schema.environments)
-
-    settings = []
-    points: dict[str, float] = {}
-    thin: list[str] = []
-    for value in dataset.schema.hyperparameters[hyperparameter]:
-        interval, point, dropped = _aggregate_cell(
-            dataset, groups, value, environments, options,
-            seed_key=("rank", hyperparameter, value, agent, data_regime, environment or "*"),
-        )
-        thin.extend(f"{value}@{env}" for env in dropped)
-        if interval is not None:
-            settings.append((value, interval))
-            points[value] = point
-    if thin:
-        logger.warning("%s, agent %s, regime %s: dropping groups with fewer than 2 seeds: %s",
-                       hyperparameter, agent, data_regime, ", ".join(thin))
-    if not settings:
+    slice_scores(dataset, hyperparameter, agent, data_regime)
+    found = CellTable(dataset, options).context(hyperparameter, agent, data_regime, environment)
+    if not found:
         raise ValueError(f"no value of {hyperparameter!r} has at least 2 seeds in this context")
 
     context = {"agent": agent, "data_regime": data_regime}
     if environment:
         context["environment"] = environment
+    settings = [(value, interval) for value, (interval, _) in found.items()]
     table = compute_rankings(settings, mode=options.ranking_mode,
                              hyperparameter=hyperparameter, context=context)
-    return table, points
+    return table, {value: point for value, (_, point) in found.items()}
 
 
 def build_consistency_report(
@@ -564,12 +552,14 @@ def build_consistency_report(
     options: AssemblyOptions = AssemblyOptions(),
     normalization: PtpNormalization = PtpNormalization.MAX,
     include_kendall: bool = False,
+    *,
+    cells: CellTable | None = None,
 ) -> tuple[ConsistencyReport, tuple[RankProfile, ...]]:
     """Score every assembled profile for one transfer setup.
 
     Returns the report plus the underlying profiles (for table/plot export).
     """
-    assembled = assemble_profiles(dataset, setup, options)
+    assembled = assemble_profiles(dataset, setup, options, cells=cells)
     entries = []
     for profile in assembled.profiles:
         kendall = None

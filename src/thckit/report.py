@@ -21,6 +21,7 @@ from typing import Any, Mapping, Sequence
 from . import __version__
 from .consistency import (
     AssemblyOptions,
+    CellTable,
     ConsistencyReport,
     HyperparameterConsistency,
     PtpNormalization,
@@ -62,16 +63,18 @@ def build_report_bundle(
 ) -> ReportBundle:
     """Score every requested setup and collect provenance.
 
-    ``inputs`` maps input names to content digests.
+    All setups read one :class:`CellTable`, so a cell that several setups
+    rank is aggregated once. ``inputs`` maps input names to content digests.
     """
     setups = [TransferSetup(s) for s in setups]
     if len(set(setups)) != len(setups):
         raise ValueError("duplicate setups requested")
+    cells = CellTable(dataset, options)
     reports = []
     profiles = []
     for setup in setups:
         report, setup_profiles = build_consistency_report(
-            dataset, setup, options, normalization, include_kendall)
+            dataset, setup, options, normalization, include_kendall, cells=cells)
         reports.append(report)
         profiles.append(setup_profiles)
 

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import logging
 import math
+from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
+from thckit import consistency
 from thckit.consistency import (
     AssemblyOptions,
+    CellTable,
     IntervalSource,
     PtpNormalization,
     RankProfile,
@@ -28,7 +33,8 @@ from thckit.consistency import (
     rank_context,
     thc,
 )
-from thckit.dataset import EmptySliceError, SweepDataset
+from thckit.dataset import EmptySliceError, SweepDataset, load_dataset
+from thckit.report import build_report_bundle, write_report_bundle
 
 from conftest import dataset_from_intervals, reference_trajectory_cells
 
@@ -395,9 +401,12 @@ class TestAssembly:
         options = AssemblyOptions(resamples=150, seed=9)
         first = assemble_profiles(dataset, TransferSetup.ACROSS_ENVIRONMENTS, options)
         second = assemble_profiles(dataset, TransferSetup.ACROSS_ENVIRONMENTS, options)
+        assert first.profiles
         for a, b in zip(first.profiles, second.profiles):
             assert np.array_equal(a.ranks, b.ranks)
             assert a.points == b.points
+            intervals = [[(e.label, e.interval) for e in t] for t in a.tables]
+            assert intervals == [[(e.label, e.interval) for e in t] for t in b.tables]
 
     def test_report_includes_kendall_when_requested(self):
         dataset = dataset_from_intervals(reference_trajectory_cells())
@@ -460,3 +469,101 @@ class TestRankContext:
         dataset = dataset_from_intervals(cells)
         with pytest.raises(KeyError):
             rank_context(dataset, "nope", agent="agent01", data_regime="regime01")
+
+
+# The committed fixture sweep with the golden bundle's bootstrap flags.
+FIXTURE = Path(__file__).parent / "data"
+FIXTURE_OPTIONS = AssemblyOptions(resamples=200, seed=0)
+ALL_SETUPS = tuple(TransferSetup)
+
+
+@pytest.fixture(scope="module")
+def fixture_dataset():
+    return load_dataset(FIXTURE / "runs.csv", FIXTURE / "baselines.csv", FIXTURE / "schema.yaml")
+
+
+@pytest.fixture(scope="module")
+def bundle_cells(fixture_dataset, tmp_path_factory):
+    """``(lower, upper, point)`` triples per cell identity in the
+    ``intervals.csv`` of the fixture's all-setup bundle."""
+    out = tmp_path_factory.mktemp("bundle")
+    write_report_bundle(build_report_bundle(fixture_dataset, ALL_SETUPS, FIXTURE_OPTIONS), out)
+    cells = defaultdict(set)
+    with open(out / "intervals.csv", encoding="utf-8", newline="") as fh:
+        for row in csv.DictReader(fh):
+            coords = dict(part.split("=") for part in row["fixed"].split(";") if part)
+            coords[TransferSetup(row["setup"]).axis.value] = row["context"]
+            key = (row["hyperparameter"], row["value"], coords["agent"],
+                   coords["data_regime"], coords.get("environment"))
+            cells[key].add((float(row["lower"]), float(row["upper"]), float(row["point"])))
+    return cells
+
+
+def profile_fields(p: RankProfile) -> tuple:
+    return (p.hyperparameter, p.values, p.contexts, p.ranks.tolist(), dict(p.fixed),
+            p.tables, dict(p.points))
+
+
+class TestCellTable:
+    def test_one_interval_per_cell(self, bundle_cells):
+        assert len(bundle_cells) == 160
+        assert {key: found for key, found in bundle_cells.items() if len(found) != 1} == {}
+
+    def test_rank_context_reads_the_bundle_cells(self, fixture_dataset, bundle_cells):
+        table, points = rank_context(fixture_dataset, "lr", agent="agent01", data_regime="low",
+                                     options=FIXTURE_OPTIONS)
+        assert len(table) == 3
+        for e in table:
+            assert bundle_cells["lr", e.label, "agent01", "low", None] == {
+                (e.interval.lower, e.interval.upper, points[e.label])}
+
+        table, points = rank_context(fixture_dataset, "lr", agent="agent01", data_regime="low",
+                                     environment="env01", options=FIXTURE_OPTIONS)
+        pinned = assemble_profiles(fixture_dataset, TransferSetup.ACROSS_AGENTS,
+                                   dataclasses.replace(FIXTURE_OPTIONS, environment="env01"))
+        profile = next(p for p in pinned.profiles
+                       if p.hyperparameter == "lr" and p.fixed["data_regime"] == "low")
+        across_agents = {e.label: e.interval for e in profile.tables[profile.contexts.index("agent01")]}
+        assert len(table) == 3
+        for e in table:
+            assert bundle_cells["lr", e.label, "agent01", "low", "env01"] == {
+                (e.interval.lower, e.interval.upper, points[e.label])}
+            assert across_agents[e.label] == e.interval
+
+    def test_bundle_aggregates_each_cell_once(self, fixture_dataset, monkeypatch):
+        calls = []
+        bootstrap = consistency.stratified_bootstrap_ci
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["seed"])
+            return bootstrap(*args, **kwargs)
+
+        monkeypatch.setattr(consistency, "stratified_bootstrap_ci", counted)
+        bundle = build_report_bundle(fixture_dataset, ALL_SETUPS, FIXTURE_OPTIONS)
+        assert len(calls) == len(set(calls)) == 160
+        for setup, shared in zip(ALL_SETUPS, bundle.profiles):
+            _, alone = build_consistency_report(fixture_dataset, setup, FIXTURE_OPTIONS)
+            assert [profile_fields(p) for p in shared] == [profile_fields(p) for p in alone]
+
+    def test_table_of_another_dataset_or_options_rejected(self, fixture_dataset):
+        cells = CellTable(fixture_dataset, FIXTURE_OPTIONS)
+        other = dataset_from_intervals(reference_trajectory_cells())
+        with pytest.raises(ValueError, match="cell table"):
+            assemble_profiles(other, TransferSetup.ACROSS_ENVIRONMENTS, FIXTURE_OPTIONS, cells=cells)
+        with pytest.raises(ValueError, match="cell table"):
+            build_consistency_report(fixture_dataset, TransferSetup.ACROSS_AGENTS,
+                                     dataclasses.replace(FIXTURE_OPTIONS, seed=1), cells=cells)
+
+    def test_thin_pooled_cell_warned_once(self, fixture_dataset, caplog):
+        thin = ("lr", "0.1", "agent01", "env01", "low")
+        records = [r for r in fixture_dataset.records
+                   if (r.hyperparameter, r.value, r.agent, r.environment, r.data_regime) != thin
+                   or r.seed == 0]
+        dataset = SweepDataset(records, fixture_dataset.baselines, fixture_dataset.schema)
+        options = AssemblyOptions(interval_source=IntervalSource.MEAN_SD)
+        with caplog.at_level(logging.WARNING, logger="thckit.consistency"):
+            build_report_bundle(dataset, (TransferSetup.ACROSS_AGENTS,
+                                          TransferSetup.ACROSS_DATA_REGIMES), options)
+        warned = [r.getMessage() for r in caplog.records if "fewer than 2 seeds" in r.message]
+        assert len(warned) == 1
+        assert "lr=0.1, agent agent01, regime low" in warned[0] and warned[0].endswith("env01")
