@@ -16,12 +16,10 @@ from __future__ import annotations
 import enum
 import itertools
 import logging
-import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.stats import kendalltau
 
 from .dataset import Axis, SweepDataset, SweepSchema, slice_scores
 from .ranking import RankingMode, RankingTable, compute_rankings
@@ -212,15 +210,30 @@ def kendall_tau_matrix(profile: RankProfile) -> np.ndarray:
     Entries are ``nan`` where the statistic is undefined (a fully tied
     ranking involved); the diagonal is 1 whenever a ranking has at least one
     non-tied pair.
+
+    All entries come from one sign matrix ``S`` with a row per value pair
+    and a column per context: ``S.T @ S`` holds every concordant minus
+    discordant count exactly, and its diagonal each context's number of
+    non-tied pairs ``n``. Entry ``(i, j)``, ``i <= j``, is then formed in
+    scipy's ``kendalltau`` operation order (the count divided by
+    ``sqrt(n_i)``, then by ``sqrt(n_j)``, clipped to [-1, 1]) and mirrored,
+    so every entry equals ``kendalltau(ranks[:, i], ranks[:, j])`` bit for
+    bit.
     """
-    _, c = profile.ranks.shape
+    ranks = profile.ranks
+    v, c = ranks.shape
     if c < 2:
         raise ValueError("kendall_tau_matrix needs at least 2 contexts")
-    out = np.full((c, c), np.nan)
-    for i in range(c):
-        for j in range(i, c):
-            stat = kendalltau(profile.ranks[:, i], profile.ranks[:, j]).statistic
-            out[i, j] = out[j, i] = float(stat)
+    first, second = np.triu_indices(v, 1)
+    signs = np.sign(ranks[first] - ranks[second]).astype(np.int64)
+    con_minus_dis = signs.T @ signs
+    untied = np.diag(con_minus_dis)
+    root = np.where(untied > 0, np.sqrt(untied), np.nan)
+    i, j = np.triu_indices(c)
+    upper = np.clip(con_minus_dis[i, j] / root[i] / root[j], -1.0, 1.0)
+    out = np.empty((c, c))
+    out[i, j] = upper
+    out[j, i] = upper
     return out
 
 
@@ -228,10 +241,9 @@ def mean_pairwise_tau(profile: RankProfile) -> float | None:
     """Mean of the defined off-diagonal tau-b entries; ``None`` if none are
     defined."""
     matrix = kendall_tau_matrix(profile)
-    c = matrix.shape[0]
-    offdiag = [matrix[i, j] for i in range(c) for j in range(i + 1, c)
-               if math.isfinite(matrix[i, j])]
-    if not offdiag:
+    offdiag = matrix[np.triu_indices(matrix.shape[0], 1)]
+    offdiag = offdiag[np.isfinite(offdiag)]
+    if not offdiag.size:
         return None
     return float(np.mean(offdiag))
 

@@ -31,6 +31,10 @@ from hashlib import sha256
 from typing import Iterable, Sequence
 
 import numpy as np
+# numpy 2 loads these lazily, inside the first bootstrap call (Philox, and
+# np.unique under np.percentile); load them at import instead.
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
 
 __all__ = [
     "Interval",

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import thckit
 from thckit.cli import main
 
 from conftest import (
@@ -325,3 +330,42 @@ class TestParser:
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 2
+
+
+FIXTURE = Path(__file__).parent / "data"
+FIXTURE_ARGS = ["--runs", str(FIXTURE / "runs.csv"), "--baselines", str(FIXTURE / "baselines.csv"),
+                "--schema", str(FIXTURE / "schema.yaml")]
+
+# Runs ``main`` in a fresh interpreter and records which modules the import
+# of thckit.cli and then ``main`` itself loaded.
+MODULE_PROBE = """
+import json, sys
+import thckit.cli
+imported = set(sys.modules)
+code = thckit.cli.main(sys.argv[2:])
+with open(sys.argv[1], "w") as fh:
+    json.dump({"code": code, "imported": sorted(imported),
+               "after_main": sorted(set(sys.modules) - imported)}, fh)
+"""
+
+
+def modules_loaded(tmp_path, argv):
+    record = tmp_path / "modules.json"
+    src = str(Path(thckit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", MODULE_PROBE, str(record), *argv],
+                   cwd=tmp_path, env=env, check=True, capture_output=True)
+    result = json.loads(record.read_text())
+    assert result["code"] == 0
+    return set(result["imported"]), set(result["after_main"])
+
+
+class TestRuntimeImports:
+    @pytest.mark.parametrize("argv", [
+        ["thc", *FIXTURE_ARGS, "--setup", "environments", "--kendall"],
+        ["report", *FIXTURE_ARGS, "--resamples", "200", "--kendall", "--out", "bundle"],
+    ], ids=["thc", "report"])
+    def test_no_scipy_and_no_numpy_module_loaded_by_main(self, tmp_path, argv):
+        imported, after_main = modules_loaded(tmp_path, argv)
+        assert "scipy" not in imported | after_main
+        assert sorted(m for m in after_main if m.split(".")[0] == "numpy") == []

@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import logging
 import math
+import warnings
 from collections import defaultdict
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import rankdata
+from scipy.stats import kendalltau, rankdata
 
 from thckit import consistency
 from thckit.consistency import (
@@ -176,6 +177,31 @@ def textbook_w(ranks):
     return None if denom <= 0 else 12.0 * s / denom
 
 
+def scipy_tau_matrix(ranks):
+    """``kendalltau`` of every context pair ``i <= j``, mirrored below the
+    diagonal: the matrix a pairwise scipy loop gives."""
+    c = ranks.shape[1]
+    out = np.full((c, c), np.nan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # scipy warns about 1-value samples
+        for i in range(c):
+            for j in range(i, c):
+                out[i, j] = out[j, i] = kendalltau(ranks[:, i], ranks[:, j]).statistic
+    return out
+
+
+def tied_profiles(rng, shapes):
+    """One random tied rank profile per ``(values, contexts)`` shape; about
+    a quarter of them get a fully tied column."""
+    for v, c in shapes:
+        levels = int(rng.integers(1, v + 2))
+        ranks = np.column_stack([rankdata(rng.integers(0, levels, size=v), method="average")
+                                 for _ in range(c)])
+        if rng.random() < 0.25:
+            ranks[:, rng.integers(c)] = (v + 1) / 2
+        yield profile(ranks)
+
+
 def random_rank_profile(rng, max_values=5, max_contexts=4):
     v = int(rng.integers(2, max_values + 1))
     c = int(rng.integers(2, max_contexts + 1))
@@ -258,6 +284,24 @@ class TestKendall:
     def test_mean_pairwise_tau_none_when_all_undefined(self):
         p = profile([[1.5, 1.5], [1.5, 1.5]])
         assert mean_pairwise_tau(p) is None
+
+    def test_tau_matrix_and_mean_bit_identical_to_scipy(self):
+        rng = np.random.default_rng(2024)
+        shapes = [(1, 3), (2, 2), (5, 2), (8, 2), (4, 26), (4, 27), (6, 29)]
+        shapes += [(int(rng.integers(1, 9)), int(rng.integers(2, 13))) for _ in range(80)]
+        all_tied = [[[1.0, 1.0, 1.0]], [[1.5, 1.0], [1.5, 2.0]], [[2.0] * 27] * 3]
+        for p in [*map(profile, all_tied), *tied_profiles(rng, shapes)]:
+            expected = scipy_tau_matrix(p.ranks)
+            actual = kendall_tau_matrix(p)
+            assert [x.hex() for x in actual.ravel()] == [x.hex() for x in expected.ravel()], p.ranks
+            c = expected.shape[0]
+            offdiag = [expected[i, j] for i in range(c) for j in range(i + 1, c)
+                       if math.isfinite(expected[i, j])]
+            mean = mean_pairwise_tau(p)
+            if offdiag:
+                assert mean.hex() == float(np.mean(offdiag)).hex(), p.ranks
+            else:
+                assert mean is None
 
     def test_w_one_implies_thc_zero_for_untied_rankings(self):
         rng = np.random.default_rng(11)
