@@ -17,7 +17,7 @@ import enum
 import itertools
 import logging
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -31,8 +31,8 @@ from .stats import (
     derive_seed,
     human_normalize,
     iqm,
-    mean_and_spread,
-    stratified_bootstrap_ci,
+    mean_and_spreads,
+    stratified_bootstrap_cis,
 )
 
 __all__ = [
@@ -325,6 +325,13 @@ def _check_pins(schema: SweepSchema, pins: Mapping[Axis, str | None]) -> None:
             raise KeyError(f"unknown {axis.value} {value!r}")
 
 
+CellKey = tuple[str, str, str, str, str | None]
+
+# Most cells one batched pass aggregates: enough to fill many bootstrap chunks,
+# few enough that the pending score rows of a large setup stay small.
+_FILL_BLOCK = 256
+
+
 class CellTable:
     """Memoised interval and point estimate of every cell of one dataset.
 
@@ -338,15 +345,64 @@ class CellTable:
     def __init__(self, dataset: SweepDataset, options: AssemblyOptions) -> None:
         self.dataset = dataset
         self.options = options
-        self._cells: dict[tuple, tuple[Interval, float] | None] = {}
+        self._cells: dict[CellKey, tuple[Interval, float] | None] = {}
+
+    def fill(self, keys: Iterable[CellKey]) -> None:
+        """Aggregate every listed cell that the table does not hold yet, in
+        batched passes of up to ``_FILL_BLOCK`` cells. Each is normalised,
+        and warned about when it drops thin groups, in the order listed."""
+        pending: dict[CellKey, list[list[float]]] = {}
+        groups: set[object] = set()
+        aggregated = held = 0
+        for key in keys:
+            if key in self._cells:
+                held += 1
+            elif key not in pending:
+                rows = self._normalised(*key)
+                if rows is None:
+                    self._cells[key] = None
+                    continue
+                pending[key] = rows
+                if len(pending) == _FILL_BLOCK:
+                    groups |= self._aggregate(pending)
+                    aggregated += len(pending)
+                    pending = {}
+        groups |= self._aggregate(pending)
+        aggregated += len(pending)
+        iqm_ci = self.options.interval_source is IntervalSource.IQM_CI
+        replicates = aggregated * self.options.resamples if iqm_ci else 0
+        logger.info("cell table: aggregated %d cells in %d size groups and drew %d bootstrap "
+                    "replicates; %d cells were already held", aggregated, len(groups), replicates, held)
+
+    def _aggregate(self, pending: Mapping[CellKey, list[list[float]]]) -> set[object]:
+        """Store the interval and point of every pending cell, all computed
+        in one batched call; return the size groups that call used (row
+        sizes, or pooled lengths for mean +/- sd)."""
+        options = self.options
+        if options.interval_source is IntervalSource.MEAN_SD:
+            pooled = [[s for row in rows for s in row] for rows in pending.values()]
+            results = [(interval, mean) for mean, interval in mean_and_spreads(pooled)]
+            groups: set[object] = {len(samples) for samples in pooled}
+        else:
+            matrices = [ScoreMatrix(rows) for rows in pending.values()]
+            seeds = [derive_seed(options.seed, hp, value, agent, regime, environment or "*")
+                     for hp, value, agent, regime, environment in pending]
+            intervals = stratified_bootstrap_cis(list(zip(matrices, seeds)),
+                                                 options.resamples, options.confidence)
+            results = [(interval, iqm(matrix.pooled()))
+                       for interval, matrix in zip(intervals, matrices)]
+            groups = {tuple(len(row) for row in rows) for rows in pending.values()}
+        self._cells.update(zip(pending, results))
+        return groups
 
     def get(self, hp: str, value: str, agent: str, data_regime: str,
             environment: str | None = None) -> tuple[Interval, float] | None:
         """``(interval, point)`` of one cell, or ``None`` when no environment
-        group of it has at least 2 seeds."""
+        group of it has at least 2 seeds. A cell not held yet is filled
+        alone."""
         key = (hp, value, agent, data_regime, environment)
         if key not in self._cells:
-            self._cells[key] = self._aggregate(*key)
+            self.fill([key])
         return self._cells[key]
 
     def context(self, hp: str, agent: str, data_regime: str,
@@ -360,9 +416,11 @@ class CellTable:
                 found[value] = cell
         return found
 
-    def _aggregate(self, hp: str, value: str, agent: str, data_regime: str,
-                   environment: str | None) -> tuple[Interval, float] | None:
-        dataset, options = self.dataset, self.options
+    def _normalised(self, hp: str, value: str, agent: str, data_regime: str,
+                    environment: str | None) -> list[list[float]] | None:
+        """Human-normalised score rows of one cell's environment groups with
+        at least 2 seeds, or ``None`` when it has none."""
+        dataset = self.dataset
         groups = dataset.index.get(hp, {}).get((agent, data_regime), {})
         scope = dataset.schema.environments if environment is None else (environment,)
         rows: list[list[float]] = []
@@ -380,19 +438,7 @@ class CellTable:
         if thin:
             logger.warning("%s=%s, agent %s, regime %s: dropping groups with fewer than 2 seeds: %s",
                            hp, value, agent, data_regime, ", ".join(thin))
-        if not rows:
-            return None
-
-        pooled = [s for row in rows for s in row]
-        if options.interval_source is IntervalSource.MEAN_SD:
-            return mean_and_spread(pooled), float(np.mean(pooled))
-        interval = stratified_bootstrap_ci(
-            ScoreMatrix(rows),
-            resamples=options.resamples,
-            confidence=options.confidence,
-            seed=derive_seed(options.seed, hp, value, agent, data_regime, environment or "*"),
-        )
-        return interval, iqm(pooled)
+        return rows or None
 
 
 def assemble_profiles(
@@ -423,18 +469,24 @@ def assemble_profiles(
     elif cells.dataset is not dataset or cells.options != options:
         raise ValueError("cell table was built from another dataset or other options")
 
+    plans = [(hp, combo, _contexts_with_runs(dataset, hp, axis, combo))
+             for hp in dataset.schema.hyperparameters if hp in dataset.index
+             for combo in _combos(dataset, hp, setup, options)]
+    # Every cell the profiles read, in the order they read them, aggregated
+    # in one pass.
+    cells.fill(_cell_key(hp, value, {**combo, axis.value: label})
+               for hp, combo, contexts in plans if len(contexts) >= 2
+               for label in contexts for value in dataset.schema.hyperparameters[hp])
+
     profiles: list[RankProfile] = []
     skipped: list[SkippedHyperparameter] = []
-    for hp in dataset.schema.hyperparameters:
-        if hp not in dataset.index:
-            continue
-        for combo in _combos(dataset, hp, setup, options):
-            result = _profile_for(dataset, hp, setup, combo, cells)
-            if isinstance(result, SkippedHyperparameter):
-                logger.warning("skipping %s %s: %s", hp, dict(combo), result.reason)
-                skipped.append(result)
-            else:
-                profiles.append(result)
+    for hp, combo, contexts in plans:
+        result = _profile_for(dataset, hp, setup, combo, contexts, cells)
+        if isinstance(result, SkippedHyperparameter):
+            logger.warning("skipping %s %s: %s", hp, dict(combo), result.reason)
+            skipped.append(result)
+        else:
+            profiles.append(result)
 
     return AssembledProfiles(tuple(profiles), tuple(skipped), setup)
 
@@ -467,25 +519,35 @@ def _combos(
     return combos
 
 
+def _contexts_with_runs(dataset: SweepDataset, hp: str, axis: Axis,
+                        combo: dict[str, str]) -> list[str]:
+    """Declared contexts of ``axis`` with runs of ``hp`` under ``combo``. A
+    context counts as having data even when a pinned environment has none of
+    its runs."""
+    node_of = dataset.index[hp]
+
+    def has_runs(label: str) -> bool:
+        coords = {**combo, axis.value: label}
+        node = node_of.get((coords["agent"], coords["data_regime"]))
+        return node is not None and (axis is not Axis.ENVIRONMENT or label in node)
+
+    return [c for c in dataset.schema.axis_values(axis) if has_runs(c)]
+
+
+def _cell_key(hp: str, value: str, coords: Mapping[str, str]) -> CellKey:
+    return (hp, value, coords["agent"], coords["data_regime"], coords.get("environment"))
+
+
 def _profile_for(
     dataset: SweepDataset,
     hp: str,
     setup: TransferSetup,
     combo: dict[str, str],
+    contexts: list[str],
     cells: CellTable,
 ) -> RankProfile | SkippedHyperparameter:
     axis = setup.axis
     schema = dataset.schema
-    node_of = dataset.index[hp]
-
-    def has_runs(label: str) -> bool:
-        # A context counts as having data even when a pinned environment
-        # has none of its runs.
-        coords = {**combo, axis.value: label}
-        node = node_of.get((coords["agent"], coords["data_regime"]))
-        return node is not None and (axis is not Axis.ENVIRONMENT or label in node)
-
-    contexts = [c for c in schema.axis_values(axis) if has_runs(c)]
     if len(contexts) < 2:
         return SkippedHyperparameter(hp, dict(combo), f"only {len(contexts)} context(s) with data")
 

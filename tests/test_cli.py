@@ -369,3 +369,29 @@ class TestRuntimeImports:
         imported, after_main = modules_loaded(tmp_path, argv)
         assert "scipy" not in imported | after_main
         assert sorted(m for m in after_main if m.split(".")[0] == "numpy") == []
+
+
+def run_cli(tmp_path, argv):
+    src = str(Path(thckit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-m", "thckit.cli", *argv], cwd=tmp_path, env=env,
+                          check=True, capture_output=True, text=True)
+
+
+def read_tree(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+class TestVerbose:
+    def test_logs_each_fill_and_leaves_the_bundle_unchanged(self, tmp_path):
+        golden_flags = [*FIXTURE_ARGS, "--resamples", "200", "--seed", "0", "--kendall"]
+        quiet = run_cli(tmp_path, ["report", *golden_flags, "--out", "quiet"])
+        verbose = run_cli(tmp_path, ["--verbose", "report", *golden_flags, "--out", "verbose"])
+        assert read_tree(tmp_path / "verbose") == read_tree(tmp_path / "quiet")
+        assert "cell table" not in quiet.stderr
+        fills = [line for line in verbose.stderr.splitlines() if "cell table: aggregated" in line]
+        # One fill per setup; the data-regime setup reads the agent setup's
+        # pooled cells.
+        assert len(fills) == 3 and all(line.startswith("INFO ") for line in fills)
+        assert sum(int(line.split("aggregated ")[1].split()[0]) for line in fills) == 160
+        assert fills[2].startswith("INFO cell table: aggregated 0 cells")

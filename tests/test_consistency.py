@@ -575,19 +575,46 @@ class TestCellTable:
             assert across_agents[e.label] == e.interval
 
     def test_bundle_aggregates_each_cell_once(self, fixture_dataset, monkeypatch):
-        calls = []
-        bootstrap = consistency.stratified_bootstrap_ci
+        seeds = []
+        bootstrap = consistency.stratified_bootstrap_cis
 
-        def counted(*args, **kwargs):
-            calls.append(kwargs["seed"])
-            return bootstrap(*args, **kwargs)
+        def counted(cells, *args, **kwargs):
+            seeds.extend(seed for _, seed in cells)
+            return bootstrap(cells, *args, **kwargs)
 
-        monkeypatch.setattr(consistency, "stratified_bootstrap_ci", counted)
+        monkeypatch.setattr(consistency, "stratified_bootstrap_cis", counted)
         bundle = build_report_bundle(fixture_dataset, ALL_SETUPS, FIXTURE_OPTIONS)
-        assert len(calls) == len(set(calls)) == 160
+        assert len(seeds) == len(set(seeds)) == 160
         for setup, shared in zip(ALL_SETUPS, bundle.profiles):
             _, alone = build_consistency_report(fixture_dataset, setup, FIXTURE_OPTIONS)
             assert [profile_fields(p) for p in shared] == [profile_fields(p) for p in alone]
+
+    @pytest.mark.parametrize("source", list(IntervalSource))
+    def test_fill_in_small_blocks_changes_nothing(self, fixture_dataset, monkeypatch, caplog, source):
+        # Drop one pooled group's second seed so that a thin-group warning
+        # falls inside the blocked fills.
+        thin = ("lr", "0.01", "agent02", "env03", "high")
+        records = [r for r in fixture_dataset.records
+                   if (r.hyperparameter, r.value, r.agent, r.environment, r.data_regime) != thin
+                   or r.seed == 0]
+        dataset = SweepDataset(records, fixture_dataset.baselines, fixture_dataset.schema)
+        options = dataclasses.replace(FIXTURE_OPTIONS, interval_source=source)
+
+        def bundle_and_log():
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="thckit.consistency"):
+                bundle = build_report_bundle(dataset, ALL_SETUPS, options)
+            fills = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+            warned = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+            return [[profile_fields(p) for p in profiles] for profiles in bundle.profiles], fills, warned
+
+        whole, whole_fills, whole_warned = bundle_and_log()
+        monkeypatch.setattr(consistency, "_FILL_BLOCK", 7)
+        blocked, blocked_fills, blocked_warned = bundle_and_log()
+        assert blocked == whole
+        assert blocked_warned == whole_warned and any("fewer than 2 seeds" in w for w in whole_warned)
+        # One log line per fill, whatever the block size.
+        assert blocked_fills == whole_fills and len(whole_fills) == len(ALL_SETUPS)
 
     def test_table_of_another_dataset_or_options_rejected(self, fixture_dataset):
         cells = CellTable(fixture_dataset, FIXTURE_OPTIONS)

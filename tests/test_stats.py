@@ -15,12 +15,15 @@ from thckit.stats import (
     Interval,
     MIN_RESAMPLES,
     ScoreMatrix,
+    _key_words,
     _philox_blocks,
     derive_seed,
     human_normalize,
     iqm,
     mean_and_spread,
+    mean_and_spreads,
     stratified_bootstrap_ci,
+    stratified_bootstrap_cis,
 )
 
 finite_scores = st.floats(min_value=-1e6, max_value=1e6,
@@ -159,6 +162,25 @@ class TestMeanAndSpread:
     def test_single_sample_rejected(self):
         with pytest.raises(ValueError):
             mean_and_spread([1.0])
+        with pytest.raises(ValueError):
+            mean_and_spreads([[1.0, 2.0], [1.0]])
+
+    def test_batched_matches_one_dimensional_mean_and_std(self):
+        # Sets of one length share a row-wise mean and std; each interval must
+        # equal the 1-D numpy formula bit for bit, whatever the set's
+        # neighbours.
+        rng = np.random.default_rng(77)
+        sets = [np.round(rng.normal(scale=10, size=int(rng.integers(2, 40))), 3)
+                for _ in range(600)]
+        sets += [[5.0, 5.0, 5.0], [1.0, 2.0]]
+        got = mean_and_spreads(sets)
+        for i, samples in enumerate(sets):
+            mu = float(np.mean(np.asarray(samples, dtype=float)))
+            sd = float(np.std(np.asarray(samples, dtype=float), ddof=1))
+            mean, interval = got[i]
+            assert [v.hex() for v in (mean, interval.lower, interval.upper)] == \
+                [v.hex() for v in (mu, mu - sd, mu + sd)], f"set {i}"
+            assert mean_and_spread(samples) == interval
 
 
 class TestDeriveSeed:
@@ -301,14 +323,20 @@ class TestVectorisedDraw:
 
     def test_blocks_match_numpy_raw_stream(self):
         rng = np.random.default_rng(66)
-        for case in range(50):
+
+        def random_key(case):
             # Key words from the full 128-bit range, the high word often 0.
             high = 0 if case % 3 == 0 else int(rng.integers(0, 2**64, dtype=np.uint64))
-            key = high << 64 | int(rng.integers(0, 2**64, dtype=np.uint64))
-            replicates = rng.integers(0, 2**64, size=int(rng.integers(1, 6)), dtype=np.uint64)
+            return high << 64 | int(rng.integers(0, 2**64, dtype=np.uint64))
+
+        for case in range(100):
+            rows = int(rng.integers(1, 6))
+            # Odd cases give each row its own key, as a chunk of several cells does.
+            keys = [random_key(case + i) for i in range(rows if case % 2 else 1)]
+            replicates = rng.integers(0, 2**64, size=rows, dtype=np.uint64)
             blocks = int(rng.integers(1, 20))
-            got = _philox_blocks(key, replicates, blocks)
-            for row, k in zip(got, replicates):
+            got = _philox_blocks(_key_words(keys), replicates, blocks)
+            for row, k, key in zip(got, replicates, keys * rows if len(keys) == 1 else keys):
                 # numpy turns a list holding ints of 2**63 or more into float64.
                 counter = np.array([0, 0, k, 0], dtype=np.uint64)
                 raw = np.random.Philox(key=key, counter=counter).random_raw(4 * blocks)
@@ -357,3 +385,80 @@ class TestVectorisedDraw:
         row = np.round(np.random.default_rng(0).normal(size=n), 2)
         iv = stratified_bootstrap_ci(ScoreMatrix([row]), resamples=MIN_RESAMPLES, seed=seed)
         assert (iv.lower, iv.upper) == reference_bootstrap([row], MIN_RESAMPLES, DEFAULT_CONFIDENCE, seed)
+
+
+def mixed_cells(rng, count):
+    """Cells of four row-size patterns, interleaved; every third seed has a
+    nonzero high 64-bit word."""
+    patterns = [[3] * 4, [3], [5] * 26, [1, 4, 7, 1]]
+    cells = []
+    for i in range(count):
+        rows = [np.round(rng.normal(scale=3, size=size), 1) for size in patterns[i % len(patterns)]]
+        seed = int(rng.integers(0, 2**64, dtype=np.uint64))
+        if i % 3 == 0:
+            seed |= int(rng.integers(1, 2**64, dtype=np.uint64)) << 64
+        cells.append((ScoreMatrix(rows), seed))
+    return cells
+
+
+def hexes(intervals):
+    return [(iv.lower.hex(), iv.upper.hex()) for iv in intervals]
+
+
+class TestCellBatches:
+    """Many cells in one call against one call per cell."""
+
+    # 1 entry: one replicate per chunk. 3,000: two 12-entry cells per chunk,
+    # slices of the 130-entry cells. Default: all six cells of each narrow
+    # pattern in one chunk.
+    @pytest.mark.parametrize("chunk_entries", [1, 3_000, None],
+                             ids=["one replicate", "two small cells", "default"])
+    def test_batched_equals_one_cell_calls(self, monkeypatch, chunk_entries):
+        rng = np.random.default_rng(chunk_entries or 0)
+        cells = mixed_cells(rng, 24)
+        resamples = MIN_RESAMPLES + 7
+        one_by_one = [stratified_bootstrap_ci(m, resamples=resamples, seed=s) for m, s in cells]
+        if chunk_entries is not None:
+            monkeypatch.setattr("thckit.stats._CHUNK_ENTRIES", chunk_entries)
+        batched = stratified_bootstrap_cis(cells, resamples=resamples)
+        assert hexes(batched) == hexes(one_by_one)
+
+    def test_forced_fallback_on_later_cells_of_a_chunk(self, monkeypatch):
+        chunks = []
+
+        def risk(scaled, limit):
+            # Every replicate after the chunk's first cell is redone.
+            chunks.append(len(scaled))
+            return np.arange(len(scaled)) >= MIN_RESAMPLES
+
+        monkeypatch.setattr("thckit.stats._redraw_risk", risk)
+        rng = np.random.default_rng(69)
+        rows = [[np.round(rng.normal(scale=3, size=4), 1) for _ in range(3)] for _ in range(5)]
+        seeds = [int(rng.integers(0, 2**63)) for _ in rows]
+        seeds[3] |= 1 << 100
+        batched = stratified_bootstrap_cis([(ScoreMatrix(r), s) for r, s in zip(rows, seeds)],
+                                           resamples=MIN_RESAMPLES)
+        assert chunks == [5 * MIN_RESAMPLES]
+        for cell, (r, s) in enumerate(zip(rows, seeds)):
+            ref = reference_bootstrap(r, MIN_RESAMPLES, DEFAULT_CONFIDENCE, s)
+            assert (batched[cell].lower, batched[cell].upper) == ref, f"cell {cell}"
+
+    def test_any_bad_seed_rejected(self):
+        matrix = ScoreMatrix([[1.0, 2.0]])
+        with pytest.raises(ValueError):
+            stratified_bootstrap_cis([(matrix, 1), (matrix, 2**128)])
+        with pytest.raises(ValueError):
+            stratified_bootstrap_cis([(matrix, -1), (matrix, 1)])
+
+    def test_memory_does_not_grow_with_cell_count(self):
+        rng = np.random.default_rng(10)
+        cells = [(ScoreMatrix([rng.normal(size=5)]), seed) for seed in range(2_000)]
+        tracemalloc.start()
+        try:
+            intervals = stratified_bootstrap_cis(cells, resamples=2_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(intervals) == len(cells)
+        # Held at once, the replicate statistics alone would take 32 MB.
+        assert peak < 4 * 2**20
