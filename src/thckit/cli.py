@@ -180,7 +180,8 @@ def _write_json(path: str, data: Any) -> None:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.runs, args.baselines, args.schema)
-    environments = {rec.environment for rec in dataset.records}
+    environments = {env for by_pair in dataset.index.values()
+                    for by_env in by_pair.values() for env in by_env}
     print(f"OK: {len(dataset)} runs across {len(dataset.index)} hyperparameter(s), "
           f"{len(environments)} environment(s)")
     return EXIT_OK

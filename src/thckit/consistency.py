@@ -194,10 +194,15 @@ def kendall_w(profile: RankProfile) -> float | None:
         raise ValueError("kendall_w needs at least 2 values")
     totals = profile.ranks.sum(axis=1)
     s = float(((totals - totals.mean()) ** 2).sum())
-    tie_term = 0.0
-    for j in range(c):
-        _, counts = np.unique(profile.ranks[:, j], return_counts=True)
-        tie_term += float((counts**3 - counts).sum())
+    # Tie groups of every context at once: sort each context's ranks, mark
+    # where a new rank starts, and take each group's size t as the gap
+    # between marks. Each context's row starts with a mark, so no group
+    # spans two contexts, and the t**3 - t sum is an exact integer.
+    ordered = np.sort(profile.ranks, axis=0).T
+    starts = np.ones(ordered.shape, dtype=bool)
+    starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    t = np.diff(np.append(np.flatnonzero(starts), starts.size))
+    tie_term = float((t**3 - t).sum())
     denom = c * c * (v**3 - v) - c * tie_term
     if denom <= 0:
         return None

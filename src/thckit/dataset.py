@@ -10,12 +10,24 @@ the baseline rules in ``_admit_baselines``. Direct construction of a
 unprefixed diagnostics; :func:`parse_dataset` checks only what needs the
 text and sends each row through them once, prefixed ``source:lineno:``.
 
-While admitting records, the dataset builds one read-only index of its runs:
+Parsing is one pass over the stream's lines. A line is split on commas
+with ``str.split`` and its cells are stripped only when it holds
+whitespace; a line holding a quote character, a NUL or a carriage return
+(or longer than ``csv.field_size_limit()``) goes through :mod:`csv`
+instead, so every line gives the cells that
+``[cell.strip() for cell in next(csv.reader([line]))]`` gives, or the same
+``malformed row`` diagnostic. The rules check each row against sets built
+once per dataset from the schema and the baselines.
+
+While admitting rows, the dataset keeps each run as a compact tuple in
+input order, with identifier cells interned so that all runs share one
+string per identifier, and builds one read-only index of its runs:
 ``hyperparameter -> (agent, data_regime) -> environment -> value -> scores``,
 with each leaf a tuple of final scores ordered by seed. Only combinations
 that were run appear in it. :func:`slice_scores` returns one
 ``(agent, data_regime)`` node of it; callers take their output order from
-the schema, never from the index.
+the schema, never from the index. ``SweepDataset.records``, the runs as
+:class:`RunRecord` objects, is built the first time it is read.
 
 Hyper-parameter values are opaque strings compared by exact match. ``"0.5"``
 and ``"0.50"`` are different settings on purpose: ranking only needs
@@ -27,7 +39,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
-from collections import defaultdict
+import sys
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -115,7 +127,7 @@ class BaselineTable:
     scores: Mapping[str, tuple[float, float]]
 
     def __post_init__(self) -> None:
-        _admit_baselines((None, [], (env, *pair)) for env, pair in self.scores.items())
+        _admit_baselines((None, None, None, (env, *pair)) for env, pair in self.scores.items())
 
     @classmethod
     def _parsed(cls, rows: Iterable[tuple], source: str) -> BaselineTable:
@@ -144,7 +156,7 @@ def _admit_baselines(rows: Iterable[tuple], source: str | None = None) -> dict[s
     ``(environment, random, human)`` items; a row gets at most one problem."""
     problems: list[str] = []
     scores: dict[str, tuple[float, float]] = {}
-    for line, found, entry in rows:
+    for lineno, _, found, entry in rows:
         if not found:
             env, rnd, hum = entry
             if rnd is None or hum is None:
@@ -158,7 +170,7 @@ def _admit_baselines(rows: Iterable[tuple], source: str | None = None) -> dict[s
             else:
                 scores[env] = (rnd, hum)
                 continue
-        prefix = "" if line is None else f"{source}:{line[0]}: "
+        prefix = "" if lineno is None else f"{source}:{lineno}: "
         problems.extend(prefix + problem for problem in found)
     if problems:
         raise DatasetError(problems)
@@ -217,12 +229,22 @@ class SweepSchema:
         }[Axis(axis)]
 
 
-def _freeze(node: dict | list) -> Mapping | tuple[float, ...]:
-    """Read-only copy of a nested dict whose leaves are ``(seed, score)``
-    lists; each leaf becomes a tuple of scores ordered by seed."""
-    if isinstance(node, dict):
-        return MappingProxyType({key: _freeze(child) for key, child in node.items()})
-    return tuple(score for _, score in sorted(node))
+def _freeze(leaves: dict[tuple, list[tuple[int, float]]]) -> Mapping:
+    """Read-only index from ``(hyperparameter, agent, data_regime,
+    environment, value) -> [(seed, score), ...]`` leaves, nested in the
+    order the leaves were first seen; each leaf becomes a tuple of scores
+    ordered by seed."""
+    index: dict = {}
+    for (hp, agent, regime, env, value), runs in leaves.items():
+        runs.sort()
+        index.setdefault(hp, {}).setdefault((agent, regime), {}).setdefault(env, {})[value] = \
+            tuple([score for _, score in runs])
+    return _read_only(index)
+
+
+def _read_only(node: dict) -> Mapping:
+    return MappingProxyType({key: _read_only(child) if isinstance(child, dict) else child
+                             for key, child in node.items()})
 
 
 class SweepDataset:
@@ -230,12 +252,13 @@ class SweepDataset:
 
     ``index`` maps hyperparameter -> (agent, data_regime) -> environment ->
     value -> seed-ordered scores, holding only combinations that were run.
+    ``records`` holds the runs in input order and is built on first read.
     """
 
-    __slots__ = ("records", "baselines", "schema", "index")
+    __slots__ = ("_runs", "_records", "baselines", "schema", "index")
 
     def __init__(self, records: Iterable[RunRecord], baselines: BaselineTable, schema: SweepSchema):
-        self._admit(((None, [], rec) for rec in records), baselines, schema)
+        self._admit(((None, None, None, (*rec.key, rec.final_score)) for rec in records), baselines, schema)
 
     @classmethod
     def _parsed(cls, rows: Iterable[tuple], baselines: BaselineTable, schema: SweepSchema,
@@ -248,77 +271,109 @@ class SweepDataset:
     def _admit(self, rows: Iterable[tuple], baselines: BaselineTable, schema: SweepSchema,
                source: str | None = None) -> None:
         """Apply every run-record rule once per row, in diagnostic order, and
-        index the rows that pass. ``rows`` yields ``(line, problems, record)``:
-        ``line`` is ``(lineno, cells)`` for a file row and None for a record
-        given directly, ``problems`` lists what parsing found, and ``record``
-        is None for a row with the wrong number of cells."""
-        records: list[RunRecord] = []
+        index the rows that pass. ``rows`` yields ``(lineno, cells, found,
+        fields)``: ``lineno`` and ``cells`` locate a file row and are None
+        for a record given directly, ``found`` is None or the problems
+        parsing found, and ``fields`` is a record's seven fields in run-log
+        column order, with None for a cell that did not convert, or None
+        for a row with the wrong number of cells. Each row's problems are
+        appended to ``problems`` as they are found; the rows that have none
+        are kept as ``(key, final_score)`` pairs."""
+        agents = frozenset(schema.agents)
+        environments = frozenset(schema.environments)
+        regimes = frozenset(schema.data_regimes)
+        declared = {hp: frozenset(values) for hp, values in schema.hyperparameters.items()}
+        with_baselines = frozenset(baselines.environments)
+        runs: list[tuple[tuple, float]] = []
         problems: list[str] = []
         seen: set[tuple] = set()
-        nodes: dict = defaultdict(lambda: defaultdict(lambda: defaultdict(dict)))
-        for line, found, rec in rows:
-            if len(problems) >= MAX_DIAGNOSTICS:
+        leaves: dict[tuple, list[tuple[int, float]]] = {}
+        for lineno, cells, found, fields in rows:
+            mark = len(problems)
+            if mark >= MAX_DIAGNOSTICS:
                 if source is not None:
                     problems.append(f"{source}: stopping after {MAX_DIAGNOSTICS} problems")
                 break
-            if rec is not None:
-                seed_ok = rec.seed is not None and rec.seed >= 0
+            if found:
+                problems.extend(found)
+            if fields is not None:
+                agent, env, regime, hp, value, seed, score = fields
+                seed_ok = seed is not None and seed >= 0
                 if not seed_ok:
-                    found.append(f"column 'seed' must be a non-negative integer, got {_cell(line, 5, rec.seed)!r}")
-                if rec.final_score is None:
-                    found.append(f"column 'final_score' is not a number: {_cell(line, 6, None)!r}")
-                elif not math.isfinite(rec.final_score):
-                    found.append(f"column 'final_score' must be finite, got {_cell(line, 6, rec.final_score)!r}")
-                if rec.agent not in schema.agents:
-                    found.append(f"unknown agent {rec.agent!r}")
-                if rec.environment not in schema.environments:
-                    found.append(f"unknown environment {rec.environment!r}")
-                elif rec.environment not in baselines:
-                    found.append(f"no baseline scores for environment {rec.environment!r}")
-                if rec.data_regime not in schema.data_regimes:
-                    found.append(f"unknown data_regime {rec.data_regime!r}")
-                declared = schema.hyperparameters.get(rec.hyperparameter)
-                if declared is None:
-                    found.append(f"unknown hyperparameter {rec.hyperparameter!r}")
-                elif rec.value not in declared:
-                    found.append(f"value {rec.value!r} not declared for hyperparameter {rec.hyperparameter!r}")
+                    problems.append(f"column 'seed' must be a non-negative integer, got {_cell(cells, 5, seed)!r}")
+                if score is None:
+                    problems.append(f"column 'final_score' is not a number: {_cell(cells, 6, None)!r}")
+                elif not math.isfinite(score):
+                    problems.append(f"column 'final_score' must be finite, got {_cell(cells, 6, score)!r}")
+                if agent not in agents:
+                    problems.append(f"unknown agent {agent!r}")
+                if env not in environments:
+                    problems.append(f"unknown environment {env!r}")
+                elif env not in with_baselines:
+                    problems.append(f"no baseline scores for environment {env!r}")
+                if regime not in regimes:
+                    problems.append(f"unknown data_regime {regime!r}")
+                values = declared.get(hp)
+                if values is None:
+                    problems.append(f"unknown hyperparameter {hp!r}")
+                elif value not in values:
+                    problems.append(f"value {value!r} not declared for hyperparameter {hp!r}")
                 # A seed that is not valid makes no key, so it cannot collide.
                 if seed_ok:
-                    if rec.key in seen:
-                        found.append(f"duplicate record key {rec.key}")
-                    seen.add(rec.key)
-            if found:
-                prefix = "" if line is None else f"{source}:{line[0]}: "
-                problems.extend(prefix + problem for problem in found)
+                    key = (agent, env, regime, hp, value, seed)
+                    # One hash of the key: the set grows unless it held it.
+                    held = len(seen)
+                    seen.add(key)
+                    if len(seen) == held:
+                        problems.append(f"duplicate record key {key}")
+            if len(problems) > mark:
+                if lineno is not None:
+                    prefix = f"{source}:{lineno}: "
+                    problems[mark:] = [prefix + problem for problem in problems[mark:]]
+                continue
+            runs.append((key, score))
+            cell = (hp, agent, regime, env, value)
+            leaf = leaves.get(cell)
+            if leaf is None:
+                leaves[cell] = [(seed, score)]
             else:
-                records.append(rec)
-                nodes[rec.hyperparameter][rec.agent, rec.data_regime][rec.environment] \
-                    .setdefault(rec.value, []).append((rec.seed, rec.final_score))
+                leaf.append((seed, score))
         if problems:
             raise DatasetError(problems)
 
-        object.__setattr__(self, "records", tuple(records))
+        object.__setattr__(self, "_runs", tuple(runs))
+        object.__setattr__(self, "_records", None)
         object.__setattr__(self, "baselines", baselines)
         object.__setattr__(self, "schema", schema)
-        object.__setattr__(self, "index", _freeze(nodes))
+        object.__setattr__(self, "index", _freeze(leaves))
+
+    @property
+    def records(self) -> tuple[RunRecord, ...]:
+        """Every run in input order, built the first time it is read."""
+        if self._records is None:
+            object.__setattr__(self, "_records", tuple([RunRecord(*key, score) for key, score in self._runs]))
+        return self._records
 
     def __setattr__(self, name, value):
         raise AttributeError("SweepDataset is immutable")
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._runs)
 
     def __eq__(self, other: object) -> bool:
+        """Equal when both hold the same runs, in any order, and the same
+        baselines and schema."""
         if not isinstance(other, SweepDataset):
             return NotImplemented
-        return (self.records == other.records
+        return (len(self._runs) == len(other._runs)
+                and dict(self._runs) == dict(other._runs)
                 and self.baselines == other.baselines
                 and self.schema == other.schema)
 
 
-def _cell(line: tuple[int, list[str]] | None, column: int, value: object) -> str:
+def _cell(cells: list[str] | None, column: int, value: object) -> str:
     """The spelling a diagnostic quotes: the run-log cell, else the value."""
-    return str(value) if line is None else line[1][column]
+    return str(value) if cells is None else cells[column]
 
 
 def _convert(kind: type, text: str) -> int | float | None:
@@ -329,34 +384,47 @@ def _convert(kind: type, text: str) -> int | float | None:
 
 
 def _file_rows(stream: IO[str], source: str, header: tuple[str, ...], what: str,
-               make: Callable[[list[str]], tuple[list[str], Any]]) -> Iterator[tuple]:
+               make: Callable[[list[str]], tuple[list[str] | None, Any]]) -> Iterator[tuple]:
     """Rows after a checked header line, as ``SweepDataset._admit`` reads
-    them; ``make(cells)`` gives a row's text problems and item."""
+    them; ``make(cells)`` gives a row's text problems (None for none) and
+    item. See the module docstring for how a line is split into cells."""
     columns = len(header)
+    limit = csv.field_size_limit()
     for lineno, line in enumerate(stream, start=1):
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        if not stripped or stripped[0] == "#":
             continue
-        try:
-            cells = [cell.strip() for cell in next(csv.reader([line]))]
-        except csv.Error as exc:
-            raise DatasetError([f"{source}:{lineno}: malformed row: {exc}"]) from exc
+        if '"' in line or "\0" in line or "\r" in line or len(line) > limit:
+            try:
+                cells = [cell.strip() for cell in next(csv.reader([line]))]
+            except csv.Error as exc:
+                raise DatasetError([f"{source}:{lineno}: malformed row: {exc}"]) from exc
+        elif " " not in stripped and stripped.isprintable():
+            # Every whitespace character but the space is unprintable.
+            cells = stripped.split(",")
+        else:
+            cells = [cell.strip() for cell in stripped.split(",")]
         if header:
             if tuple(cells) != header:
                 raise DatasetError([f"{source}:{lineno}: expected header {','.join(header)!r}, got {','.join(cells)!r}"])
             header = ()
         elif len(cells) != columns:
-            yield (lineno, cells), [f"expected {columns} columns, got {len(cells)}"], None
+            yield lineno, cells, [f"expected {columns} columns, got {len(cells)}"], None
         else:
-            yield ((lineno, cells), *make(cells))
+            yield (lineno, cells, *make(cells))
     if header:
         raise DatasetError([f"{source}: {what} is empty"])
 
 
-def _run_log_entry(cells: list[str]) -> tuple[list[str], RunRecord]:
+def _run_log_entry(cells: list[str]) -> tuple[list[str] | None, tuple]:
     agent, env, regime, hp, value, seed, score = cells
-    empty = [f"empty column {RUN_LOG_HEADER[i]!r}" for i in range(5) if not cells[i]]
-    return empty, RunRecord(agent, env, regime, hp, value, _convert(int, seed), _convert(float, score))
+    empty = None
+    if not (agent and env and regime and hp and value):
+        empty = [f"empty column {RUN_LOG_HEADER[i]!r}" for i in range(5) if not cells[i]]
+    # Interned, all rows that name an identifier share one string object.
+    intern = sys.intern
+    return empty, (intern(agent), intern(env), intern(regime), intern(hp), intern(value),
+                   _convert(int, seed), _convert(float, score))
 
 
 def parse_dataset(run_log: IO[str], baselines: IO[str], schema: SweepSchema) -> SweepDataset:
@@ -371,7 +439,7 @@ def parse_dataset(run_log: IO[str], baselines: IO[str], schema: SweepSchema) -> 
     """
     base_source = getattr(baselines, "name", "<baselines>")
     rows = _file_rows(baselines, base_source, BASELINES_HEADER, "baseline table",
-                      lambda cells: ([], (cells[0], _convert(float, cells[1]), _convert(float, cells[2]))))
+                      lambda cells: (None, (cells[0], _convert(float, cells[1]), _convert(float, cells[2]))))
     table = BaselineTable._parsed(rows, base_source)
     run_source = getattr(run_log, "name", "<run log>")
     rows = _file_rows(run_log, run_source, RUN_LOG_HEADER, "run log", _run_log_entry)
@@ -505,9 +573,8 @@ def write_run_log(dataset: SweepDataset, stream: IO[str]) -> None:
     round trip reproduces the dataset exactly."""
     stream.write(",".join(RUN_LOG_HEADER) + "\n")
     writer = csv.writer(stream, lineterminator="\n")
-    for rec in dataset.records:
-        writer.writerow([rec.agent, rec.environment, rec.data_regime,
-                         rec.hyperparameter, rec.value, rec.seed, repr(rec.final_score)])
+    for key, score in dataset._runs:
+        writer.writerow([*key, repr(score)])
 
 
 def write_baselines(dataset: SweepDataset, stream: IO[str]) -> None:

@@ -321,6 +321,42 @@ ranks_column = st.integers(min_value=2, max_value=5).flatmap(
 )
 
 
+def loop_kendall_w(ranks: np.ndarray) -> float | None:
+    """Kendall's W with one ``np.unique`` tie count per context: the
+    per-context loop ``kendall_w`` replaced, kept as its reference."""
+    v, c = ranks.shape
+    totals = ranks.sum(axis=1)
+    s = float(((totals - totals.mean()) ** 2).sum())
+    tie_term = 0.0
+    for j in range(c):
+        _, counts = np.unique(ranks[:, j], return_counts=True)
+        tie_term += float((counts**3 - counts).sum())
+    denom = c * c * (v**3 - v) - c * tie_term
+    return None if denom <= 0 else 12.0 * s / denom
+
+
+def assert_w_matches_loop(p: RankProfile) -> None:
+    expected = loop_kendall_w(p.ranks)
+    actual = kendall_w(p)
+    if expected is None:
+        assert actual is None, p.ranks
+    else:
+        assert actual.hex() == expected.hex(), p.ranks
+
+
+class TestKendallWTies:
+    @given(ranks_column.filter(lambda columns: len(columns) >= 2))
+    def test_bit_identical_to_per_context_loop(self, columns):
+        assert_w_matches_loop(profile(np.column_stack(columns)))
+
+    def test_bit_identical_to_per_context_loop_on_wide_profiles(self):
+        rng = np.random.default_rng(10)
+        shapes = [(4, 26), (4, 416), (15, 29), (2, 2)]
+        shapes += [(int(rng.integers(2, 16)), int(rng.integers(2, 60))) for _ in range(100)]
+        for p in tied_profiles(rng, shapes):
+            assert_w_matches_loop(p)
+
+
 class TestThcInvariants:
     @given(ranks_column)
     def test_bounds_and_zero_iff_consistent(self, columns):

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import csv
+import dataclasses
 import io
 import math
+import random
 import re
 from collections import Counter
 from pathlib import Path
@@ -29,7 +32,9 @@ from thckit.dataset import (
     write_baselines,
     write_run_log,
 )
+from thckit.dataset import _file_rows
 from thckit.stats import human_normalize
+from thckit.synth import PlantedDesign, PlantedHyperparameter, generate
 
 from conftest import write_dataset_files
 
@@ -197,6 +202,52 @@ class TestFaultTable:
         ]
 
 
+# Line text for the tokeniser: characters a plain comma split could read
+# differently from csv (quotes, NUL, carriage return), whitespace that
+# str.strip removes, ASCII and not, other unprintable text, and plain cells.
+line_texts = st.lists(st.sampled_from([
+    "a", "b7", "0.5", "\xe9", "#", ",", ",,", '"', '""', " ", "\t", "\r", "\0",
+    "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u2003", "\u2028", "\u3000", "\u200b",
+]), max_size=12).map("".join)
+
+
+def tokenised(text: str) -> list[tuple[int, list[str]]]:
+    """``(lineno, cells)`` of the one line after a one-column header."""
+    stream = io.StringIO("h\n" + text)
+    rows = _file_rows(stream, "<t>", ("h",), "t", lambda cells: (None, None))
+    return [(lineno, cells) for lineno, cells, _, _ in rows]
+
+
+class TestTokeniser:
+    @settings(max_examples=1000, deadline=None)
+    @given(line_texts, st.sampled_from(["\n", "\r\n", ""]))
+    def test_cells_match_stripped_csv_reader(self, text, end):
+        line = text + end
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            assert tokenised(line) == []
+            return
+        try:
+            expected = [cell.strip() for cell in next(csv.reader([line]))]
+        except csv.Error as exc:
+            with pytest.raises(DatasetError) as excinfo:
+                tokenised(line)
+            assert excinfo.value.diagnostics == [f"<t>:2: malformed row: {exc}"]
+            return
+        assert tokenised(line) == [(2, expected)]
+
+    def test_field_size_limit_is_kept(self):
+        limit = csv.field_size_limit()
+        try:
+            csv.field_size_limit(8)
+            assert tokenised("a,12345678\n") == [(2, ["a", "12345678"])]
+            with pytest.raises(DatasetError) as excinfo:
+                tokenised("a,123456789\n")
+            assert excinfo.value.diagnostics == ["<t>:2: malformed row: field larger than field limit (8)"]
+        finally:
+            csv.field_size_limit(limit)
+
+
 class TestSweepSchema:
     def test_axis_values(self):
         schema = small_schema()
@@ -304,6 +355,11 @@ class TestSweepDataset:
         a = SweepDataset(make_records(), small_baselines(), small_schema())
         b = SweepDataset(make_records(), small_baselines(), small_schema())
         assert a == b
+        assert SweepDataset(make_records()[::-1], small_baselines(), small_schema()) == a
+        changed = make_records()
+        changed[3] = dataclasses.replace(changed[3], final_score=-1.0)
+        assert SweepDataset(changed, small_baselines(), small_schema()) != a
+        assert SweepDataset(make_records()[1:], small_baselines(), small_schema()) != a
 
 
 def reference_slice(ds: SweepDataset, hyperparameter: str, agent: str, data_regime: str) -> dict:
@@ -402,6 +458,32 @@ class TestSlice:
                     assert {env: dict(by_value) for env, by_value in groups.items()} == expected
 
 
+def shuffled_run_log() -> tuple[SweepDataset, str, list[str], str]:
+    """A 3,120-run synthetic dataset and its run log written out, as the
+    header line and the row lines shuffled with blank and comment lines
+    mixed in, plus its baseline table."""
+    design = PlantedDesign(
+        hyperparameters=(PlantedHyperparameter("lr", ("0.1", "0.01", "0.001", "1e-4")),
+                         PlantedHyperparameter("width", ("64", "128", "256", "512"), pattern="reversal"),
+                         PlantedHyperparameter("depth", ("1", "2", "3", "4"))),
+        agents=("agent01", "agent02"),
+        environments=tuple(f"env{i:02d}" for i in range(13)),
+        data_regimes=("low", "high"),
+        seeds_per_cell=5,
+        noise_scale=0.3,
+    )
+    direct = generate(design)
+    runs, baselines = io.StringIO(), io.StringIO()
+    write_run_log(direct, runs)
+    write_baselines(direct, baselines)
+    header, *lines = runs.getvalue().splitlines(keepends=True)
+    rng = random.Random(10)
+    rng.shuffle(lines)
+    for filler in ["\n", "# a comment, with a comma\n", "   \n", "#\n"] * 25:
+        lines.insert(rng.randrange(len(lines) + 1), filler)
+    return direct, header, lines, baselines.getvalue()
+
+
 class TestRoundTrip:
     def test_dataset_roundtrip_is_exact(self, tmp_path):
         ds = SweepDataset(
@@ -411,6 +493,35 @@ class TestRoundTrip:
         paths = write_dataset_files(ds, tmp_path)
         again = load_dataset(paths["runs"], paths["baselines"], paths["schema"])
         assert again == ds
+
+    def test_shuffled_log_at_scale(self):
+        direct, header, lines, baselines = shuffled_run_log()
+        parsed = parse_dataset(io.StringIO(header + "".join(lines)), io.StringIO(baselines), direct.schema)
+        assert parsed == direct
+        assert len(parsed) == len(direct) == 3120
+        assert parsed.index == direct.index
+        by_key = {rec.key: rec for rec in direct.records}
+        in_file_order = []
+        for row in csv.reader(line for line in lines if line.strip() and not line.startswith("#")):
+            in_file_order.append(by_key[(*row[:5], int(row[5]))])
+        assert type(parsed.records) is tuple
+        assert parsed.records == tuple(in_file_order)
+        assert all(type(rec) is RunRecord for rec in parsed.records)
+        assert parsed.records is parsed.records
+        assert len({id(rec.environment) for rec in parsed.records}) == 13
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            parsed.records[0].seed = 99
+
+    def test_problem_cap_stops_with_the_same_final_diagnostic(self):
+        direct, header, lines, baselines = shuffled_run_log()
+        expected = []
+        for i, line in enumerate(lines):
+            if line.strip() and not line.startswith("#") and len(expected) < 300:
+                lines[i] = f"zz{i}" + line[line.index(","):]
+                expected.append(f"<run log>:{i + 2}: unknown agent 'zz{i}'")
+        with pytest.raises(DatasetError) as excinfo:
+            parse_dataset(io.StringIO(header + "".join(lines)), io.StringIO(baselines), direct.schema)
+        assert excinfo.value.diagnostics == expected[:200] + ["<run log>: stopping after 200 problems"]
 
     def test_schema_roundtrip(self, tmp_path):
         schema = small_schema()
