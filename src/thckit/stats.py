@@ -4,32 +4,21 @@ Converts raw per-seed scores into the aggregate intervals the ranking layer
 consumes: human-normalized scores, the interquartile mean (IQM), stratified
 bootstrap confidence intervals, and plain mean +/- standard deviation spreads.
 
-All functions are pure. The bootstrap's replicate ``k`` draws exactly the
-indices that numpy's ``Generator(Philox(key=seed, counter=[0, 0, k, 0]))``
-would give from ``integers``, bit for bit, but computes them for a whole chunk
-of replicates in one vectorised pass:
-
-- block ``b`` of replicate ``k`` is Philox4x64-10 of counter ``[b + 1, 0, k,
-  0]`` under key ``[seed mod 2**64, seed >> 64]``, its 64-bit products built
-  from 32-bit limbs;
-- each 64-bit output word gives two uint32 draws, low word first;
-- a row of size ``n > 1`` maps each draw ``u`` to ``(u * n) >> 32`` (Lemire's
-  bounded step, as numpy does), and a size-1 row draws nothing;
-- a replicate where any draw's low 32 bits of ``u * n`` fall below ``n``
-  might be one numpy rejects and redraws, so it is redone on a ``Philox``
-  started at its counter, with ``integers``.
-
-Cells with the same row sizes are evaluated together, in bounded-memory
-chunks that may hold several cells' replicates (one vectorised sort, trim and
-mean per chunk), so results are bit-identical regardless of chunking or of
-which cells are evaluated together.
+All functions are pure. Each bootstrap cell draws its indices from one
+``Generator(Philox(key=seed))``: replicate after replicate, each row's
+indices in row order, as ``integers`` gives them. Cells with the same row
+sizes are evaluated together, in bounded-memory chunks that may hold several
+cells' replicates (one vectorised sort, trim and mean per chunk). A chunk
+takes each cell's next replicates with one ``integers`` call, and numpy
+continues a stream across calls where the last call stopped, so results are
+bit-identical regardless of chunking or of which cells are evaluated
+together.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import sys
 from dataclasses import dataclass
 from hashlib import sha256
 from typing import Iterable, Sequence
@@ -73,10 +62,6 @@ class Interval:
             raise ValueError(f"interval bounds must be finite, got ({self.lower}, {self.upper})")
         if self.lower > self.upper:
             raise ValueError(f"interval lower bound {self.lower} exceeds upper bound {self.upper}")
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
 
     def overlaps(self, other: "Interval") -> bool:
         """True when the closed intervals share at least one point."""
@@ -175,113 +160,11 @@ def derive_seed(master: int, *parts: object) -> int:
     return int.from_bytes(sha256(text.encode("utf-8")).digest()[:8], "big")
 
 
-# Bounds of one chunk of replicates: resampled entries, each with a 64-bit
-# index, a sample and the redraw check's flag (17 bytes), and Philox blocks
-# (replicates times blocks per replicate), each with 8 scratch and 4 output
-# uint64 words (96 bytes). The block bound binds only for cells of fewer than
-# 32 entries, which use few of each block's 8 draws: a chunk of 2**15 entries
-# of a wider cell needs at most 2**12 + 2**15 / 32 blocks. A chunk's buffers
-# thus take at most about 1 MiB, at any cell count and resample count.
+# Bound of one chunk of replicates, in resampled entries. Each entry takes
+# an int64 index and a float64 sample in the chunk's buffers, and at most one
+# more int64 while a cell's draws are copied in (24 bytes): a chunk works in
+# at most 768 KiB, at any cell count and resample count.
 _CHUNK_ENTRIES = 1 << 15
-_CHUNK_BLOCKS = 5 << 10
-
-# Philox4x64-10 constants (Salmon et al. 2011, "Parallel random numbers: as
-# easy as 1, 2, 3"), as in numpy's ``Philox``; each multiplier is kept with
-# its 32-bit limbs.
-_PHILOX_M = tuple((m, m & np.uint64(0xFFFFFFFF), m >> np.uint64(32))
-                  for m in (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157)))
-_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
-_PHILOX_ROUNDS = 10
-# Unsigned operands keep every array uint64 under numpy 1.x promotion too.
-_LOW32 = np.uint64(0xFFFFFFFF)
-_32 = np.uint64(32)
-# Index of a uint64's low half among its two uint32 halves in memory.
-_LOW_HALF = 0 if sys.byteorder == "little" else 1
-
-
-def _mulhilo(m: tuple[np.uint64, np.uint64, np.uint64], x: np.ndarray, hi: np.ndarray,
-             t: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
-    """Replace ``x`` by the low 64-bit words of the 128-bit products ``m *
-    x`` and write their high words into ``hi``. The high word is assembled
-    from 32-bit limbs so no partial product overflows; ``t``, ``u`` and
-    ``v`` are scratch of ``x``'s shape."""
-    m, m_lo, m_hi = m
-    np.bitwise_and(x, _LOW32, out=t)
-    np.right_shift(x, _32, out=hi)
-    np.multiply(t, m_lo, out=u)
-    u >>= _32
-    t *= m_hi
-    t += u                      # t = m_hi * x_lo + (m_lo * x_lo >> 32)
-    np.bitwise_and(t, _LOW32, out=u)
-    t >>= _32
-    np.multiply(hi, m_lo, out=v)
-    v += u
-    v >>= _32                   # (m_lo * x_hi + (t & 0xFFFFFFFF)) >> 32
-    hi *= m_hi
-    hi += t
-    hi += v
-    x *= m
-
-
-def _key_words(seeds: Sequence[int]) -> np.ndarray:
-    """``(len(seeds), 2)`` uint64 Philox key words ``[seed mod 2**64, seed >> 64]``."""
-    return np.array([(seed & 0xFFFFFFFFFFFFFFFF, seed >> 64) for seed in seeds], dtype=np.uint64)
-
-
-def _philox_blocks(keys: np.ndarray, replicates: np.ndarray, blocks: int,
-                   out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
-    """The first ``blocks`` Philox4x64-10 output blocks of each replicate.
-
-    ``keys`` holds key words (see :func:`_key_words`), one row per replicate
-    or one row for all. Returns a ``(len(replicates), 4 * blocks)`` uint64
-    array whose row ``i`` equals ``Philox(key=key_i, counter=[0, 0,
-    replicates[i], 0]).random_raw(4 * blocks)``: block ``b`` (from 0) is the
-    generator applied to counter ``[b + 1, 0, replicates[i], 0]`` (numpy
-    increments the counter before each block).
-
-    Every round writes in place: into ``out`` and ``scratch``, an ``(8, n)``
-    uint64 array with ``n >= len(replicates) * blocks``, when given.
-    """
-    rows = len(replicates)
-    size = rows * blocks
-    if out is None:
-        out = np.empty((rows, 4 * blocks), dtype=np.uint64)
-    if scratch is None:
-        scratch = np.empty((8, size), dtype=np.uint64)
-    c0, c1, c2, c3, hi, t, u, v = (buf[:size].reshape(rows, blocks) for buf in scratch)
-    c0[...] = np.arange(1, blocks + 1, dtype=np.uint64)
-    c1.fill(0)
-    c2[...] = np.asarray(replicates, dtype=np.uint64)[:, np.newaxis]
-    c3.fill(0)
-    key0, key1 = keys[:, :1].copy(), keys[:, 1:].copy()
-    for _ in range(_PHILOX_ROUNDS):
-        # (c0, c1, c2, c3) <- (hi1 ^ c1 ^ key0, lo1, hi0 ^ c3 ^ key1, lo0),
-        # where (hi0, lo0) and (hi1, lo1) are the products of c0 and c2.
-        _mulhilo(_PHILOX_M[0], c0, hi, t, u, v)
-        c3 ^= hi
-        c3 ^= key1
-        _mulhilo(_PHILOX_M[1], c2, hi, t, u, v)
-        c1 ^= hi
-        c1 ^= key0
-        c0, c1, c2, c3 = c1, c2, c3, c0
-        # Array arithmetic wraps modulo 2**64, as the key schedule does.
-        key0 += _PHILOX_W[0]
-        key1 += _PHILOX_W[1]
-    np.stack((c0, c1, c2, c3), axis=-1, out=out.reshape(rows, blocks, 4))
-    return out
-
-
-def _redraw_risk(scaled: np.ndarray, limit: np.ndarray) -> np.ndarray:
-    """Replicates (rows) with a lane whose Lemire step might reject its draw.
-
-    numpy rejects ``u`` for bound ``n`` when the low 32 bits of ``u * n`` fall
-    below ``(2**32 - n) % n``; ``n`` bounds that threshold, so a lane at or
-    above ``limit`` (uint32: ``n``, or 0 for a lane that draws nothing)
-    never redraws. The low halves are read in place, so the only temporary
-    is one flag per entry.
-    """
-    low = scaled.view(np.uint32)[:, _LOW_HALF::2]
-    return (low < limit).any(axis=1)
 
 
 def stratified_bootstrap_ci(
@@ -298,22 +181,9 @@ def stratified_bootstrap_ci(
     ``(1-confidence)/2`` and ``1-(1-confidence)/2`` percentile pair of the
     replicate IQMs.
 
-    Replicate ``k`` draws the indices that ``Generator(Philox(key=seed,
-    counter=[0, 0, k, 0])).integers(0, highs)`` would, where ``highs`` holds
-    each pooled entry's row size: each replicate owns a disjoint 2^128-draw
-    block, so the result does not depend on how replicates are chunked.
-    Those draws are computed for a whole chunk of replicates at once:
-
-    - Block ``b`` (from 0) of replicate ``k`` is Philox4x64-10 of counter
-      ``[b + 1, 0, k, 0]`` under key ``[seed mod 2**64, seed >> 64]``; its
-      four 64-bit words give eight uint32 draws, low word first.
-    - Each entry of a row of size ``n > 1`` takes the next uint32 ``u`` and
-      becomes ``(u * n) >> 32``, numpy's Lemire step (Lemire 2019, "Fast
-      random integer generation in an interval"). Size-1 rows draw nothing.
-    - numpy redraws ``u`` when the low 32 bits of ``u * n`` fall below
-      ``(2**32 - n) % n``. Any replicate with a lane whose low bits fall
-      below ``n`` (probability under ``n / 2**32`` per draw) is redone on a
-      ``Philox`` started at its counter, with ``integers``.
+    The cell's indices come from one ``Generator(Philox(key=seed))``, one
+    replicate after another and one row after another, each row's as
+    ``integers(0, row.size, size=row.size)`` would give them.
 
     This is the one-cell call of :func:`stratified_bootstrap_cis`.
     Deterministic for fixed ``(matrix, resamples, confidence, seed)``. A
@@ -331,14 +201,13 @@ def stratified_bootstrap_cis(
     """:func:`stratified_bootstrap_ci` of every ``(matrix, seed)`` cell, in
     order, each interval equal to the one-cell call's bit for bit.
 
-    Cells with the same row sizes share one draw layout and are evaluated
-    together, in chunks that reuse one set of preallocated buffers. A chunk
-    holds every replicate of as many whole cells as fit in
-    ``_CHUNK_ENTRIES`` resampled entries and ``_CHUNK_BLOCKS`` Philox
-    blocks, each row under its own cell's key, and takes one sort, trim,
-    mean and ``np.percentile``. A cell too large for that is evaluated alone,
-    a slice of its replicates per chunk. Working memory stays bounded at any
-    cell and resample count.
+    Cells with the same row sizes are evaluated together, in chunks that
+    reuse one set of preallocated buffers. A chunk holds every replicate of
+    as many whole cells as fit in ``_CHUNK_ENTRIES`` resampled entries, and
+    takes one ``integers`` call per cell and one sort, trim, mean and
+    ``np.percentile``. A cell too large for that is evaluated alone, a slice
+    of its replicates per chunk, its stream continuing from slice to slice.
+    Working memory stays bounded at any cell and resample count.
     """
     if resamples < MIN_RESAMPLES:
         raise ValueError(f"resamples must be >= {MIN_RESAMPLES}, got {resamples}")
@@ -365,34 +234,27 @@ def stratified_bootstrap_cis(
 
 
 class _PatternGroup:
-    """Draw layout and chunk buffers shared by the cells with one row-size
+    """Draw bounds and chunk buffers shared by the cells with one row-size
     pattern; see :func:`stratified_bootstrap_ci` for the draws."""
 
     def __init__(self, sizes: tuple[int, ...], resamples: int, cells: int) -> None:
         sizes_arr = np.array(sizes)
-        self.highs = highs = np.repeat(sizes_arr, sizes_arr)
-        self.offsets = np.repeat(np.cumsum(sizes_arr) - sizes_arr, sizes_arr)
-        drawn = highs > 1
-        # Position of each entry's uint32 in its replicate's stream, as the
-        # 64-bit word it sits in and the shift that brings it to the low half.
-        # An entry that draws nothing reads word 0 and scales it by 1, which
-        # gives 0.
-        position = np.where(drawn, np.cumsum(drawn) - 1, 0)
-        self.word, self.shift = position // 2, (position % 2 * 32).astype(np.uint64)
-        self.blocks = blocks = max(1, (int(drawn.sum()) + 7) // 8)
-        self.bound = highs.astype(np.uint64)
-        self.limit = np.where(drawn, highs, 0).astype(np.uint32)
-        self.n = n = int(highs.size)
+        # One row size is a scalar bound, which numpy draws much faster than
+        # a per-entry array of bounds.
+        self.high = sizes[0] if len(set(sizes)) == 1 else np.repeat(sizes_arr, sizes_arr)
+        self.n = n = int(sizes_arr.sum())
         self.trim = n // 4
         self.resamples = resamples
 
-        fit = max(1, min(_CHUNK_ENTRIES // n, _CHUNK_BLOCKS // blocks))
+        fit = max(1, _CHUNK_ENTRIES // n)
         self.cells_per_chunk = min(cells, max(1, fit // resamples))
         self.replicates_per_chunk = min(fit, resamples)
+        # Each entry's position in a chunk's pooled values: its row's start,
+        # plus ``n`` times its cell's place in the chunk.
+        self.offsets = (np.repeat(np.cumsum(sizes_arr) - sizes_arr, sizes_arr)
+                        + np.arange(0, self.cells_per_chunk * n, n)[:, np.newaxis])
         rows = self.cells_per_chunk * self.replicates_per_chunk
-        self.scratch = np.empty((8, rows * blocks), dtype=np.uint64)
-        self.words = np.empty((rows, 4 * blocks), dtype=np.uint64)
-        self.scaled = np.empty((rows, n), dtype=np.uint64)
+        self.idx = np.empty((rows, n), dtype=np.int64)
         self.samples = np.empty((rows, n))
 
     def percentiles(self, matrices: Sequence[ScoreMatrix], seeds: Sequence[int],
@@ -412,40 +274,21 @@ class _PatternGroup:
         or of one cell in slices of its replicates."""
         n, resamples = self.n, self.resamples
         values = np.concatenate([matrix.pooled() for matrix in matrices])
-        keys = _key_words(seeds)
+        streams = [np.random.Generator(np.random.Philox(key=seed)) for seed in seeds]
         count = len(matrices)
         # Rows run cell by cell, each cell's replicates in order, so a chunk's
         # statistics are one contiguous run of ``stats``.
         stats = np.empty(count * resamples)
         for start in range(0, resamples, self.replicates_per_chunk):
-            stop = min(start + self.replicates_per_chunk, resamples)
-            span = stop - start
+            span = min(self.replicates_per_chunk, resamples - start)
             rows = count * span
-            # A chunk of several cells gives each row its cell's key; a slice
-            # of one cell broadcasts its key as a scalar.
-            words = _philox_blocks(np.repeat(keys, span, axis=0) if count > 1 else keys,
-                                   np.tile(np.arange(start, stop), count),
-                                   self.blocks, self.words[:rows], self.scratch)
-            idx = self.scaled[:rows]
-            # ``take`` keeps each replicate's row contiguous, which the mean
-            # below needs. Every index is in range, and ``clip`` writes
-            # straight into ``out`` where the default mode would buffer.
-            np.take(words, self.word, axis=1, out=idx, mode="clip")
-            idx >>= self.shift
-            idx &= _LOW32
-            idx *= self.bound
-            redo = np.flatnonzero(_redraw_risk(idx, self.limit))
-            idx >>= _32
-            # The indices are far below 2**63, and numpy gathers faster with int64.
-            idx = idx.view(np.int64)
-            for j in redo:
-                cell, k = divmod(int(j), span)
-                bitgen = np.random.Philox(key=seeds[cell], counter=[0, 0, start + k, 0])
-                idx[j] = np.random.Generator(bitgen).integers(0, self.highs)
-            idx += self.offsets
-            if count > 1:
-                idx += np.repeat(np.arange(0, count * n, n), span)[:, np.newaxis]
+            idx = self.idx[:rows]
+            for cell, stream in enumerate(streams):
+                np.add(stream.integers(0, self.high, size=(span, n)), self.offsets[cell],
+                       out=idx[cell * span: (cell + 1) * span])
             samples = self.samples[:rows]
+            # Every index is in range, and ``clip`` writes straight into
+            # ``out`` where the default mode would buffer.
             np.take(values, idx, out=samples, mode="clip")
             samples.sort(axis=1)
             # Each replicate's mean over a contiguous slice sums pairwise

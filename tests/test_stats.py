@@ -15,8 +15,6 @@ from thckit.stats import (
     Interval,
     MIN_RESAMPLES,
     ScoreMatrix,
-    _key_words,
-    _philox_blocks,
     derive_seed,
     human_normalize,
     iqm,
@@ -33,10 +31,11 @@ finite_scores = st.floats(min_value=-1e6, max_value=1e6,
 class TestInterval:
     def test_bounds_and_accessors(self):
         iv = Interval(1.0, 3.0)
-        assert iv.width == 2.0
+        assert (iv.lower, iv.upper) == (1.0, 3.0)
 
     def test_zero_width_allowed(self):
-        assert Interval(2.0, 2.0).width == 0.0
+        iv = Interval(2.0, 2.0)
+        assert iv.lower == iv.upper == 2.0
 
     def test_inverted_bounds_rejected(self):
         with pytest.raises(ValueError):
@@ -157,7 +156,8 @@ class TestMeanAndSpread:
         assert iv.upper == pytest.approx(1.0 + sd)
 
     def test_constant_data_zero_width(self):
-        assert mean_and_spread([5.0, 5.0, 5.0]).width == 0.0
+        iv = mean_and_spread([5.0, 5.0, 5.0])
+        assert iv.lower == iv.upper == 5.0
 
     def test_single_sample_rejected(self):
         with pytest.raises(ValueError):
@@ -201,13 +201,13 @@ class TestDeriveSeed:
 
 
 def reference_bootstrap(rows, resamples, confidence, seed):
-    """Slow resampler written straight from the documented contract: each
-    replicate owns a Philox stream keyed (seed, counter=[0,0,replicate,0]),
+    """Slow resampler written straight from the documented contract: the
+    cell owns one Philox stream keyed by its seed; each replicate in turn
     resamples each row in order with one integers() call, pools, and takes
     the IQM; the interval is the percentile pair of the replicate stats."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
     stats = []
-    for replicate in range(resamples):
-        rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, replicate, 0]))
+    for _ in range(resamples):
         pooled = []
         for row in rows:
             row = np.asarray(row, dtype=float)
@@ -216,6 +216,21 @@ def reference_bootstrap(rows, resamples, confidence, seed):
     alpha = (1.0 - confidence) / 2.0
     lower, upper = np.percentile(stats, [100.0 * alpha, 100.0 * (1.0 - alpha)])
     return float(lower), float(upper)
+
+
+def hex_bounds(lower, upper):
+    """Interval bounds as ``float.hex()``, so that ``-0.0`` and ``0.0`` differ."""
+    return lower.hex(), upper.hex()
+
+
+def hexes(intervals):
+    return [hex_bounds(iv.lower, iv.upper) for iv in intervals]
+
+
+def random_rows(rng, max_rows=26, max_size=12):
+    sizes = rng.integers(1, max_size + 1, size=int(rng.integers(1, max_rows + 1)))
+    sizes[rng.random(sizes.size) < 0.2] = 1
+    return [np.round(rng.normal(scale=3, size=size), 1) for size in sizes]
 
 
 class TestStratifiedBootstrap:
@@ -243,8 +258,18 @@ class TestStratifiedBootstrap:
             matrix = ScoreMatrix(rows)
             seed = int(rng.integers(0, 2**32))
             iv = stratified_bootstrap_ci(matrix, resamples=MIN_RESAMPLES, seed=seed)
-            ref_lower, ref_upper = reference_bootstrap(rows, MIN_RESAMPLES, DEFAULT_CONFIDENCE, seed)
-            assert (iv.lower, iv.upper) == (ref_lower, ref_upper), f"case {case}"
+            ref = reference_bootstrap(rows, MIN_RESAMPLES, DEFAULT_CONFIDENCE, seed)
+            assert hex_bounds(iv.lower, iv.upper) == hex_bounds(*ref), f"case {case}"
+
+    def test_seeds_above_64_bits_match_reference(self):
+        rng = np.random.default_rng(67)
+        for case in range(8):
+            rows = random_rows(rng)
+            high, low = rng.integers(1, 2**64, size=2, dtype=np.uint64)
+            seed = int(high) << 64 | int(low)
+            iv = stratified_bootstrap_ci(ScoreMatrix(rows), resamples=MIN_RESAMPLES, seed=seed)
+            ref = reference_bootstrap(rows, MIN_RESAMPLES, DEFAULT_CONFIDENCE, seed)
+            assert hex_bounds(iv.lower, iv.upper) == hex_bounds(*ref), f"case {case}: seed {seed:#x}"
 
     def test_interval_within_sample_range(self):
         rng = np.random.default_rng(6)
@@ -281,21 +306,33 @@ class TestBatchedBootstrap:
 
     @pytest.mark.parametrize("replicates_per_chunk", [1, 7, 10**6])
     def test_bit_identical_to_reference_across_chunkings(self, monkeypatch, replicates_per_chunk):
+        # Every cell draws an odd number of indices per replicate, so a chunk
+        # of 1 or 7 replicates ends halfway through a 64-bit Philox output,
+        # whose other half the next chunk must draw first.
         rng = np.random.default_rng(replicates_per_chunk)
+        cells = [
+            # Constant rows and signed zeros: one row size, then several.
+            [[-0.0] * 3, [0.0, -0.0, 0.0], [2.5] * 3],
+            [[-0.0, 0.0, -0.0, 0.0, -0.0], [1.5] * 4, [0.0, -1.5, -0.0], [-0.0], [3.0] * 3],
+        ]
         for case in range(12):
             # Alternate a few long rows with many short ones.
             n_rows = int(rng.integers(1, 4)) if case % 2 else int(rng.integers(1, 27))
             max_size = 300 if case % 2 else 12
             sizes = rng.integers(1, max_size + 1, size=n_rows)
             sizes[rng.random(n_rows) < 0.2] = 1
-            rows = [np.round(rng.normal(scale=3, size=size), 1) for size in sizes]
+            if sizes[sizes > 1].sum() % 2 == 0:
+                sizes = np.append(sizes, 3)
+            cells.append([np.round(rng.normal(scale=3, size=size), 1) for size in sizes])
+        for case, rows in enumerate(cells):
+            sizes = [len(row) for row in rows]
+            assert sum(size for size in sizes if size > 1) % 2 == 1
             resamples = MIN_RESAMPLES + 1 + 7 * int(rng.integers(0, 20))
             seed = int(rng.integers(0, 2**63))
-            monkeypatch.setattr("thckit.stats._CHUNK_ENTRIES",
-                                replicates_per_chunk * int(sizes.sum()))
+            monkeypatch.setattr("thckit.stats._CHUNK_ENTRIES", replicates_per_chunk * sum(sizes))
             iv = stratified_bootstrap_ci(ScoreMatrix(rows), resamples=resamples, seed=seed)
             ref = reference_bootstrap(rows, resamples, DEFAULT_CONFIDENCE, seed)
-            assert (iv.lower, iv.upper) == ref, f"case {case}: sizes {sizes.tolist()}"
+            assert hex_bounds(iv.lower, iv.upper) == hex_bounds(*ref), f"case {case}: sizes {sizes}"
 
     @pytest.mark.parametrize("resamples", [2_000, 50_000])
     def test_memory_bounded_at_any_resample_count(self, resamples):
@@ -312,81 +349,6 @@ class TestBatchedBootstrap:
         assert peak - 2 * resamples * 8 < 4 * 2**20
 
 
-def random_rows(rng, max_rows=26, max_size=12):
-    sizes = rng.integers(1, max_size + 1, size=int(rng.integers(1, max_rows + 1)))
-    sizes[rng.random(sizes.size) < 0.2] = 1
-    return [np.round(rng.normal(scale=3, size=size), 1) for size in sizes]
-
-
-class TestVectorisedDraw:
-    """The vectorised Philox stream and its scalar redraw fallback."""
-
-    def test_blocks_match_numpy_raw_stream(self):
-        rng = np.random.default_rng(66)
-
-        def random_key(case):
-            # Key words from the full 128-bit range, the high word often 0.
-            high = 0 if case % 3 == 0 else int(rng.integers(0, 2**64, dtype=np.uint64))
-            return high << 64 | int(rng.integers(0, 2**64, dtype=np.uint64))
-
-        for case in range(100):
-            rows = int(rng.integers(1, 6))
-            # Odd cases give each row its own key, as a chunk of several cells does.
-            keys = [random_key(case + i) for i in range(rows if case % 2 else 1)]
-            replicates = rng.integers(0, 2**64, size=rows, dtype=np.uint64)
-            blocks = int(rng.integers(1, 20))
-            got = _philox_blocks(_key_words(keys), replicates, blocks)
-            for row, k, key in zip(got, replicates, keys * rows if len(keys) == 1 else keys):
-                # numpy turns a list holding ints of 2**63 or more into float64.
-                counter = np.array([0, 0, k, 0], dtype=np.uint64)
-                raw = np.random.Philox(key=key, counter=counter).random_raw(4 * blocks)
-                assert np.array_equal(row, raw), f"case {case}: key {key:#x}, replicate {k}"
-
-    def test_seeds_above_64_bits_match_reference(self):
-        rng = np.random.default_rng(67)
-        for case in range(8):
-            rows = random_rows(rng)
-            high, low = rng.integers(1, 2**64, size=2, dtype=np.uint64)
-            seed = int(high) << 64 | int(low)
-            iv = stratified_bootstrap_ci(ScoreMatrix(rows), resamples=MIN_RESAMPLES, seed=seed)
-            ref = reference_bootstrap(rows, MIN_RESAMPLES, DEFAULT_CONFIDENCE, seed)
-            assert (iv.lower, iv.upper) == ref, f"case {case}: seed {seed:#x}"
-
-    @pytest.mark.parametrize("fires", ["every replicate", "one replicate"])
-    def test_forced_fallback_matches_reference(self, monkeypatch, fires):
-        calls = []
-
-        def risk(scaled, limit):
-            calls.append(len(scaled))
-            if fires == "every replicate":
-                return np.ones(len(scaled), dtype=bool)
-            return np.arange(len(scaled)) == 3
-
-        monkeypatch.setattr("thckit.stats._redraw_risk", risk)
-        rng = np.random.default_rng(68)
-        for case in range(6):
-            rows = random_rows(rng)
-            seed = int(rng.integers(0, 2**63))
-            resamples = MIN_RESAMPLES + int(rng.integers(0, 50))
-            iv = stratified_bootstrap_ci(ScoreMatrix(rows), resamples=resamples, seed=seed)
-            ref = reference_bootstrap(rows, resamples, DEFAULT_CONFIDENCE, seed)
-            assert (iv.lower, iv.upper) == ref, f"case {case}: sizes {[len(r) for r in rows]}"
-        assert calls
-
-    def test_genuine_redraw_matches_reference(self):
-        # numpy rejects a draw u for bound n when (u * n) mod 2**32 falls below
-        # (2**32 - n) % n, about 1.7e-6 of draws at n = 10,000. Under this seed
-        # replicate 80 draws such a u (the first one in its stream is really
-        # rejected), and the interval moves if it is kept.
-        n, seed = 10_000, 2**64 + 3
-        raw = np.random.Philox(key=seed, counter=[0, 0, 80, 0]).random_raw(n // 2)
-        u = np.stack([raw & 0xFFFFFFFF, raw >> np.uint64(32)], axis=-1).ravel()
-        assert np.any((u * np.uint64(n)) % 2**32 < (2**32 - n) % n)
-        row = np.round(np.random.default_rng(0).normal(size=n), 2)
-        iv = stratified_bootstrap_ci(ScoreMatrix([row]), resamples=MIN_RESAMPLES, seed=seed)
-        assert (iv.lower, iv.upper) == reference_bootstrap([row], MIN_RESAMPLES, DEFAULT_CONFIDENCE, seed)
-
-
 def mixed_cells(rng, count):
     """Cells of four row-size patterns, interleaved; every third seed has a
     nonzero high 64-bit word."""
@@ -399,10 +361,6 @@ def mixed_cells(rng, count):
             seed |= int(rng.integers(1, 2**64, dtype=np.uint64)) << 64
         cells.append((ScoreMatrix(rows), seed))
     return cells
-
-
-def hexes(intervals):
-    return [(iv.lower.hex(), iv.upper.hex()) for iv in intervals]
 
 
 class TestCellBatches:
@@ -422,26 +380,6 @@ class TestCellBatches:
             monkeypatch.setattr("thckit.stats._CHUNK_ENTRIES", chunk_entries)
         batched = stratified_bootstrap_cis(cells, resamples=resamples)
         assert hexes(batched) == hexes(one_by_one)
-
-    def test_forced_fallback_on_later_cells_of_a_chunk(self, monkeypatch):
-        chunks = []
-
-        def risk(scaled, limit):
-            # Every replicate after the chunk's first cell is redone.
-            chunks.append(len(scaled))
-            return np.arange(len(scaled)) >= MIN_RESAMPLES
-
-        monkeypatch.setattr("thckit.stats._redraw_risk", risk)
-        rng = np.random.default_rng(69)
-        rows = [[np.round(rng.normal(scale=3, size=4), 1) for _ in range(3)] for _ in range(5)]
-        seeds = [int(rng.integers(0, 2**63)) for _ in rows]
-        seeds[3] |= 1 << 100
-        batched = stratified_bootstrap_cis([(ScoreMatrix(r), s) for r, s in zip(rows, seeds)],
-                                           resamples=MIN_RESAMPLES)
-        assert chunks == [5 * MIN_RESAMPLES]
-        for cell, (r, s) in enumerate(zip(rows, seeds)):
-            ref = reference_bootstrap(r, MIN_RESAMPLES, DEFAULT_CONFIDENCE, s)
-            assert (batched[cell].lower, batched[cell].upper) == ref, f"cell {cell}"
 
     def test_any_bad_seed_rejected(self):
         matrix = ScoreMatrix([[1.0, 2.0]])
