@@ -8,30 +8,33 @@ across contexts, normalize by the largest spread a value could show
 kept its rank everywhere; 1 means every value swung between best and worst.
 
 Kendall's W and pairwise Kendall's tau-b are provided as classical
-comparison baselines.
+comparison baselines. Profiles read their cells' intervals from a
+:class:`CellTable`, which normalises and aggregates whole contexts in array
+passes, and rank all contexts of a profile with one ``rank_intervals`` call.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import logging
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .dataset import Axis, SweepDataset, SweepSchema, slice_scores
-from .ranking import RankingMode, RankingTable, compute_rankings
+from .ranking import RankingMode, RankingTable, compute_rankings, rank_intervals, ranking_tables
 from .stats import (
     DEFAULT_CONFIDENCE,
     DEFAULT_RESAMPLES,
     Interval,
     ScoreMatrix,
     derive_seed,
-    human_normalize,
     iqm,
-    mean_and_spreads,
+    pooled_mean_and_spreads,
     stratified_bootstrap_cis,
 )
 
@@ -111,8 +114,12 @@ class RankProfile:
     contexts: tuple[str, ...]
     ranks: np.ndarray
     fixed: Mapping[str, str] = field(default_factory=dict)
-    tables: tuple[RankingTable, ...] = ()
-    points: Mapping[tuple[str, str], float] = field(default_factory=dict)
+    #: Builds :attr:`tables`, each context's ranking table, on their first read.
+    build_tables: Callable[[], tuple[RankingTable, ...]] = field(default=tuple, compare=False, repr=False)
+
+    @functools.cached_property
+    def tables(self) -> tuple[RankingTable, ...]:
+        return self.build_tables()
 
     def __post_init__(self) -> None:
         ranks = np.asarray(self.ranks, dtype=float)
@@ -331,6 +338,7 @@ def _check_pins(schema: SweepSchema, pins: Mapping[Axis, str | None]) -> None:
 
 
 CellKey = tuple[str, str, str, str, str | None]
+ContextKey = tuple[str, str, str, str | None]
 
 # Most cells one batched pass aggregates: enough to fill many bootstrap chunks,
 # few enough that the pending score rows of a large setup stay small.
@@ -344,106 +352,120 @@ class CellTable:
     scope); ``environment=None`` pools all declared environments as
     bootstrap strata. A cell's bootstrap seed is derived from its identity
     alone, so every setup and subcommand that reads a cell gets the same
-    interval, and each cell is normalised, aggregated and warned about once.
+    interval, and each cell is normalised, aggregated and warned about once,
+    a whole context (hyper-parameter, agent, data regime, environment scope)
+    at a time. A context's cells are held as arrays over the declared values.
     """
 
     def __init__(self, dataset: SweepDataset, options: AssemblyOptions) -> None:
         self.dataset = dataset
         self.options = options
-        self._cells: dict[CellKey, tuple[Interval, float] | None] = {}
+        self._contexts: dict[ContextKey, np.ndarray] = {}
 
-    def fill(self, keys: Iterable[CellKey]) -> None:
-        """Aggregate every listed cell that the table does not hold yet, in
-        batched passes of up to ``_FILL_BLOCK`` cells. Each is normalised,
+    def fill(self, keys: Iterable[ContextKey]) -> None:
+        """Aggregate the cells of every listed context the table does not hold,
+        in batched passes of about ``_FILL_BLOCK`` cells. Each cell is normalised,
         and warned about when it drops thin groups, in the order listed."""
-        pending: dict[CellKey, list[list[float]]] = {}
+        block: dict[ContextKey, None] = {}
         groups: set[object] = set()
-        aggregated = held = 0
+        pending = aggregated = held = 0
         for key in keys:
-            if key in self._cells:
-                held += 1
-            elif key not in pending:
-                rows = self._normalised(*key)
-                if rows is None:
-                    self._cells[key] = None
-                    continue
-                pending[key] = rows
-                if len(pending) == _FILL_BLOCK:
-                    groups |= self._aggregate(pending)
-                    aggregated += len(pending)
-                    pending = {}
-        groups |= self._aggregate(pending)
-        aggregated += len(pending)
+            m = len(self.dataset.schema.hyperparameters[key[0]])
+            if key in self._contexts:
+                held += m
+            elif key not in block:
+                block[key], pending = None, pending + m
+                if pending >= _FILL_BLOCK:
+                    aggregated += self._aggregate(block, groups)
+                    block, pending = {}, 0
+        aggregated += self._aggregate(block, groups)
         iqm_ci = self.options.interval_source is IntervalSource.IQM_CI
         replicates = aggregated * self.options.resamples if iqm_ci else 0
         logger.info("cell table: aggregated %d cells in %d size groups and drew %d bootstrap "
                     "replicates; %d cells were already held", aggregated, len(groups), replicates, held)
 
-    def _aggregate(self, pending: Mapping[CellKey, list[list[float]]]) -> set[object]:
-        """Store the interval and point of every pending cell, all computed
-        in one batched call; return the size groups that call used (row
-        sizes, or pooled lengths for mean +/- sd)."""
-        options = self.options
-        if options.interval_source is IntervalSource.MEAN_SD:
-            pooled = [[s for row in rows for s in row] for rows in pending.values()]
-            results = [(interval, mean) for mean, interval in mean_and_spreads(pooled)]
-            groups: set[object] = {len(samples) for samples in pooled}
-        else:
-            matrices = [ScoreMatrix(rows) for rows in pending.values()]
-            seeds = [derive_seed(options.seed, hp, value, agent, regime, environment or "*")
-                     for hp, value, agent, regime, environment in pending]
-            intervals = stratified_bootstrap_cis(list(zip(matrices, seeds)),
-                                                 options.resamples, options.confidence)
-            results = [(interval, iqm(matrix.pooled()))
-                       for interval, matrix in zip(intervals, matrices)]
-            groups = {tuple(len(row) for row in rows) for rows in pending.values()}
-        self._cells.update(zip(pending, results))
-        return groups
-
-    def get(self, hp: str, value: str, agent: str, data_regime: str,
-            environment: str | None = None) -> tuple[Interval, float] | None:
-        """``(interval, point)`` of one cell, or ``None`` when no environment
-        group of it has at least 2 seeds. A cell not held yet is filled
-        alone."""
-        key = (hp, value, agent, data_regime, environment)
-        if key not in self._cells:
+    def context_arrays(self, hp: str, agent: str, data_regime: str,
+                       environment: str | None = None) -> np.ndarray:
+        """Read-only ``(3, m)`` lower bounds, upper bounds and points of one
+        context's cells over the ``m`` declared values of ``hp``; ``nan`` for a
+        cell without an environment group of 2 seeds. Fills a context not held."""
+        key = (hp, agent, data_regime, environment)
+        if key not in self._contexts:
             self.fill([key])
-        return self._cells[key]
+        return self._contexts[key]
 
     def context(self, hp: str, agent: str, data_regime: str,
                 environment: str | None = None) -> dict[str, tuple[Interval, float]]:
-        """The rankable cells of one context: value -> ``(interval, point)``,
-        in schema order, leaving out values whose cell is ``None``."""
-        found = {}
-        for value in self.dataset.schema.hyperparameters[hp]:
-            cell = self.get(hp, value, agent, data_regime, environment)
-            if cell is not None:
-                found[value] = cell
-        return found
+        """The rankable cells of one context: value -> ``(interval, point)``, in schema order."""
+        arrays = self.context_arrays(hp, agent, data_regime, environment).tolist()
+        return {value: (Interval(lo, up), pt) for value, lo, up, pt
+                in zip(self.dataset.schema.hyperparameters[hp], *arrays) if not math.isnan(lo)}
 
-    def _normalised(self, hp: str, value: str, agent: str, data_regime: str,
-                    environment: str | None) -> list[list[float]] | None:
-        """Human-normalised score rows of one cell's environment groups with
-        at least 2 seeds, or ``None`` when it has none."""
-        dataset = self.dataset
-        groups = dataset.index.get(hp, {}).get((agent, data_regime), {})
-        scope = dataset.schema.environments if environment is None else (environment,)
-        rows: list[list[float]] = []
-        thin: list[str] = []
-        for env in scope:
-            scores = groups.get(env, {}).get(value)
-            if scores is None:
-                continue
-            if len(scores) < 2:
-                thin.append(env)
-                continue
-            rnd = dataset.baselines.random_score(env)
-            hum = dataset.baselines.human_score(env)
-            rows.append([human_normalize(s, rnd, hum) for s in scores])
-        if thin:
-            logger.warning("%s=%s, agent %s, regime %s: dropping groups with fewer than 2 seeds: %s",
-                           hp, value, agent, data_regime, ", ".join(thin))
-        return rows or None
+    def _aggregate(self, block: Iterable[ContextKey], groups: set[object]) -> int:
+        """Store the arrays of every context in ``block``, its cells' scores
+        human-normalised by one array expression and aggregated in one batched
+        call, and return its cell count. Adds the size groups of that call
+        (row sizes, or pooled lengths for mean +/- sd) to ``groups``."""
+        schema, options = self.dataset.schema, self.options
+        cells: list[CellKey] = []
+        # Each cell's environment groups with at least 2 seeds, and its column.
+        cell_leaves: list[list[tuple[str, tuple[float, ...]]]] = []
+        columns, width = [], 0
+        for hp, agent, regime, env in block:
+            by_env = self.dataset.index.get(hp, {}).get((agent, regime), {})
+            nodes = [(e, by_env[e]) for e in (schema.environments if env is None else (env,)) if e in by_env]
+            for i, value in enumerate(schema.hyperparameters[hp]):
+                found = [(e, node[value]) for e, node in nodes if value in node]
+                thin = [e for e, scores in found if len(scores) < 2]
+                if thin:
+                    logger.warning("%s=%s, agent %s, regime %s: dropping groups with fewer than 2 seeds: %s",
+                                   hp, value, agent, regime, ", ".join(thin))
+                if len(thin) < len(found):
+                    cells.append((hp, value, agent, regime, env))
+                    cell_leaves.append([leaf for leaf in found if len(leaf[1]) >= 2])
+                    columns.append(width + i)
+            width += len(schema.hyperparameters[hp])
+        flat = [leaf for leaves in cell_leaves for leaf in leaves]
+        sizes = [len(scores) for _, scores in flat]
+        pairs = np.reshape([self.dataset.baselines.scores[env] for env, _ in flat], (-1, 2))
+        random, human = np.repeat(pairs, sizes, axis=0).T
+        scores = np.fromiter(itertools.chain.from_iterable(s for _, s in flat), float, sum(sizes))
+        lengths = np.array([sum(len(s) for _, s in leaves) for leaves in cell_leaves], dtype=int)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # human_normalize's operations, score by score.
+            normalised = (scores - random) / (human - random)
+            _require_finite(cells, np.logical_and.reduceat(np.isfinite(normalised),
+                                                           np.cumsum(lengths) - lengths),
+                            "a human-normalised score")
+            if options.interval_source is IntervalSource.MEAN_SD:
+                out = pooled_mean_and_spreads(normalised, lengths)
+                groups |= set(lengths.tolist())
+            else:
+                rows = iter(np.split(normalised, np.cumsum(sizes)[:-1]))
+                matrices = [ScoreMatrix(itertools.islice(rows, len(leaves))) for leaves in cell_leaves]
+                seeds = [derive_seed(options.seed, hp, value, agent, regime, env or "*")
+                         for hp, value, agent, regime, env in cells]
+                intervals = stratified_bootstrap_cis(list(zip(matrices, seeds)),
+                                                     options.resamples, options.confidence)
+                out = np.array([[iv.lower for iv in intervals], [iv.upper for iv in intervals],
+                                [iqm(matrix.pooled()) for matrix in matrices]])
+                groups |= {tuple(len(row) for row in matrix.rows) for matrix in matrices}
+        _require_finite(cells, np.isfinite(out).all(axis=0), "an interval bound or point estimate")
+        arrays = np.full((3, width), np.nan)
+        arrays[:, columns] = out
+        arrays.flags.writeable = False
+        for key in block:
+            m = len(schema.hyperparameters[key[0]])
+            self._contexts[key], arrays = arrays[:, :m], arrays[:, m:]
+        return len(cells)
+
+
+def _require_finite(cells: Sequence[CellKey], finite: np.ndarray, what: str) -> None:
+    """Raise ``ValueError`` naming the first cell whose ``finite`` is false."""
+    if not finite.all():
+        hp, value, agent, regime, environment = cells[int(np.argmin(finite))]
+        scope = f"environment {environment}" if environment else "pooled environments"
+        raise ValueError(f"{hp}={value}, agent {agent}, regime {regime}, {scope}: {what} is not finite")
 
 
 def assemble_profiles(
@@ -477,11 +499,9 @@ def assemble_profiles(
     plans = [(hp, combo, _contexts_with_runs(dataset, hp, axis, combo))
              for hp in dataset.schema.hyperparameters if hp in dataset.index
              for combo in _combos(dataset, hp, setup, options)]
-    # Every cell the profiles read, in the order they read them, aggregated
-    # in one pass.
-    cells.fill(_cell_key(hp, value, {**combo, axis.value: label})
-               for hp, combo, contexts in plans if len(contexts) >= 2
-               for label in contexts for value in dataset.schema.hyperparameters[hp])
+    # Every context the profiles read, in reading order, filled in one pass.
+    cells.fill(_context_key(hp, {**combo, axis.value: label})
+               for hp, combo, contexts in plans if len(contexts) >= 2 for label in contexts)
 
     profiles: list[RankProfile] = []
     skipped: list[SkippedHyperparameter] = []
@@ -509,19 +529,14 @@ def _combos(
     """
     def choices(axis: Axis) -> list[str]:
         pinned = getattr(options, axis.value)
-        if pinned is not None:
-            return [pinned]
-        return _present(dataset, hp, axis)
+        return [pinned] if pinned is not None else _present(dataset, hp, axis)
 
     # assemble_profiles has rejected a pin on the varying axis.
     free_axes = [a for a in (Axis.AGENT, Axis.DATA_REGIME) if a is not setup.axis]
     if options.environment is not None:
         free_axes.append(Axis.ENVIRONMENT)
-
-    combos: list[dict[str, str]] = []
-    for picks in itertools.product(*(choices(a) for a in free_axes)):
-        combos.append({a.value: v for a, v in zip(free_axes, picks)})
-    return combos
+    return [{a.value: v for a, v in zip(free_axes, picks)}
+            for picks in itertools.product(*(choices(a) for a in free_axes))]
 
 
 def _contexts_with_runs(dataset: SweepDataset, hp: str, axis: Axis,
@@ -539,8 +554,8 @@ def _contexts_with_runs(dataset: SweepDataset, hp: str, axis: Axis,
     return [c for c in dataset.schema.axis_values(axis) if has_runs(c)]
 
 
-def _cell_key(hp: str, value: str, coords: Mapping[str, str]) -> CellKey:
-    return (hp, value, coords["agent"], coords["data_regime"], coords.get("environment"))
+def _context_key(hp: str, coords: Mapping[str, str]) -> ContextKey:
+    return (hp, coords["agent"], coords["data_regime"], coords.get("environment"))
 
 
 def _profile_for(
@@ -552,43 +567,35 @@ def _profile_for(
     cells: CellTable,
 ) -> RankProfile | SkippedHyperparameter:
     axis = setup.axis
-    schema = dataset.schema
     if len(contexts) < 2:
         return SkippedHyperparameter(hp, dict(combo), f"only {len(contexts)} context(s) with data")
 
-    per_context = {label: cells.context(hp, **combo, **{axis.value: label}) for label in contexts}
-    contexts = [c for c in contexts if per_context[c]]
-    if len(contexts) < 2:
-        return SkippedHyperparameter(hp, dict(combo), f"only {len(contexts)} context(s) with rankable values")
-
-    common = [v for v in schema.hyperparameters[hp] if all(v in per_context[c] for c in contexts)]
-    partial = sorted({v for c in contexts for v in per_context[c]} - set(common))
+    coords = [{**combo, axis.value: label} for label in contexts]
+    lower, upper, _ = np.stack([cells.context_arrays(*_context_key(hp, c)) for c in coords], axis=2)
+    rankable = ~np.isnan(lower)
+    kept = rankable.any(axis=0)
+    if kept.sum() < 2:
+        return SkippedHyperparameter(hp, dict(combo),
+                                     f"only {int(kept.sum())} context(s) with rankable values")
+    common = rankable[:, kept].all(axis=1)
+    declared = dataset.schema.hyperparameters[hp]
+    partial = sorted(v for v, some, every in zip(declared, rankable[:, kept].any(axis=1), common)
+                     if some and not every)
     if partial:
         logger.warning("%s %s: excluding values not rankable in every context: %s",
                        hp, dict(combo), ", ".join(partial))
-    if not common:
+    if not common.any():
         return SkippedHyperparameter(hp, dict(combo), "no value is rankable in every context")
 
-    tables = []
-    points: dict[tuple[str, str], float] = {}
-    for label in contexts:
-        settings = [(value, per_context[label][value][0]) for value in common]
-        table = compute_rankings(settings, mode=cells.options.ranking_mode,
-                                 hyperparameter=hp, context={**combo, axis.value: label})
-        tables.append(table)
-        for value in common:
-            points[(label, value)] = per_context[label][value][1]
+    values = [v for v, every in zip(declared, common) if every]
+    coords = [c for c, keep in zip(coords, kept) if keep]
+    lower, upper = lower[np.ix_(common, kept)], upper[np.ix_(common, kept)]
+    order, ranks = rank_intervals(values, lower, upper, cells.options.ranking_mode)
 
-    ranks = np.array([[table.final_ranks()[value] for table in tables] for value in common])
-    return RankProfile(
-        hyperparameter=hp,
-        values=tuple(common),
-        contexts=tuple(contexts),
-        ranks=ranks,
-        fixed=dict(combo),
-        tables=tuple(tables),
-        points=points,
-    )
+    return RankProfile(hyperparameter=hp, values=tuple(values),
+                       contexts=tuple(c[axis.value] for c in coords), ranks=ranks, fixed=dict(combo),
+                       build_tables=functools.partial(ranking_tables, values, lower, upper, order,
+                                                      ranks, hp, coords))
 
 
 def rank_context(
@@ -616,12 +623,9 @@ def rank_context(
     if not found:
         raise ValueError(f"no value of {hyperparameter!r} has at least 2 seeds in this context")
 
-    context = {"agent": agent, "data_regime": data_regime}
-    if environment:
-        context["environment"] = environment
-    settings = [(value, interval) for value, (interval, _) in found.items()]
-    table = compute_rankings(settings, mode=options.ranking_mode,
-                             hyperparameter=hyperparameter, context=context)
+    context = {"agent": agent, "data_regime": data_regime, **({"environment": environment} if environment else {})}
+    table = compute_rankings([(value, interval) for value, (interval, _) in found.items()],
+                             mode=options.ranking_mode, hyperparameter=hyperparameter, context=context)
     return table, {value: point for value, (_, point) in found.items()}
 
 

@@ -496,14 +496,24 @@ def load_schema(source: str | Path | IO[str]) -> SweepSchema:
     optional ``defaults`` (mapping of name to value). Quote values that must
     keep an exact spelling, e.g. ``"0.50"`` or ``"None"``.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as handle:
-            doc = yaml.safe_load(handle)
-        name = str(source)
-    else:
-        doc = yaml.safe_load(source)
-        name = getattr(source, "name", "<schema>")
+    doc, name = _load_yaml(source, "<schema>", lambda line: DatasetError([line]))
     return _schema_from_mapping(doc, name)
+
+
+def _load_yaml(source: str | Path | IO[str], default_name: str,
+               error: Callable[[str], Exception] = ValueError) -> tuple[Any, str]:
+    """A path's or stream's YAML document, parsed by libyaml when PyYAML has it, and its
+    name. Malformed YAML raises ``error("<name>: malformed YAML at line L, column C: ...")``."""
+    if not hasattr(source, "read"):
+        with open(source, encoding="utf-8") as handle:
+            return _load_yaml(handle, str(source), error)
+    name = str(getattr(source, "name", default_name))
+    try:
+        return yaml.load(source, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader)), name
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        raise error(f"{name}: malformed YAML{where}: {getattr(exc, 'problem', None) or exc}") from exc
 
 
 def _schema_from_mapping(doc: object, source: str) -> SweepSchema:

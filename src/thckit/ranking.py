@@ -21,6 +21,10 @@ A second mode averages the initial ranks of the settings whose intervals
 actually overlap ``j``'s. Both agree whenever each setting's overlapping
 neighbours occupy a contiguous block of positions; where they diverge (a wide
 interval straddling a narrow non-overlapping one) the divergence is logged.
+
+:func:`rank_intervals` ranks every context of a profile in one array pass;
+:func:`compute_rankings` is its one-context call. :func:`ranking_tables`
+builds :class:`RankingTable` objects only for the callers that read them.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ import logging
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .stats import Interval
 
 __all__ = [
@@ -37,6 +43,8 @@ __all__ = [
     "RankingMode",
     "RankingTable",
     "compute_rankings",
+    "rank_intervals",
+    "ranking_tables",
 ]
 
 logger = logging.getLogger(__name__)
@@ -76,7 +84,7 @@ class RankingTable:
     def __post_init__(self) -> None:
         labels = [e.label for e in self.entries]
         if len(set(labels)) != len(labels):
-            raise ValueError("ranking table labels must be unique")
+            raise ValueError(f"ranking table labels must be unique: {sorted(labels)}")
 
     def final_ranks(self) -> dict[str, float]:
         return {e.label: e.final_rank for e in self.entries}
@@ -86,6 +94,39 @@ class RankingTable:
 
     def __len__(self) -> int:
         return len(self.entries)
+
+
+def rank_intervals(labels: Sequence[str], lower: np.ndarray, upper: np.ndarray,
+                   mode: RankingMode = RankingMode.SPAN) -> tuple[np.ndarray, np.ndarray]:
+    """Rank ``m`` uniquely labeled values in ``C`` contexts at once, from
+    ``(m, C)`` arrays of finite bounds. Returns ``(order, final)``: value
+    ``order[p, j]`` holds position ``p + 1`` in context ``j``, where value
+    ``i`` has final rank ``final[i, j]``. One lexsort gives every position,
+    one ``(m, m, C)`` comparison every span and overlap set."""
+    m = len(labels)
+    mode = RankingMode(mode)
+    # Rows in label order, so the stable sort breaks full ties by label.
+    by_label = np.array(sorted(range(m), key=labels.__getitem__))
+    order = by_label[np.lexsort((-lower[by_label], -upper[by_label]), axis=0)]
+    columns = np.arange(lower.shape[1])
+    # [i, p, j]: position p's lower bound <= value i's upper bound, and
+    # position p's upper bound >= value i's lower bound, in context j.
+    below = lower[order, columns][np.newaxis] <= upper[:, np.newaxis]
+    above = upper[order, columns][np.newaxis] >= lower[:, np.newaxis]
+    span = (below.argmax(axis=1) + m - above[:, ::-1].argmax(axis=1) + 1) / 2.0
+    if mode is RankingMode.SPAN:
+        return order, span
+    members = below & above
+    count = members.sum(axis=1)
+    final = (members * np.arange(1, m + 1)[:, np.newaxis]).sum(axis=1) / count
+    # A set is contiguous when it fills every position from its first to its last.
+    gaps = count != m - members[:, ::-1].argmax(axis=1) - members.argmax(axis=1)
+    for j, p in zip(*np.nonzero(gaps[order, columns].T)):
+        i = order[p, j]
+        logger.info("setting %r overlaps a non-contiguous position set %s; overlap-mode rank %.3f "
+                    "differs from span rank %.3f", labels[i],
+                    (np.flatnonzero(members[i, :, j]) + 1).tolist(), final[i, j].item(), span[i, j].item())
+    return order, final
 
 
 def compute_rankings(
@@ -98,38 +139,23 @@ def compute_rankings(
 
     ``settings`` is a sequence of ``(label, interval)`` pairs with unique
     labels; input order never affects the result. Returns entries in rank
-    order (best first).
+    order (best first). The one-context call of :func:`rank_intervals`.
     """
     if not settings:
         raise ValueError("compute_rankings needs at least one setting")
     labels = [label for label, _ in settings]
-    if len(set(labels)) != len(labels):
-        raise ValueError(f"duplicate setting labels: {sorted(labels)}")
-    mode = RankingMode(mode)
+    lower, upper = np.array([[iv.lower, iv.upper] for _, iv in settings], dtype=float).T[..., np.newaxis]
+    order, final = rank_intervals(labels, lower, upper, mode)
+    return ranking_tables(labels, lower, upper, order, final, hyperparameter, [context])[0]
 
-    ordered = sorted(settings, key=lambda s: (-s[1].upper, -s[1].lower, s[0]))
-    m = len(ordered)
-    uppers = [iv.upper for _, iv in ordered]
-    lowers = [iv.lower for _, iv in ordered]
 
-    # The sort is by upper bound only, so the lower bounds need not be
-    # monotone; a binary search over them would be unsound. m stays small
-    # (tens of settings), so linear scans cost nothing.
-    entries = []
-    for pos0, (label, interval) in enumerate(ordered):
-        l = next(p for p in range(m) if lowers[p] <= interval.upper) + 1
-        u = next(p for p in reversed(range(m)) if uppers[p] >= interval.lower) + 1
-        if mode is RankingMode.SPAN:
-            final = (l + u) / 2.0
-        else:
-            members = [p + 1 for p in range(m) if interval.overlaps(ordered[p][1])]
-            if members != list(range(members[0], members[-1] + 1)):
-                logger.info(
-                    "setting %r overlaps a non-contiguous position set %s; "
-                    "overlap-mode rank %.3f differs from span rank %.3f",
-                    label, members, sum(members) / len(members), (l + u) / 2.0,
-                )
-            final = sum(members) / len(members)
-        entries.append(RankedSetting(label, interval, pos0 + 1, final))
-
-    return RankingTable(tuple(entries), hyperparameter=hyperparameter, context=context)
+def ranking_tables(labels: Sequence[str], lower: np.ndarray, upper: np.ndarray, order: np.ndarray,
+                   final: np.ndarray, hyperparameter: str | None = None,
+                   contexts: Sequence[Mapping[str, str] | None] = (None,)) -> tuple[RankingTable, ...]:
+    """The table of each context, given its column of :func:`rank_intervals`'
+    bounds and result."""
+    return tuple(
+        RankingTable(tuple(RankedSetting(labels[i], Interval(lo[i], up[i]), p + 1, ranks[i])
+                           for p, i in enumerate(column)), hyperparameter, context)
+        for column, lo, up, ranks, context in zip(order.T.tolist(), lower.T.tolist(),
+                                                  upper.T.tolist(), final.T.tolist(), contexts))

@@ -43,6 +43,8 @@ class ReportBundle:
     profiles: tuple[tuple[RankProfile, ...], ...]
     provenance: Mapping[str, Any]
     include_kendall: bool
+    #: The cells every setup read; the export takes point estimates from it.
+    cells: CellTable
 
 
 def _digest(data: bytes) -> str:
@@ -96,7 +98,7 @@ def build_report_bundle(
             "data_regime": options.data_regime,
         },
     }
-    return ReportBundle(tuple(reports), tuple(profiles), provenance, include_kendall)
+    return ReportBundle(tuple(reports), tuple(profiles), provenance, include_kendall, cells)
 
 
 def _fixed_label(fixed: Mapping[str, str]) -> str:
@@ -182,16 +184,10 @@ def _svg_bytes(bundle: ReportBundle) -> bytes:
     bars: list[tuple[str, float, str, float]] = []  # label, height, color, opacity
     for report in bundle.reports:
         color = _BAR_COLORS[report.setup]
-        for entry in report.entries:
-            label = entry.hyperparameter
-            if entry.fixed:
-                label += " [" + _fixed_label(entry.fixed) + "]"
-            bars.append((label, entry.thc, color, 1.0))
-        for skip in report.skipped:
-            label = skip.hyperparameter
-            if skip.fixed:
-                label += " [" + _fixed_label(skip.fixed) + "]"
-            bars.append((label, 1.0, _SKIP_COLOR, 0.45))
+        for item, height, fill, opacity in ([(e, e.thc, color, 1.0) for e in report.entries]
+                                            + [(s, 1.0, _SKIP_COLOR, 0.45) for s in report.skipped]):
+            label = item.hyperparameter + (f" [{_fixed_label(item.fixed)}]" if item.fixed else "")
+            bars.append((label, height, fill, opacity))
 
     bar_w, gap, left, top, plot_h = 26, 10, 70, 40, 260
     width = left + max(1, len(bars)) * (bar_w + gap) + 40
@@ -256,28 +252,19 @@ def _bundle_files(bundle: ReportBundle) -> dict[str, bytes]:
                             _fixed_label(skip.fixed), skip.reason])
         setups_json[report.setup.value] = report_to_dict(report, include_kendall)
         for profile in profiles:
-            fixed = _fixed_label(profile.fixed)
-            for table in profile.tables:
-                context = table.context[report.setup.axis.value]
-                for entry in table:
-                    rankings.append([
-                        report.setup.value, profile.hyperparameter, fixed, context,
-                        entry.label, repr(entry.interval.lower), repr(entry.interval.upper),
-                        str(entry.initial_rank), repr(entry.final_rank)])
-                    intervals.append([
-                        report.setup.value, profile.hyperparameter, fixed, context,
-                        entry.label, repr(entry.interval.lower), repr(entry.interval.upper),
-                        repr(profile.points[(context, entry.label)])])
+            hp, fixed = profile.hyperparameter, _fixed_label(profile.fixed)
             series_rows = [["context", "value", "point", "lower", "upper"]]
             for table in profile.tables:
                 context = table.context[report.setup.axis.value]
-                by_label = {e.label: e for e in table}
-                for value in profile.values:
-                    entry = by_label[value]
-                    series_rows.append([context, value,
-                                        repr(profile.points[(context, value)]),
-                                        repr(entry.interval.lower),
-                                        repr(entry.interval.upper)])
+                row = [report.setup.value, hp, fixed, context]
+                points = bundle.cells.context_arrays(hp, **table.context)[2].tolist()
+                point_of = dict(zip(bundle.cells.dataset.schema.hyperparameters[hp], map(repr, points)))
+                bounds = {e.label: [repr(e.interval.lower), repr(e.interval.upper)] for e in table}
+                for entry in table:
+                    rankings.append([*row, entry.label, *bounds[entry.label], str(entry.initial_rank),
+                                     repr(entry.final_rank)])
+                    intervals.append([*row, entry.label, *bounds[entry.label], point_of[entry.label]])
+                series_rows += [[context, value, point_of[value], *bounds[value]] for value in profile.values]
             series_files[_series_name(report.setup, profile)] = _csv_bytes(series_rows)
 
     report_json = {"provenance": dict(bundle.provenance), "setups": setups_json}

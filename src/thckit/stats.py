@@ -37,6 +37,7 @@ __all__ = [
     "iqm",
     "mean_and_spread",
     "mean_and_spreads",
+    "pooled_mean_and_spreads",
     "stratified_bootstrap_ci",
     "stratified_bootstrap_cis",
 ]
@@ -132,21 +133,27 @@ def mean_and_spread(samples: Sequence[float]) -> Interval:
 
 def mean_and_spreads(sample_sets: Sequence[Sequence[float]]) -> list[tuple[float, Interval]]:
     """Each sample set's mean and its :func:`mean_and_spread` interval, in
-    order. Sets of one length share one row-wise ``mean`` and ``std``, whose
-    per-row sums run in the same order as a single set's, so every value is
-    bit-identical to the one-set call's."""
+    order; the sets laid end to end go through :func:`pooled_mean_and_spreads`."""
     arrays = [np.asarray(samples, dtype=float).ravel() for samples in sample_sets]
-    by_length: dict[int, list[int]] = {}
-    for i, arr in enumerate(arrays):
-        if arr.size < 2:
-            raise ValueError(f"mean_and_spread needs >= 2 samples, got {arr.size}")
-        by_length.setdefault(arr.size, []).append(i)
-    out: list[tuple[float, Interval]] = [None] * len(arrays)  # type: ignore[list-item]
-    for members in by_length.values():
-        rows = np.stack([arrays[i] for i in members])
+    lengths = np.array([arr.size for arr in arrays], dtype=int)
+    if (lengths < 2).any():
+        raise ValueError(f"mean_and_spread needs >= 2 samples, got {lengths[lengths < 2][0]}")
+    lower, upper, mu = pooled_mean_and_spreads(np.concatenate([np.empty(0), *arrays]), lengths).tolist()
+    return [(mean, Interval(lo, hi)) for mean, lo, hi in zip(mu, lower, upper)]
+
+
+def pooled_mean_and_spreads(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``mean - sd``, ``mean + sd`` and mean, as a ``(3, k)`` array, of the
+    ``k`` sample sets laid end to end in ``values``, set ``i`` holding
+    ``lengths[i] >= 2`` entries. Sets of one length share one row-wise
+    ``mean`` and ``std`` whose per-row sums run in a single set's order."""
+    starts = np.cumsum(lengths) - lengths
+    out = np.empty((3, len(lengths)))
+    for n in set(lengths.tolist()):
+        members = np.flatnonzero(lengths == n)
+        rows = values[starts[members, np.newaxis] + np.arange(n)]
         mu, sd = rows.mean(axis=1), rows.std(axis=1, ddof=1)
-        for i, mean, lo, hi in zip(members, mu.tolist(), (mu - sd).tolist(), (mu + sd).tolist()):
-            out[i] = (mean, Interval(lo, hi))
+        out[:, members] = mu - sd, mu + sd, mu
     return out
 
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 import numpy as np
-import yaml
 
 from .consistency import (
     AssemblyOptions,
@@ -28,6 +27,7 @@ from .dataset import (
     RunRecord,
     SweepDataset,
     SweepSchema,
+    _load_yaml,
     _stringify,
 )
 from .stats import derive_seed
@@ -302,11 +302,7 @@ def design_from_mapping(data: Mapping[str, Any]) -> PlantedDesign:
 
 def load_design(source: Any) -> PlantedDesign:
     """Read a design from a YAML path or file object."""
-    if hasattr(source, "read"):
-        data = yaml.safe_load(source.read())
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+    data, _ = _load_yaml(source, "<design>")
     if not isinstance(data, Mapping):
         raise ValueError("design file must contain a mapping at the top level")
     return design_from_mapping(data)

@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import pytest
+import yaml
+from hypothesis import settings
 
 from thckit import (
     BaselineTable,
@@ -24,6 +26,12 @@ from thckit import (
     SweepSchema,
 )
 from thckit.dataset import dump_schema, write_baselines, write_run_log
+from thckit.ranking import RankingMode
+from thckit.stats import Interval
+
+# More examples for the ranking property suites; select with
+# ``--hypothesis-profile=ci``.
+settings.register_profile("ci", max_examples=2000, deadline=None)
 
 Cells = Mapping[str, Mapping[str, Mapping[str, tuple[float, float]]]]
 
@@ -123,3 +131,52 @@ def write_dataset_files(dataset: SweepDataset, directory: Path) -> dict[str, Pat
     with open(paths["schema"], "w", encoding="utf-8") as fh:
         dump_schema(dataset.schema, fh)
     return paths
+
+
+@pytest.fixture(params=["libyaml", "pure-python"])
+def yaml_loader(request, monkeypatch):
+    """Run a test with PyYAML's libyaml loader, then with its pure-Python one."""
+    if request.param == "libyaml":
+        if not hasattr(yaml, "CSafeLoader"):
+            pytest.skip("PyYAML was built without libyaml")
+    else:
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    return request.param
+
+
+NON_CONTIGUOUS = ("setting %r overlaps a non-contiguous position set %s; "
+                  "overlap-mode rank %.3f differs from span rank %.3f")
+
+
+def reference_rankings(
+    contexts: Sequence[Sequence[tuple[str, Interval]]],
+    mode: RankingMode = RankingMode.SPAN,
+) -> tuple[list[list[tuple[str, int, float]]], list[str]]:
+    """Oracle for the rank layer: each context ranked on its own, setting by
+    setting, with linear scans.
+
+    Returns, per context, the ``(label, initial_rank, final_rank)`` triples
+    in rank order, and the INFO messages overlap mode logs for
+    non-contiguous overlap sets, in logging order.
+    """
+    tables, messages = [], []
+    for settings_list in contexts:
+        ordered = sorted(settings_list, key=lambda s: (-s[1].upper, -s[1].lower, s[0]))
+        m = len(ordered)
+        uppers = [iv.upper for _, iv in ordered]
+        lowers = [iv.lower for _, iv in ordered]
+        entries = []
+        for pos0, (label, interval) in enumerate(ordered):
+            l = next(p for p in range(m) if lowers[p] <= interval.upper) + 1
+            u = next(p for p in reversed(range(m)) if uppers[p] >= interval.lower) + 1
+            if RankingMode(mode) is RankingMode.SPAN:
+                final = (l + u) / 2.0
+            else:
+                members = [p + 1 for p in range(m) if interval.overlaps(ordered[p][1])]
+                if members != list(range(members[0], members[-1] + 1)):
+                    messages.append(NON_CONTIGUOUS % (
+                        label, members, sum(members) / len(members), (l + u) / 2.0))
+                final = sum(members) / len(members)
+            entries.append((label, pos0 + 1, final))
+        tables.append(entries)
+    return tables, messages

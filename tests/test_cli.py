@@ -314,6 +314,42 @@ class TestSynth:
         assert "error:" in capsys.readouterr().err
 
 
+class TestMalformedYaml:
+    def test_schema_exits_1_naming_the_line(self, reference_paths, capsys, yaml_loader):
+        schema = reference_paths["schema"]
+        schema.write_text("agents: [agent01\nenvironments: [g1]\n")
+        assert main(["validate", *dataset_args(reference_paths)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"{schema}: malformed YAML at line 2, column ")
+        assert err.endswith("validation failed with 1 problem(s)\n")
+
+    def test_design_exits_2_naming_the_line(self, tmp_path, capsys, yaml_loader):
+        design = tmp_path / "design.yaml"
+        design.write_text("seeds_per_cell: 3\nenvironments: [env01\n")
+        assert main(["synth", "--design", str(design), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {design}: malformed YAML at line 3, column ")
+
+
+class TestNonFiniteScores:
+    @pytest.mark.parametrize("source", ["iqm_ci", "mean_sd"])
+    def test_overflowing_normalisation_exits_2_naming_the_cell(self, reference_paths, capsys, source):
+        # score - random = 1e308 + 1e308 and human - random both overflow to
+        # inf, so every g3 score normalises to inf / inf = nan.
+        baselines = reference_paths["baselines"]
+        lines = baselines.read_text().splitlines()
+        lines = [line if not line.startswith("g3,") else "g3,-1e308,1e308" for line in lines]
+        baselines.write_text("\n".join(lines) + "\n")
+        runs = reference_paths["runs"]
+        rows = [row.split(",") for row in runs.read_text().splitlines()]
+        runs.write_text("".join(",".join(row[:-1] + ["1e308"] if row[1] == "g3" else row) + "\n"
+                                for row in rows))
+        assert main(["thc", *dataset_args(reference_paths), "--setup", "environments",
+                     "--interval-source", source, "--resamples", "100"]) == 2
+        assert capsys.readouterr().err == (
+            "error: ha=a, agent agent01, regime regime01, environment g3: "
+            "a human-normalised score is not finite\n")
+
+
 class TestParser:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -415,10 +415,13 @@ class TestAssembly:
     def test_points_and_tables_populated(self):
         dataset = dataset_from_intervals(reference_trajectory_cells())
         options = AssemblyOptions(interval_source=IntervalSource.MEAN_SD)
-        assembled = assemble_profiles(dataset, TransferSetup.ACROSS_ENVIRONMENTS, options)
+        cells = CellTable(dataset, options)
+        assembled = assemble_profiles(dataset, TransferSetup.ACROSS_ENVIRONMENTS, options, cells=cells)
         p = assembled.profiles[0]
         assert len(p.tables) == len(p.contexts)
-        assert set(p.points) == {(c, v) for c in p.contexts for v in p.values}
+        # Every ranked value's point estimate is held by the cell table.
+        for table in p.tables:
+            assert set(cells.context(p.hyperparameter, **table.context)) == set(p.values)
 
     def test_cannot_pin_the_varying_axis(self):
         dataset = dataset_from_intervals(reference_trajectory_cells())
@@ -479,14 +482,13 @@ class TestAssembly:
     def test_iqm_ci_source_is_deterministic(self):
         dataset = dataset_from_intervals(reference_trajectory_cells())
         options = AssemblyOptions(resamples=150, seed=9)
-        first = assemble_profiles(dataset, TransferSetup.ACROSS_ENVIRONMENTS, options)
-        second = assemble_profiles(dataset, TransferSetup.ACROSS_ENVIRONMENTS, options)
+        first_cells, second_cells = CellTable(dataset, options), CellTable(dataset, options)
+        first = assemble_profiles(dataset, TransferSetup.ACROSS_ENVIRONMENTS, options, cells=first_cells)
+        second = assemble_profiles(dataset, TransferSetup.ACROSS_ENVIRONMENTS, options, cells=second_cells)
         assert first.profiles
         for a, b in zip(first.profiles, second.profiles):
             assert np.array_equal(a.ranks, b.ranks)
-            assert a.points == b.points
-            intervals = [[(e.label, e.interval) for e in t] for t in a.tables]
-            assert intervals == [[(e.label, e.interval) for e in t] for t in b.tables]
+            assert profile_fields(a, first_cells) == profile_fields(b, second_cells)
 
     def test_report_includes_kendall_when_requested(self):
         dataset = dataset_from_intervals(reference_trajectory_cells())
@@ -579,9 +581,11 @@ def bundle_cells(fixture_dataset, tmp_path_factory):
     return cells
 
 
-def profile_fields(p: RankProfile) -> tuple:
+def profile_fields(p: RankProfile, cells: CellTable) -> tuple:
+    """A profile's fields, ranking tables, and each ranked context's cells
+    (intervals and points) as ``cells`` holds them."""
     return (p.hyperparameter, p.values, p.contexts, p.ranks.tolist(), dict(p.fixed),
-            p.tables, dict(p.points))
+            p.tables, [cells.context(p.hyperparameter, **t.context) for t in p.tables])
 
 
 class TestCellTable:
@@ -622,8 +626,10 @@ class TestCellTable:
         bundle = build_report_bundle(fixture_dataset, ALL_SETUPS, FIXTURE_OPTIONS)
         assert len(seeds) == len(set(seeds)) == 160
         for setup, shared in zip(ALL_SETUPS, bundle.profiles):
-            _, alone = build_consistency_report(fixture_dataset, setup, FIXTURE_OPTIONS)
-            assert [profile_fields(p) for p in shared] == [profile_fields(p) for p in alone]
+            cells = CellTable(fixture_dataset, FIXTURE_OPTIONS)
+            _, alone = build_consistency_report(fixture_dataset, setup, FIXTURE_OPTIONS, cells=cells)
+            assert ([profile_fields(p, bundle.cells) for p in shared]
+                    == [profile_fields(p, cells) for p in alone])
 
     @pytest.mark.parametrize("source", list(IntervalSource))
     def test_fill_in_small_blocks_changes_nothing(self, fixture_dataset, monkeypatch, caplog, source):
@@ -642,7 +648,8 @@ class TestCellTable:
                 bundle = build_report_bundle(dataset, ALL_SETUPS, options)
             fills = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
             warned = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
-            return [[profile_fields(p) for p in profiles] for profiles in bundle.profiles], fills, warned
+            fields = [[profile_fields(p, bundle.cells) for p in profiles] for profiles in bundle.profiles]
+            return fields, fills, warned
 
         whole, whole_fills, whole_warned = bundle_and_log()
         monkeypatch.setattr(consistency, "_FILL_BLOCK", 7)

@@ -12,6 +12,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -569,6 +570,40 @@ class TestSchemaConfig:
         assert schema.data_regimes == ("100k", "40M")
         assert schema.hyperparameters["learning_rate"] == ("0.001", "0.0001", "1e-05")
         assert schema.defaults == {"learning_rate": "0.0001"}
+
+
+REPO = Path(__file__).parents[1]
+
+
+def committed_yaml_documents() -> dict[str, str]:
+    """Every committed YAML document: the bundled schema, the test fixture's
+    schema and design, and the README's schema block."""
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    [block] = re.findall(r"```yaml\n(.*?)```", readme, flags=re.DOTALL)
+    paths = (REPO / "src" / "thckit" / "data" / "atari_der_drq.yaml",
+             REPO / "tests" / "data" / "schema.yaml", REPO / "tests" / "data" / "design.yaml")
+    return {"README.md": block, **{path.name: path.read_text(encoding="utf-8") for path in paths}}
+
+
+class TestYamlLoaders:
+    @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML was built without libyaml")
+    @pytest.mark.parametrize("name", sorted(committed_yaml_documents()))
+    def test_libyaml_and_pure_python_agree(self, name):
+        text = committed_yaml_documents()[name]
+        fast, slow = yaml.load(text, Loader=yaml.CSafeLoader), yaml.load(text, Loader=yaml.SafeLoader)
+        # repr also compares key order and scalar types.
+        assert fast == slow and repr(fast) == repr(slow)
+
+    def test_schemas_load_alike_under_either_loader(self, yaml_loader):
+        assert bundled_schema().hyperparameters["batch_size"] == ("4", "8", "16", "32", "64")
+        schema = load_schema(REPO / "tests" / "data" / "schema.yaml")
+        assert schema == load_schema(io.StringIO(committed_yaml_documents()["schema.yaml"]))
+
+    def test_malformed_schema_names_line_and_column(self, yaml_loader):
+        with pytest.raises(DatasetError) as excinfo:
+            load_schema(io.StringIO("agents: [a1\nenvironments: [e1]\n"))
+        [line] = excinfo.value.diagnostics
+        assert line.startswith("<schema>: malformed YAML at line 2, column 13: ")
 
 
 class TestBundledSchema:

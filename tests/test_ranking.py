@@ -2,14 +2,26 @@
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import random
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thckit.ranking import RankedSetting, RankingMode, RankingTable, compute_rankings
+from conftest import reference_rankings
+from thckit import CellTable, TransferSetup, assemble_profiles, load_dataset
+from thckit.consistency import AssemblyOptions, IntervalSource
+from thckit.ranking import (
+    RankedSetting,
+    RankingMode,
+    RankingTable,
+    compute_rankings,
+    rank_intervals,
+)
 from thckit.stats import Interval
 
 
@@ -181,3 +193,82 @@ class TestProperties:
         table = compute_rankings(settings_list, mode=RankingMode.OVERLAP)
         for entry in table:
             assert 1.0 <= entry.final_rank <= len(settings_list)
+
+
+class _Messages(logging.Handler):
+    def __init__(self) -> None:
+        super().__init__(logging.INFO)
+        self.messages: list[str] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.messages.append(record.getMessage())
+
+
+@contextlib.contextmanager
+def ranking_messages():
+    """INFO messages of ``thckit.ranking`` logged inside the block."""
+    logger = logging.getLogger("thckit.ranking")
+    handler, level = _Messages(), logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        yield handler.messages
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
+# Bounds from a small grid, so ties, touching endpoints, nested intervals and
+# a -0.0 lower bound against a 0.0 upper bound all come up often.
+grid_intervals_st = st.lists(st.sampled_from([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0]),
+                             min_size=2, max_size=2).map(lambda b: Interval(min(b), max(b)))
+profiles_st = st.tuples(st.integers(1, 8), st.integers(1, 6)).flatmap(
+    lambda shape: st.tuples(
+        st.permutations([f"v{i}" for i in range(shape[0])]),
+        st.lists(st.lists(grid_intervals_st, min_size=shape[0], max_size=shape[0]),
+                 min_size=shape[1], max_size=shape[1])))
+
+
+class TestReferenceEquivalence:
+    """The array rank pass against the per-context reference oracle."""
+
+    @given(profiles_st, st.sampled_from(list(RankingMode)))
+    def test_rank_intervals_matches_reference(self, profile, mode):
+        labels, contexts = profile
+        lower = np.array([[iv.lower for iv in column] for column in contexts]).T
+        upper = np.array([[iv.upper for iv in column] for column in contexts]).T
+        with ranking_messages() as messages:
+            order, final = rank_intervals(labels, lower, upper, mode)
+        expected, expected_messages = reference_rankings(
+            [list(zip(labels, column)) for column in contexts], mode)
+        got = [[(labels[i], p + 1, final[i, j].item()) for p, i in enumerate(order[:, j].tolist())]
+               for j in range(len(contexts))]
+        assert got == expected
+        assert messages == expected_messages
+        for column, table in zip(contexts, expected):
+            ranked = compute_rankings(list(zip(labels, column)), mode=mode)
+            assert [(e.label, e.initial_rank, e.final_rank) for e in ranked] == table
+
+    @pytest.mark.parametrize("source", list(IntervalSource))
+    @pytest.mark.parametrize("setup", list(TransferSetup))
+    def test_overlap_mode_profiles_match_reference(self, source, setup):
+        data = Path(__file__).parent / "data"
+        dataset = load_dataset(data / "runs.csv", data / "baselines.csv", data / "schema.yaml")
+        options = AssemblyOptions(interval_source=source, ranking_mode=RankingMode.OVERLAP,
+                                  resamples=200)
+        cells = CellTable(dataset, options)
+        with ranking_messages() as messages:
+            profiles = assemble_profiles(dataset, setup, options, cells=cells).profiles
+        assert profiles
+        expected_messages = []
+        for profile in profiles:
+            contexts = [[(value, cells.context(profile.hyperparameter, **table.context)[value][0])
+                         for value in profile.values] for table in profile.tables]
+            expected, logged = reference_rankings(contexts, RankingMode.OVERLAP)
+            expected_messages += logged
+            assert [[(e.label, e.initial_rank, e.final_rank) for e in t]
+                    for t in profile.tables] == expected
+            ranks = {(label, j): rank for j, table in enumerate(expected) for label, _, rank in table}
+            assert profile.ranks.tolist() == [[ranks[value, j] for j in range(len(expected))]
+                                              for value in profile.values]
+        assert messages == expected_messages
