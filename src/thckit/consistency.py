@@ -441,8 +441,11 @@ class CellTable:
                 out = pooled_mean_and_spreads(normalised, lengths)
                 groups |= set(lengths.tolist())
             else:
+                # Views of a read-only array whose finiteness was checked above.
+                normalised.flags.writeable = False
                 rows = iter(np.split(normalised, np.cumsum(sizes)[:-1]))
-                matrices = [ScoreMatrix(itertools.islice(rows, len(leaves))) for leaves in cell_leaves]
+                matrices = [ScoreMatrix._of_checked(itertools.islice(rows, len(leaves)))
+                            for leaves in cell_leaves]
                 seeds = [derive_seed(options.seed, hp, value, agent, regime, env or "*")
                          for hp, value, agent, regime, env in cells]
                 intervals = stratified_bootstrap_cis(list(zip(matrices, seeds)),

@@ -8,26 +8,35 @@ Each rule is stated once: the run-record rules in ``SweepDataset._admit``,
 the baseline rules in ``_admit_baselines``. Direct construction of a
 :class:`SweepDataset` or :class:`BaselineTable` applies them and reports
 unprefixed diagnostics; :func:`parse_dataset` checks only what needs the
-text and sends each row through them once, prefixed ``source:lineno:``.
+text and sends each block of rows through them once, prefixed
+``source:lineno:``.
 
-Parsing is one pass over the stream's lines. A line is split on commas
-with ``str.split`` and its cells are stripped only when it holds
-whitespace; a line holding a quote character, a NUL or a carriage return
-(or longer than ``csv.field_size_limit()``) goes through :mod:`csv`
-instead, so every line gives the cells that
+Parsing reads the run log in blocks of ``BLOCK_LINES`` lines. A block
+whose every line is a plain 7-cell row (no quote, whitespace or other
+unprintable character, no blank or comment line, none longer than
+``csv.field_size_limit()``) is split into seven columns at once. Any other
+block goes line by line: a line is split on commas with ``str.split`` and its
+cells are stripped only when it holds whitespace, and a line holding a quote
+character, a NUL or a carriage return (or longer than the limit) goes through
+:mod:`csv` instead. Either way every line gives the cells that
 ``[cell.strip() for cell in next(csv.reader([line]))]`` gives, or the same
-``malformed row`` diagnostic. The rules check each row against sets built
-once per dataset from the schema and the baselines.
+``malformed row`` diagnostic. Each rule is then one predicate over a column
+of a block: identifiers become integer codes by dict lookup, seeds and scores
+are converted with ``map``, finiteness is one ``np.isfinite``, and duplicate
+keys come from one stable sort of all runs. Diagnostics are formatted only for
+the rows that fail.
 
-While admitting rows, the dataset keeps each run as a compact tuple in
-input order, with identifier cells interned so that all runs share one
-string per identifier, and builds one read-only index of its runs:
+The dataset keeps its runs as columns in input order: one integer code per
+run for its (agent, environment, data regime, hyper-parameter value) cell,
+the seeds, and the scores. The same sort by (cell, seed) gives one read-only
+index of the runs:
 ``hyperparameter -> (agent, data_regime) -> environment -> value -> scores``,
-with each leaf a tuple of final scores ordered by seed. Only combinations
-that were run appear in it. :func:`slice_scores` returns one
-``(agent, data_regime)`` node of it; callers take their output order from
-the schema, never from the index. ``SweepDataset.records``, the runs as
-:class:`RunRecord` objects, is built the first time it is read.
+with each leaf a tuple of final scores ordered by seed and every level in the
+order its keys were first seen. Only combinations that were run appear in
+it. :func:`slice_scores` returns one ``(agent, data_regime)`` node of it;
+callers take their output order from the schema, never from the index.
+``SweepDataset.records``, the runs as :class:`RunRecord` objects with the
+schema's identifier strings, is built the first time it is read.
 
 Hyper-parameter values are opaque strings compared by exact match. ``"0.5"``
 and ``"0.50"`` are different settings on purpose: ranking only needs
@@ -39,13 +48,15 @@ from __future__ import annotations
 import csv
 import enum
 import math
-import sys
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import chain, islice, repeat
+from operator import attrgetter
 from pathlib import Path
 from types import MappingProxyType
-from typing import IO, Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
+import numpy as np
 import yaml
 
 __all__ = [
@@ -71,6 +82,8 @@ RUN_LOG_HEADER = ("agent", "environment", "data_regime", "hyperparameter", "valu
 BASELINES_HEADER = ("environment", "random_score", "human_score")
 
 MAX_DIAGNOSTICS = 200
+# Run-log lines tokenised and checked together; bounds the text held at once.
+BLOCK_LINES = 2048
 
 
 class DatasetError(ValueError):
@@ -152,7 +165,7 @@ class BaselineTable:
 
 def _admit_baselines(rows: Iterable[tuple], source: str | None = None) -> dict[str, tuple[float, float]]:
     """Apply every baseline rule once per row and return the scores by
-    environment. ``rows`` are as ``SweepDataset._admit`` reads them, with
+    environment. ``rows`` are as ``_file_rows`` yields them, with
     ``(environment, random, human)`` items; a row gets at most one problem."""
     problems: list[str] = []
     scores: dict[str, tuple[float, float]] = {}
@@ -229,22 +242,58 @@ class SweepSchema:
         }[Axis(axis)]
 
 
-def _freeze(leaves: dict[tuple, list[tuple[int, float]]]) -> Mapping:
-    """Read-only index from ``(hyperparameter, agent, data_regime,
-    environment, value) -> [(seed, score), ...]`` leaves, nested in the
-    order the leaves were first seen; each leaf becomes a tuple of scores
-    ordered by seed."""
+def _vocabulary(schema: SweepSchema) -> tuple[Sequence, Sequence, Sequence, list[tuple[str, str]]]:
+    """Every agent, environment, data regime and (hyper-parameter, value)
+    pair the schema declares, in its order: a run's codes index these."""
+    return (schema.agents, schema.environments, schema.data_regimes,
+            [(hp, value) for hp, values in schema.hyperparameters.items() for value in values])
+
+
+def _index(order: np.ndarray, cells: np.ndarray, scores: np.ndarray, vocabulary: tuple) -> Mapping:
+    """Read-only index of the runs that ``order`` sorts by (cell, seed): each
+    cell's scores become a leaf, and leaves are nested in the order their
+    cells were first seen."""
     index: dict = {}
-    for (hp, agent, regime, env, value), runs in leaves.items():
-        runs.sort()
-        index.setdefault(hp, {}).setdefault((agent, regime), {}).setdefault(env, {})[value] = \
-            tuple([score for _, score in runs])
-    return _read_only(index)
+    if order.size:
+        ordered = cells[order]
+        starts = np.flatnonzero(np.diff(ordered, prepend=-1))
+        ends = np.append(starts[1:], order.size)
+        # Groups in the order of their first run.
+        groups = np.argsort(np.minimum.reduceat(order, starts))
+        codes = np.unravel_index(ordered[starts[groups]], [len(names) for names in vocabulary])
+        leaves = tuple(scores[order].tolist())
+        agents, environments, regimes, pairs = vocabulary
+        for a, e, r, p, start, end in zip(*(c.tolist() for c in codes), starts[groups].tolist(),
+                                          ends[groups].tolist()):
+            hp, value = pairs[p]
+            index.setdefault(hp, {}).setdefault((agents[a], regimes[r]), {}) \
+                .setdefault(environments[e], {})[value] = leaves[start:end]
+    return _read_only(index, 3)
 
 
-def _read_only(node: dict) -> Mapping:
-    return MappingProxyType({key: _read_only(child) if isinstance(child, dict) else child
-                             for key, child in node.items()})
+def _read_only(node: dict, depth: int) -> Mapping:
+    """``node`` and the dicts ``depth`` levels below it behind read-only
+    views, made in place: no other code holds them."""
+    if depth:
+        for key, child in node.items():
+            node[key] = _read_only(child, depth - 1)
+    return MappingProxyType(node)
+
+
+class _Block(NamedTuple):
+    """Consecutive rows as ``SweepDataset._admit`` reads them, by column."""
+
+    # The seven fields in run-log column order; None for a cell that did not convert.
+    fields: Sequence[Sequence]
+    # The same columns as written; None for records given directly.
+    cells: Sequence[Sequence[str]] | None
+    linenos: Sequence[int] | None
+    # Problems parsing found, by row.
+    found: Mapping[int, list[str]]
+    # Rows with the wrong number of cells: they hold placeholder fields that no rule checks.
+    unchecked: Sequence[int] = ()
+    # What a malformed line right after the rows raised; it ends the log.
+    error: DatasetError | None = None
 
 
 class SweepDataset:
@@ -255,125 +304,206 @@ class SweepDataset:
     ``records`` holds the runs in input order and is built on first read.
     """
 
-    __slots__ = ("_runs", "_records", "baselines", "schema", "index")
+    __slots__ = ("_cells", "_seeds", "_scores", "_records", "baselines", "schema", "index")
 
     def __init__(self, records: Iterable[RunRecord], baselines: BaselineTable, schema: SweepSchema):
-        self._admit(((None, None, None, (*rec.key, rec.final_score)) for rec in records), baselines, schema)
+        self._admit(_record_blocks(records), baselines, schema)
 
     @classmethod
-    def _parsed(cls, rows: Iterable[tuple], baselines: BaselineTable, schema: SweepSchema,
+    def _parsed(cls, blocks: Iterable[_Block], baselines: BaselineTable, schema: SweepSchema,
                 source: str) -> SweepDataset:
-        """Dataset from parsed rows, which pass through the rules only here."""
+        """Dataset from parsed blocks, which pass through the rules only here."""
         dataset = cls.__new__(cls)
-        dataset._admit(rows, baselines, schema, source)
+        dataset._admit(blocks, baselines, schema, source)
         return dataset
 
-    def _admit(self, rows: Iterable[tuple], baselines: BaselineTable, schema: SweepSchema,
+    def _admit(self, blocks: Iterable[_Block], baselines: BaselineTable, schema: SweepSchema,
                source: str | None = None) -> None:
-        """Apply every run-record rule once per row, in diagnostic order, and
-        index the rows that pass. ``rows`` yields ``(lineno, cells, found,
-        fields)``: ``lineno`` and ``cells`` locate a file row and are None
-        for a record given directly, ``found`` is None or the problems
-        parsing found, and ``fields`` is a record's seven fields in run-log
-        column order, with None for a cell that did not convert, or None
-        for a row with the wrong number of cells. Each row's problems are
-        appended to ``problems`` as they are found; the rows that have none
-        are kept as ``(key, final_score)`` pairs."""
-        agents = frozenset(schema.agents)
-        environments = frozenset(schema.environments)
-        regimes = frozenset(schema.data_regimes)
-        declared = {hp: frozenset(values) for hp, values in schema.hyperparameters.items()}
-        with_baselines = frozenset(baselines.environments)
-        runs: list[tuple[tuple, float]] = []
-        problems: list[str] = []
-        seen: set[tuple] = set()
-        leaves: dict[tuple, list[tuple[int, float]]] = {}
-        for lineno, cells, found, fields in rows:
-            mark = len(problems)
-            if mark >= MAX_DIAGNOSTICS:
-                if source is not None:
-                    problems.append(f"{source}: stopping after {MAX_DIAGNOSTICS} problems")
-                break
-            if found:
-                problems.extend(found)
-            if fields is not None:
-                agent, env, regime, hp, value, seed, score = fields
-                seed_ok = seed is not None and seed >= 0
-                if not seed_ok:
-                    problems.append(f"column 'seed' must be a non-negative integer, got {_cell(cells, 5, seed)!r}")
-                if score is None:
-                    problems.append(f"column 'final_score' is not a number: {_cell(cells, 6, None)!r}")
-                elif not math.isfinite(score):
-                    problems.append(f"column 'final_score' must be finite, got {_cell(cells, 6, score)!r}")
-                if agent not in agents:
-                    problems.append(f"unknown agent {agent!r}")
-                if env not in environments:
-                    problems.append(f"unknown environment {env!r}")
-                elif env not in with_baselines:
-                    problems.append(f"no baseline scores for environment {env!r}")
-                if regime not in regimes:
-                    problems.append(f"unknown data_regime {regime!r}")
-                values = declared.get(hp)
-                if values is None:
-                    problems.append(f"unknown hyperparameter {hp!r}")
-                elif value not in values:
-                    problems.append(f"value {value!r} not declared for hyperparameter {hp!r}")
-                # A seed that is not valid makes no key, so it cannot collide.
-                if seed_ok:
-                    key = (agent, env, regime, hp, value, seed)
-                    # One hash of the key: the set grows unless it held it.
-                    held = len(seen)
-                    seen.add(key)
-                    if len(seen) == held:
-                        problems.append(f"duplicate record key {key}")
-            if len(problems) > mark:
-                if lineno is not None:
-                    prefix = f"{source}:{lineno}: "
-                    problems[mark:] = [prefix + problem for problem in problems[mark:]]
+        """Apply every run-record rule to each block, one column at a time, and
+        keep and index the runs if no row has a problem. Otherwise raise the
+        problems in row order and, within a row, in rule order, stopping as a
+        row-by-row check would after the row that brings them to
+        ``MAX_DIAGNOSTICS``; a file row's are prefixed ``source:lineno:``."""
+        vocabulary = _vocabulary(schema)
+        codes = [{name: code for code, name in enumerate(names)} for names in vocabulary]
+        declared = [len(names) for names in vocabulary]
+        unbased = [code for code, env in enumerate(schema.environments) if env not in baselines]
+        keys, seeds, scores, keyed, linenos = [np.zeros((4, 0), np.int64)], [], [np.zeros(0)], [], []
+        problems: dict[int, list[str]] = {}
+        count = rows = 0
+        # What follows the rows read: nothing, another row (True), or a malformed line's error.
+        after: bool | DatasetError | None = None
+        for block in blocks:
+            if count >= MAX_DIAGNOSTICS:
+                after = True if len(block.fields[0]) else block.error
+                if after is not None:
+                    break
                 continue
-            runs.append((key, score))
-            cell = (hp, agent, regime, env, value)
-            leaf = leaves.get(cell)
-            if leaf is None:
-                leaves[cell] = [(seed, score)]
-            else:
-                leaf.append((seed, score))
-        if problems:
-            raise DatasetError(problems)
+            key, value, ok, found = _check(block, codes, declared, unbased, schema)
+            for i, row_problems in found.items():
+                problems[rows + i] = row_problems
+                count += len(row_problems)
+            keys.append(key)
+            seeds.extend(block.fields[5])
+            scores.append(value)
+            keyed.append(ok)
+            linenos.append(block.linenos)
+            rows += len(value)
+            after = block.error
+            # Read the next block holding no cell of this one.
+            del block
+            if after is not None:
+                break
 
-        object.__setattr__(self, "_runs", tuple(runs))
+        key = np.concatenate(keys, axis=1)
+        cells = np.ravel_multi_index(tuple(key), [len(c) for c in codes])
+        keyed_rows = np.flatnonzero(np.concatenate([np.zeros(0, bool), *keyed]))
+        seed_keys = _seed_keys(seeds if keyed_rows.size == rows else [seeds[i] for i in keyed_rows.tolist()])
+        sort = np.lexsort((seed_keys, cells[keyed_rows]))
+        order, sorted_seeds = keyed_rows[sort], seed_keys[sort]
+        repeats = (np.diff(cells[order]) == 0) & (sorted_seeds[1:] == sorted_seeds[:-1])
+        if repeats.any():
+            names = [list(c) for c in codes]
+            for row in order[1:][repeats].tolist():
+                a, e, r, p = key[:, row].tolist()
+                duplicate = (names[0][a], names[1][e], names[2][r], *names[3][p], seeds[row])
+                problems.setdefault(row, []).append(f"duplicate record key {duplicate}")
+        if problems or after is not None:
+            _raise_problems(problems, rows, after,
+                            None if source is None else list(chain.from_iterable(linenos)), source)
+
+        object.__setattr__(self, "_cells", cells)
+        object.__setattr__(self, "_seeds", tuple(seeds))
+        object.__setattr__(self, "_scores", np.concatenate(scores))
         object.__setattr__(self, "_records", None)
         object.__setattr__(self, "baselines", baselines)
         object.__setattr__(self, "schema", schema)
-        object.__setattr__(self, "index", _freeze(leaves))
+        object.__setattr__(self, "index", _index(order, cells, self._scores, vocabulary))
+
+    def _columns(self) -> list[Sequence]:
+        """The seven run-log columns in input order, identifiers spelled as
+        the schema spells them."""
+        agents, environments, regimes, pairs = vocabulary = _vocabulary(self.schema)
+        a, e, r, p = (c.tolist() for c in np.unravel_index(self._cells, [len(names) for names in vocabulary]))
+        hps, values = [hp for hp, _ in pairs], [value for _, value in pairs]
+        return [list(map(names.__getitem__, column)) for names, column in
+                ((agents, a), (environments, e), (regimes, r), (hps, p), (values, p))] \
+            + [self._seeds, self._scores.tolist()]
 
     @property
     def records(self) -> tuple[RunRecord, ...]:
         """Every run in input order, built the first time it is read."""
         if self._records is None:
-            object.__setattr__(self, "_records", tuple([RunRecord(*key, score) for key, score in self._runs]))
+            object.__setattr__(self, "_records", tuple(map(RunRecord, *self._columns())))
         return self._records
 
     def __setattr__(self, name, value):
         raise AttributeError("SweepDataset is immutable")
 
     def __len__(self) -> int:
-        return len(self._runs)
+        return len(self._scores)
 
     def __eq__(self, other: object) -> bool:
         """Equal when both hold the same runs, in any order, and the same
         baselines and schema."""
         if not isinstance(other, SweepDataset):
             return NotImplemented
-        return (len(self._runs) == len(other._runs)
-                and dict(self._runs) == dict(other._runs)
-                and self.baselines == other.baselines
-                and self.schema == other.schema)
+
+        def runs(dataset: SweepDataset) -> dict:
+            *key, scores = dataset._columns()
+            return dict(zip(zip(*key), scores))
+        return (len(self) == len(other) and self.baselines == other.baselines
+                and self.schema == other.schema and runs(self) == runs(other))
 
 
-def _cell(cells: list[str] | None, column: int, value: object) -> str:
+def _check(block: _Block, codes: list[dict], declared: list[int], unbased: list[int],
+           schema: SweepSchema) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, list[str]]]:
+    """Apply each row-local run-record rule to a block, one column at a time.
+    Returns the rows' identifier codes (agent, environment, data regime,
+    hyper-parameter value), their scores, which rows make a key that can
+    collide (a valid seed, and all seven cells), and the problems of each
+    failing row in rule order."""
+    agents, envs, regimes, hps, values, seed, score = block.fields
+    n = len(agents)
+    key = np.stack([_encode(codes[0], agents), _encode(codes[1], envs), _encode(codes[2], regimes),
+                    _encode(codes[3], hps, values)])
+    try:
+        seeds_ok = min(seed, default=0) >= 0
+    except TypeError:  # a seed that did not convert
+        seeds_ok = False
+    bad_seed = np.zeros(n, bool) if seeds_ok else np.array([s is None or s < 0 for s in seed], dtype=bool)
+    missing = np.array([s is None for s in score], dtype=bool) if None in score else np.zeros(n, bool)
+    value = np.array(score, dtype=np.float64)
+    undeclared = key[3] >= declared[3]
+    unknown_hp = undeclared & np.array([hp not in schema.hyperparameters for hp in hps], dtype=bool) \
+        if undeclared.any() else undeclared
+    checked = np.ones(n, bool)
+    checked[list(block.unchecked)] = False
+    rules = (
+        (bad_seed, lambda i: f"column 'seed' must be a non-negative integer, got {_quoted(block, 5, i)!r}"),
+        (missing, lambda i: f"column 'final_score' is not a number: {_quoted(block, 6, i)!r}"),
+        (~(np.isfinite(value) | missing),
+         lambda i: f"column 'final_score' must be finite, got {_quoted(block, 6, i)!r}"),
+        (key[0] >= declared[0], lambda i: f"unknown agent {agents[i]!r}"),
+        (key[1] >= declared[1], lambda i: f"unknown environment {envs[i]!r}"),
+        (np.isin(key[1], unbased), lambda i: f"no baseline scores for environment {envs[i]!r}"),
+        (key[2] >= declared[2], lambda i: f"unknown data_regime {regimes[i]!r}"),
+        (unknown_hp, lambda i: f"unknown hyperparameter {hps[i]!r}"),
+        (undeclared & ~unknown_hp,
+         lambda i: f"value {values[i]!r} not declared for hyperparameter {hps[i]!r}"),
+    )
+    failing = np.logical_or.reduce([mask for mask, _ in rules]) & checked
+    found = {i: [*block.found.get(i, ()), *(say(i) for mask, say in rules if checked[i] and mask[i])]
+             for i in sorted({*np.flatnonzero(failing).tolist(), *block.found})}
+    # A seed that is not valid makes no key, so it cannot collide.
+    return key, value, checked & ~bad_seed, found
+
+
+def _encode(codes: dict, *columns: Sequence) -> np.ndarray:
+    """Each row's code in ``codes`` for its cell in ``columns``, or for its
+    tuple of cells when there are several. ``codes`` gives a name it lacks
+    the next free code, so codes past the schema's stand for unknown names."""
+    names = columns[0] if len(columns) == 1 else zip(*columns)
+    found = np.fromiter(map(codes.get, names, repeat(-1)), np.int64, len(columns[0]))
+    for row in np.flatnonzero(found < 0).tolist():
+        name = columns[0][row] if len(columns) == 1 else tuple(column[row] for column in columns)
+        found[row] = codes.setdefault(name, len(codes))
+    return found
+
+
+def _seed_keys(seeds: Sequence) -> np.ndarray:
+    """Seeds as an array that orders and compares them as Python does: int64
+    when every seed is an int that fits (numpy infers no other integer
+    type from them), else the objects themselves."""
+    keys = np.array(seeds)
+    return keys if keys.dtype == np.int64 else np.array(seeds, dtype=object)
+
+
+def _quoted(block: _Block, column: int, row: int) -> str:
     """The spelling a diagnostic quotes: the run-log cell, else the value."""
-    return str(value) if cells is None else cells[column]
+    return str(block.fields[column][row]) if block.cells is None else block.cells[column][row]
+
+
+def _raise_problems(problems: Mapping[int, list[str]], rows: int, after: bool | DatasetError | None,
+                    linenos: Sequence[int] | None, source: str | None) -> None:
+    """Raise the problems of the ``rows`` read, by row, as a check of one row
+    at a time reports them: it stops at the row after the one that brings
+    them to ``MAX_DIAGNOSTICS``, noting so for a file, and a malformed line it
+    reaches ends it with that line's error alone."""
+    out: list[str] = []
+    last = -1
+    for row in sorted(problems):
+        if len(out) >= MAX_DIAGNOSTICS:
+            break
+        prefix = "" if linenos is None else f"{source}:{linenos[row]}: "
+        out.extend(prefix + problem for problem in problems[row])
+        last = row
+    if len(out) >= MAX_DIAGNOSTICS and (last < rows - 1 or after is True):
+        if source is not None:
+            out.append(f"{source}: stopping after {MAX_DIAGNOSTICS} problems")
+    elif isinstance(after, DatasetError):
+        raise after
+    raise DatasetError(out)
 
 
 def _convert(kind: type, text: str) -> int | float | None:
@@ -383,55 +513,151 @@ def _convert(kind: type, text: str) -> int | float | None:
         return None
 
 
-def _file_rows(stream: IO[str], source: str, header: tuple[str, ...], what: str,
-               make: Callable[[list[str]], tuple[list[str] | None, Any]]) -> Iterator[tuple]:
-    """Rows after a checked header line, as ``SweepDataset._admit`` reads
-    them; ``make(cells)`` gives a row's text problems (None for none) and
-    item. See the module docstring for how a line is split into cells."""
-    columns = len(header)
-    limit = csv.field_size_limit()
+def _converted(kind: type, texts: Sequence[str], repeats: bool = False) -> list:
+    """Each text converted by ``kind``, None where it fails; cell by cell
+    only in a column where a conversion fails. With ``repeats`` (seeds, which
+    every cell of a sweep repeats) each distinct text is converted once."""
+    try:
+        if repeats:
+            distinct = set(texts)
+            return list(map(dict(zip(distinct, map(kind, distinct))).__getitem__, texts))
+        return list(map(kind, texts))
+    except ValueError:
+        return [_convert(kind, text) for text in texts]
+
+
+_RECORD_FIELDS = attrgetter(*RUN_LOG_HEADER)
+
+
+def _record_blocks(records: Iterable[RunRecord]) -> Iterator[_Block]:
+    """Records given directly, ``BLOCK_LINES`` at a time."""
+    records = iter(records)
+    while chunk := list(islice(records, BLOCK_LINES)):
+        yield _Block(list(zip(*map(_RECORD_FIELDS, chunk))), None, None, {})
+
+
+def _line_cells(line: str, lineno: int, source: str, limit: int) -> list[str] | None:
+    """One line's cells, or None for a blank or comment line. See the module
+    docstring for how a line is split into cells."""
+    stripped = line.strip()
+    if not stripped or stripped[0] == "#":
+        return None
+    if '"' in line or "\0" in line or "\r" in line or len(line) > limit:
+        try:
+            return [cell.strip() for cell in next(csv.reader([line]))]
+        except csv.Error as exc:
+            raise DatasetError([f"{source}:{lineno}: malformed row: {exc}"]) from exc
+    if " " not in stripped and stripped.isprintable():
+        # Every whitespace character but the space is unprintable.
+        return stripped.split(",")
+    return [cell.strip() for cell in stripped.split(",")]
+
+
+def _header_line(stream: IO[str], source: str, header: tuple[str, ...], what: str, limit: int) -> int:
+    """Read through the first line that is not blank or a comment, check that
+    it is ``header``, and return its line number."""
     for lineno, line in enumerate(stream, start=1):
-        stripped = line.strip()
-        if not stripped or stripped[0] == "#":
-            continue
-        if '"' in line or "\0" in line or "\r" in line or len(line) > limit:
-            try:
-                cells = [cell.strip() for cell in next(csv.reader([line]))]
-            except csv.Error as exc:
-                raise DatasetError([f"{source}:{lineno}: malformed row: {exc}"]) from exc
-        elif " " not in stripped and stripped.isprintable():
-            # Every whitespace character but the space is unprintable.
-            cells = stripped.split(",")
-        else:
-            cells = [cell.strip() for cell in stripped.split(",")]
-        if header:
+        cells = _line_cells(line, lineno, source, limit)
+        if cells is not None:
             if tuple(cells) != header:
                 raise DatasetError([f"{source}:{lineno}: expected header {','.join(header)!r}, got {','.join(cells)!r}"])
-            header = ()
-        elif len(cells) != columns:
-            yield lineno, cells, [f"expected {columns} columns, got {len(cells)}"], None
+            return lineno
+    raise DatasetError([f"{source}: {what} is empty"])
+
+
+def _file_rows(stream: IO[str], source: str, header: tuple[str, ...], what: str,
+               make: Callable[[list[str]], tuple[list[str] | None, Any]]) -> Iterator[tuple]:
+    """Rows after a checked header line, one at a time, as
+    ``_admit_baselines`` reads them; ``make(cells)`` gives a row's text
+    problems (None for none) and item."""
+    limit = csv.field_size_limit()
+    start = _header_line(stream, source, header, what, limit)
+    for lineno, line in enumerate(stream, start=start + 1):
+        cells = _line_cells(line, lineno, source, limit)
+        if cells is None:
+            continue
+        if len(cells) != len(header):
+            yield lineno, cells, [f"expected {len(header)} columns, got {len(cells)}"], None
         else:
             yield (lineno, cells, *make(cells))
-    if header:
-        raise DatasetError([f"{source}: {what} is empty"])
 
 
-def _run_log_entry(cells: list[str]) -> tuple[list[str] | None, tuple]:
-    agent, env, regime, hp, value, seed, score = cells
-    empty = None
-    if not (agent and env and regime and hp and value):
-        empty = [f"empty column {RUN_LOG_HEADER[i]!r}" for i in range(5) if not cells[i]]
-    # Interned, all rows that name an identifier share one string object.
-    intern = sys.intern
-    return empty, (intern(agent), intern(env), intern(regime), intern(hp), intern(value),
-                   _convert(int, seed), _convert(float, score))
+def _plain(body: str, lines: int) -> bool:
+    """Whether each of the ``lines`` lines of ``body`` is a plain 7-cell row:
+    no quote, space or other unprintable character, not a comment, and six
+    commas. Checked on the UTF-8 bytes, where an ASCII character is one byte."""
+    raw = np.frombuffer(body.encode("utf-8", "surrogatepass"), np.uint8)
+    if (((raw <= 0x20) & (raw != 0x0A)) | (raw == 0x22) | (raw == 0x7F)).any() \
+            or not (body.isascii() or body.replace("\n", "").isprintable()):
+        return False
+    newlines, commas = np.flatnonzero(raw == 0x0A), np.flatnonzero(raw == 0x2C)
+    # The 6k-th comma comes before the k-th line break and the next one after it.
+    return (len(commas) == 6 * lines and (commas[5::6][:-1] < newlines).all()
+            and (newlines < commas[6::6]).all() and raw[0] != 0x23 and not (raw[newlines + 1] == 0x23).any())
+
+
+# Fields of a row with the wrong number of cells, which no rule checks.
+_PLACEHOLDER = ("?",) * 5 + ("0", "0")
+
+
+def _run_log_blocks(stream: IO[str], source: str) -> Iterator[_Block]:
+    """The run log's rows after its checked header, ``BLOCK_LINES`` lines at a
+    time: a block of plain 7-cell rows is split into columns at once, any
+    other goes line by line. Parsing checks what needs the text: the column
+    count, empty identifiers, and int/float conversion."""
+    limit = csv.field_size_limit()
+    lineno = _header_line(stream, source, RUN_LOG_HEADER, "run log", limit)
+    while lines := list(islice(stream, BLOCK_LINES)):
+        first, lineno = lineno + 1, lineno + len(lines)
+        body = "".join(lines)
+        body = body[:-1] if body[-1] == "\n" else body
+        # A line is no longer than the block; only a long block needs each line measured.
+        if _plain(body, len(lines)) and (len(body) < limit or max(map(len, lines)) <= limit):
+            cells = body.replace("\n", ",").split(",")
+            block = _text_block([cells[k::7] for k in range(7)], range(first, lineno + 1), {})
+            del lines, body, cells
+            yield block
+            del block
+            continue
+        rows, linenos, found, unchecked, error = [], [], {}, [], None
+        for number, line in enumerate(lines, start=first):
+            try:
+                row = _line_cells(line, number, source, limit)
+            except DatasetError as exc:
+                error = exc
+                break
+            if row is None:
+                continue
+            if len(row) != len(RUN_LOG_HEADER):
+                found[len(rows)] = [f"expected {len(RUN_LOG_HEADER)} columns, got {len(row)}"]
+                unchecked.append(len(rows))
+                row = _PLACEHOLDER
+            rows.append(row)
+            linenos.append(number)
+        yield _text_block(list(zip(*rows)) or [()] * 7, linenos, found, unchecked, error)
+        if error is not None:
+            return
+        # Read the next block holding no text of this one.
+        del lines, body, rows
+
+
+def _text_block(cells: list[Sequence[str]], linenos: Sequence[int], found: dict[int, list[str]],
+                unchecked: Sequence[int] = (), error: DatasetError | None = None) -> _Block:
+    """A block of run-log cells by column, with empty identifiers found and
+    seeds and scores converted."""
+    if any("" in column for column in cells[:5]):
+        for i, names in enumerate(zip(*cells[:5])):
+            if not all(names):
+                found[i] = [f"empty column {RUN_LOG_HEADER[k]!r}" for k, name in enumerate(names) if not name]
+    fields = [*cells[:5], _converted(int, cells[5], repeats=True), _converted(float, cells[6])]
+    return _Block(fields, cells, linenos, found, unchecked, error)
 
 
 def parse_dataset(run_log: IO[str], baselines: IO[str], schema: SweepSchema) -> SweepDataset:
     """Parse and validate a run log and baseline table against a schema.
 
     Parsing checks what needs the text: the header, the column count, empty
-    identifiers, and int/float conversion. Each row then passes once through
+    identifiers, and int/float conversion. The rows then pass once through
     the rules that direct construction of :class:`BaselineTable` and
     :class:`SweepDataset` applies. Raises :class:`DatasetError` carrying one
     diagnostic per problem, prefixed ``source:lineno:``; a bad baseline table
@@ -442,19 +668,19 @@ def parse_dataset(run_log: IO[str], baselines: IO[str], schema: SweepSchema) -> 
                       lambda cells: (None, (cells[0], _convert(float, cells[1]), _convert(float, cells[2]))))
     table = BaselineTable._parsed(rows, base_source)
     run_source = getattr(run_log, "name", "<run log>")
-    rows = _file_rows(run_log, run_source, RUN_LOG_HEADER, "run log", _run_log_entry)
-    return SweepDataset._parsed(rows, table, schema, run_source)
+    return SweepDataset._parsed(_run_log_blocks(run_log, run_source), table, schema, run_source)
 
 
 def load_dataset(run_log_path: str | Path, baselines_path: str | Path,
                  schema_path: str | Path | None = None) -> SweepDataset:
     """File-path convenience wrapper around :func:`parse_dataset`.
 
-    With no schema path the bundled Atari DER/DrQ(eps) schema is used.
+    With no schema path the bundled Atari DER/DrQ(eps) schema is used. Both
+    files are read as UTF-8, with or without a byte-order mark.
     """
     schema = bundled_schema() if schema_path is None else load_schema(schema_path)
-    with open(run_log_path, encoding="utf-8") as run_log, \
-            open(baselines_path, encoding="utf-8") as baselines:
+    with open(run_log_path, encoding="utf-8-sig") as run_log, \
+            open(baselines_path, encoding="utf-8-sig") as baselines:
         return parse_dataset(run_log, baselines, schema)
 
 
@@ -583,8 +809,8 @@ def write_run_log(dataset: SweepDataset, stream: IO[str]) -> None:
     round trip reproduces the dataset exactly."""
     stream.write(",".join(RUN_LOG_HEADER) + "\n")
     writer = csv.writer(stream, lineterminator="\n")
-    for key, score in dataset._runs:
-        writer.writerow([*key, repr(score)])
+    *keys, scores = dataset._columns()
+    writer.writerows(zip(*keys, map(repr, scores)))
 
 
 def write_baselines(dataset: SweepDataset, stream: IO[str]) -> None:

@@ -93,6 +93,14 @@ class ScoreMatrix:
             raise ValueError("score matrix must have at least one row")
         self.rows: tuple[np.ndarray, ...] = tuple(collected)
 
+    @classmethod
+    def _of_checked(cls, rows: Iterable[np.ndarray]) -> ScoreMatrix:
+        """Matrix of rows a caller has already checked: read-only, non-empty
+        1-D float arrays of finite scores."""
+        matrix = cls.__new__(cls)
+        matrix.rows = tuple(rows)
+        return matrix
+
     def __len__(self) -> int:
         return len(self.rows)
 

@@ -11,9 +11,12 @@ at mu.
 
 from __future__ import annotations
 
+import csv
 import math
+import sys
 from pathlib import Path
-from typing import Mapping, Sequence
+from types import MappingProxyType
+from typing import IO, Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import pytest
 import yaml
@@ -25,7 +28,14 @@ from thckit import (
     SweepDataset,
     SweepSchema,
 )
-from thckit.dataset import dump_schema, write_baselines, write_run_log
+from thckit.dataset import (
+    MAX_DIAGNOSTICS,
+    RUN_LOG_HEADER,
+    DatasetError,
+    dump_schema,
+    write_baselines,
+    write_run_log,
+)
 from thckit.ranking import RankingMode
 from thckit.stats import Interval
 
@@ -180,3 +190,151 @@ def reference_rankings(
             entries.append((label, pos0 + 1, final))
         tables.append(entries)
     return tables, messages
+
+
+# -- reference ingest ---------------------------------------------------------
+# The one-row-at-a-time run-log ingest that the columnar one replaced, kept
+# unchanged as the oracle for tests/test_dataset.py: the line tokeniser, the
+# per-row conversions, the per-row rules in diagnostic order, and the index of
+# seed-sorted leaves nested in first-seen order.
+
+
+def _reference_convert(kind: type, text: str) -> int | float | None:
+    try:
+        return kind(text)
+    except ValueError:
+        return None
+
+
+def _reference_cell(cells: list[str] | None, column: int, value: object) -> str:
+    return str(value) if cells is None else cells[column]
+
+
+def _reference_file_rows(stream: IO[str], source: str, header: tuple[str, ...], what: str,
+                         make: Callable[[list[str]], tuple[list[str] | None, Any]]) -> Iterator[tuple]:
+    columns = len(header)
+    limit = csv.field_size_limit()
+    for lineno, line in enumerate(stream, start=1):
+        stripped = line.strip()
+        if not stripped or stripped[0] == "#":
+            continue
+        if '"' in line or "\0" in line or "\r" in line or len(line) > limit:
+            try:
+                cells = [cell.strip() for cell in next(csv.reader([line]))]
+            except csv.Error as exc:
+                raise DatasetError([f"{source}:{lineno}: malformed row: {exc}"]) from exc
+        elif " " not in stripped and stripped.isprintable():
+            cells = stripped.split(",")
+        else:
+            cells = [cell.strip() for cell in stripped.split(",")]
+        if header:
+            if tuple(cells) != header:
+                raise DatasetError([f"{source}:{lineno}: expected header {','.join(header)!r}, got {','.join(cells)!r}"])
+            header = ()
+        elif len(cells) != columns:
+            yield lineno, cells, [f"expected {columns} columns, got {len(cells)}"], None
+        else:
+            yield (lineno, cells, *make(cells))
+    if header:
+        raise DatasetError([f"{source}: {what} is empty"])
+
+
+def _reference_run_log_entry(cells: list[str]) -> tuple[list[str] | None, tuple]:
+    agent, env, regime, hp, value, seed, score = cells
+    empty = None
+    if not (agent and env and regime and hp and value):
+        empty = [f"empty column {RUN_LOG_HEADER[i]!r}" for i in range(5) if not cells[i]]
+    intern = sys.intern
+    return empty, (intern(agent), intern(env), intern(regime), intern(hp), intern(value),
+                   _reference_convert(int, seed), _reference_convert(float, score))
+
+
+def _reference_admit(rows: Iterable[tuple], baselines: BaselineTable, schema: SweepSchema,
+                     source: str | None = None) -> tuple[tuple, Mapping]:
+    agents = frozenset(schema.agents)
+    environments = frozenset(schema.environments)
+    regimes = frozenset(schema.data_regimes)
+    declared = {hp: frozenset(values) for hp, values in schema.hyperparameters.items()}
+    with_baselines = frozenset(baselines.environments)
+    runs: list[tuple[tuple, float]] = []
+    problems: list[str] = []
+    seen: set[tuple] = set()
+    leaves: dict[tuple, list[tuple[int, float]]] = {}
+    for lineno, cells, found, fields in rows:
+        mark = len(problems)
+        if mark >= MAX_DIAGNOSTICS:
+            if source is not None:
+                problems.append(f"{source}: stopping after {MAX_DIAGNOSTICS} problems")
+            break
+        if found:
+            problems.extend(found)
+        if fields is not None:
+            agent, env, regime, hp, value, seed, score = fields
+            seed_ok = seed is not None and seed >= 0
+            if not seed_ok:
+                problems.append(f"column 'seed' must be a non-negative integer, got {_reference_cell(cells, 5, seed)!r}")
+            if score is None:
+                problems.append(f"column 'final_score' is not a number: {_reference_cell(cells, 6, None)!r}")
+            elif not math.isfinite(score):
+                problems.append(f"column 'final_score' must be finite, got {_reference_cell(cells, 6, score)!r}")
+            if agent not in agents:
+                problems.append(f"unknown agent {agent!r}")
+            if env not in environments:
+                problems.append(f"unknown environment {env!r}")
+            elif env not in with_baselines:
+                problems.append(f"no baseline scores for environment {env!r}")
+            if regime not in regimes:
+                problems.append(f"unknown data_regime {regime!r}")
+            values = declared.get(hp)
+            if values is None:
+                problems.append(f"unknown hyperparameter {hp!r}")
+            elif value not in values:
+                problems.append(f"value {value!r} not declared for hyperparameter {hp!r}")
+            if seed_ok:
+                key = (agent, env, regime, hp, value, seed)
+                held = len(seen)
+                seen.add(key)
+                if len(seen) == held:
+                    problems.append(f"duplicate record key {key}")
+        if len(problems) > mark:
+            if lineno is not None:
+                prefix = f"{source}:{lineno}: "
+                problems[mark:] = [prefix + problem for problem in problems[mark:]]
+            continue
+        runs.append((key, score))
+        cell = (hp, agent, regime, env, value)
+        leaf = leaves.get(cell)
+        if leaf is None:
+            leaves[cell] = [(seed, score)]
+        else:
+            leaf.append((seed, score))
+    if problems:
+        raise DatasetError(problems)
+    return tuple(runs), _reference_freeze(leaves)
+
+
+def _reference_freeze(leaves: dict[tuple, list[tuple[int, float]]]) -> Mapping:
+    index: dict = {}
+    for (hp, agent, regime, env, value), runs in leaves.items():
+        runs.sort()
+        index.setdefault(hp, {}).setdefault((agent, regime), {}).setdefault(env, {})[value] = \
+            tuple([score for _, score in runs])
+    return _reference_read_only(index)
+
+
+def _reference_read_only(node: dict) -> Mapping:
+    return MappingProxyType({key: _reference_read_only(child) if isinstance(child, dict) else child
+                             for key, child in node.items()})
+
+
+def reference_parse(run_log: IO[str], baselines: BaselineTable,
+                    schema: SweepSchema) -> tuple[tuple[tuple[tuple, float], ...], Mapping]:
+    """Oracle for the ingest layer: a run log read one row at a time.
+
+    Returns the runs as ``(key, final_score)`` pairs in input order and the
+    index, or raises :class:`DatasetError` with the diagnostics
+    :func:`thckit.dataset.parse_dataset` must give.
+    """
+    source = getattr(run_log, "name", "<run log>")
+    rows = _reference_file_rows(run_log, source, RUN_LOG_HEADER, "run log", _reference_run_log_entry)
+    return _reference_admit(rows, baselines, schema, source)

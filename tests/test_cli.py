@@ -12,6 +12,7 @@ import pytest
 
 import thckit
 from thckit.cli import main
+from thckit.dataset import load_dataset
 
 from conftest import (
     dataset_from_intervals,
@@ -77,6 +78,19 @@ class TestValidate:
         runs.write_text("\n".join(lines) + "\n")
         assert main(["validate", *dataset_args(reference_paths)]) == 1
         assert ":4:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["runs", "baselines"])
+    def test_byte_order_mark_is_read_past(self, reference_paths, capsys, name):
+        # Excel's "CSV UTF-8" and pandas' encoding="utf-8-sig" start the file with one.
+        plain = load_dataset(reference_paths["runs"], reference_paths["baselines"], reference_paths["schema"])
+        assert main(["validate", *dataset_args(reference_paths)]) == 0
+        without = capsys.readouterr().out
+        path = reference_paths[name]
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert main(["validate", *dataset_args(reference_paths)]) == 0
+        assert capsys.readouterr().out == without
+        assert load_dataset(reference_paths["runs"], reference_paths["baselines"],
+                            reference_paths["schema"]) == plain
 
     def test_missing_file_exits_2(self, tmp_path, reference_paths, capsys):
         args = dataset_args(reference_paths)

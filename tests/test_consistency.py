@@ -36,6 +36,7 @@ from thckit.consistency import (
 )
 from thckit.dataset import EmptySliceError, SweepDataset, load_dataset
 from thckit.report import build_report_bundle, write_report_bundle
+from thckit.stats import ScoreMatrix
 
 from conftest import dataset_from_intervals, reference_trajectory_cells
 
@@ -630,6 +631,26 @@ class TestCellTable:
             _, alone = build_consistency_report(fixture_dataset, setup, FIXTURE_OPTIONS, cells=cells)
             assert ([profile_fields(p, bundle.cells) for p in shared]
                     == [profile_fields(p, cells) for p in alone])
+
+    def test_bootstrap_matrices_skip_the_second_finiteness_check(self, fixture_dataset, monkeypatch):
+        # The cell table checks every normalised score once, then hands its
+        # rows to the bootstrap as read-only views without ScoreMatrix's check.
+        matrices = []
+        bootstrap = consistency.stratified_bootstrap_cis
+
+        def kept(cells, *args, **kwargs):
+            matrices.extend(matrix for matrix, _ in cells)
+            return bootstrap(cells, *args, **kwargs)
+
+        def checked_again(self, rows):
+            raise AssertionError("ScoreMatrix checked the cell table's rows again")
+
+        monkeypatch.setattr(consistency, "stratified_bootstrap_cis", kept)
+        monkeypatch.setattr(ScoreMatrix, "__init__", checked_again)
+        build_report_bundle(fixture_dataset, ALL_SETUPS, FIXTURE_OPTIONS)
+        assert len(matrices) == 160
+        assert all(row.ndim == 1 and row.size >= 2 and row.dtype == float and not row.flags.writeable
+                   for matrix in matrices for row in matrix.rows)
 
     @pytest.mark.parametrize("source", list(IntervalSource))
     def test_fill_in_small_blocks_changes_nothing(self, fixture_dataset, monkeypatch, caplog, source):

@@ -10,13 +10,18 @@ import random
 import re
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import thckit.dataset
 from thckit.dataset import (
+    BLOCK_LINES,
+    MAX_DIAGNOSTICS,
+    RUN_LOG_HEADER,
     Axis,
     BaselineTable,
     DatasetError,
@@ -37,7 +42,7 @@ from thckit.dataset import _file_rows
 from thckit.stats import human_normalize
 from thckit.synth import PlantedDesign, PlantedHyperparameter, generate
 
-from conftest import write_dataset_files
+from conftest import reference_parse, write_dataset_files
 
 
 def small_schema() -> SweepSchema:
@@ -247,6 +252,148 @@ class TestTokeniser:
             assert excinfo.value.diagnostics == ["<t>:2: malformed row: field larger than field limit (8)"]
         finally:
             csv.field_size_limit(limit)
+
+
+# Run logs for checking the block ingest against the row-by-row reference:
+# plain rows with unique keys, of which some are rewritten into a fault or a
+# spelling only the line tokeniser reads, or get a line inserted before them.
+INGEST_SCHEMA = SweepSchema(
+    agents=("a1", "a2"),
+    environments=("e1", "e2", "e3"),
+    data_regimes=("r1", "r2"),
+    hyperparameters={"lr": ("0.1", "0.01", "0.001"), "bs": ("32", "64")},
+)
+# e3 is declared but has no baseline scores.
+INGEST_BASELINES_CSV = "environment,random_score,human_score\ne1,0,1\ne2,100,1100\n"
+INGEST_PAIRS = (("lr", "0.1"), ("lr", "0.01"), ("lr", "0.001"), ("bs", "32"), ("bs", "64"))
+
+
+def plain_fields(i: int) -> list[str]:
+    """Row ``i`` of a valid log: 40 cells, each taking seeds 0, 1, ... in turn."""
+    hp, value = INGEST_PAIRS[i // 8 % 5]
+    return [("a1", "a2")[i % 2], ("e1", "e2")[i // 2 % 2], ("r1", "r2")[i // 4 % 2], hp, value,
+            str(i // 40), repr((i * 7919 % 1009) / 16 - 20)]
+
+
+def with_cell(column: int, text: str):
+    return lambda fields: [*fields[:column], text, *fields[column + 1:]]
+
+
+# How a row's fields are rewritten: faults of every kind the rules know, and
+# spellings that parse to the same run.
+ROW_EDITS = {
+    "column-count": lambda fields: fields[:6],
+    "extra-column": lambda fields: [*fields, "x"],
+    "empty-agent": with_cell(0, ""),
+    "empty-value": with_cell(4, ""),
+    "bad-seed": with_cell(5, "x"),
+    "negative-seed": with_cell(5, "-3"),
+    "plus-seed": lambda fields: with_cell(5, "+" + fields[5])(fields),
+    "zero-padded-seed": lambda fields: with_cell(5, "0" + fields[5])(fields),
+    "huge-seed": with_cell(5, str(2**64 + 1)),
+    "non-numeric-score": with_cell(6, "nope"),
+    "infinite-score": with_cell(6, "inf"),
+    "nan-score": with_cell(6, "NaN"),
+    "unknown-agent": with_cell(0, "zz"),
+    "non-ascii-agent": with_cell(0, "\xe9"),
+    "unknown-environment": with_cell(1, "zz"),
+    "missing-baseline": with_cell(1, "e3"),
+    "unknown-regime": with_cell(2, "zz"),
+    "unknown-hyperparameter": with_cell(3, "zz"),
+    "undeclared-value": with_cell(4, "0.7"),
+    "quoted": lambda fields: ['"' + fields[0] + '"', *fields[1:]],
+    "padded": lambda fields: [" " + fields[0], fields[1] + "\t", *fields[2:]],
+    "unicode-space": lambda fields: ["\u2003" + fields[0], *fields[1:]],
+    "malformed": with_cell(2, "r\r1"),
+}
+# Lines inserted before a row.
+INSERTED_LINES = ["\n", "   \n", "# a comment\n", "#a,b,c,d,e,f,g\n", ",,,,,,\n"]
+
+ingest_edits = st.lists(st.tuples(
+    st.integers(0, 10**6),
+    st.one_of(st.sampled_from(sorted(ROW_EDITS)), st.just("crlf"), st.just("duplicate"),
+              st.sampled_from(INSERTED_LINES)),
+    st.integers(0, 10**6)), max_size=8)
+
+
+@st.composite
+def ingest_logs(draw) -> tuple[int, str]:
+    """A block size and a run log: more than two blocks at the real size, or
+    up to 300 rows in small blocks; faults anywhere, on the first and last
+    row of a block, and on more than ``MAX_DIAGNOSTICS`` rows."""
+    block = draw(st.sampled_from([BLOCK_LINES, 1, 2, 3, 7]))
+    rows = draw(st.integers(2 * BLOCK_LINES + 1, 2 * BLOCK_LINES + 30) if block == BLOCK_LINES
+                else st.integers(0, 300))
+    lines = [plain_fields(i) for i in range(rows)]
+    edits = draw(ingest_edits)
+    if rows:
+        edges = st.sampled_from([k * block + d for k in range(1, rows // block + 1) for d in (-1, 0)
+                                 if k * block + d < rows] or [0])
+        edits += [(row, kind, other) for row, (_, kind, other)
+                  in zip(draw(st.lists(edges, max_size=3)), draw(ingest_edits))]
+        spray = draw(st.sampled_from([0, 0, MAX_DIAGNOSTICS - 1, MAX_DIAGNOSTICS, MAX_DIAGNOSTICS + 1]))
+        if spray and rows >= spray:
+            kind = draw(st.sampled_from(["unknown-agent", "negative-seed", "column-count", "duplicate"]))
+            # Ending on a block's last row puts the cap on the last row read.
+            end = draw(st.one_of(st.integers(spray, rows),
+                                 st.sampled_from([k * block for k in range(1, rows // block + 1)
+                                                  if spray <= k * block] or [rows])))
+            edits += [(row, kind, 0) for row in range(end - spray, end)]
+    ends = ["\n"] * rows
+    before: dict[int, list[str]] = {}
+    for row, kind, other in edits:
+        if not rows:
+            break
+        row %= rows
+        if kind in ROW_EDITS:
+            lines[row] = ROW_EDITS[kind](lines[row])
+        elif kind == "crlf":
+            ends[row] = "\r\n"
+        elif kind == "duplicate":
+            lines[row] = [*plain_fields(other % rows)[:6], "1.5"]
+        else:
+            before.setdefault(row, []).append(kind)
+    head = draw(st.sampled_from(["", "# leading comment\n\n"]))
+    text = head + ",".join(RUN_LOG_HEADER) + "\n" + "".join(
+        "".join(before.get(i, [])) + ",".join(fields) + end
+        for i, (fields, end) in enumerate(zip(lines, ends)))
+    if rows and draw(st.booleans()):
+        text = text[:-1]
+    return block, text
+
+
+def outcome(parse):
+    try:
+        return parse()
+    except DatasetError as exc:
+        return exc.diagnostics
+
+
+class TestIngestMatchesReference:
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(ingest_logs())
+    def test_diagnostics_index_records_and_equality(self, case):
+        block, text = case
+        baselines = BaselineTable({"e1": (0.0, 1.0), "e2": (100.0, 1100.0)})
+        with mock.patch.object(thckit.dataset, "BLOCK_LINES", block):
+            parsed = outcome(lambda: parse_dataset(io.StringIO(text), io.StringIO(INGEST_BASELINES_CSV),
+                                                   INGEST_SCHEMA))
+        expected = outcome(lambda: reference_parse(io.StringIO(text), baselines, INGEST_SCHEMA))
+        if isinstance(expected, list):
+            assert parsed == expected
+            return
+        runs, index = expected
+        assert isinstance(parsed, SweepDataset)
+        assert len(parsed) == len(runs)
+        # repr also compares key order at every level and the types of leaves and fields.
+        assert parsed.index == index and repr(parsed.index) == repr(index)
+        records = tuple(RunRecord(*key, score) for key, score in runs)
+        assert parsed.records == records and repr(parsed.records) == repr(records)
+        assert parsed == SweepDataset(records[::-1], baselines, INGEST_SCHEMA)
+        if runs:
+            changed = [dataclasses.replace(records[0], final_score=records[0].final_score + 1), *records[1:]]
+            assert parsed != SweepDataset(changed, baselines, INGEST_SCHEMA)
+            assert parsed != SweepDataset(records[1:], baselines, INGEST_SCHEMA)
 
 
 class TestSweepSchema:
