@@ -31,11 +31,9 @@ from .stats import (
     DEFAULT_CONFIDENCE,
     DEFAULT_RESAMPLES,
     Interval,
-    ScoreMatrix,
     derive_seed,
-    iqm,
+    pooled_bootstrap_cis,
     pooled_mean_and_spreads,
-    stratified_bootstrap_cis,
 )
 
 __all__ = [
@@ -354,7 +352,12 @@ class CellTable:
     alone, so every setup and subcommand that reads a cell gets the same
     interval, and each cell is normalised, aggregated and warned about once,
     a whole context (hyper-parameter, agent, data regime, environment scope)
-    at a time. A context's cells are held as arrays over the declared values.
+    at a time. A fill block's scores are laid end to end in one array,
+    normalised and checked for non-finite values once; both aggregators read
+    that array as it is, mean +/- sd with each cell's length and the
+    bootstrap with each cell's row sizes, and both return lower bounds, upper
+    bounds and points. A context's cells are held as arrays over the declared
+    values.
     """
 
     def __init__(self, dataset: SweepDataset, options: AssemblyOptions) -> None:
@@ -441,18 +444,11 @@ class CellTable:
                 out = pooled_mean_and_spreads(normalised, lengths)
                 groups |= set(lengths.tolist())
             else:
-                # Views of a read-only array whose finiteness was checked above.
-                normalised.flags.writeable = False
-                rows = iter(np.split(normalised, np.cumsum(sizes)[:-1]))
-                matrices = [ScoreMatrix._of_checked(itertools.islice(rows, len(leaves)))
-                            for leaves in cell_leaves]
+                patterns = [tuple(len(scores) for _, scores in leaves) for leaves in cell_leaves]
                 seeds = [derive_seed(options.seed, hp, value, agent, regime, env or "*")
                          for hp, value, agent, regime, env in cells]
-                intervals = stratified_bootstrap_cis(list(zip(matrices, seeds)),
-                                                     options.resamples, options.confidence)
-                out = np.array([[iv.lower for iv in intervals], [iv.upper for iv in intervals],
-                                [iqm(matrix.pooled()) for matrix in matrices]])
-                groups |= {tuple(len(row) for row in matrix.rows) for matrix in matrices}
+                out = pooled_bootstrap_cis(normalised, patterns, seeds, options.resamples, options.confidence)
+                groups |= set(patterns)
         _require_finite(cells, np.isfinite(out).all(axis=0), "an interval bound or point estimate")
         arrays = np.full((3, width), np.nan)
         arrays[:, columns] = out

@@ -15,16 +15,15 @@ Parsing reads the run log in blocks of ``BLOCK_LINES`` lines. A block
 whose every line is a plain 7-cell row (no quote, whitespace or other
 unprintable character, no blank or comment line, none longer than
 ``csv.field_size_limit()``) is split into seven columns at once. Any other
-block goes line by line: a line is split on commas with ``str.split`` and its
-cells are stripped only when it holds whitespace, and a line holding a quote
-character, a NUL or a carriage return (or longer than the limit) goes through
-:mod:`csv` instead. Either way every line gives the cells that
-``[cell.strip() for cell in next(csv.reader([line]))]`` gives, or the same
-``malformed row`` diagnostic. Each rule is then one predicate over a column
-of a block: identifiers become integer codes by dict lookup, seeds and scores
-are converted with ``map``, finiteness is one ``np.isfinite``, and duplicate
-keys come from one stable sort of all runs. Diagnostics are formatted only for
-the rows that fail.
+block goes line by line through :mod:`csv`: a line's cells are
+``[cell.strip() for cell in next(csv.reader([line]))]``, and a line the
+reader rejects gets a ``malformed row`` diagnostic. The header line and the
+baseline table's rows are read the same way, and a byte-order mark that
+starts either stream is read past. Each rule is then one predicate over a
+column of a block: identifiers become integer codes by dict lookup, seeds and
+scores are converted with ``map``, finiteness is one ``np.isfinite``, and
+duplicate keys come from one stable sort of all runs. Diagnostics are
+formatted only for the rows that fail.
 
 The dataset keeps its runs as columns in input order: one integer code per
 run for its (agent, environment, data regime, hyper-parameter value) cell,
@@ -536,28 +535,26 @@ def _record_blocks(records: Iterable[RunRecord]) -> Iterator[_Block]:
         yield _Block(list(zip(*map(_RECORD_FIELDS, chunk))), None, None, {})
 
 
-def _line_cells(line: str, lineno: int, source: str, limit: int) -> list[str] | None:
-    """One line's cells, or None for a blank or comment line. See the module
-    docstring for how a line is split into cells."""
+def _line_cells(line: str, lineno: int, source: str) -> list[str] | None:
+    """One line's cells, ``[cell.strip() for cell in next(csv.reader([line]))]``,
+    or None for a blank or comment line."""
     stripped = line.strip()
     if not stripped or stripped[0] == "#":
         return None
-    if '"' in line or "\0" in line or "\r" in line or len(line) > limit:
-        try:
-            return [cell.strip() for cell in next(csv.reader([line]))]
-        except csv.Error as exc:
-            raise DatasetError([f"{source}:{lineno}: malformed row: {exc}"]) from exc
-    if " " not in stripped and stripped.isprintable():
-        # Every whitespace character but the space is unprintable.
-        return stripped.split(",")
-    return [cell.strip() for cell in stripped.split(",")]
+    try:
+        return [cell.strip() for cell in next(csv.reader([line]))]
+    except csv.Error as exc:
+        raise DatasetError([f"{source}:{lineno}: malformed row: {exc}"]) from exc
 
 
-def _header_line(stream: IO[str], source: str, header: tuple[str, ...], what: str, limit: int) -> int:
+def _header_line(stream: IO[str], source: str, header: tuple[str, ...], what: str) -> int:
     """Read through the first line that is not blank or a comment, check that
-    it is ``header``, and return its line number."""
+    it is ``header``, and return its line number. A byte-order mark that
+    starts the stream is read past."""
     for lineno, line in enumerate(stream, start=1):
-        cells = _line_cells(line, lineno, source, limit)
+        if lineno == 1:
+            line = line.removeprefix("\ufeff")
+        cells = _line_cells(line, lineno, source)
         if cells is not None:
             if tuple(cells) != header:
                 raise DatasetError([f"{source}:{lineno}: expected header {','.join(header)!r}, got {','.join(cells)!r}"])
@@ -570,10 +567,9 @@ def _file_rows(stream: IO[str], source: str, header: tuple[str, ...], what: str,
     """Rows after a checked header line, one at a time, as
     ``_admit_baselines`` reads them; ``make(cells)`` gives a row's text
     problems (None for none) and item."""
-    limit = csv.field_size_limit()
-    start = _header_line(stream, source, header, what, limit)
+    start = _header_line(stream, source, header, what)
     for lineno, line in enumerate(stream, start=start + 1):
-        cells = _line_cells(line, lineno, source, limit)
+        cells = _line_cells(line, lineno, source)
         if cells is None:
             continue
         if len(cells) != len(header):
@@ -606,7 +602,7 @@ def _run_log_blocks(stream: IO[str], source: str) -> Iterator[_Block]:
     other goes line by line. Parsing checks what needs the text: the column
     count, empty identifiers, and int/float conversion."""
     limit = csv.field_size_limit()
-    lineno = _header_line(stream, source, RUN_LOG_HEADER, "run log", limit)
+    lineno = _header_line(stream, source, RUN_LOG_HEADER, "run log")
     while lines := list(islice(stream, BLOCK_LINES)):
         first, lineno = lineno + 1, lineno + len(lines)
         body = "".join(lines)
@@ -622,7 +618,7 @@ def _run_log_blocks(stream: IO[str], source: str) -> Iterator[_Block]:
         rows, linenos, found, unchecked, error = [], [], {}, [], None
         for number, line in enumerate(lines, start=first):
             try:
-                row = _line_cells(line, number, source, limit)
+                row = _line_cells(line, number, source)
             except DatasetError as exc:
                 error = exc
                 break
@@ -657,7 +653,8 @@ def parse_dataset(run_log: IO[str], baselines: IO[str], schema: SweepSchema) -> 
     """Parse and validate a run log and baseline table against a schema.
 
     Parsing checks what needs the text: the header, the column count, empty
-    identifiers, and int/float conversion. The rows then pass once through
+    identifiers, and int/float conversion. A byte-order mark that starts
+    either stream is read past. The rows then pass once through
     the rules that direct construction of :class:`BaselineTable` and
     :class:`SweepDataset` applies. Raises :class:`DatasetError` carrying one
     diagnostic per problem, prefixed ``source:lineno:``; a bad baseline table
@@ -676,11 +673,11 @@ def load_dataset(run_log_path: str | Path, baselines_path: str | Path,
     """File-path convenience wrapper around :func:`parse_dataset`.
 
     With no schema path the bundled Atari DER/DrQ(eps) schema is used. Both
-    files are read as UTF-8, with or without a byte-order mark.
+    files are read as UTF-8.
     """
     schema = bundled_schema() if schema_path is None else load_schema(schema_path)
-    with open(run_log_path, encoding="utf-8-sig") as run_log, \
-            open(baselines_path, encoding="utf-8-sig") as baselines:
+    with open(run_log_path, encoding="utf-8") as run_log, \
+            open(baselines_path, encoding="utf-8") as baselines:
         return parse_dataset(run_log, baselines, schema)
 
 

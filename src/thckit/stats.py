@@ -4,7 +4,11 @@ Converts raw per-seed scores into the aggregate intervals the ranking layer
 consumes: human-normalized scores, the interquartile mean (IQM), stratified
 bootstrap confidence intervals, and plain mean +/- standard deviation spreads.
 
-All functions are pure. Each bootstrap cell draws its indices from one
+All functions are pure. The batched aggregators share one layout: the
+cells' scores laid end to end in one array, each cell described by its
+length (mean +/- sd) or by its tuple of row sizes, its strata (bootstrap),
+and both return a ``(3, k)`` array of lower bounds, upper bounds and point
+estimates. Each bootstrap cell draws its indices from one
 ``Generator(Philox(key=seed))``: replicate after replicate, each row's
 indices in row order, as ``integers`` gives them. Cells with the same row
 sizes are evaluated together, in bounded-memory chunks that may hold several
@@ -36,10 +40,9 @@ __all__ = [
     "human_normalize",
     "iqm",
     "mean_and_spread",
-    "mean_and_spreads",
+    "pooled_bootstrap_cis",
     "pooled_mean_and_spreads",
     "stratified_bootstrap_ci",
-    "stratified_bootstrap_cis",
 ]
 
 DEFAULT_RESAMPLES = 2000
@@ -93,14 +96,6 @@ class ScoreMatrix:
             raise ValueError("score matrix must have at least one row")
         self.rows: tuple[np.ndarray, ...] = tuple(collected)
 
-    @classmethod
-    def _of_checked(cls, rows: Iterable[np.ndarray]) -> ScoreMatrix:
-        """Matrix of rows a caller has already checked: read-only, non-empty
-        1-D float arrays of finite scores."""
-        matrix = cls.__new__(cls)
-        matrix.rows = tuple(rows)
-        return matrix
-
     def __len__(self) -> int:
         return len(self.rows)
 
@@ -135,19 +130,12 @@ def iqm(samples: Sequence[float]) -> float:
 def mean_and_spread(samples: Sequence[float]) -> Interval:
     """Interval ``mean - sd .. mean + sd`` with the sample (n-1) standard
     deviation. Requires at least two samples. The one-set call of
-    :func:`mean_and_spreads`."""
-    return mean_and_spreads([samples])[0][1]
-
-
-def mean_and_spreads(sample_sets: Sequence[Sequence[float]]) -> list[tuple[float, Interval]]:
-    """Each sample set's mean and its :func:`mean_and_spread` interval, in
-    order; the sets laid end to end go through :func:`pooled_mean_and_spreads`."""
-    arrays = [np.asarray(samples, dtype=float).ravel() for samples in sample_sets]
-    lengths = np.array([arr.size for arr in arrays], dtype=int)
-    if (lengths < 2).any():
-        raise ValueError(f"mean_and_spread needs >= 2 samples, got {lengths[lengths < 2][0]}")
-    lower, upper, mu = pooled_mean_and_spreads(np.concatenate([np.empty(0), *arrays]), lengths).tolist()
-    return [(mean, Interval(lo, hi)) for mean, lo, hi in zip(mu, lower, upper)]
+    :func:`pooled_mean_and_spreads`."""
+    arr = np.asarray(samples, dtype=float).ravel()
+    if arr.size < 2:
+        raise ValueError(f"mean_and_spread needs >= 2 samples, got {arr.size}")
+    (lower,), (upper,), _ = pooled_mean_and_spreads(arr, np.array([arr.size])).tolist()
+    return Interval(lower, upper)
 
 
 def pooled_mean_and_spreads(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -200,21 +188,27 @@ def stratified_bootstrap_ci(
     replicate after another and one row after another, each row's as
     ``integers(0, row.size, size=row.size)`` would give them.
 
-    This is the one-cell call of :func:`stratified_bootstrap_cis`.
+    This is the one-cell call of :func:`pooled_bootstrap_cis`.
     Deterministic for fixed ``(matrix, resamples, confidence, seed)``. A
     degenerate matrix (all rows constant) yields a zero-width interval rather
     than an error. ``seed`` must lie in ``[0, 2**128)``.
     """
-    return stratified_bootstrap_cis([(matrix, seed)], resamples, confidence)[0]
+    (lower,), (upper,), _ = pooled_bootstrap_cis(
+        matrix.pooled(), [tuple(row.size for row in matrix.rows)], [seed], resamples, confidence).tolist()
+    return Interval(lower, upper)
 
 
-def stratified_bootstrap_cis(
-    cells: Sequence[tuple[ScoreMatrix, int]],
+def pooled_bootstrap_cis(
+    values: np.ndarray,
+    patterns: Sequence[tuple[int, ...]],
+    seeds: Sequence[int],
     resamples: int = DEFAULT_RESAMPLES,
     confidence: float = DEFAULT_CONFIDENCE,
-) -> list[Interval]:
-    """:func:`stratified_bootstrap_ci` of every ``(matrix, seed)`` cell, in
-    order, each interval equal to the one-cell call's bit for bit.
+) -> np.ndarray:
+    """:func:`stratified_bootstrap_ci` bounds and :func:`iqm` point, as a
+    ``(3, k)`` array, of the ``k`` cells laid end to end in ``values``, cell
+    ``i`` holding rows of the sizes ``patterns[i]`` and drawing from
+    ``seeds[i]``; each cell's results equal the one-cell call's bit for bit.
 
     Cells with the same row sizes are evaluated together, in chunks that
     reuse one set of preallocated buffers. A chunk holds every replicate of
@@ -228,24 +222,24 @@ def stratified_bootstrap_cis(
         raise ValueError(f"resamples must be >= {MIN_RESAMPLES}, got {resamples}")
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
-    seeds = [operator.index(seed) for _, seed in cells]
+    seeds = [operator.index(seed) for seed in seeds]
     for seed in seeds:
         if not 0 <= seed < 2**128:
             raise ValueError(f"bootstrap seed must lie in [0, 2**128), got {seed}")
     alpha = (1.0 - confidence) / 2.0
     percents = [100.0 * alpha, 100.0 * (1.0 - alpha)]
 
+    lengths = np.array([sum(sizes) for sizes in patterns], dtype=int)
+    starts = np.cumsum(lengths) - lengths
     groups: dict[tuple[int, ...], list[int]] = {}
-    for i, (matrix, _) in enumerate(cells):
-        groups.setdefault(tuple(row.size for row in matrix.rows), []).append(i)
-    intervals: list[Interval] = [None] * len(cells)  # type: ignore[list-item]
+    for i, sizes in enumerate(patterns):
+        groups.setdefault(tuple(sizes), []).append(i)
+    out = np.empty((3, len(patterns)))
     for sizes, members in groups.items():
         # One group's buffers are alive at a time.
-        bounds = _PatternGroup(sizes, resamples, len(members)).percentiles(
-            [cells[i][0] for i in members], [seeds[i] for i in members], percents)
-        for i, (lower, upper) in zip(members, bounds):
-            intervals[i] = Interval(lower, upper)
-    return intervals
+        out[:, members] = _PatternGroup(sizes, resamples, len(members)).estimates(
+            values, starts[members], [seeds[i] for i in members], percents)
+    return out
 
 
 class _PatternGroup:
@@ -272,25 +266,27 @@ class _PatternGroup:
         self.idx = np.empty((rows, n), dtype=np.int64)
         self.samples = np.empty((rows, n))
 
-    def percentiles(self, matrices: Sequence[ScoreMatrix], seeds: Sequence[int],
-                    percents: list[float]) -> list[tuple[float, float]]:
-        """The percentile pair of each cell's replicate IQMs, one
-        ``np.percentile`` per chunk of cells."""
-        bounds: list[tuple[float, float]] = []
-        for first in range(0, len(matrices), self.cells_per_chunk):
-            last = first + self.cells_per_chunk
-            stats = self.statistics(matrices[first:last], seeds[first:last])
-            lower, upper = np.percentile(stats, percents, axis=1)
-            bounds.extend(zip(lower.tolist(), upper.tolist()))
-        return bounds
+    def estimates(self, values: np.ndarray, starts: np.ndarray, seeds: Sequence[int],
+                  percents: list[float]) -> np.ndarray:
+        """``(3, len(starts))`` percentile pair of each cell's replicate IQMs
+        and its IQM, one ``np.percentile`` per chunk of cells; cell ``i``'s
+        entries start at ``values[starts[i]]``."""
+        n, trim = self.n, self.trim
+        out = np.empty((3, len(starts)))
+        for first in range(0, len(starts), self.cells_per_chunk):
+            chunk = slice(first, first + self.cells_per_chunk)
+            cells = values[starts[chunk, np.newaxis] + np.arange(n)]
+            out[:2, chunk] = np.percentile(self.statistics(cells, seeds[chunk]), percents, axis=1)
+            cells.sort(axis=1)
+            out[2, chunk] = cells[:, trim: n - trim].mean(axis=1)
+        return out
 
-    def statistics(self, matrices: Sequence[ScoreMatrix], seeds: Sequence[int]) -> np.ndarray:
-        """``(len(matrices), resamples)`` replicate IQMs of one chunk's cells,
-        or of one cell in slices of its replicates."""
+    def statistics(self, cells: np.ndarray, seeds: Sequence[int]) -> np.ndarray:
+        """``(len(cells), resamples)`` replicate IQMs of one chunk's cells, a
+        ``(cells, n)`` array, or of one cell in slices of its replicates."""
         n, resamples = self.n, self.resamples
-        values = np.concatenate([matrix.pooled() for matrix in matrices])
         streams = [np.random.Generator(np.random.Philox(key=seed)) for seed in seeds]
-        count = len(matrices)
+        count = len(cells)
         # Rows run cell by cell, each cell's replicates in order, so a chunk's
         # statistics are one contiguous run of ``stats``.
         stats = np.empty(count * resamples)
@@ -304,7 +300,7 @@ class _PatternGroup:
             samples = self.samples[:rows]
             # Every index is in range, and ``clip`` writes straight into
             # ``out`` where the default mode would buffer.
-            np.take(values, idx, out=samples, mode="clip")
+            np.take(cells, idx, out=samples, mode="clip")
             samples.sort(axis=1)
             # Each replicate's mean over a contiguous slice sums pairwise
             # exactly like the 1-D ``iqm``, so the replicate IQMs are

@@ -34,7 +34,7 @@ from thckit.consistency import (
     rank_context,
     thc,
 )
-from thckit.dataset import EmptySliceError, SweepDataset, load_dataset
+from thckit.dataset import BaselineTable, EmptySliceError, RunRecord, SweepDataset, SweepSchema, load_dataset
 from thckit.report import build_report_bundle, write_report_bundle
 from thckit.stats import ScoreMatrix
 
@@ -617,13 +617,13 @@ class TestCellTable:
 
     def test_bundle_aggregates_each_cell_once(self, fixture_dataset, monkeypatch):
         seeds = []
-        bootstrap = consistency.stratified_bootstrap_cis
+        bootstrap = consistency.pooled_bootstrap_cis
 
-        def counted(cells, *args, **kwargs):
-            seeds.extend(seed for _, seed in cells)
-            return bootstrap(cells, *args, **kwargs)
+        def counted(values, patterns, cell_seeds, *args, **kwargs):
+            seeds.extend(cell_seeds)
+            return bootstrap(values, patterns, cell_seeds, *args, **kwargs)
 
-        monkeypatch.setattr(consistency, "stratified_bootstrap_cis", counted)
+        monkeypatch.setattr(consistency, "pooled_bootstrap_cis", counted)
         bundle = build_report_bundle(fixture_dataset, ALL_SETUPS, FIXTURE_OPTIONS)
         assert len(seeds) == len(set(seeds)) == 160
         for setup, shared in zip(ALL_SETUPS, bundle.profiles):
@@ -632,25 +632,31 @@ class TestCellTable:
             assert ([profile_fields(p, bundle.cells) for p in shared]
                     == [profile_fields(p, cells) for p in alone])
 
-    def test_bootstrap_matrices_skip_the_second_finiteness_check(self, fixture_dataset, monkeypatch):
-        # The cell table checks every normalised score once, then hands its
-        # rows to the bootstrap as read-only views without ScoreMatrix's check.
-        matrices = []
-        bootstrap = consistency.stratified_bootstrap_cis
-
-        def kept(cells, *args, **kwargs):
-            matrices.extend(matrix for matrix, _ in cells)
-            return bootstrap(cells, *args, **kwargs)
-
+    def test_bundle_builds_no_score_matrix(self, fixture_dataset, monkeypatch):
+        # The cell table checks every normalised score once and hands the
+        # bootstrap the checked array itself, never a ScoreMatrix to check
+        # again.
         def checked_again(self, rows):
             raise AssertionError("ScoreMatrix checked the cell table's rows again")
 
-        monkeypatch.setattr(consistency, "stratified_bootstrap_cis", kept)
         monkeypatch.setattr(ScoreMatrix, "__init__", checked_again)
-        build_report_bundle(fixture_dataset, ALL_SETUPS, FIXTURE_OPTIONS)
-        assert len(matrices) == 160
-        assert all(row.ndim == 1 and row.size >= 2 and row.dtype == float and not row.flags.writeable
-                   for matrix in matrices for row in matrix.rows)
+        bundle = build_report_bundle(fixture_dataset, ALL_SETUPS, FIXTURE_OPTIONS)
+        assert len(bundle.profiles) == len(ALL_SETUPS)
+
+    @pytest.mark.parametrize("source", list(IntervalSource))
+    def test_overflowing_aggregate_names_the_cell(self, source):
+        # Finite normalised scores whose sum overflows: the error names the
+        # first cell whose aggregate is not finite.
+        schema = SweepSchema(agents=("a",), environments=("e",), data_regimes=("r",),
+                             hyperparameters={"h": ("1", "2")})
+        records = [RunRecord("a", "e", "r", "h", value, seed, 1.5e308 if value == "2" else seed)
+                   for value in ("1", "2") for seed in range(3)]
+        dataset = SweepDataset(records, BaselineTable({"e": (0.0, 1.0)}), schema)
+        cells = CellTable(dataset, AssemblyOptions(interval_source=source, resamples=100))
+        with pytest.raises(ValueError) as excinfo:
+            cells.context("h", "a", "r")
+        assert str(excinfo.value) == ("h=2, agent a, regime r, pooled environments: "
+                                      "an interval bound or point estimate is not finite")
 
     @pytest.mark.parametrize("source", list(IntervalSource))
     def test_fill_in_small_blocks_changes_nothing(self, fixture_dataset, monkeypatch, caplog, source):

@@ -431,6 +431,15 @@ class TestParse:
         rnd, hum = ds.baselines.random_score("e2"), ds.baselines.human_score("e2")
         assert human_normalize(rec.final_score, rnd, hum) == pytest.approx(0.2)
 
+    def test_byte_order_mark_is_read_past(self):
+        plain = parse_dataset(io.StringIO(RUNS_CSV), io.StringIO(BASELINES_CSV), small_schema())
+        marked = parse_dataset(io.StringIO("\ufeff" + RUNS_CSV), io.StringIO("\ufeff" + BASELINES_CSV),
+                               small_schema())
+        assert marked == plain
+        # Only a mark that starts the stream is read past.
+        with pytest.raises(DatasetError, match=r"<run log>:2: expected header"):
+            parse_dataset(io.StringIO("\n\ufeff" + RUNS_CSV), io.StringIO(BASELINES_CSV), small_schema())
+
     def test_header_mismatch(self):
         bad = RUNS_CSV.replace("final_score", "score")
         with pytest.raises(DatasetError, match="expected header"):

@@ -19,9 +19,9 @@ from thckit.stats import (
     human_normalize,
     iqm,
     mean_and_spread,
-    mean_and_spreads,
+    pooled_bootstrap_cis,
+    pooled_mean_and_spreads,
     stratified_bootstrap_ci,
-    stratified_bootstrap_cis,
 )
 
 finite_scores = st.floats(min_value=-1e6, max_value=1e6,
@@ -162,8 +162,6 @@ class TestMeanAndSpread:
     def test_single_sample_rejected(self):
         with pytest.raises(ValueError):
             mean_and_spread([1.0])
-        with pytest.raises(ValueError):
-            mean_and_spreads([[1.0, 2.0], [1.0]])
 
     def test_batched_matches_one_dimensional_mean_and_std(self):
         # Sets of one length share a row-wise mean and std; each interval must
@@ -173,14 +171,16 @@ class TestMeanAndSpread:
         sets = [np.round(rng.normal(scale=10, size=int(rng.integers(2, 40))), 3)
                 for _ in range(600)]
         sets += [[5.0, 5.0, 5.0], [1.0, 2.0]]
-        got = mean_and_spreads(sets)
+        lengths = np.array([len(samples) for samples in sets])
+        got = pooled_mean_and_spreads(np.concatenate(sets), lengths)
+        assert got.shape == (3, len(sets))
         for i, samples in enumerate(sets):
             mu = float(np.mean(np.asarray(samples, dtype=float)))
             sd = float(np.std(np.asarray(samples, dtype=float), ddof=1))
-            mean, interval = got[i]
-            assert [v.hex() for v in (mean, interval.lower, interval.upper)] == \
+            lower, upper, mean = got[:, i].tolist()
+            assert [v.hex() for v in (mean, lower, upper)] == \
                 [v.hex() for v in (mu, mu - sd, mu + sd)], f"set {i}"
-            assert mean_and_spread(samples) == interval
+            assert mean_and_spread(samples) == Interval(lower, upper)
 
 
 class TestDeriveSeed:
@@ -350,8 +350,8 @@ class TestBatchedBootstrap:
 
 
 def mixed_cells(rng, count):
-    """Cells of four row-size patterns, interleaved; every third seed has a
-    nonzero high 64-bit word."""
+    """Cells of four row-size patterns, interleaved, as ``(rows, seed)``;
+    every third seed has a nonzero high 64-bit word."""
     patterns = [[3] * 4, [3], [5] * 26, [1, 4, 7, 1]]
     cells = []
     for i in range(count):
@@ -359,8 +359,15 @@ def mixed_cells(rng, count):
         seed = int(rng.integers(0, 2**64, dtype=np.uint64))
         if i % 3 == 0:
             seed |= int(rng.integers(1, 2**64, dtype=np.uint64)) << 64
-        cells.append((ScoreMatrix(rows), seed))
+        cells.append((rows, seed))
     return cells
+
+
+def pooled_cells(cells, resamples):
+    """:func:`pooled_bootstrap_cis` of ``(rows, seed)`` cells, laid end to end."""
+    values = np.concatenate([np.concatenate(rows) for rows, _ in cells])
+    patterns = [tuple(len(row) for row in rows) for rows, _ in cells]
+    return pooled_bootstrap_cis(values, patterns, [seed for _, seed in cells], resamples)
 
 
 class TestCellBatches:
@@ -375,28 +382,47 @@ class TestCellBatches:
         rng = np.random.default_rng(chunk_entries or 0)
         cells = mixed_cells(rng, 24)
         resamples = MIN_RESAMPLES + 7
-        one_by_one = [stratified_bootstrap_ci(m, resamples=resamples, seed=s) for m, s in cells]
+        one_by_one = [stratified_bootstrap_ci(ScoreMatrix(rows), resamples=resamples, seed=seed)
+                      for rows, seed in cells]
         if chunk_entries is not None:
             monkeypatch.setattr("thckit.stats._CHUNK_ENTRIES", chunk_entries)
-        batched = stratified_bootstrap_cis(cells, resamples=resamples)
-        assert hexes(batched) == hexes(one_by_one)
+        lower, upper, _ = pooled_cells(cells, resamples).tolist()
+        assert [hex_bounds(lo, up) for lo, up in zip(lower, upper)] == hexes(one_by_one)
+
+    @pytest.mark.parametrize("chunk_entries", [1, 3_000, None],
+                             ids=["one replicate", "two small cells", "default"])
+    def test_points_are_each_cells_iqm(self, monkeypatch, chunk_entries):
+        rng = np.random.default_rng(5)
+        cells = mixed_cells(rng, 24) + [
+            # Signed zeros, constant rows and 1-entry rows.
+            ([[-0.0] * 3, [0.0, -0.0, 0.0], [2.5] * 3], 1),
+            ([[-0.0, 0.0, -0.0, 0.0, -0.0], [1.5] * 4, [0.0, -1.5, -0.0], [-0.0], [3.0] * 3], 2),
+            ([[-0.0] * 3], 3),
+            ([[-0.0]], 4),
+            ([[7.25]], 5),
+            ([[4.0], [-0.0], [0.0], [1.0]], 6),
+            ([[3.25] * 6, [3.25] * 4], 7),
+        ]
+        if chunk_entries is not None:
+            monkeypatch.setattr("thckit.stats._CHUNK_ENTRIES", chunk_entries)
+        points = pooled_cells(cells, MIN_RESAMPLES)[2].tolist()
+        assert [point.hex() for point in points] == \
+            [iqm(np.concatenate(rows)).hex() for rows, _ in cells]
 
     def test_any_bad_seed_rejected(self):
-        matrix = ScoreMatrix([[1.0, 2.0]])
-        with pytest.raises(ValueError):
-            stratified_bootstrap_cis([(matrix, 1), (matrix, 2**128)])
-        with pytest.raises(ValueError):
-            stratified_bootstrap_cis([(matrix, -1), (matrix, 1)])
+        for seeds in ([1, 2**128], [-1, 1]):
+            with pytest.raises(ValueError):
+                pooled_bootstrap_cis(np.array([1.0, 2.0, 1.0, 2.0]), [(2,), (2,)], seeds)
 
     def test_memory_does_not_grow_with_cell_count(self):
         rng = np.random.default_rng(10)
-        cells = [(ScoreMatrix([rng.normal(size=5)]), seed) for seed in range(2_000)]
+        values = rng.normal(size=5 * 2_000)
         tracemalloc.start()
         try:
-            intervals = stratified_bootstrap_cis(cells, resamples=2_000)
+            out = pooled_bootstrap_cis(values, [(5,)] * 2_000, range(2_000), resamples=2_000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(intervals) == len(cells)
+        assert out.shape == (3, 2_000)
         # Held at once, the replicate statistics alone would take 32 MB.
         assert peak < 4 * 2**20
