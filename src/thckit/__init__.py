@@ -58,14 +58,21 @@ from .stats import (
     mean_and_spread,
     stratified_bootstrap_ci,
 )
-from .synth import (
-    PlantedDesign,
-    PlantedHyperparameter,
-    RecoveryRow,
-    generate,
-    load_design,
-    recovery_study,
-)
+
+# Only ``thckit synth`` and library callers use the generator, so it is
+# imported on first use of one of its names (PEP 562), not with the package.
+_SYNTH_NAMES = frozenset({
+    "PlantedDesign", "PlantedHyperparameter", "RecoveryRow", "generate", "load_design", "recovery_study",
+})
+
+
+def __getattr__(name: str):
+    if name in _SYNTH_NAMES:
+        from . import synth
+
+        return getattr(synth, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",

@@ -44,7 +44,6 @@ from .report import (
     write_report_bundle,
 )
 from .stats import DEFAULT_CONFIDENCE, DEFAULT_RESAMPLES
-from .synth import generate, load_design
 
 __all__ = ["main"]
 
@@ -281,6 +280,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    # Imported here so that the other subcommands do not load the generator.
+    from .synth import generate, load_design
+
     design = load_design(args.design)
     overrides = {}
     if args.seed is not None:

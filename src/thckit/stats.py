@@ -8,15 +8,18 @@ All functions are pure. The batched aggregators share one layout: the
 cells' scores laid end to end in one array, each cell described by its
 length (mean +/- sd) or by its tuple of row sizes, its strata (bootstrap),
 and both return a ``(3, k)`` array of lower bounds, upper bounds and point
-estimates. Each bootstrap cell draws its indices from one
-``Generator(Philox(key=seed))``: replicate after replicate, each row's
-indices in row order, as ``integers`` gives them. Cells with the same row
-sizes are evaluated together, in bounded-memory chunks that may hold several
-cells' replicates (one vectorised sort, trim and mean per chunk). A chunk
+estimates. Each bootstrap cell draws its indices from the stream of a fresh
+``Philox(key=seed)``: replicate after replicate, each row's indices in row
+order, as ``Generator.integers`` gives them. Cells with the same row sizes
+are evaluated together, with one generator re-keyed from cell to cell, in
+bounded-memory chunks that may hold several cells' replicates. A chunk
 takes each cell's next replicates with one ``integers`` call, and numpy
 continues a stream across calls where the last call stopped, so results are
 bit-identical regardless of chunking or of which cells are evaluated
-together.
+together. A chunk of cells of at most 13 entries sorts its replicates with
+a min/max network over entries-major lanes; wider cells sort rows. Either
+way each replicate's IQM and the percentile bounds equal the one-cell
+``np.sort``, ``np.mean`` and ``np.percentile`` formulas bit for bit.
 """
 
 from __future__ import annotations
@@ -28,9 +31,8 @@ from hashlib import sha256
 from typing import Iterable, Sequence
 
 import numpy as np
-# numpy 2 loads these lazily, inside the first bootstrap call (Philox, and
-# np.unique under np.percentile); load them at import instead.
-import numpy.ma  # noqa: F401
+# numpy 2 loads this lazily, inside the first bootstrap call; load it at
+# import instead.
 import numpy.random  # noqa: F401
 
 __all__ = [
@@ -132,8 +134,6 @@ def mean_and_spread(samples: Sequence[float]) -> Interval:
     deviation. Requires at least two samples. The one-set call of
     :func:`pooled_mean_and_spreads`."""
     arr = np.asarray(samples, dtype=float).ravel()
-    if arr.size < 2:
-        raise ValueError(f"mean_and_spread needs >= 2 samples, got {arr.size}")
     (lower,), (upper,), _ = pooled_mean_and_spreads(arr, np.array([arr.size])).tolist()
     return Interval(lower, upper)
 
@@ -143,6 +143,11 @@ def pooled_mean_and_spreads(values: np.ndarray, lengths: np.ndarray) -> np.ndarr
     ``k`` sample sets laid end to end in ``values``, set ``i`` holding
     ``lengths[i] >= 2`` entries. Sets of one length share one row-wise
     ``mean`` and ``std`` whose per-row sums run in a single set's order."""
+    short = np.flatnonzero(lengths < 2)
+    if short.size:
+        raise ValueError(f"mean +/- sd needs >= 2 samples per set, "
+                         f"but set {short[0]} holds {lengths[short[0]]}")
+    _require_laid_end_to_end(values, lengths)
     starts = np.cumsum(lengths) - lengths
     out = np.empty((3, len(lengths)))
     for n in set(lengths.tolist()):
@@ -163,11 +168,25 @@ def derive_seed(master: int, *parts: object) -> int:
     return int.from_bytes(sha256(text.encode("utf-8")).digest()[:8], "big")
 
 
+def _require_laid_end_to_end(values: np.ndarray, lengths: np.ndarray) -> None:
+    """Reject ``values`` unless the cells of ``lengths`` fill it exactly."""
+    if lengths.sum() != len(values):
+        raise ValueError(f"the cells hold {lengths.sum()} entries in all, "
+                         f"but values holds {len(values)}")
+
+
 # Bound of one chunk of replicates, in resampled entries. Each entry takes
 # an int64 index and a float64 sample in the chunk's buffers, and at most one
-# more int64 while a cell's draws are copied in (24 bytes): a chunk works in
-# at most 768 KiB, at any cell count and resample count.
+# more int64 while a cell's draws are copied in (24 bytes). The sorting
+# network's spare lane adds 8 bytes per replicate, at most one per entry. A
+# chunk works in at most 1 MiB, at any cell count and resample count.
 _CHUNK_ENTRIES = 1 << 15
+
+# Cells of at most this many entries sort their replicates with a min/max
+# network instead of a row sort. Their kept slice then holds at most 7
+# entries, few enough that numpy's row mean sums them left to right from
+# +0.0 (its pairwise sum unrolls from 8), which the network path repeats.
+_NETWORK_MAX_ENTRIES = 13
 
 
 def stratified_bootstrap_ci(
@@ -210,30 +229,41 @@ def pooled_bootstrap_cis(
     ``i`` holding rows of the sizes ``patterns[i]`` and drawing from
     ``seeds[i]``; each cell's results equal the one-cell call's bit for bit.
 
-    Cells with the same row sizes are evaluated together, in chunks that
-    reuse one set of preallocated buffers. A chunk holds every replicate of
-    as many whole cells as fit in ``_CHUNK_ENTRIES`` resampled entries, and
-    takes one ``integers`` call per cell and one sort, trim, mean and
-    ``np.percentile``. A cell too large for that is evaluated alone, a slice
-    of its replicates per chunk, its stream continuing from slice to slice.
-    Working memory stays bounded at any cell and resample count.
+    Cells with the same row sizes are evaluated together, with one generator
+    re-keyed per cell, in chunks that reuse one set of preallocated buffers.
+    A chunk holds every replicate of as many whole cells as fit in
+    ``_CHUNK_ENTRIES`` resampled entries, and takes one ``integers`` call per
+    cell, one sort and trimmed mean of its replicates, and one partition for
+    the percentiles. Cells of at most ``_NETWORK_MAX_ENTRIES`` entries sort
+    with a min/max network, lane by lane, and sum the kept lanes; wider cells
+    sort and average rows. A cell too large for one chunk is evaluated alone,
+    a slice of its replicates per chunk, its stream continuing from slice to
+    slice. Working memory stays bounded at any cell and resample count.
     """
     if resamples < MIN_RESAMPLES:
         raise ValueError(f"resamples must be >= {MIN_RESAMPLES}, got {resamples}")
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
+    if len(seeds) != len(patterns):
+        raise ValueError(f"got {len(seeds)} seeds for {len(patterns)} cells")
     seeds = [operator.index(seed) for seed in seeds]
     for seed in seeds:
         if not 0 <= seed < 2**128:
             raise ValueError(f"bootstrap seed must lie in [0, 2**128), got {seed}")
     alpha = (1.0 - confidence) / 2.0
-    percents = [100.0 * alpha, 100.0 * (1.0 - alpha)]
+    percents = (100.0 * alpha, 100.0 * (1.0 - alpha))
 
-    lengths = np.array([sum(sizes) for sizes in patterns], dtype=int)
-    starts = np.cumsum(lengths) - lengths
     groups: dict[tuple[int, ...], list[int]] = {}
     for i, sizes in enumerate(patterns):
         groups.setdefault(tuple(sizes), []).append(i)
+    # Groups run in order of their first cell, so the first bad cell is named.
+    for sizes, members in groups.items():
+        if not sizes or min(sizes) < 1:
+            raise ValueError(f"cell {members[0]} must have rows of at least one entry, "
+                             f"got row sizes {sizes}")
+    lengths = np.array([sum(sizes) for sizes in patterns], dtype=int)
+    _require_laid_end_to_end(values, lengths)
+    starts = np.cumsum(lengths) - lengths
     out = np.empty((3, len(patterns)))
     for sizes, members in groups.items():
         # One group's buffers are alive at a time.
@@ -242,9 +272,66 @@ def pooled_bootstrap_cis(
     return out
 
 
+def _merge_exchange(n: int) -> list[tuple[int, int]]:
+    """Batcher's merge-exchange sorting network on ``n`` lanes (Knuth, TAOCP
+    vol. 3, 5.2.2, Algorithm M), as ``(i, j)`` pairs, ``i < j``, after which
+    lane ``i`` holds the minimum and lane ``j`` the maximum."""
+    pairs: list[tuple[int, int]] = []
+    t = (n - 1).bit_length()
+    p = 1 << t >> 1
+    while p > 0:
+        q, r, d = 1 << t >> 1, 0, p
+        while True:
+            pairs += [(i, i + d) for i in range(n - d) if i & p == r]
+            if q == p:
+                break
+            q, r, d = q >> 1, p, q - p
+        p >>= 1
+    return pairs
+
+
+def _rekey(bitgen: np.random.Philox, seed: int) -> None:
+    """Put ``bitgen`` in the state of a fresh ``Philox(key=seed)``: counter
+    0, the 128-bit key as two 64-bit words, low first, and no buffered
+    output."""
+    bitgen.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (seed & 0xFFFF_FFFF_FFFF_FFFF, seed >> 64)},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+
+
+def _percentiles(stats: np.ndarray, percents: tuple[float, float]) -> np.ndarray:
+    """``np.percentile(stats, percents, axis=1)`` bit for bit, by numpy's
+    "linear" method, partitioning each row of ``stats`` in place.
+
+    numpy partitions a copy at the same positions, ``0``, ``-1`` and the two
+    neighbours of each percentile's virtual index, so equal values of either
+    sign of zero land where its partition puts them; then it interpolates
+    from the nearer neighbour, and a row holding a NaN yields NaN."""
+    last = stats.shape[1] - 1
+    picks = []
+    for percent in percents:
+        virtual = last * (percent / 100)
+        below = -1 if virtual >= last else math.floor(virtual)
+        picks.append((below, -1 if below == -1 else below + 1, virtual - below))
+    stats.partition(sorted({0, -1, *(i for below, above, _ in picks for i in (below, above))}), axis=1)
+    out = np.empty((len(picks), len(stats)))
+    for row, (below, above, gamma) in zip(out, picks):
+        a, b = stats[:, below], stats[:, above]
+        diff = b - a
+        if gamma >= 0.5:
+            np.subtract(b, diff * (1 - gamma), out=row)
+        else:
+            np.add(a, diff * gamma, out=row)
+    np.copyto(out, stats[:, -1], where=np.isnan(stats[:, -1]))
+    return out
+
+
 class _PatternGroup:
-    """Draw bounds and chunk buffers shared by the cells with one row-size
-    pattern; see :func:`stratified_bootstrap_ci` for the draws."""
+    """Draw bounds, sorting network, generator and chunk buffers shared by
+    the cells with one row-size pattern; see :func:`stratified_bootstrap_ci`
+    for the draws."""
 
     def __init__(self, sizes: tuple[int, ...], resamples: int, cells: int) -> None:
         sizes_arr = np.array(sizes)
@@ -254,6 +341,8 @@ class _PatternGroup:
         self.n = n = int(sizes_arr.sum())
         self.trim = n // 4
         self.resamples = resamples
+        self.bitgen = np.random.Philox(0)
+        self.stream = np.random.Generator(self.bitgen)
 
         fit = max(1, _CHUNK_ENTRIES // n)
         self.cells_per_chunk = min(cells, max(1, fit // resamples))
@@ -263,20 +352,34 @@ class _PatternGroup:
         self.offsets = (np.repeat(np.cumsum(sizes_arr) - sizes_arr, sizes_arr)
                         + np.arange(0, self.cells_per_chunk * n, n)[:, np.newaxis])
         rows = self.cells_per_chunk * self.replicates_per_chunk
-        self.idx = np.empty((rows, n), dtype=np.int64)
-        self.samples = np.empty((rows, n))
+        self.idx = np.empty(rows * n, dtype=np.int64)
+        self.network = n <= _NETWORK_MAX_ENTRIES
+        if self.network:
+            # Lanes live in the rows of an ``(n + 1, rows)`` array. Each
+            # comparator writes its minimum to the spare row, its maximum
+            # over its upper lane, and its lower lane's old row becomes the
+            # spare, so ``steps`` names rows, not lanes.
+            self.samples = np.empty((n + 1) * rows)
+            row_of = list(range(n + 1))
+            self.steps = []
+            for i, j in _merge_exchange(n):
+                self.steps.append((row_of[i], row_of[j], row_of[n]))
+                row_of[i], row_of[n] = row_of[n], row_of[i]
+            self.kept = row_of[self.trim: n - self.trim]
+        else:
+            self.samples = np.empty(n * rows)
 
     def estimates(self, values: np.ndarray, starts: np.ndarray, seeds: Sequence[int],
-                  percents: list[float]) -> np.ndarray:
+                  percents: tuple[float, float]) -> np.ndarray:
         """``(3, len(starts))`` percentile pair of each cell's replicate IQMs
-        and its IQM, one ``np.percentile`` per chunk of cells; cell ``i``'s
-        entries start at ``values[starts[i]]``."""
+        and its IQM, one partition per chunk of cells; cell ``i``'s entries
+        start at ``values[starts[i]]``."""
         n, trim = self.n, self.trim
         out = np.empty((3, len(starts)))
         for first in range(0, len(starts), self.cells_per_chunk):
             chunk = slice(first, first + self.cells_per_chunk)
             cells = values[starts[chunk, np.newaxis] + np.arange(n)]
-            out[:2, chunk] = np.percentile(self.statistics(cells, seeds[chunk]), percents, axis=1)
+            out[:2, chunk] = _percentiles(self.statistics(cells, seeds[chunk]), percents)
             cells.sort(axis=1)
             out[2, chunk] = cells[:, trim: n - trim].mean(axis=1)
         return out
@@ -284,8 +387,7 @@ class _PatternGroup:
     def statistics(self, cells: np.ndarray, seeds: Sequence[int]) -> np.ndarray:
         """``(len(cells), resamples)`` replicate IQMs of one chunk's cells, a
         ``(cells, n)`` array, or of one cell in slices of its replicates."""
-        n, resamples = self.n, self.resamples
-        streams = [np.random.Generator(np.random.Philox(key=seed)) for seed in seeds]
+        n, resamples, trim = self.n, self.resamples, self.trim
         count = len(cells)
         # Rows run cell by cell, each cell's replicates in order, so a chunk's
         # statistics are one contiguous run of ``stats``.
@@ -293,18 +395,39 @@ class _PatternGroup:
         for start in range(0, resamples, self.replicates_per_chunk):
             span = min(self.replicates_per_chunk, resamples - start)
             rows = count * span
-            idx = self.idx[:rows]
-            for cell, stream in enumerate(streams):
-                np.add(stream.integers(0, self.high, size=(span, n)), self.offsets[cell],
-                       out=idx[cell * span: (cell + 1) * span])
-            samples = self.samples[:rows]
-            # Every index is in range, and ``clip`` writes straight into
-            # ``out`` where the default mode would buffer.
-            np.take(cells, idx, out=samples, mode="clip")
-            samples.sort(axis=1)
-            # Each replicate's mean over a contiguous slice sums pairwise
-            # exactly like the 1-D ``iqm``, so the replicate IQMs are
-            # bit-identical to it.
-            np.mean(samples[:, self.trim: n - self.trim], axis=1,
-                    out=stats[start * count: start * count + rows])
+            # The network takes its replicates entries-major, as ``(n, rows)``.
+            idx = self.idx[:rows * n].reshape((n, rows) if self.network else (rows, n))
+            for cell, seed in enumerate(seeds):
+                if start == 0:
+                    _rekey(self.bitgen, seed)
+                draws = self.stream.integers(0, self.high, size=(span, n))
+                block = slice(cell * span, (cell + 1) * span)
+                if self.network:
+                    np.add(draws.T, self.offsets[cell, :, np.newaxis], out=idx[:, block])
+                else:
+                    np.add(draws, self.offsets[cell], out=idx[block])
+            iqms = stats[start * count: start * count + rows]
+            if self.network:
+                lanes = self.samples[:(n + 1) * rows].reshape(n + 1, rows)
+                # Every index is in range, and ``clip`` writes straight into
+                # ``out`` where the default mode would buffer.
+                np.take(cells, idx, out=lanes[:n], mode="clip")
+                lane = list(lanes)
+                for low, high, spare in self.steps:
+                    np.minimum(lane[low], lane[high], out=lane[spare])
+                    np.maximum(lane[low], lane[high], out=lane[high])
+                # The row mean's sum, from +0.0 and left to right; a sum from
+                # the first lane would keep an all -0.0 slice's sign.
+                np.add(lane[self.kept[0]], 0.0, out=iqms)
+                for row in self.kept[1:]:
+                    np.add(iqms, lane[row], out=iqms)
+                np.divide(iqms, len(self.kept), out=iqms)
+            else:
+                samples = self.samples[:rows * n].reshape(rows, n)
+                np.take(cells, idx, out=samples, mode="clip")
+                samples.sort(axis=1)
+                # Each replicate's mean over a contiguous slice sums pairwise
+                # exactly like the 1-D ``iqm``, so the replicate IQMs are
+                # bit-identical to it.
+                np.mean(samples[:, trim: n - trim], axis=1, out=iqms)
         return stats.reshape(count, resamples)

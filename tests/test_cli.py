@@ -419,6 +419,8 @@ class TestRuntimeImports:
         imported, after_main = modules_loaded(tmp_path, argv)
         assert "scipy" not in imported | after_main
         assert sorted(m for m in after_main if m.split(".")[0] == "numpy") == []
+        # numpy.ma costs about 12 ms of import; the generator is for synth only.
+        assert {"numpy.ma", "thckit.synth"} & (imported | after_main) == set()
 
 
 def run_cli(tmp_path, argv):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thckit import stats
 from thckit.stats import (
     DEFAULT_CONFIDENCE,
     Interval,
@@ -162,6 +163,15 @@ class TestMeanAndSpread:
     def test_single_sample_rejected(self):
         with pytest.raises(ValueError):
             mean_and_spread([1.0])
+
+    def test_batched_single_sample_set_rejected(self):
+        with pytest.raises(ValueError, match="set 1 holds 1"):
+            pooled_mean_and_spreads(np.arange(5.0), np.array([2, 1, 2]))
+
+    @pytest.mark.parametrize("values", [np.arange(5.0), np.arange(3.0)], ids=["extra value", "missing value"])
+    def test_batched_values_must_match_lengths(self, values):
+        with pytest.raises(ValueError, match=f"cells hold 4 entries in all, but values holds {values.size}"):
+            pooled_mean_and_spreads(values, np.array([2, 2]))
 
     def test_batched_matches_one_dimensional_mean_and_std(self):
         # Sets of one length share a row-wise mean and std; each interval must
@@ -409,6 +419,18 @@ class TestCellBatches:
         assert [point.hex() for point in points] == \
             [iqm(np.concatenate(rows)).hex() for rows, _ in cells]
 
+    @pytest.mark.parametrize("values, patterns, seeds, message", [
+        (np.arange(3.0), [(3,)], [1, 2], "got 2 seeds for 1 cells"),
+        (np.arange(6.0), [(3,), (3,)], [1], "got 1 seeds for 2 cells"),
+        (np.arange(6.0), [(3,)], [1], "cells hold 3 entries in all, but values holds 6"),
+        (np.arange(2.0), [(3,)], [1], "cells hold 3 entries in all, but values holds 2"),
+        (np.arange(6.0), [(3,), (0, 3)], [1, 2], r"cell 1 must have rows of at least one entry, got row sizes \(0, 3\)"),
+        (np.arange(3.0), [(3,), ()], [1, 2], r"cell 1 must have rows of at least one entry, got row sizes \(\)"),
+    ], ids=["extra seed", "missing seed", "extra value", "missing value", "empty row", "no rows"])
+    def test_malformed_layout_rejected(self, values, patterns, seeds, message):
+        with pytest.raises(ValueError, match=message):
+            pooled_bootstrap_cis(values, patterns, seeds, MIN_RESAMPLES)
+
     def test_any_bad_seed_rejected(self):
         for seeds in ([1, 2**128], [-1, 1]):
             with pytest.raises(ValueError):
@@ -426,3 +448,104 @@ class TestCellBatches:
         assert out.shape == (3, 2_000)
         # Held at once, the replicate statistics alone would take 32 MB.
         assert peak < 4 * 2**20
+
+
+def narrow_cells(rng, n):
+    """Cells of ``n`` entries, as ``(rows, seed)``, in two row-size patterns
+    (a random split, then one row): ties, a constant cell, signed zeros, and
+    signed zeros among values that cancel to zero."""
+    cuts = np.sort(rng.choice(np.arange(1, n), size=min(n - 1, int(rng.integers(1, 4))), replace=False))
+    split = np.diff([0, *cuts.tolist(), n]).tolist()
+    cells = []
+    for i, values in enumerate([
+        rng.choice([-1.5, 0.5, 2.0], size=n),
+        np.full(n, 3.25),
+        rng.choice([-0.0, 0.0], size=n),
+        rng.choice([-0.0, 0.0, -1.0, 1.0], size=n),
+        np.round(rng.normal(scale=3, size=n), 1),
+    ]):
+        sizes = [n] if i % 2 else split
+        rows = np.split(values, np.cumsum(sizes)[:-1])
+        cells.append((rows, int(rng.integers(0, 2**64, dtype=np.uint64))))
+    return cells
+
+
+class TestNarrowCells:
+    """The sorting-network path of cells of at most 13 entries against the
+    row path and the reference resampler."""
+
+    @pytest.mark.parametrize("n", range(1, 14))
+    def test_network_equals_row_path_and_reference(self, monkeypatch, n):
+        rng = np.random.default_rng(n)
+        cells = narrow_cells(rng, n)
+        resamples = MIN_RESAMPLES + 1
+        reference = [hex_bounds(*reference_bootstrap(rows, resamples, DEFAULT_CONFIDENCE, seed))
+                     for rows, seed in cells]
+        for chunk_entries in (1, 3_000, stats._CHUNK_ENTRIES):
+            monkeypatch.setattr("thckit.stats._CHUNK_ENTRIES", chunk_entries)
+            monkeypatch.setattr("thckit.stats._NETWORK_MAX_ENTRIES", 13)
+            network = pooled_cells(cells, resamples).tolist()
+            monkeypatch.setattr("thckit.stats._NETWORK_MAX_ENTRIES", 0)
+            rows = pooled_cells(cells, resamples).tolist()
+            assert [[v.hex() for v in row] for row in network] == [[v.hex() for v in row] for row in rows], \
+                f"chunk entries {chunk_entries}"
+            assert [hex_bounds(lo, up) for lo, up in zip(*network[:2])] == reference, \
+                f"chunk entries {chunk_entries}"
+
+    def test_merge_exchange_sorts_every_zero_one_input(self):
+        # A comparator network sorts every input if it sorts every 0-1 input
+        # (Knuth, TAOCP vol. 3, 5.3.4, Theorem Z).
+        for n in range(1, 14):
+            lanes = (np.arange(2**n)[:, np.newaxis] >> np.arange(n)) & 1
+            for i, j in stats._merge_exchange(n):
+                lanes[:, i], lanes[:, j] = np.minimum(lanes[:, i], lanes[:, j]), np.maximum(lanes[:, i], lanes[:, j])
+            assert (np.diff(lanes, axis=1) >= 0).all(), f"n={n}"
+
+
+class TestPercentiles:
+    def test_equals_np_percentile(self):
+        rng = np.random.default_rng(42)
+        for case in range(200):
+            resamples = int(rng.integers(MIN_RESAMPLES, 3_000))
+            confidence = [rng.uniform(0.01, 0.99), 0.95, 0.5, np.nextafter(1.0, 0.0)][case % 4]
+            alpha = (1.0 - confidence) / 2.0
+            percents = (100.0 * alpha, 100.0 * (1.0 - alpha))
+            data = np.round(rng.normal(size=(int(rng.integers(1, 6)), resamples)), 1)
+            # Half of every row is zeros of either sign.
+            zeros = rng.random(data.shape) < 0.5
+            data[zeros] = rng.choice([-0.0, 0.0], size=int(zeros.sum()))
+            got = stats._percentiles(data.copy(), percents)
+            want = np.percentile(data, percents, axis=1)
+            assert [v.hex() for v in got.ravel().tolist()] == [v.hex() for v in want.ravel().tolist()], \
+                f"case {case}"
+
+    def test_end_percentiles_and_nan_rows_equal_np_percentile(self):
+        rng = np.random.default_rng(43)
+        data = rng.choice([-0.0, 0.0, 1.0], size=(4, MIN_RESAMPLES))
+        data[1, 7] = np.nan
+        data[2, 3] = np.inf
+        for percents in [(0.0, 100.0), (100.0, 0.0), (50.0, 99.5)]:
+            with np.errstate(invalid="ignore"):
+                got = stats._percentiles(data.copy(), percents)
+                want = np.percentile(data, percents, axis=1)
+            assert [v.hex() for v in got.ravel().tolist()] == [v.hex() for v in want.ravel().tolist()], \
+                f"percents {percents}"
+
+
+class TestRekey:
+    def test_equals_a_fresh_philox(self):
+        bitgen = np.random.Philox(0)
+        stream = np.random.Generator(bitgen)
+        rng = np.random.default_rng(9)
+        seeds = [0, 1, 2**64 - 1, 2**64, 2**128 - 1]
+        seeds += [int(rng.integers(0, 2**64, dtype=np.uint64)) << shift for shift in (0, 32, 64) for _ in range(3)]
+        for seed in seeds:
+            # An odd count of 32-bit draws leaves half of a 64-bit output
+            # buffered, which the re-key must drop.
+            stream.integers(0, 2**32, size=int(rng.integers(0, 5)) * 2 + 1, dtype=np.uint32)
+            stats._rekey(bitgen, seed)
+            fresh = np.random.Generator(np.random.Philox(key=seed))
+            for draw in (lambda g: g.integers(0, 2**32, size=7, dtype=np.uint32),
+                         lambda g: g.integers(0, 13, size=(3, 5)),
+                         lambda g: g.integers(0, 2**64, size=5, dtype=np.uint64)):
+                assert draw(stream).tolist() == draw(fresh).tolist(), f"seed {seed:#x}"

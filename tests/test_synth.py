@@ -7,6 +7,8 @@ import io
 import numpy as np
 import pytest
 
+import thckit
+from thckit import synth
 from thckit.consistency import (
     AssemblyOptions,
     IntervalSource,
@@ -315,3 +317,18 @@ hyperparameters:
     def test_top_level_must_be_mapping(self):
         with pytest.raises(ValueError, match="mapping"):
             load_design(io.StringIO("- 1\n- 2\n"))
+
+
+class TestPackageExports:
+    def test_generator_names_are_the_synth_modules(self):
+        for name in ("PlantedDesign", "PlantedHyperparameter", "RecoveryRow", "generate", "load_design",
+                     "recovery_study"):
+            assert getattr(thckit, name) is getattr(synth, name)
+        with pytest.raises(AttributeError, match="no attribute 'missing'"):
+            getattr(thckit, "missing")
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from thckit import *", namespace)
+        assert set(thckit.__all__) <= set(namespace)
+        assert namespace["generate"] is synth.generate
