@@ -19,19 +19,18 @@ import enum
 import functools
 import itertools
 import logging
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .dataset import Axis, SweepDataset, SweepSchema, slice_scores
-from .ranking import RankingMode, RankingTable, compute_rankings, rank_intervals, ranking_tables
+from .ranking import RankingMode, RankingTable, rank_intervals, ranking_tables
 from .stats import (
     DEFAULT_CONFIDENCE,
     DEFAULT_RESAMPLES,
-    Interval,
     derive_seed,
+    human_normalize,
     pooled_bootstrap_cis,
     pooled_mean_and_spreads,
 )
@@ -397,16 +396,9 @@ class CellTable:
             self.fill([key])
         return self._contexts[key]
 
-    def context(self, hp: str, agent: str, data_regime: str,
-                environment: str | None = None) -> dict[str, tuple[Interval, float]]:
-        """The rankable cells of one context: value -> ``(interval, point)``, in schema order."""
-        arrays = self.context_arrays(hp, agent, data_regime, environment).tolist()
-        return {value: (Interval(lo, up), pt) for value, lo, up, pt
-                in zip(self.dataset.schema.hyperparameters[hp], *arrays) if not math.isnan(lo)}
-
     def _aggregate(self, block: Iterable[ContextKey], groups: set[object]) -> int:
         """Store the arrays of every context in ``block``, its cells' scores
-        human-normalised by one array expression and aggregated in one batched
+        human-normalised by one array call and aggregated in one batched
         call, and return its cell count. Adds the size groups of that call
         (row sizes, or pooled lengths for mean +/- sd) to ``groups``."""
         schema, options = self.dataset.schema, self.options
@@ -435,8 +427,7 @@ class CellTable:
         scores = np.fromiter(itertools.chain.from_iterable(s for _, s in flat), float, sum(sizes))
         lengths = np.array([sum(len(s) for _, s in leaves) for leaves in cell_leaves], dtype=int)
         with np.errstate(over="ignore", invalid="ignore"):
-            # human_normalize's operations, score by score.
-            normalised = (scores - random) / (human - random)
+            normalised = human_normalize(scores, random, human)
             _require_finite(cells, np.logical_and.reduceat(np.isfinite(normalised),
                                                            np.cumsum(lengths) - lengths),
                             "a human-normalised score")
@@ -618,14 +609,18 @@ def rank_context(
     _check_pins(dataset.schema, {Axis.AGENT: agent, Axis.DATA_REGIME: data_regime,
                                  Axis.ENVIRONMENT: environment})
     slice_scores(dataset, hyperparameter, agent, data_regime)
-    found = CellTable(dataset, options).context(hyperparameter, agent, data_regime, environment)
-    if not found:
+    lower, upper, points = CellTable(dataset, options).context_arrays(
+        hyperparameter, agent, data_regime, environment)
+    kept = ~np.isnan(lower)
+    if not kept.any():
         raise ValueError(f"no value of {hyperparameter!r} has at least 2 seeds in this context")
 
+    values = [v for v, keep in zip(dataset.schema.hyperparameters[hyperparameter], kept) if keep]
+    lower, upper = lower[kept, np.newaxis], upper[kept, np.newaxis]
+    order, ranks = rank_intervals(values, lower, upper, options.ranking_mode)
     context = {"agent": agent, "data_regime": data_regime, **({"environment": environment} if environment else {})}
-    table = compute_rankings([(value, interval) for value, (interval, _) in found.items()],
-                             mode=options.ranking_mode, hyperparameter=hyperparameter, context=context)
-    return table, {value: point for value, (_, point) in found.items()}
+    (table,) = ranking_tables(values, lower, upper, order, ranks, hyperparameter, [context])
+    return table, dict(zip(values, points[kept].tolist()))
 
 
 def build_consistency_report(

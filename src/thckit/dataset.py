@@ -47,6 +47,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 from importlib import resources
 from itertools import chain, islice, repeat
@@ -423,6 +424,10 @@ def _check(block: _Block, codes: list[dict], declared: list[int], unbased: list[
     collide (a valid seed, and all seven cells), and the problems of each
     failing row in rule order."""
     agents, envs, regimes, hps, values, seed, score = block.fields
+    if block.cells is None:
+        # Records given directly may hold any object; read one of another kind as a
+        # text cell that did not convert.
+        seed, score = _of_kind(seed, numbers.Integral), _of_kind(score, numbers.Real)
     n = len(agents)
     key = np.stack([_encode(codes[0], agents), _encode(codes[1], envs), _encode(codes[2], regimes),
                     _encode(codes[3], hps, values)])
@@ -456,6 +461,13 @@ def _check(block: _Block, codes: list[dict], declared: list[int], unbased: list[
              for i in sorted({*np.flatnonzero(failing).tolist(), *block.found})}
     # A seed that is not valid makes no key, so it cannot collide.
     return key, value, checked & ~bad_seed, found
+
+
+def _of_kind(column: Sequence, kind: type) -> Sequence:
+    """``column`` with None in place of each item that is not a ``kind``."""
+    if all(issubclass(t, kind) for t in set(map(type, column))):
+        return column
+    return [item if isinstance(item, kind) else None for item in column]
 
 
 def _encode(codes: dict, *columns: Sequence) -> np.ndarray:

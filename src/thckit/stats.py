@@ -106,10 +106,12 @@ class ScoreMatrix:
         return np.concatenate(self.rows)
 
 
-def human_normalize(score: float, random_score: float, human_score: float) -> float:
-    """Rescale a raw score so the random baseline maps to 0 and human to 1."""
+def human_normalize(score: float | np.ndarray, random_score: float | np.ndarray,
+                    human_score: float | np.ndarray) -> float | np.ndarray:
+    """Rescale a raw score so the random baseline maps to 0 and human to 1;
+    takes floats or equal-shaped arrays of scores and their baselines."""
     denom = human_score - random_score
-    if denom == 0:
+    if np.any(denom == 0):
         raise ValueError("human_score equals random_score; normalization denominator is zero")
     return (score - random_score) / denom
 
@@ -179,7 +181,8 @@ def _require_laid_end_to_end(values: np.ndarray, lengths: np.ndarray) -> None:
 # an int64 index and a float64 sample in the chunk's buffers, and at most one
 # more int64 while a cell's draws are copied in (24 bytes). The sorting
 # network's spare lane adds 8 bytes per replicate, at most one per entry. A
-# chunk works in at most 1 MiB, at any cell count and resample count.
+# chunk's buffers take at most 1 MiB at any cell count and resample count;
+# the replicate IQMs of its cells take 8 bytes per replicate besides.
 _CHUNK_ENTRIES = 1 << 15
 
 # Cells of at most this many entries sort their replicates with a min/max
@@ -238,7 +241,10 @@ def pooled_bootstrap_cis(
     with a min/max network, lane by lane, and sum the kept lanes; wider cells
     sort and average rows. A cell too large for one chunk is evaluated alone,
     a slice of its replicates per chunk, its stream continuing from slice to
-    slice. Working memory stays bounded at any cell and resample count.
+    slice. The chunk buffers stay within 1 MiB at any cell and resample
+    count; the replicate IQMs of a chunk's cells take 8 bytes per replicate.
+    A resample count whose replicate IQMs cannot be allocated raises
+    ``ValueError``.
     """
     if resamples < MIN_RESAMPLES:
         raise ValueError(f"resamples must be >= {MIN_RESAMPLES}, got {resamples}")
@@ -391,7 +397,11 @@ class _PatternGroup:
         count = len(cells)
         # Rows run cell by cell, each cell's replicates in order, so a chunk's
         # statistics are one contiguous run of ``stats``.
-        stats = np.empty(count * resamples)
+        try:
+            stats = np.empty(count * resamples)
+        except (MemoryError, ValueError) as exc:
+            raise ValueError(f"resamples={resamples} needs {count * resamples * 8:,} bytes for the "
+                             f"replicate IQMs of {count} cell(s), more than can be allocated") from exc
         for start in range(0, resamples, self.replicates_per_chunk):
             span = min(self.replicates_per_chunk, resamples - start)
             rows = count * span

@@ -121,11 +121,7 @@ class PlantedDesign:
                 raise ValueError(f"{h.name}: means rows must have {n} columns, one per context")
 
     def axis_values(self, axis: Axis) -> tuple[str, ...]:
-        return {
-            Axis.AGENT: self.agents,
-            Axis.ENVIRONMENT: self.environments,
-            Axis.DATA_REGIME: self.data_regimes,
-        }[Axis(axis)]
+        return self.schema().axis_values(axis)
 
     def true_means(self, hyperparameter: PlantedHyperparameter) -> np.ndarray:
         """True mean score table, values x contexts."""
@@ -222,11 +218,7 @@ def recovery_study(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if setup is None:
-        setup = {
-            Axis.AGENT: TransferSetup.ACROSS_AGENTS,
-            Axis.ENVIRONMENT: TransferSetup.ACROSS_ENVIRONMENTS,
-            Axis.DATA_REGIME: TransferSetup.ACROSS_DATA_REGIMES,
-        }[design.context_axis]
+        setup = next(s for s in TransferSetup if s.axis is design.context_axis)
 
     rows = []
     for noise in noise_levels:

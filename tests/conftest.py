@@ -28,6 +28,7 @@ from thckit import (
     SweepDataset,
     SweepSchema,
 )
+from thckit.consistency import CellTable
 from thckit.dataset import (
     MAX_DIAGNOSTICS,
     RUN_LOG_HEADER,
@@ -152,6 +153,15 @@ def yaml_loader(request, monkeypatch):
     else:
         monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
     return request.param
+
+
+def rankable_cells(cells: CellTable, hp: str, agent: str, data_regime: str,
+                   environment: str | None = None) -> dict[str, tuple[Interval, float]]:
+    """The rankable cells of one context of a ``CellTable``, value ->
+    ``(interval, point)`` in schema order, read from its ``context_arrays``."""
+    arrays = cells.context_arrays(hp, agent, data_regime, environment).tolist()
+    return {value: (Interval(lo, up), pt) for value, lo, up, pt
+            in zip(cells.dataset.schema.hyperparameters[hp], *arrays) if not math.isnan(lo)}
 
 
 NON_CONTIGUOUS = ("setting %r overlaps a non-contiguous position set %s; "

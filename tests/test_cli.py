@@ -386,6 +386,19 @@ FIXTURE = Path(__file__).parent / "data"
 FIXTURE_ARGS = ["--runs", str(FIXTURE / "runs.csv"), "--baselines", str(FIXTURE / "baselines.csv"),
                 "--schema", str(FIXTURE / "schema.yaml")]
 
+
+class TestResampleCount:
+    def test_unallocatable_resamples_exit_2_naming_them(self, tmp_path, capsys):
+        # 2**61 replicate IQMs need 2**64 bytes: numpy refuses the array
+        # before allocating anything.
+        out = tmp_path / "bundle"
+        assert main(["report", *FIXTURE_ARGS, "--resamples", str(2**61), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: resamples={2**61} needs 18,446,744,073,709,551,616 bytes for the replicate "
+            "IQMs of 1 cell(s), more than can be allocated\n")
+        assert not out.exists()
+
+
 # Runs ``main`` in a fresh interpreter and records which modules the import
 # of thckit.cli and then ``main`` itself loaded.
 MODULE_PROBE = """

@@ -35,10 +35,11 @@ from thckit.consistency import (
     thc,
 )
 from thckit.dataset import BaselineTable, EmptySliceError, RunRecord, SweepDataset, SweepSchema, load_dataset
+from thckit.ranking import RankingMode
 from thckit.report import build_report_bundle, write_report_bundle
 from thckit.stats import ScoreMatrix
 
-from conftest import dataset_from_intervals, reference_trajectory_cells
+from conftest import dataset_from_intervals, rankable_cells, reference_trajectory_cells
 
 
 def profile(matrix, name="hp") -> RankProfile:
@@ -422,7 +423,7 @@ class TestAssembly:
         assert len(p.tables) == len(p.contexts)
         # Every ranked value's point estimate is held by the cell table.
         for table in p.tables:
-            assert set(cells.context(p.hyperparameter, **table.context)) == set(p.values)
+            assert set(rankable_cells(cells, p.hyperparameter, **table.context)) == set(p.values)
 
     def test_cannot_pin_the_varying_axis(self):
         dataset = dataset_from_intervals(reference_trajectory_cells())
@@ -586,7 +587,7 @@ def profile_fields(p: RankProfile, cells: CellTable) -> tuple:
     """A profile's fields, ranking tables, and each ranked context's cells
     (intervals and points) as ``cells`` holds them."""
     return (p.hyperparameter, p.values, p.contexts, p.ranks.tolist(), dict(p.fixed),
-            p.tables, [cells.context(p.hyperparameter, **t.context) for t in p.tables])
+            p.tables, [rankable_cells(cells, p.hyperparameter, **t.context) for t in p.tables])
 
 
 class TestCellTable:
@@ -614,6 +615,20 @@ class TestCellTable:
             assert bundle_cells["lr", e.label, "agent01", "low", "env01"] == {
                 (e.interval.lower, e.interval.upper, points[e.label])}
             assert across_agents[e.label] == e.interval
+
+    @pytest.mark.parametrize("mode", list(RankingMode))
+    @pytest.mark.parametrize("source", list(IntervalSource))
+    def test_rank_context_gives_every_bundle_table(self, fixture_dataset, source, mode):
+        options = dataclasses.replace(FIXTURE_OPTIONS, interval_source=source, ranking_mode=mode)
+        bundle = build_report_bundle(fixture_dataset, ALL_SETUPS, options)
+        tables = [table for profiles in bundle.profiles for p in profiles for table in p.tables]
+        assert len(tables) == 72
+        for table in tables:
+            ranked, points = rank_context(fixture_dataset, table.hyperparameter, **table.context,
+                                          options=options)
+            assert ranked == table
+            held = rankable_cells(bundle.cells, table.hyperparameter, **table.context)
+            assert points == {value: point for value, (_, point) in held.items()}
 
     def test_bundle_aggregates_each_cell_once(self, fixture_dataset, monkeypatch):
         seeds = []
@@ -654,7 +669,7 @@ class TestCellTable:
         dataset = SweepDataset(records, BaselineTable({"e": (0.0, 1.0)}), schema)
         cells = CellTable(dataset, AssemblyOptions(interval_source=source, resamples=100))
         with pytest.raises(ValueError) as excinfo:
-            cells.context("h", "a", "r")
+            cells.context_arrays("h", "a", "r")
         assert str(excinfo.value) == ("h=2, agent a, regime r, pooled environments: "
                                       "an interval bound or point estimate is not finite")
 

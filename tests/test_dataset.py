@@ -12,6 +12,7 @@ from collections import Counter
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings
@@ -38,7 +39,7 @@ from thckit.dataset import (
     write_baselines,
     write_run_log,
 )
-from thckit.dataset import _file_rows
+from thckit.dataset import _file_rows, _run_log_blocks
 from thckit.stats import human_normalize
 from thckit.synth import PlantedDesign, PlantedHyperparameter, generate
 
@@ -131,14 +132,14 @@ FAULTS = [
                  ["<run log>:8: empty column 'agent'", "<run log>:8: unknown agent ''"], None,
                  id="empty-identifier"),
     pytest.param(RUNS_CSV + "a2,e1,r1,lr,0.1,x,1.0\n", BASELINES_CSV,
-                 ["<run log>:8: column 'seed' must be a non-negative integer, got 'x'"], None,
-                 id="bad-seed"),
+                 ["<run log>:8: column 'seed' must be a non-negative integer, got 'x'"],
+                 with_record("a2", "e1", "r1", "lr", "0.1", "x", 1.0), id="bad-seed"),
     pytest.param(RUNS_CSV + "a2,e1,r1,lr,0.1,-3,1.0\n", BASELINES_CSV,
                  ["<run log>:8: column 'seed' must be a non-negative integer, got '-3'"],
                  with_record("a2", "e1", "r1", "lr", "0.1", -3, 1.0), id="negative-seed"),
     pytest.param(RUNS_CSV + "a1,e1,r1,lr,0.1,7,nope\n", BASELINES_CSV,
-                 ["<run log>:8: column 'final_score' is not a number: 'nope'"], None,
-                 id="non-numeric-score"),
+                 ["<run log>:8: column 'final_score' is not a number: 'nope'"],
+                 with_record("a1", "e1", "r1", "lr", "0.1", 7, "nope"), id="non-numeric-score"),
     pytest.param(RUNS_CSV + "a1,e1,r1,lr,0.1,7,inf\n", BASELINES_CSV,
                  ["<run log>:8: column 'final_score' must be finite, got 'inf'"],
                  with_record("a1", "e1", "r1", "lr", "0.1", 7, math.inf), id="infinite-score"),
@@ -187,6 +188,24 @@ class TestFaultTable:
             with pytest.raises(DatasetError) as excinfo:
                 direct()
             assert excinfo.value.diagnostics == [re.sub(r"^<[a-z ]+>:\d+: ", "", d) for d in diagnostics]
+
+    @pytest.mark.parametrize("seed, score, diagnostic", [
+        pytest.param(2.5, 1.0, "column 'seed' must be a non-negative integer, got '2.5'", id="float-seed"),
+        pytest.param("3", 1.0, "column 'seed' must be a non-negative integer, got '3'", id="text-seed"),
+        pytest.param(7, "1.5", "column 'final_score' is not a number: '1.5'", id="text-score"),
+    ])
+    def test_direct_record_of_another_type_rejected(self, seed, score, diagnostic):
+        # A record given directly is checked as a text cell that did not convert.
+        with pytest.raises(DatasetError) as excinfo:
+            with_record("a2", "e1", "r1", "lr", "0.1", seed, score)()
+        assert excinfo.value.diagnostics == [diagnostic]
+
+    def test_direct_numpy_seeds_and_scores_accepted(self):
+        records = [dataclasses.replace(r, seed=np.int64(r.seed), final_score=np.float64(r.final_score))
+                   for r in RUNS_RECORDS]
+        dataset = SweepDataset(records, small_baselines(), small_schema())
+        plain = SweepDataset(RUNS_RECORDS, small_baselines(), small_schema())
+        assert dataset == plain and dataset.index == plain.index
 
     def test_diagnostics_quote_cells_as_written(self):
         runs = RUNS_CSV + "a2,e1,r1,lr,0.1,-03,NaN\n"
@@ -369,31 +388,73 @@ def outcome(parse):
         return exc.diagnostics
 
 
+def assert_ingest_matches_reference(block: int, text: str) -> None:
+    """Parse ``text`` in blocks of ``block`` lines and compare the outcome
+    with the row-by-row reference."""
+    baselines = BaselineTable({"e1": (0.0, 1.0), "e2": (100.0, 1100.0)})
+    with mock.patch.object(thckit.dataset, "BLOCK_LINES", block):
+        parsed = outcome(lambda: parse_dataset(io.StringIO(text), io.StringIO(INGEST_BASELINES_CSV),
+                                               INGEST_SCHEMA))
+    expected = outcome(lambda: reference_parse(io.StringIO(text), baselines, INGEST_SCHEMA))
+    if isinstance(expected, list):
+        assert parsed == expected
+        return
+    runs, index = expected
+    assert isinstance(parsed, SweepDataset)
+    assert len(parsed) == len(runs)
+    # repr also compares key order at every level and the types of leaves and fields.
+    assert parsed.index == index and repr(parsed.index) == repr(index)
+    records = tuple(RunRecord(*key, score) for key, score in runs)
+    assert parsed.records == records and repr(parsed.records) == repr(records)
+    assert parsed == SweepDataset(records[::-1], baselines, INGEST_SCHEMA)
+    if runs:
+        changed = [dataclasses.replace(records[0], final_score=records[0].final_score + 1), *records[1:]]
+        assert parsed != SweepDataset(changed, baselines, INGEST_SCHEMA)
+        assert parsed != SweepDataset(records[1:], baselines, INGEST_SCHEMA)
+
+
+def ingest_text(rows: int, edits: dict[int, str], before: dict[int, str] | None = None, tail: str = "") -> str:
+    """A run log of ``rows`` plain rows, row ``i`` rewritten by the
+    ``ROW_EDITS`` entry ``edits[i]`` and preceded by ``before[i]``, then ``tail``."""
+    before = before or {}
+    lines = [ROW_EDITS[edits[i]](plain_fields(i)) if i in edits else plain_fields(i) for i in range(rows)]
+    return ",".join(RUN_LOG_HEADER) + "\n" + "".join(
+        before.get(i, "") + ",".join(fields) + "\n" for i, fields in enumerate(lines)) + tail
+
+
+# Row faults around a malformed line and the diagnostics cap, in blocks of 3 lines.
+CAPPED = {i: "unknown-agent" for i in range(MAX_DIAGNOSTICS + 1)}
+INGEST_EDGES = [
+    pytest.param(ingest_text(6, {1: "unknown-agent", 4: "malformed"}), id="problems-then-malformed"),
+    pytest.param(ingest_text(MAX_DIAGNOSTICS + 3, {**CAPPED, MAX_DIAGNOSTICS + 1: "malformed"}),
+                 id="capped-then-malformed-block-start"),
+    pytest.param(ingest_text(MAX_DIAGNOSTICS + 3, {**CAPPED, MAX_DIAGNOSTICS + 2: "malformed"}),
+                 id="capped-then-malformed-mid-block"),
+    pytest.param(ingest_text(6, {3: "malformed"}), id="malformed-block-start"),
+    pytest.param(ingest_text(MAX_DIAGNOSTICS + 1, CAPPED, tail="# a\n# b\n\n"), id="capped-then-comment-block"),
+    pytest.param(ingest_text(MAX_DIAGNOSTICS + 2, CAPPED, {MAX_DIAGNOSTICS + 1: "# a\n# b\n\n"}),
+                 id="capped-then-comment-block-then-row"),
+]
+
+
 class TestIngestMatchesReference:
     @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
     @given(ingest_logs())
     def test_diagnostics_index_records_and_equality(self, case):
-        block, text = case
-        baselines = BaselineTable({"e1": (0.0, 1.0), "e2": (100.0, 1100.0)})
-        with mock.patch.object(thckit.dataset, "BLOCK_LINES", block):
-            parsed = outcome(lambda: parse_dataset(io.StringIO(text), io.StringIO(INGEST_BASELINES_CSV),
-                                                   INGEST_SCHEMA))
-        expected = outcome(lambda: reference_parse(io.StringIO(text), baselines, INGEST_SCHEMA))
-        if isinstance(expected, list):
-            assert parsed == expected
-            return
-        runs, index = expected
-        assert isinstance(parsed, SweepDataset)
-        assert len(parsed) == len(runs)
-        # repr also compares key order at every level and the types of leaves and fields.
-        assert parsed.index == index and repr(parsed.index) == repr(index)
-        records = tuple(RunRecord(*key, score) for key, score in runs)
-        assert parsed.records == records and repr(parsed.records) == repr(records)
-        assert parsed == SweepDataset(records[::-1], baselines, INGEST_SCHEMA)
-        if runs:
-            changed = [dataclasses.replace(records[0], final_score=records[0].final_score + 1), *records[1:]]
-            assert parsed != SweepDataset(changed, baselines, INGEST_SCHEMA)
-            assert parsed != SweepDataset(records[1:], baselines, INGEST_SCHEMA)
+        assert_ingest_matches_reference(*case)
+
+    @pytest.mark.parametrize("text", INGEST_EDGES)
+    def test_edges_of_a_malformed_line_and_the_cap(self, text):
+        assert_ingest_matches_reference(3, text)
+
+    def test_blocks_end_at_a_malformed_line(self):
+        # Blocks of lines 2-4 and 5-7: the second ends at the malformed line 6,
+        # and lines 8-10 make no block.
+        with mock.patch.object(thckit.dataset, "BLOCK_LINES", 3):
+            blocks = list(_run_log_blocks(io.StringIO(ingest_text(9, {4: "malformed"})), "<run log>"))
+        assert [list(block.linenos) for block in blocks] == [[2, 3, 4], [5]]
+        assert blocks[0].error is None
+        assert blocks[-1].error.diagnostics[0].startswith("<run log>:6: malformed row: ")
 
 
 class TestSweepSchema:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_rankings
+from conftest import rankable_cells, reference_rankings
 from thckit import CellTable, TransferSetup, assemble_profiles, load_dataset
 from thckit.consistency import AssemblyOptions, IntervalSource
 from thckit.ranking import (
@@ -262,7 +262,7 @@ class TestReferenceEquivalence:
         assert profiles
         expected_messages = []
         for profile in profiles:
-            contexts = [[(value, cells.context(profile.hyperparameter, **table.context)[value][0])
+            contexts = [[(value, rankable_cells(cells, profile.hyperparameter, **table.context)[value][0])
                          for value in profile.values] for table in profile.tables]
             expected, logged = reference_rankings(contexts, RankingMode.OVERLAP)
             expected_messages += logged

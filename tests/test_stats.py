@@ -103,6 +103,14 @@ class TestHumanNormalize:
         with pytest.raises(ValueError):
             human_normalize(1.0, 5.0, 5.0)
 
+    def test_arrays_normalise_score_by_score(self):
+        scores = np.array([300.0, 0.5, -900.0])
+        random, human = np.array([100.0, 0.0, 100.0]), np.array([1100.0, 1.0, 1100.0])
+        assert human_normalize(scores, random, human).tolist() == [
+            human_normalize(*args) for args in zip(scores.tolist(), random.tolist(), human.tolist())]
+        with pytest.raises(ValueError):
+            human_normalize(scores, random, np.array([1100.0, 0.0, 1100.0]))
+
 
 def brute_force_iqm(samples):
     ordered = np.sort(np.asarray(samples, dtype=float))
@@ -354,9 +362,37 @@ class TestBatchedBootstrap:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # The replicate statistics and np.percentile's copy of them are the
-        # only allocations that grow with the resample count.
-        assert peak - 2 * resamples * 8 < 4 * 2**20
+        # The replicate statistics, partitioned in place, are the only
+        # allocation that grows with the resample count.
+        assert peak - resamples * 8 < 4 * 2**20
+
+    def test_memory_bounded_for_one_narrow_cell_at_a_million_resamples(self):
+        # A second resample-sized array (8 MB) would overrun the slack.
+        resamples = 1_000_000
+        matrix = ScoreMatrix([np.random.default_rng(8).normal(size=5)])
+        tracemalloc.start()
+        try:
+            stratified_bootstrap_ci(matrix, resamples=resamples, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - resamples * 8 < 4 * 2**20
+
+    def test_unallocatable_replicates_name_the_resample_count(self, monkeypatch):
+        # Three (5,) cells at 1,000 resamples share one chunk: 3,000 replicate IQMs.
+        empty = np.empty
+
+        def refuse_replicates(shape, *args, **kwargs):
+            if shape == 3_000:
+                raise MemoryError("Unable to allocate 23.4 KiB")
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", refuse_replicates)
+        with pytest.raises(ValueError) as excinfo:
+            pooled_bootstrap_cis(np.arange(15.0), [(5,)] * 3, [1, 2, 3], resamples=1_000)
+        assert str(excinfo.value) == ("resamples=1000 needs 24,000 bytes for the replicate IQMs "
+                                      "of 3 cell(s), more than can be allocated")
+        assert isinstance(excinfo.value.__cause__, MemoryError)
 
 
 def mixed_cells(rng, count):
