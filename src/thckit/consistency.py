@@ -319,14 +319,6 @@ class ConsistencyReport:
     skipped: tuple[SkippedHyperparameter, ...]
 
 
-def _present(dataset: SweepDataset, hyperparameter: str, axis: Axis) -> list[str]:
-    """Declared agents or data regimes with runs of ``hyperparameter``, in
-    schema order."""
-    position = (Axis.AGENT, Axis.DATA_REGIME).index(axis)
-    seen = {pair[position] for pair in dataset.index.get(hyperparameter, {})}
-    return [v for v in dataset.schema.axis_values(axis) if v in seen]
-
-
 def _check_pins(schema: SweepSchema, pins: Mapping[Axis, str | None]) -> None:
     """Raise ``KeyError`` for a pinned coordinate the schema does not declare."""
     for axis, value in pins.items():
@@ -486,17 +478,18 @@ def assemble_profiles(
     elif cells.dataset is not dataset or cells.options != options:
         raise ValueError("cell table was built from another dataset or other options")
 
-    plans = [(hp, combo, _contexts_with_runs(dataset, hp, axis, combo))
+    # Each plan's contexts as coordinates: its combo plus one label of the axis.
+    plans = [(hp, combo, [{**combo, axis.value: label}
+                          for label in _labels_with_runs(dataset, hp, axis, combo)])
              for hp in dataset.schema.hyperparameters if hp in dataset.index
              for combo in _combos(dataset, hp, setup, options)]
     # Every context the profiles read, in reading order, filled in one pass.
-    cells.fill(_context_key(hp, {**combo, axis.value: label})
-               for hp, combo, contexts in plans if len(contexts) >= 2 for label in contexts)
+    cells.fill(_context_key(hp, c) for hp, _, contexts in plans if len(contexts) >= 2 for c in contexts)
 
     profiles: list[RankProfile] = []
     skipped: list[SkippedHyperparameter] = []
     for hp, combo, contexts in plans:
-        result = _profile_for(dataset, hp, setup, combo, contexts, cells)
+        result = _profile_for(dataset, hp, axis, combo, contexts, cells)
         if isinstance(result, SkippedHyperparameter):
             logger.warning("skipping %s %s: %s", hp, dict(combo), result.reason)
             skipped.append(result)
@@ -519,7 +512,7 @@ def _combos(
     """
     def choices(axis: Axis) -> list[str]:
         pinned = getattr(options, axis.value)
-        return [pinned] if pinned is not None else _present(dataset, hp, axis)
+        return [pinned] if pinned is not None else _labels_with_runs(dataset, hp, axis, {})
 
     # assemble_profiles has rejected a pin on the varying axis.
     free_axes = [a for a in (Axis.AGENT, Axis.DATA_REGIME) if a is not setup.axis]
@@ -529,19 +522,17 @@ def _combos(
             for picks in itertools.product(*(choices(a) for a in free_axes))]
 
 
-def _contexts_with_runs(dataset: SweepDataset, hp: str, axis: Axis,
-                        combo: dict[str, str]) -> list[str]:
-    """Declared contexts of ``axis`` with runs of ``hp`` under ``combo``. A
-    context counts as having data even when a pinned environment has none of
-    its runs."""
-    node_of = dataset.index[hp]
-
-    def has_runs(label: str) -> bool:
-        coords = {**combo, axis.value: label}
-        node = node_of.get((coords["agent"], coords["data_regime"]))
-        return node is not None and (axis is not Axis.ENVIRONMENT or label in node)
-
-    return [c for c in dataset.schema.axis_values(axis) if has_runs(c)]
+def _labels_with_runs(dataset: SweepDataset, hp: str, axis: Axis,
+                      coords: Mapping[str, str]) -> list[str]:
+    """Declared labels of ``axis``, in schema order, with runs of ``hp`` at
+    ``coords``. An agent or data regime that ``coords`` leaves out matches any
+    label; a pinned environment need not have runs of its own."""
+    found: set[str] = set()
+    for (agent, regime), by_env in dataset.index.get(hp, {}).items():
+        pair = {"agent": agent, "data_regime": regime}
+        if all(coords.get(key, label) == label for key, label in pair.items()):
+            found.update(by_env if axis is Axis.ENVIRONMENT else (pair[axis.value],))
+    return [label for label in dataset.schema.axis_values(axis) if label in found]
 
 
 def _context_key(hp: str, coords: Mapping[str, str]) -> ContextKey:
@@ -551,16 +542,14 @@ def _context_key(hp: str, coords: Mapping[str, str]) -> ContextKey:
 def _profile_for(
     dataset: SweepDataset,
     hp: str,
-    setup: TransferSetup,
+    axis: Axis,
     combo: dict[str, str],
-    contexts: list[str],
+    coords: list[dict[str, str]],
     cells: CellTable,
 ) -> RankProfile | SkippedHyperparameter:
-    axis = setup.axis
-    if len(contexts) < 2:
-        return SkippedHyperparameter(hp, dict(combo), f"only {len(contexts)} context(s) with data")
+    if len(coords) < 2:
+        return SkippedHyperparameter(hp, dict(combo), f"only {len(coords)} context(s) with data")
 
-    coords = [{**combo, axis.value: label} for label in contexts]
     lower, upper, _ = np.stack([cells.context_arrays(*_context_key(hp, c)) for c in coords], axis=2)
     rankable = ~np.isnan(lower)
     kept = rankable.any(axis=0)

@@ -135,12 +135,13 @@ class RunRecord:
 
 @dataclass(frozen=True)
 class BaselineTable:
-    """Per-environment random and human reference scores."""
+    """Per-environment random and human reference scores, each held as a
+    ``(random, human)`` tuple."""
 
     scores: Mapping[str, tuple[float, float]]
 
     def __post_init__(self) -> None:
-        _admit_baselines((None, None, None, (env, *pair)) for env, pair in self.scores.items())
+        object.__setattr__(self, "scores", _admit_baselines(map(_given_baseline, self.scores.items())))
 
     @classmethod
     def _parsed(cls, rows: Iterable[tuple], source: str) -> BaselineTable:
@@ -161,6 +162,21 @@ class BaselineTable:
 
     def human_score(self, environment: str) -> float:
         return self.scores[environment][1]
+
+
+def _given_baseline(item: tuple[str, object]) -> tuple:
+    """A directly given table's entry as ``_admit_baselines`` reads a row: a
+    score that is not a real number, or is a bool, reads as one that did not
+    convert, and a value that is not a pair is a problem of its own."""
+    env, pair = item
+    try:
+        scores = tuple(pair)
+    except TypeError:
+        scores = ()
+    if len(scores) != 2:
+        return None, None, [f"baseline scores for environment {env!r} must be a (random, human) pair, "
+                            f"got {pair!r}"], None
+    return None, None, None, (env, *_of_kind(scores, numbers.Real, bool))
 
 
 def _admit_baselines(rows: Iterable[tuple], source: str | None = None) -> dict[str, tuple[float, float]]:
@@ -425,9 +441,9 @@ def _check(block: _Block, codes: list[dict], declared: list[int], unbased: list[
     failing row in rule order."""
     agents, envs, regimes, hps, values, seed, score = block.fields
     if block.cells is None:
-        # Records given directly may hold any object; read one of another kind as a
-        # text cell that did not convert.
-        seed, score = _of_kind(seed, numbers.Integral), _of_kind(score, numbers.Real)
+        # Records given directly may hold any object; read one of another kind, or a
+        # bool seed, as a text cell that did not convert.
+        seed, score = _of_kind(seed, numbers.Integral, bool), _of_kind(score, numbers.Real)
     n = len(agents)
     key = np.stack([_encode(codes[0], agents), _encode(codes[1], envs), _encode(codes[2], regimes),
                     _encode(codes[3], hps, values)])
@@ -463,11 +479,12 @@ def _check(block: _Block, codes: list[dict], declared: list[int], unbased: list[
     return key, value, checked & ~bad_seed, found
 
 
-def _of_kind(column: Sequence, kind: type) -> Sequence:
-    """``column`` with None in place of each item that is not a ``kind``."""
-    if all(issubclass(t, kind) for t in set(map(type, column))):
+def _of_kind(column: Sequence, kind: type, excluded: type | tuple[type, ...] = ()) -> Sequence:
+    """``column`` with None in place of each item that is not a ``kind``, or is
+    an ``excluded``."""
+    if all(issubclass(t, kind) and not issubclass(t, excluded) for t in set(map(type, column))):
         return column
-    return [item if isinstance(item, kind) else None for item in column]
+    return [item if isinstance(item, kind) and not isinstance(item, excluded) else None for item in column]
 
 
 def _encode(codes: dict, *columns: Sequence) -> np.ndarray:
@@ -827,5 +844,5 @@ def write_baselines(dataset: SweepDataset, stream: IO[str]) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     for env in sorted(dataset.baselines.environments):
         writer.writerow([env,
-                         repr(dataset.baselines.random_score(env)),
-                         repr(dataset.baselines.human_score(env))])
+                         repr(float(dataset.baselines.random_score(env))),
+                         repr(float(dataset.baselines.human_score(env)))])

@@ -248,15 +248,24 @@ def recovery_study(
 def design_from_mapping(data: Mapping[str, Any]) -> PlantedDesign:
     """Build a design from parsed config data.
 
-    Axis entries may be lists of labels or an integer count, in which case
-    labels are auto-numbered (``env01`` ...). Hyper-parameters map name to
-    ``{values, pattern, means}``.
+    Axis entries may be lists of labels or a positive integer count, in which
+    case labels are auto-numbered (``env01`` ...). Hyper-parameters map name
+    to ``{values, pattern, means}``. A wrongly typed entry raises
+    ``ValueError`` naming its key; a bool is neither a count nor a number.
     """
     def axis_labels(key: str, prefix: str, default: tuple[str, ...]) -> tuple[str, ...]:
         value = data.get(key, default)
-        if isinstance(value, int):
+        if _is_a(value, int) and value > 0:
             return tuple(f"{prefix}{i:02d}" for i in range(1, value + 1))
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{key!r} must be a list of labels or a positive integer count, got {value!r}")
         return tuple(str(v) for v in value)
+
+    def scalar(key: str, default: int | float, kind: type | tuple[type, ...]) -> Any:
+        value = data.get(key, default)
+        if not _is_a(value, kind):
+            raise ValueError(f"{key!r} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+        return value
 
     hps = data.get("hyperparameters")
     if not isinstance(hps, Mapping) or not hps:
@@ -265,10 +274,16 @@ def design_from_mapping(data: Mapping[str, Any]) -> PlantedDesign:
     for name, entry in hps.items():
         if not isinstance(entry, Mapping):
             raise ValueError(f"hyperparameter {name!r} must be a mapping with a 'values' list")
-        means = entry.get("means")
+        values, means = entry.get("values", ()), entry.get("means")
+        if not isinstance(values, (list, tuple)):
+            raise ValueError(f"hyperparameter {name!r}: 'values' must be a list, got {values!r}")
+        table = isinstance(means, (list, tuple)) and all(
+            isinstance(row, (list, tuple)) and all(_is_a(x, (int, float)) for x in row) for row in means)
+        if means is not None and not table:
+            raise ValueError(f"hyperparameter {name!r}: 'means' must be a list of lists of numbers, got {means!r}")
         planted.append(PlantedHyperparameter(
             name=str(name),
-            values=tuple(entry.get("values", ())),
+            values=tuple(values),
             pattern=str(entry.get("pattern", "consistent")),
             means=tuple(tuple(row) for row in means) if means is not None else None,
         ))
@@ -285,11 +300,17 @@ def design_from_mapping(data: Mapping[str, Any]) -> PlantedDesign:
         environments=axis_labels("environments", "env", ("env01", "env02")),
         data_regimes=axis_labels("data_regimes", "regime", ("regime01",)),
         context_axis=Axis(data.get("context_axis", Axis.ENVIRONMENT)),
-        seeds_per_cell=int(data.get("seeds_per_cell", 3)),
-        noise_scale=float(data.get("noise_scale", 0.0)),
-        score_gap=float(data.get("score_gap", 1.0)),
-        seed=int(data.get("seed", 0)),
+        seeds_per_cell=scalar("seeds_per_cell", 3, int),
+        noise_scale=float(scalar("noise_scale", 0.0, (int, float))),
+        score_gap=float(scalar("score_gap", 1.0, (int, float))),
+        seed=scalar("seed", 0, int),
     )
+
+
+def _is_a(value: object, kind: type | tuple[type, ...]) -> bool:
+    """Whether ``value`` is a ``kind`` and not a bool, which YAML reads from
+    ``true`` and ``false``."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def load_design(source: Any) -> PlantedDesign:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -12,7 +13,14 @@ import pytest
 
 import thckit
 from thckit.cli import main
-from thckit.dataset import load_dataset
+from thckit.dataset import (
+    BaselineTable,
+    RunRecord,
+    SweepDataset,
+    bundled_schema,
+    bundled_schema_bytes,
+    load_dataset,
+)
 
 from conftest import (
     dataset_from_intervals,
@@ -137,6 +145,17 @@ class TestRank:
         assert code == 2
         assert "zz" in capsys.readouterr().err
 
+    def test_context_without_a_rankable_value_exits_2(self, tmp_path, capsys):
+        cells = {"hp": {"x": {"g1": (0.0, 1.0), "g2": (0.0, 1.0)}, "y": {"g1": (2.0, 3.0)}}}
+        dataset = dataset_from_intervals(cells)
+        thin = SweepDataset([r for r in dataset.records if (r.environment, r.seed) != ("g2", 1)],
+                            dataset.baselines, dataset.schema)
+        paths = write_dataset_files(thin, tmp_path)
+        code = main(["rank", *dataset_args(paths), "--hyperparameter", "hp", "--agent", "agent01",
+                     "--data-regime", "regime01", "--environment", "g2"])
+        assert code == 2
+        assert capsys.readouterr().err.endswith("error: no value of 'hp' has at least 2 seeds in this context\n")
+
     def test_selector_matching_nothing_exits_2(self, reference_paths, capsys):
         code = main(["rank", *dataset_args(reference_paths),
                      "--hyperparameter", "ha", "--agent", "agent99",
@@ -206,6 +225,15 @@ class TestThc:
         assert main([*base, "--strict"]) == 3
         assert "Kendall W undefined" in capsys.readouterr().err
 
+    def test_prints_each_skip_with_its_fixed_coordinates(self, tmp_path, capsys):
+        cells = {"ok": {"x": {"g1": (0.0, 1.0), "g2": (0.0, 1.0)}, "y": {"g1": (2.0, 3.0), "g2": (2.0, 3.0)}},
+                 "solo": {"x": {"g1": (0.0, 1.0)}, "y": {"g1": (2.0, 3.0)}}}
+        paths = write_dataset_files(dataset_from_intervals(cells), tmp_path)
+        assert main(["thc", *dataset_args(paths), "--setup", "environments",
+                     "--interval-source", "mean_sd"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == \
+            "skipped solo [agent=agent01; data_regime=regime01]: only 1 context(s) with data"
+
     def test_sum_normalization_flag(self, reference_paths, tmp_path, capsys):
         sidecar = tmp_path / "thc.json"
         main(["thc", *dataset_args(reference_paths),
@@ -232,6 +260,20 @@ class TestReport:
         assert report["provenance"]["flags"]["interval_source"] == "mean_sd"
         assert set(report["provenance"]["inputs"]) == {"runs", "baselines", "schema"}
         assert set(report["setups"]) == {"agents", "environments", "data_regimes"}
+
+    def test_bundled_schema_digest_recorded_without_schema_flag(self, tmp_path, capsys):
+        schema = bundled_schema()
+        agents, env, regime = schema.agents, schema.environments[0], schema.data_regimes[0]
+        hp, values = next(iter(schema.hyperparameters.items()))
+        records = [RunRecord(agent, env, regime, hp, value, seed, float(i + seed))
+                   for agent in agents for i, value in enumerate(values[:2]) for seed in range(2)]
+        paths = write_dataset_files(SweepDataset(records, BaselineTable({env: (0.0, 1.0)}), schema), tmp_path)
+        out = tmp_path / "bundle"
+        assert main(["report", "--runs", str(paths["runs"]), "--baselines", str(paths["baselines"]),
+                     "--setup", "agents", "--interval-source", "mean_sd", "--out", str(out)]) == 0
+        capsys.readouterr()
+        inputs = json.loads((out / "report.json").read_text())["provenance"]["inputs"]
+        assert inputs["schema"] == hashlib.sha256(bundled_schema_bytes()).hexdigest()
 
     def test_single_setup_bundle(self, reference_paths, tmp_path, capsys):
         out = tmp_path / "bundle"
@@ -321,6 +363,39 @@ class TestSynth:
         main(["synth", "--design", str(design), "--out", str(tmp_path / "s"),
               "--seeds-per-cell", "2"])
         assert "wrote 30 runs" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("entry, message", [
+        pytest.param("lr:\n    values: 5", "hyperparameter 'lr': 'values' must be a list, got 5", id="values"),
+        pytest.param("lr:\n    values: [a, b]\n    pattern: explicit\n    means: 3",
+                     "hyperparameter 'lr': 'means' must be a list of lists of numbers, got 3", id="means"),
+        pytest.param("lr:\n    values: [a, b]\n    pattern: explicit\n    means: [[1, 0], [0, [1]]]",
+                     "hyperparameter 'lr': 'means' must be a list of lists of numbers, got [[1, 0], [0, [1]]]",
+                     id="means-entry"),
+        pytest.param("environments: 3.5",
+                     "'environments' must be a list of labels or a positive integer count, got 3.5",
+                     id="environments-float"),
+        pytest.param("environments: true",
+                     "'environments' must be a list of labels or a positive integer count, got True",
+                     id="environments-bool"),
+        pytest.param("environments: 0",
+                     "'environments' must be a list of labels or a positive integer count, got 0",
+                     id="environments-zero"),
+        pytest.param("agents: 7x", "'agents' must be a list of labels or a positive integer count, got '7x'",
+                     id="agents-text"),
+        pytest.param("noise_scale: [1]", "'noise_scale' must be a number, got [1]", id="noise-scale"),
+        pytest.param("score_gap: false", "'score_gap' must be a number, got False", id="score-gap"),
+        pytest.param("seeds_per_cell: 2.7", "'seeds_per_cell' must be an integer, got 2.7", id="seeds-per-cell"),
+        pytest.param("seed: 1.5", "'seed' must be an integer, got 1.5", id="seed"),
+    ])
+    def test_wrongly_typed_design_exits_2(self, tmp_path, capsys, entry, message):
+        design = tmp_path / "design.yaml"
+        if entry.startswith("lr:"):
+            design.write_text(f"hyperparameters:\n  {entry}\n")
+        else:
+            design.write_text(f"{entry}\nhyperparameters:\n  lr:\n    values: [a, b]\n")
+        assert main(["synth", "--design", str(design), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_missing_design_exits_2(self, tmp_path, capsys):
         assert main(["synth", "--design", str(tmp_path / "none.yaml"),

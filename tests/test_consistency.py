@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 import logging
 import math
 import warnings
@@ -440,6 +441,27 @@ class TestAssembly:
         assert len(assembled.skipped) == 1
         assert "1 context" in assembled.skipped[0].reason
 
+    def test_context_of_thin_groups_only_skipped_with_reason(self):
+        cells = {"hp": {"x": {"g1": (0.0, 1.0), "g2": (0.0, 1.0)}, "y": {"g1": (2.0, 3.0), "g2": (2.0, 3.0)}}}
+        dataset = dataset_from_intervals(cells)
+        # g2 keeps one seed per value: it has data but no rankable value.
+        dataset = SweepDataset([r for r in dataset.records if (r.environment, r.seed) != ("g2", 1)],
+                               dataset.baselines, dataset.schema)
+        assembled = assemble_profiles(dataset, TransferSetup.ACROSS_ENVIRONMENTS,
+                                      AssemblyOptions(interval_source=IntervalSource.MEAN_SD))
+        assert not assembled.profiles
+        assert [(s.hyperparameter, dict(s.fixed), s.reason) for s in assembled.skipped] == [
+            ("hp", {"agent": "agent01", "data_regime": "regime01"}, "only 1 context(s) with rankable values")]
+
+    def test_no_value_rankable_in_every_context_skipped_with_reason(self):
+        cells = {"hp": {"x": {"g1": (0.0, 1.0)}, "y": {"g2": (2.0, 3.0)}}}
+        dataset = dataset_from_intervals(cells)
+        assembled = assemble_profiles(dataset, TransferSetup.ACROSS_ENVIRONMENTS,
+                                      AssemblyOptions(interval_source=IntervalSource.MEAN_SD))
+        assert not assembled.profiles
+        assert [(s.hyperparameter, dict(s.fixed), s.reason) for s in assembled.skipped] == [
+            ("hp", {"agent": "agent01", "data_regime": "regime01"}, "no value is rankable in every context")]
+
     def test_value_missing_from_one_context_is_excluded(self, caplog):
         cells = {
             "hp": {
@@ -547,6 +569,14 @@ class TestRankContext:
             dataset, "hp", agent="agent01", data_regime="regime01", environment="g2",
             options=AssemblyOptions(interval_source=IntervalSource.MEAN_SD))
         assert table.final_ranks() == {"y": 1.0, "x": 2.0}
+
+    def test_context_without_a_rankable_value_raises(self):
+        cells = {"hp": {"x": {"g1": (0.0, 1.0), "g2": (0.0, 1.0)}, "y": {"g1": (2.0, 3.0)}}}
+        dataset = dataset_from_intervals(cells)
+        dataset = SweepDataset([r for r in dataset.records if (r.environment, r.seed) != ("g2", 1)],
+                               dataset.baselines, dataset.schema)
+        with pytest.raises(ValueError, match="^no value of 'hp' has at least 2 seeds in this context$"):
+            rank_context(dataset, "hp", agent="agent01", data_regime="regime01", environment="g2")
 
     def test_empty_context_raises(self):
         cells = {"hp": {"x": {"g1": (0.0, 1.0)}}}
@@ -723,3 +753,91 @@ class TestCellTable:
         warned = [r.getMessage() for r in caplog.records if "fewer than 2 seeds" in r.message]
         assert len(warned) == 1
         assert "lr=0.1, agent agent01, regime low" in warned[0] and warned[0].endswith("env01")
+
+
+# -- assembly against a brute-force plan ---------------------------------------
+# Sparse sweeps over 2 agents x 3 environments x 2 regimes: per hyper-parameter,
+# some (agent, regime) pairs have runs, in some environments, with 0-3 seeds per
+# value, so contexts without data, contexts of thin groups only and values
+# rankable in some contexts but not all all occur.
+
+SPARSE_AXES = {"agent": ("a1", "a2"), "environment": ("e1", "e2", "e3"), "data_regime": ("r1", "r2")}
+
+
+@st.composite
+def sparse_sweeps(draw) -> SweepDataset:
+    hyperparameters = {hp: ("v1", "v2", "v3")[:draw(st.integers(2, 3))] for hp in ("h1", "h2")}
+    records = []
+    for hp, values in hyperparameters.items():
+        for agent, regime in sorted(draw(st.sets(st.sampled_from(
+                [(a, r) for a in SPARSE_AXES["agent"] for r in SPARSE_AXES["data_regime"]])))):
+            for env in sorted(draw(st.sets(st.sampled_from(SPARSE_AXES["environment"]), min_size=1))):
+                for i, value in enumerate(values):
+                    records += [RunRecord(agent, env, regime, hp, value, seed, float(i + seed / 2))
+                                for seed in range(draw(st.integers(0, 3)))]
+    schema = SweepSchema(SPARSE_AXES["agent"], SPARSE_AXES["environment"], SPARSE_AXES["data_regime"],
+                         hyperparameters)
+    return SweepDataset(records, BaselineTable({env: (0.0, 1.0) for env in schema.environments}), schema)
+
+
+@st.composite
+def setups_and_pins(draw) -> tuple[TransferSetup, dict[str, str | None]]:
+    setup = draw(st.sampled_from(ALL_SETUPS))
+    pins = {axis: draw(st.sampled_from([None, *labels]))
+            for axis, labels in SPARSE_AXES.items() if axis != setup.axis.value}
+    return setup, pins
+
+
+def reference_plan(dataset: SweepDataset, setup: TransferSetup, pins: dict[str, str | None]):
+    """The profiles' ``(hyperparameter, fixed, contexts, values)`` and the
+    skips' ``(hyperparameter, fixed, reason)`` of one setup, read from
+    ``dataset.records`` one run at a time."""
+    varying = setup.axis.value
+    seeds: defaultdict[tuple, int] = defaultdict(int)
+    for r in dataset.records:
+        seeds[r.hyperparameter, r.value, r.agent, r.environment, r.data_regime] += 1
+
+    def rankable(hp: str, value: str, coords: dict[str, str]) -> bool:
+        scope = [coords["environment"]] if "environment" in coords else SPARSE_AXES["environment"]
+        return any(seeds[hp, value, coords["agent"], env, coords["data_regime"]] >= 2 for env in scope)
+
+    profiles, skipped = [], []
+    for hp, values in dataset.schema.hyperparameters.items():
+        runs = [r for r in dataset.records if r.hyperparameter == hp]
+        if not runs:
+            continue
+        free = [a for a in ("agent", "data_regime") if a != varying] + (["environment"] if pins["environment"] else [])
+        choices = [[pins[a]] if pins[a] else [label for label in SPARSE_AXES[a]
+                                              if any(getattr(r, a) == label for r in runs)] for a in free]
+        for picks in itertools.product(*choices):
+            combo = dict(zip(free, picks))
+            contexts = []
+            for label in SPARSE_AXES[varying]:
+                coords = {**combo, varying: label}
+                # Across environments the environment needs runs too; a pinned one need not.
+                if any(r.agent == coords["agent"] and r.data_regime == coords["data_regime"]
+                       and (varying != "environment" or r.environment == label) for r in runs):
+                    contexts.append(coords)
+            kept = [c for c in contexts if any(rankable(hp, v, c) for v in values)]
+            common = tuple(v for v in values if all(rankable(hp, v, c) for c in kept))
+            if len(contexts) < 2:
+                skipped.append((hp, combo, f"only {len(contexts)} context(s) with data"))
+            elif len(kept) < 2:
+                skipped.append((hp, combo, f"only {len(kept)} context(s) with rankable values"))
+            elif not common:
+                skipped.append((hp, combo, "no value is rankable in every context"))
+            else:
+                profiles.append((hp, combo, tuple(c[varying] for c in kept), common))
+    return profiles, skipped
+
+
+class TestAssemblyReference:
+    @given(sparse_sweeps(), setups_and_pins())
+    @settings(deadline=None)
+    def test_matches_brute_force_plan(self, dataset, setup_and_pins):
+        setup, pins = setup_and_pins
+        options = AssemblyOptions(interval_source=IntervalSource.MEAN_SD, **pins)
+        assembled = assemble_profiles(dataset, setup, options)
+        profiles, skipped = reference_plan(dataset, setup, {"environment": None, **pins})
+        assert [(p.hyperparameter, dict(p.fixed), p.contexts, p.values) for p in assembled.profiles] == profiles
+        assert [(s.hyperparameter, dict(s.fixed), s.reason) for s in assembled.skipped] == skipped

@@ -175,6 +175,12 @@ FAULTS = [
     pytest.param(RUNS_CSV, BASELINES_CSV + "e1,0,1\n",
                  ["<baselines>:4: duplicate baseline row for environment 'e1'"], None,
                  id="duplicate-baseline"),
+    pytest.param(RUNS_CSV, BASELINES_CSV + "e3,x,1\n",
+                 ["<baselines>:4: non-numeric score for environment 'e3'"],
+                 with_baseline("e3", "x", 1.0), id="non-numeric-baseline"),
+    pytest.param(RUNS_CSV, BASELINES_CSV + "e3,False,True\n",
+                 ["<baselines>:4: non-numeric score for environment 'e3'"],
+                 with_baseline("e3", False, True), id="bool-baseline"),
 ]
 
 
@@ -193,12 +199,20 @@ class TestFaultTable:
         pytest.param(2.5, 1.0, "column 'seed' must be a non-negative integer, got '2.5'", id="float-seed"),
         pytest.param("3", 1.0, "column 'seed' must be a non-negative integer, got '3'", id="text-seed"),
         pytest.param(7, "1.5", "column 'final_score' is not a number: '1.5'", id="text-score"),
+        pytest.param(True, 1.0, "column 'seed' must be a non-negative integer, got 'True'", id="bool-seed"),
     ])
     def test_direct_record_of_another_type_rejected(self, seed, score, diagnostic):
         # A record given directly is checked as a text cell that did not convert.
         with pytest.raises(DatasetError) as excinfo:
             with_record("a2", "e1", "r1", "lr", "0.1", seed, score)()
         assert excinfo.value.diagnostics == [diagnostic]
+
+    @pytest.mark.parametrize("scores", [(0.0,), (0.0, 1.0, 2.0), 5.0], ids=["one", "three", "not-a-sequence"])
+    def test_direct_baseline_that_is_not_a_pair_rejected(self, scores):
+        with pytest.raises(DatasetError) as excinfo:
+            BaselineTable({**small_baselines().scores, "e3": scores})
+        assert excinfo.value.diagnostics == [
+            f"baseline scores for environment 'e3' must be a (random, human) pair, got {scores!r}"]
 
     def test_direct_numpy_seeds_and_scores_accepted(self):
         records = [dataclasses.replace(r, seed=np.int64(r.seed), final_score=np.float64(r.final_score))
@@ -710,6 +724,18 @@ class TestRoundTrip:
             small_baselines(), small_schema())
         paths = write_dataset_files(ds, tmp_path)
         again = load_dataset(paths["runs"], paths["baselines"], paths["schema"])
+        assert again == ds
+
+    def test_numpy_seeds_and_baselines_roundtrip(self):
+        ds = SweepDataset([dataclasses.replace(r, seed=np.int64(r.seed)) for r in RUNS_RECORDS],
+                          BaselineTable({"e1": (np.float64(0.0), np.float32(1.5)),
+                                         "e2": [np.float32(0.1), np.float64(1100.0)]}),
+                          small_schema())
+        runs, baselines = io.StringIO(), io.StringIO()
+        write_run_log(ds, runs)
+        write_baselines(ds, baselines)
+        assert baselines.getvalue().splitlines()[1:] == ["e1,0.0,1.5", f"e2,{float(np.float32(0.1))!r},1100.0"]
+        again = parse_dataset(io.StringIO(runs.getvalue()), io.StringIO(baselines.getvalue()), small_schema())
         assert again == ds
 
     def test_shuffled_log_at_scale(self):
