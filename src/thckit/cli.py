@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
-import json
 import logging
 import sys
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Sequence
 
 from . import __version__
 from .consistency import (
@@ -27,6 +25,7 @@ from .consistency import (
     rank_context,
 )
 from .dataset import (
+    Axis,
     DatasetError,
     EmptySliceError,
     bundled_schema_bytes,
@@ -37,6 +36,9 @@ from .dataset import (
 )
 from .ranking import RankingMode
 from .report import (
+    _digest,
+    _entry_label,
+    _json_bytes,
     build_report_bundle,
     consistency_rows,
     file_digest,
@@ -52,9 +54,7 @@ EXIT_INVALID = 1
 EXIT_USAGE = 2
 EXIT_DEGENERATE = 3
 
-_SETUPS = {"agents": TransferSetup.ACROSS_AGENTS,
-           "environments": TransferSetup.ACROSS_ENVIRONMENTS,
-           "data-regimes": TransferSetup.ACROSS_DATA_REGIMES}
+_SETUPS = {setup.value.replace("_", "-"): setup for setup in TransferSetup}
 
 
 class DegenerateError(RuntimeError):
@@ -143,25 +143,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic sweep from a design file")
     p.add_argument("--design", required=True, help="planted design YAML")
     p.add_argument("--out", required=True, help="output directory for runs/baselines/schema")
-    p.add_argument("--seed", type=int, default=None, help="override the design's seed")
-    p.add_argument("--noise-scale", type=float, default=None,
-                   help="override the design's noise scale")
-    p.add_argument("--seeds-per-cell", type=int, default=None,
-                   help="override the design's seeds per cell")
+    for name, kind in (("seed", int), ("noise_scale", float), ("seeds_per_cell", int)):
+        p.add_argument("--" + name.replace("_", "-"), type=kind, default=None,
+                       help=f"override the design's {name.replace('_', ' ')}")
     return parser
 
 
 def _options(args: argparse.Namespace) -> AssemblyOptions:
-    return AssemblyOptions(
-        interval_source=args.interval_source,
-        ranking_mode=args.ranking_mode,
-        resamples=args.resamples,
-        confidence=args.confidence,
-        seed=args.seed,
-        agent=getattr(args, "agent", None) if args.command != "rank" else None,
-        environment=getattr(args, "environment", None) if args.command != "rank" else None,
-        data_regime=getattr(args, "data_regime", None) if args.command != "rank" else None,
-    )
+    # rank's axis flags name its context, so they pin no option.
+    names = {field.name for field in dataclasses.fields(AssemblyOptions)}
+    if args.command == "rank":
+        names -= {axis.value for axis in Axis}
+    return AssemblyOptions(**{name: getattr(args, name) for name in names})
 
 
 def _print_table(rows: Sequence[Sequence[str]]) -> None:
@@ -170,11 +163,6 @@ def _print_table(rows: Sequence[Sequence[str]]) -> None:
         print("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
         if index == 0:
             print("  ".join("-" * width for width in widths))
-
-
-def _write_json(path: str, data: Any) -> None:
-    text = json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    Path(path).write_text(text, encoding="utf-8")
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -196,27 +184,25 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     context = "; ".join(f"{k}={v}" for k, v in sorted(table.context.items()))
     print(f"hyperparameter {args.hyperparameter}; {context}; "
           f"source={options.interval_source.value}; mode={options.ranking_mode.value}")
-    rows = [["value", "lower", "upper", "point", "initial_rank", "final_rank"]]
-    for entry in table:
-        rows.append([entry.label, repr(entry.interval.lower), repr(entry.interval.upper),
-                     repr(points[entry.label]), str(entry.initial_rank), repr(entry.final_rank)])
-    _print_table(rows)
+    entries = [{
+        "value": entry.label,
+        "lower": entry.interval.lower,
+        "upper": entry.interval.upper,
+        "point": points[entry.label],
+        "initial_rank": entry.initial_rank,
+        "final_rank": entry.final_rank,
+    } for entry in table]
+    # str gives a float's repr, so each cell reads as the JSON number does.
+    _print_table([list(entries[0]), *([str(cell) for cell in entry.values()] for entry in entries)])
 
     if args.json:
-        _write_json(args.json, {
+        Path(args.json).write_bytes(_json_bytes({
             "hyperparameter": args.hyperparameter,
             "context": dict(table.context),
             "interval_source": options.interval_source.value,
             "ranking_mode": options.ranking_mode.value,
-            "entries": [{
-                "value": entry.label,
-                "lower": entry.interval.lower,
-                "upper": entry.interval.upper,
-                "point": points[entry.label],
-                "initial_rank": entry.initial_rank,
-                "final_rank": entry.final_rank,
-            } for entry in table],
-        })
+            "entries": entries,
+        }))
     return EXIT_OK
 
 
@@ -238,16 +224,13 @@ def _cmd_thc(args: argparse.Namespace) -> int:
         print(f"skipped {skip.hyperparameter}" + (f" [{fixed}]" if fixed else "") + f": {skip.reason}")
 
     if args.json:
-        _write_json(args.json, {"setup": setup.value,
-                                "ptp_normalization": args.ptp_normalization,
-                                **report_to_dict(report, args.kendall)})
+        Path(args.json).write_bytes(_json_bytes({"setup": setup.value,
+                                                 "ptp_normalization": args.ptp_normalization,
+                                                 **report_to_dict(report, args.kendall)}))
 
     if args.strict and args.kendall:
-        undefined = []
-        for entry in report.entries:
-            if entry.kendall is None or entry.kendall.w is None:
-                fixed = ";".join(f"{k}={v}" for k, v in sorted(entry.fixed.items()))
-                undefined.append(f"{entry.hyperparameter}" + (f" [{fixed}]" if fixed else ""))
+        undefined = [_entry_label(entry) for entry in report.entries
+                     if entry.kendall is None or entry.kendall.w is None]
         if undefined:
             raise DegenerateError(f"Kendall W undefined for: {', '.join(undefined)}")
     return EXIT_OK
@@ -266,10 +249,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
                              "--agent, --environment and --data-regime")
 
     inputs = {"runs": file_digest(args.runs), "baselines": file_digest(args.baselines)}
-    if args.schema:
-        inputs["schema"] = file_digest(args.schema)
-    else:
-        inputs["schema"] = hashlib.sha256(bundled_schema_bytes()).hexdigest()
+    inputs["schema"] = file_digest(args.schema) if args.schema else _digest(bundled_schema_bytes())
 
     bundle = build_report_bundle(
         dataset, setups, options, args.ptp_normalization,
@@ -281,18 +261,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     # Imported here so that the other subcommands do not load the generator.
-    from .synth import generate, load_design
+    from .synth import PlantedDesign, generate, load_design
 
-    design = load_design(args.design)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.noise_scale is not None:
-        overrides["noise_scale"] = args.noise_scale
-    if args.seeds_per_cell is not None:
-        overrides["seeds_per_cell"] = args.seeds_per_cell
-    if overrides:
-        design = dataclasses.replace(design, **overrides)
+    # Each override flag's dest is the design field it replaces.
+    overrides = {field.name: getattr(args, field.name) for field in dataclasses.fields(PlantedDesign)
+                 if getattr(args, field.name, None) is not None}
+    design = dataclasses.replace(load_design(args.design), **overrides)
 
     dataset = generate(design)
     out = Path(args.out)

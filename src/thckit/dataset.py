@@ -218,6 +218,11 @@ def _stringify(value: object) -> str:
     return str(value)
 
 
+#: The schema's identifier lists, in document order: each is a field of
+#: :class:`SweepSchema` and a key of its YAML document.
+_SCHEMA_LIST_KEYS = ("agents", "environments", "data_regimes")
+
+
 @dataclass(frozen=True)
 class SweepSchema:
     """Declared identifier vocabularies a dataset is validated against."""
@@ -230,9 +235,8 @@ class SweepSchema:
 
     def __post_init__(self) -> None:
         problems = []
-        for name, values in (("agents", self.agents),
-                             ("environments", self.environments),
-                             ("data_regimes", self.data_regimes)):
+        for name in _SCHEMA_LIST_KEYS:
+            values = getattr(self, name)
             if not values:
                 problems.append(f"schema key {name!r} must list at least one identifier")
             if len(set(values)) != len(values):
@@ -737,8 +741,6 @@ def slice_scores(
 
 # -- schema and dataset serialization ---------------------------------------
 
-_SCHEMA_LIST_KEYS = ("agents", "environments", "data_regimes")
-
 
 def load_schema(source: str | Path | IO[str]) -> SweepSchema:
     """Read a schema config document (YAML mapping).
@@ -796,13 +798,7 @@ def _schema_from_mapping(doc: object, source: str) -> SweepSchema:
     defaults = {_stringify(k): _stringify(v) for k, v in raw_defaults.items()}
     if problems:
         raise DatasetError(problems)
-    return SweepSchema(
-        agents=lists["agents"],
-        environments=lists["environments"],
-        data_regimes=lists["data_regimes"],
-        hyperparameters=hps,
-        defaults=defaults,
-    )
+    return SweepSchema(**lists, hyperparameters=hps, defaults=defaults)
 
 
 def bundled_schema() -> SweepSchema:
@@ -819,12 +815,8 @@ def bundled_schema_bytes() -> bytes:
 
 
 def dump_schema(schema: SweepSchema, stream: IO[str]) -> None:
-    doc = {
-        "agents": list(schema.agents),
-        "environments": list(schema.environments),
-        "data_regimes": list(schema.data_regimes),
-        "hyperparameters": {hp: list(values) for hp, values in schema.hyperparameters.items()},
-    }
+    doc: dict[str, Any] = {key: list(getattr(schema, key)) for key in _SCHEMA_LIST_KEYS}
+    doc["hyperparameters"] = {hp: list(values) for hp, values in schema.hyperparameters.items()}
     if schema.defaults:
         doc["defaults"] = dict(schema.defaults)
     yaml.safe_dump(doc, stream, sort_keys=False, default_flow_style=False, allow_unicode=True)

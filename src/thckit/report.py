@@ -9,7 +9,9 @@ nothing here reads clocks or hostnames.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -26,6 +28,7 @@ from .consistency import (
     HyperparameterConsistency,
     PtpNormalization,
     RankProfile,
+    SkippedHyperparameter,
     TransferSetup,
     build_consistency_report,
 )
@@ -42,7 +45,6 @@ class ReportBundle:
     reports: tuple[ConsistencyReport, ...]
     profiles: tuple[tuple[RankProfile, ...], ...]
     provenance: Mapping[str, Any]
-    include_kendall: bool
     #: The cells every setup read; the export takes point estimates from it.
     cells: CellTable
 
@@ -84,25 +86,25 @@ def build_report_bundle(
         "tool": "thckit",
         "version": __version__,
         "inputs": dict(inputs or {}),
+        # The options' enums are str enums, so JSON writes them as their values.
         "flags": {
+            **dataclasses.asdict(options),
             "setups": [s.value for s in setups],
-            "interval_source": options.interval_source.value,
-            "ranking_mode": options.ranking_mode.value,
             "ptp_normalization": PtpNormalization(normalization).value,
-            "resamples": options.resamples,
-            "confidence": options.confidence,
-            "seed": options.seed,
             "kendall": include_kendall,
-            "agent": options.agent,
-            "environment": options.environment,
-            "data_regime": options.data_regime,
         },
     }
-    return ReportBundle(tuple(reports), tuple(profiles), provenance, include_kendall, cells)
+    return ReportBundle(tuple(reports), tuple(profiles), provenance, cells)
 
 
 def _fixed_label(fixed: Mapping[str, str]) -> str:
     return ";".join(f"{k}={v}" for k, v in sorted(fixed.items()))
+
+
+def _entry_label(item: HyperparameterConsistency | RankProfile | SkippedHyperparameter) -> str:
+    """``hyperparameter [k=v;...]``: a scored, ranked or skipped
+    hyper-parameter named with the coordinates it holds fixed."""
+    return item.hyperparameter + (f" [{_fixed_label(item.fixed)}]" if item.fixed else "")
 
 
 def entry_to_dict(entry: HyperparameterConsistency, include_kendall: bool) -> dict[str, Any]:
@@ -125,27 +127,19 @@ def report_to_dict(report: ConsistencyReport, include_kendall: bool) -> dict[str
     """Scored entries and skipped hyper-parameters of one setup, as JSON data."""
     return {
         "entries": [entry_to_dict(e, include_kendall) for e in report.entries],
-        "skipped": [{"hyperparameter": s.hyperparameter, "fixed": dict(s.fixed),
-                     "reason": s.reason} for s in report.skipped],
+        "skipped": [dataclasses.asdict(s) for s in report.skipped],
     }
 
 
 def consistency_rows(report: ConsistencyReport, include_kendall: bool) -> list[list[str]]:
     """Rows of the consistency table, shared by the CSV and the printed view."""
-    header = ["setup", "hyperparameter", "fixed", "contexts", "values", "thc"]
-    if include_kendall:
-        header += ["kendall_w", "kendall_mean_tau"]
-    rows = [header]
+    kendall = ["kendall_w", "kendall_mean_tau"] if include_kendall else []
+    rows = [["setup", "hyperparameter", "fixed", "contexts", "values", "thc", *kendall]]
     for entry in report.entries:
-        row = [report.setup.value, entry.hyperparameter, _fixed_label(entry.fixed),
-               str(len(entry.contexts)), str(len(entry.values)), repr(entry.thc)]
-        if include_kendall:
-            kendall = entry.kendall
-            w = kendall.w if kendall else None
-            tau = kendall.mean_tau if kendall else None
-            row += ["undefined" if w is None else repr(w),
-                    "undefined" if tau is None else repr(tau)]
-        rows.append(row)
+        data = entry_to_dict(entry, include_kendall)
+        rows.append([report.setup.value, entry.hyperparameter, _fixed_label(entry.fixed),
+                     str(len(entry.contexts)), str(len(entry.values)), repr(entry.thc),
+                     *("undefined" if data[key] is None else repr(data[key]) for key in kendall)])
     return rows
 
 
@@ -186,8 +180,7 @@ def _svg_bytes(bundle: ReportBundle) -> bytes:
         color = _BAR_COLORS[report.setup]
         for item, height, fill, opacity in ([(e, e.thc, color, 1.0) for e in report.entries]
                                             + [(s, 1.0, _SKIP_COLOR, 0.45) for s in report.skipped]):
-            label = item.hyperparameter + (f" [{_fixed_label(item.fixed)}]" if item.fixed else "")
-            bars.append((label, height, fill, opacity))
+            bars.append((_entry_label(item), height, fill, opacity))
 
     bar_w, gap, left, top, plot_h = 26, 10, 70, 40, 260
     width = left + max(1, len(bars)) * (bar_w + gap) + 40
@@ -232,16 +225,17 @@ def _escape(text: str) -> str:
 
 
 def _bundle_files(bundle: ReportBundle) -> dict[str, bytes]:
-    """All report files as path -> bytes (manifest excluded)."""
-    include_kendall = bundle.include_kendall
+    """All report files as path -> bytes (manifest excluded). Raises
+    ``ValueError`` when two profiles' series would share one file name."""
+    include_kendall = bundle.provenance["flags"]["kendall"]
 
     consistency = []
     skipped = [["setup", "hyperparameter", "fixed", "reason"]]
-    rankings = [["setup", "hyperparameter", "fixed", "context", "value",
-                 "lower", "upper", "initial_rank", "final_rank"]]
-    intervals = [["setup", "hyperparameter", "fixed", "context", "value",
-                  "lower", "upper", "point"]]
+    columns = ["setup", "hyperparameter", "fixed", "context", "value", "lower", "upper"]
+    rankings = [[*columns, "initial_rank", "final_rank"]]
+    intervals = [[*columns, "point"]]
     series_files: dict[str, bytes] = {}
+    series_owners: dict[str, str] = {}
     setups_json: dict[str, Any] = {}
 
     for report, profiles in zip(bundle.reports, bundle.profiles):
@@ -265,7 +259,12 @@ def _bundle_files(bundle: ReportBundle) -> dict[str, bytes]:
                                      repr(entry.final_rank)])
                     intervals.append([*row, entry.label, *bounds[entry.label], point_of[entry.label]])
                 series_rows += [[context, value, point_of[value], *bounds[value]] for value in profile.values]
-            series_files[_series_name(report.setup, profile)] = _csv_bytes(series_rows)
+            name, owner = _series_name(report.setup, profile), _entry_label(profile)
+            if name in series_owners:
+                raise ValueError(f"{report.setup.value} profiles {series_owners[name]!r} and {owner!r} "
+                                 f"would both be written to {name}; rename one of their labels")
+            series_owners[name] = owner
+            series_files[name] = _csv_bytes(series_rows)
 
     report_json = {"provenance": dict(bundle.provenance), "setups": setups_json}
 
@@ -285,10 +284,20 @@ def write_report_bundle(bundle: ReportBundle, out_dir: str | Path) -> list[str]:
     """Write all report files plus MANIFEST.sha256; returns written paths.
 
     The manifest lists the digest of every other file, so two report
-    directories are identical exactly when their manifests are.
+    directories are identical exactly when their manifests are. Series
+    files that an earlier bundle's manifest in ``out_dir`` lists and this
+    bundle does not write are deleted first; no other file is touched.
     """
     root = Path(out_dir)
     files = _bundle_files(bundle)
+    stale = [root / name for name in _manifest_names(root / "MANIFEST.sha256")
+             if name not in files and _SERIES_FILE.fullmatch(name) and ".." not in name]
+    for path in stale:
+        if path.is_file():
+            path.unlink()
+    if stale:
+        with contextlib.suppress(OSError):  # kept unless empty
+            (root / "series").rmdir()
     manifest_lines = [f"{_digest(data)}  {name}" for name, data in sorted(files.items())]
     files["MANIFEST.sha256"] = ("\n".join(manifest_lines) + "\n").encode("utf-8")
 
@@ -299,3 +308,14 @@ def write_report_bundle(bundle: ReportBundle, out_dir: str | Path) -> list[str]:
         path.write_bytes(files[name])
         written.append(str(path))
     return written
+
+
+_SERIES_FILE = re.compile(r"series/[^/]+\.csv")
+
+
+def _manifest_names(path: Path) -> list[str]:
+    """The file names a bundle's manifest lists; none when there is no manifest."""
+    if not path.is_file():
+        return []
+    lines = path.read_bytes().decode("utf-8", errors="replace").splitlines()
+    return [line.split("  ", 1)[1] for line in lines if "  " in line]

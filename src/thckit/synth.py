@@ -27,6 +27,7 @@ from .dataset import (
     RunRecord,
     SweepDataset,
     SweepSchema,
+    _SCHEMA_LIST_KEYS,
     _load_yaml,
     _stringify,
 )
@@ -99,7 +100,7 @@ class PlantedDesign:
     def __post_init__(self) -> None:
         object.__setattr__(self, "hyperparameters", tuple(self.hyperparameters))
         object.__setattr__(self, "context_axis", Axis(self.context_axis))
-        for name in ("agents", "environments", "data_regimes"):
+        for name in _SCHEMA_LIST_KEYS:
             labels = tuple(str(v) for v in getattr(self, name))
             object.__setattr__(self, name, labels)
             if not labels or len(set(labels)) != len(labels):
@@ -136,12 +137,8 @@ class PlantedDesign:
         return table
 
     def schema(self) -> SweepSchema:
-        return SweepSchema(
-            agents=self.agents,
-            environments=self.environments,
-            data_regimes=self.data_regimes,
-            hyperparameters={h.name: h.values for h in self.hyperparameters},
-        )
+        return SweepSchema(**{key: getattr(self, key) for key in _SCHEMA_LIST_KEYS},
+                           hyperparameters={h.name: h.values for h in self.hyperparameters})
 
 
 def generate(design: PlantedDesign) -> SweepDataset:
@@ -252,17 +249,20 @@ def design_from_mapping(data: Mapping[str, Any]) -> PlantedDesign:
     case labels are auto-numbered (``env01`` ...). Hyper-parameters map name
     to ``{values, pattern, means}``. A wrongly typed entry raises
     ``ValueError`` naming its key; a bool is neither a count nor a number.
+    Keys are :class:`PlantedDesign`'s fields, and an absent key takes its default.
     """
-    def axis_labels(key: str, prefix: str, default: tuple[str, ...]) -> tuple[str, ...]:
-        value = data.get(key, default)
+    defaults = {field.name: field.default for field in dataclasses.fields(PlantedDesign)}
+
+    def axis_labels(key: str, prefix: str) -> tuple[str, ...]:
+        value = data.get(key, defaults[key])
         if _is_a(value, int) and value > 0:
             return tuple(f"{prefix}{i:02d}" for i in range(1, value + 1))
         if not isinstance(value, (list, tuple)):
             raise ValueError(f"{key!r} must be a list of labels or a positive integer count, got {value!r}")
         return tuple(str(v) for v in value)
 
-    def scalar(key: str, default: int | float, kind: type | tuple[type, ...]) -> Any:
-        value = data.get(key, default)
+    def scalar(key: str, kind: type | tuple[type, ...]) -> Any:
+        value = data.get(key, defaults[key])
         if not _is_a(value, kind):
             raise ValueError(f"{key!r} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
         return value
@@ -288,22 +288,20 @@ def design_from_mapping(data: Mapping[str, Any]) -> PlantedDesign:
             means=tuple(tuple(row) for row in means) if means is not None else None,
         ))
 
-    known = {"agents", "environments", "data_regimes", "context_axis", "seeds_per_cell",
-             "noise_scale", "score_gap", "seed", "hyperparameters"}
-    unknown = set(data) - known
+    unknown = set(data) - set(defaults)
     if unknown:
         raise ValueError(f"unknown design keys: {sorted(unknown)}")
 
     return PlantedDesign(
         hyperparameters=tuple(planted),
-        agents=axis_labels("agents", "agent", ("agent01",)),
-        environments=axis_labels("environments", "env", ("env01", "env02")),
-        data_regimes=axis_labels("data_regimes", "regime", ("regime01",)),
-        context_axis=Axis(data.get("context_axis", Axis.ENVIRONMENT)),
-        seeds_per_cell=scalar("seeds_per_cell", 3, int),
-        noise_scale=float(scalar("noise_scale", 0.0, (int, float))),
-        score_gap=float(scalar("score_gap", 1.0, (int, float))),
-        seed=scalar("seed", 0, int),
+        agents=axis_labels("agents", "agent"),
+        environments=axis_labels("environments", "env"),
+        data_regimes=axis_labels("data_regimes", "regime"),
+        context_axis=Axis(data.get("context_axis", defaults["context_axis"])),
+        seeds_per_cell=scalar("seeds_per_cell", int),
+        noise_scale=float(scalar("noise_scale", (int, float))),
+        score_gap=float(scalar("score_gap", (int, float))),
+        seed=scalar("seed", int),
     )
 
 

@@ -21,12 +21,15 @@ from thckit.dataset import (
     bundled_schema_bytes,
     load_dataset,
 )
+from thckit.synth import PlantedDesign, PlantedHyperparameter, generate
 
 from conftest import (
     dataset_from_intervals,
     reference_trajectory_cells,
     write_dataset_files,
 )
+
+FIXTURE = Path(__file__).parent / "data"
 
 DESIGN_YAML = """\
 environments: [env01, env02, env03]
@@ -44,6 +47,11 @@ hyperparameters:
 def reference_paths(tmp_path):
     dataset = dataset_from_intervals(reference_trajectory_cells())
     return write_dataset_files(dataset, tmp_path)
+
+
+def read_tree(directory: Path) -> dict[str, bytes]:
+    return {p.relative_to(directory).as_posix(): p.read_bytes()
+            for p in sorted(directory.rglob("*")) if p.is_file()}
 
 
 def dataset_args(paths):
@@ -309,6 +317,40 @@ class TestReport:
         assert main(["report", *dataset_args(reference_paths), "--out", str(out), *argv]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_series_name_collision_exits_2_naming_both_profiles(self, tmp_path, capsys):
+        # "lr 1" and "lr-1" spell the same series file name.
+        design = PlantedDesign((PlantedHyperparameter("lr 1", ("a", "b")),
+                                PlantedHyperparameter("lr-1", ("a", "b"))))
+        paths = write_dataset_files(generate(design), tmp_path)
+        out = tmp_path / "bundle"
+        assert main(["report", *dataset_args(paths), "--setup", "environments",
+                     "--interval-source", "mean_sd", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        fixed = "[agent=agent01;data_regime=regime01]"
+        assert f"'lr 1 {fixed}' and 'lr-1 {fixed}'" in err
+        assert "series/environments--lr-1--agent-agent01--data_regime-regime01.csv" in err
+        assert not out.exists()
+
+    # The committed fixture keeps some series files; the one-agent reference
+    # sweep has none across agents, so its series directory goes too.
+    @pytest.mark.parametrize("committed", [True, False], ids=["fixture", "reference"])
+    def test_rerun_into_one_directory_matches_a_fresh_one(self, committed, reference_paths,
+                                                          tmp_path, capsys):
+        paths = reference_paths
+        if committed:
+            paths = {"runs": FIXTURE / "runs.csv", "baselines": FIXTURE / "baselines.csv",
+                     "schema": FIXTURE / "schema.yaml"}
+        common = [*dataset_args(paths), "--interval-source", "mean_sd"]
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        assert main(["report", *common, "--setup", "all", "--out", str(reused)]) == 0
+        before = read_tree(reused)
+        assert main(["report", *common, "--setup", "agents", "--out", str(reused)]) == 0
+        assert main(["report", *common, "--setup", "agents", "--out", str(fresh)]) == 0
+        capsys.readouterr()
+        assert read_tree(reused) == read_tree(fresh)
+        assert len(read_tree(fresh)) < len(before)
+        assert (reused / "series").exists() == (fresh / "series").exists() == committed
 
     def test_json_matches_thc_sidecar(self, reference_paths, tmp_path, capsys):
         sidecar = tmp_path / "thc.json"

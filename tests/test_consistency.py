@@ -142,6 +142,10 @@ class TestRankProfileValidation:
         with pytest.raises(ValueError):
             RankProfile("hp", (), ("c1",), np.empty((0, 1)))
 
+    def test_duplicate_contexts(self):
+        with pytest.raises(ValueError, match="contexts must be unique"):
+            RankProfile("hp", ("a", "b"), ("c1", "c1"), np.array([[1.0, 1.0], [2.0, 2.0]]))
+
 
 def brute_force_tau_b(x, y):
     """Tau-b via explicit pair counting."""
@@ -247,6 +251,10 @@ class TestKendall:
         assert kendall_tau_matrix(identical)[0, 1] == pytest.approx(1.0)
         reversed_ = profile([[1, 3], [2, 2], [3, 1]])
         assert kendall_tau_matrix(reversed_)[0, 1] == pytest.approx(-1.0)
+
+    def test_tau_matrix_needs_two_contexts(self):
+        with pytest.raises(ValueError, match="at least 2 contexts"):
+            kendall_tau_matrix(profile([[1], [2]]))
 
     def test_tau_matrix_shape_and_diagonal(self):
         p = profile(TRAJECTORY_A1)

@@ -806,6 +806,17 @@ class TestSchemaConfig:
         with pytest.raises(DatasetError, match="'environments' must be a list"):
             load_schema(io.StringIO("agents: [a1]\ndata_regimes: [r1]\nhyperparameters: {lr: ['0.1']}\n"))
 
+    @pytest.mark.parametrize("entries, diagnostic", [
+        ("hyperparameters: [lr]\n", "schema key 'hyperparameters' must be a mapping of name to value list"),
+        ("hyperparameters: {lr: '0.1'}\n", "hyperparameter 'lr' must map to a list of values"),
+        ("hyperparameters: {lr: ['0.1']}\ndefaults: ['0.1']\n", "schema key 'defaults' must be a mapping"),
+    ], ids=["hyperparameters", "value-list", "defaults"])
+    def test_wrongly_typed_entries_rejected(self, entries, diagnostic):
+        doc = io.StringIO("agents: [a1]\nenvironments: [e1]\ndata_regimes: [r1]\n" + entries)
+        with pytest.raises(DatasetError) as excinfo:
+            load_schema(doc)
+        assert excinfo.value.diagnostics == [f"<schema>: {diagnostic}"]
+
     def test_readme_example_loads(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
         [block] = re.findall(r"```yaml\n(.*?)```", readme, flags=re.DOTALL)

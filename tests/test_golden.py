@@ -1,14 +1,26 @@
 """Golden-file regression tests for the committed fixture sweep.
 
 The fixture under tests/data was produced by the synth subcommand from
-design.yaml; tests/golden holds a full report bundle and a recovery-study
-table built from it. Any numeric or formatting drift shows up here as a
-byte diff. Regenerate with:
+design.yaml; tests/golden holds a full report bundle, a recovery-study
+table, and the printed tables and JSON sidecars of ``rank`` and ``thc``
+built from it. Any numeric or formatting drift shows up here as a byte
+diff. Regenerate with:
 
     python3 -m thckit.cli synth --design tests/data/design.yaml --out tests/data
     python3 -m thckit.cli report --runs tests/data/runs.csv \
         --baselines tests/data/baselines.csv --schema tests/data/schema.yaml \
         --out tests/golden/report --resamples 200 --seed 0 --kendall
+    python3 -m thckit.cli rank --runs tests/data/runs.csv \
+        --baselines tests/data/baselines.csv --schema tests/data/schema.yaml \
+        --hyperparameter depth --agent agent02 --data-regime high \
+        --json tests/golden/cli/rank.json > tests/golden/cli/rank.txt
+    python3 -m thckit.cli thc --runs tests/data/runs.csv \
+        --baselines tests/data/baselines.csv --schema tests/data/schema.yaml \
+        --setup agents --kendall --json tests/golden/cli/thc.json > tests/golden/cli/thc.txt
+    python3 -c "import dataclasses, json; from thckit.synth import load_design, recovery_study; \
+        rows = recovery_study(load_design('tests/data/design.yaml'), [0.0, 0.25, 0.5], 5); \
+        print(json.dumps([dataclasses.asdict(r) for r in rows], indent=2, sort_keys=True))" \
+        > tests/golden/recovery.json
 """
 
 from __future__ import annotations
@@ -16,6 +28,8 @@ from __future__ import annotations
 import dataclasses
 import json
 from pathlib import Path
+
+import pytest
 
 from thckit.cli import main
 from thckit.dataset import load_dataset
@@ -25,10 +39,16 @@ HERE = Path(__file__).parent
 DATA = HERE / "data"
 GOLDEN = HERE / "golden"
 
-REPORT_FLAGS = ["--runs", str(DATA / "runs.csv"),
-                "--baselines", str(DATA / "baselines.csv"),
-                "--schema", str(DATA / "schema.yaml"),
-                "--resamples", "200", "--seed", "0", "--kendall"]
+DATASET_FLAGS = ["--runs", str(DATA / "runs.csv"),
+                 "--baselines", str(DATA / "baselines.csv"),
+                 "--schema", str(DATA / "schema.yaml")]
+REPORT_FLAGS = [*DATASET_FLAGS, "--resamples", "200", "--seed", "0", "--kendall"]
+# Each command's stdout is golden/cli/<name>.txt and its --json sidecar <name>.json.
+CLI_COMMANDS = {
+    "rank": ["rank", *DATASET_FLAGS, "--hyperparameter", "depth", "--agent", "agent02",
+             "--data-regime", "high"],
+    "thc": ["thc", *DATASET_FLAGS, "--setup", "agents", "--kendall"],
+}
 
 
 def read_tree(directory: Path) -> dict[str, bytes]:
@@ -59,6 +79,14 @@ def test_report_bundle_matches_golden(tmp_path, capsys):
     assert sorted(fresh) == sorted(golden)
     mismatched = [name for name in golden if fresh[name] != golden[name]]
     assert mismatched == []
+
+
+@pytest.mark.parametrize("name", sorted(CLI_COMMANDS))
+def test_cli_table_and_sidecar_match_golden(name, tmp_path, capsys):
+    sidecar = tmp_path / f"{name}.json"
+    assert main([*CLI_COMMANDS[name], "--json", str(sidecar)]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / "cli" / f"{name}.txt").read_bytes()
+    assert sidecar.read_bytes() == (GOLDEN / "cli" / f"{name}.json").read_bytes()
 
 
 def test_recovery_study_matches_golden():

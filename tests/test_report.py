@@ -144,6 +144,25 @@ class TestBundle:
         assert len(rows) == 15  # 5 contexts x 3 values
         assert set(rows[0]) == {"context", "value", "point", "lower", "upper"}
 
+    def test_rewrite_deletes_only_the_stale_series_files_its_manifest_lists(
+            self, reference_dataset_cached, tmp_path):
+        out = tmp_path / "out"
+        write_report_bundle(build_report_bundle(reference_dataset_cached, ALL_SETUPS, MEAN_SD), out)
+        stale = sorted(p.name for p in (out / "series").iterdir() if not p.name.startswith("agents--"))
+        kept = [tmp_path / "victim.csv", out / "notes.txt", out / "series" / "notes.txt",
+                out / "series" / "sub" / "x.csv", out / "series" / "unlisted.csv"]
+        kept[3].parent.mkdir()
+        for path in kept:
+            path.write_text("not a bundle file")
+        with open(out / "MANIFEST.sha256", "a", encoding="utf-8") as fh:
+            for name in ("../victim.csv", "series/../../victim.csv", "notes.txt",
+                         "series/notes.txt", "series/sub/x.csv", "/abs.csv"):
+                fh.write(f"{'0' * 64}  {name}\n")
+        write_report_bundle(
+            build_report_bundle(reference_dataset_cached, [TransferSetup.ACROSS_AGENTS], MEAN_SD), out)
+        assert stale and not any((out / "series" / name).exists() for name in stale)
+        assert all(path.read_text() == "not a bundle file" for path in kept)
+
     def test_svg_is_well_formed(self, reference_dataset_cached, tmp_path):
         bundle = build_report_bundle(reference_dataset_cached, ALL_SETUPS, MEAN_SD)
         write_report_bundle(bundle, tmp_path / "out")

@@ -68,11 +68,23 @@ class TestPlantedHyperparameter:
         with pytest.raises(ValueError, match="unique"):
             PlantedHyperparameter("lr", ("0.1", 0.1))
 
+    @pytest.mark.parametrize("name, values, message", [
+        ("", ("a",), "name must be non-empty"),
+        ("lr", (), "at least one value required"),
+    ])
+    def test_empty_name_or_values(self, name, values, message):
+        with pytest.raises(ValueError, match=message):
+            PlantedHyperparameter(name, values)
+
 
 class TestPlantedDesign:
     def test_duplicate_axis_labels(self):
         with pytest.raises(ValueError, match="non-empty and unique"):
             simple_design(environments=("e", "e"))
+
+    def test_no_hyperparameters(self):
+        with pytest.raises(ValueError, match="at least one hyperparameter"):
+            simple_design(hyperparameters=())
 
     def test_duplicate_hyperparameter_names(self):
         hp = PlantedHyperparameter("lr", ("a", "b"))
