@@ -628,6 +628,7 @@ def build_consistency_report(
     assembled = assemble_profiles(dataset, setup, options, cells=cells)
     entries = []
     for profile in assembled.profiles:
+        spreads = _profile_spreads(profile, normalization)
         kendall = None
         if include_kendall:
             defined = len(profile.values) >= 2
@@ -640,8 +641,8 @@ def build_consistency_report(
             fixed=dict(profile.fixed),
             contexts=profile.contexts,
             values=profile.values,
-            thc=thc(profile, normalization),
-            normalized_ptp=dict(zip(profile.values, _profile_spreads(profile, normalization))),
+            thc=float(sum(spreads) / len(spreads)),
+            normalized_ptp=dict(zip(profile.values, spreads)),
             kendall=kendall,
         ))
     report = ConsistencyReport(assembled.setup, tuple(entries), assembled.skipped)

@@ -5,21 +5,25 @@ A sweep is stored in long form, one row per training run, keyed by
 resulting :class:`SweepDataset` is immutable and safe to share.
 
 Each rule is stated once: the run-record rules in ``SweepDataset._admit``,
-the baseline rules in ``_admit_baselines``. Direct construction of a
-:class:`SweepDataset` or :class:`BaselineTable` applies them and reports
-unprefixed diagnostics; :func:`parse_dataset` checks only what needs the
-text and sends each block of rows through them once, prefixed
-``source:lineno:``.
+the baseline rules in ``_admit_baselines``, and the schema rules, its field
+types as well as its contents, in ``SweepSchema.__post_init__``. Direct
+construction of a :class:`SweepSchema`, :class:`SweepDataset` or
+:class:`BaselineTable` applies them and reports unprefixed diagnostics;
+:func:`parse_dataset` checks only what needs the text and sends each block
+of rows through them once, prefixed ``source:lineno:``, and
+:func:`load_schema` hands the YAML document's keys to :class:`SweepSchema`
+and prefixes each diagnostic with the file name.
 
 Parsing reads the run log in blocks of ``BLOCK_LINES`` lines. A block
 whose every line is a plain 7-cell row (no quote, whitespace or other
 unprintable character, no blank or comment line, none longer than
 ``csv.field_size_limit()``) is split into seven columns at once. Any other
-block goes line by line through :mod:`csv`: a line's cells are
-``[cell.strip() for cell in next(csv.reader([line]))]``, and a line the
-reader rejects gets a ``malformed row`` diagnostic. The header line and the
-baseline table's rows are read the same way, and a byte-order mark that
-starts either stream is read past. Each rule is then one predicate over a
+block goes line by line through ``_rows``, the reader of the baseline
+table's rows too: a line's cells are
+``[cell.strip() for cell in next(csv.reader([line]))]``, a row of the wrong
+width gets its ``expected N columns`` problem, and a line the reader rejects
+gets a ``malformed row`` diagnostic. The header line is read the same way,
+and a byte-order mark that starts either stream is read past. Each rule is then one predicate over a
 column of a block: identifiers become integer codes by dict lookup, seeds and
 scores are converted with ``map``, finiteness is one ``np.isfinite``, and
 duplicate keys come from one stable sort of all runs. Diagnostics are
@@ -54,7 +58,7 @@ from itertools import chain, islice, repeat
 from operator import attrgetter
 from pathlib import Path
 from types import MappingProxyType
-from typing import IO, Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import IO, AbstractSet, Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 import yaml
@@ -174,18 +178,18 @@ def _given_baseline(item: tuple[str, object]) -> tuple:
     except TypeError:
         scores = ()
     if len(scores) != 2:
-        return None, None, [f"baseline scores for environment {env!r} must be a (random, human) pair, "
-                            f"got {pair!r}"], None
-    return None, None, None, (env, *_of_kind(scores, numbers.Real, bool))
+        return None, [f"baseline scores for environment {env!r} must be a (random, human) pair, "
+                      f"got {pair!r}"], None
+    return None, None, (env, *_of_kind(scores, numbers.Real, bool))
 
 
 def _admit_baselines(rows: Iterable[tuple], source: str | None = None) -> dict[str, tuple[float, float]]:
     """Apply every baseline rule once per row and return the scores by
-    environment. ``rows`` are as ``_file_rows`` yields them, with
+    environment. ``rows`` are as :func:`parse_dataset` makes them, with
     ``(environment, random, human)`` items; a row gets at most one problem."""
     problems: list[str] = []
     scores: dict[str, tuple[float, float]] = {}
-    for lineno, _, found, entry in rows:
+    for lineno, found, entry in rows:
         if not found:
             env, rnd, hum = entry
             if rnd is None or hum is None:
@@ -207,15 +211,20 @@ def _admit_baselines(rows: Iterable[tuple], source: str | None = None) -> dict[s
 
 
 def _stringify(value: object) -> str:
-    """Canonical string for a schema scalar. Strings pass through untouched;
-    quote values in the config to control the exact spelling."""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, bool):
-        return "True" if value else "False"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    """Canonical string for a schema scalar: a string as it is, else ``str(value)``."""
+    return value if isinstance(value, str) else str(value)
+
+
+def _items(value: object, convert: Callable[[Any], Any] = _stringify) -> tuple | None:
+    """``value``'s items, each converted (stringified by default), or None
+    when it is not a list of them: a string, mapping or set, or not iterable
+    at all."""
+    if isinstance(value, (str, bytes, Mapping, AbstractSet)):
+        return None
+    try:
+        return tuple(map(convert, value))
+    except TypeError:
+        return None
 
 
 #: The schema's identifier lists, in document order: each is a field of
@@ -225,7 +234,9 @@ _SCHEMA_LIST_KEYS = ("agents", "environments", "data_regimes")
 
 @dataclass(frozen=True)
 class SweepSchema:
-    """Declared identifier vocabularies a dataset is validated against."""
+    """Declared identifier vocabularies a dataset is validated against. Each
+    list may be any list-like but a string; names and values are held as
+    strings, lists as tuples. All problems are raised in one :class:`DatasetError`."""
 
     agents: tuple[str, ...]
     environments: tuple[str, ...]
@@ -236,21 +247,39 @@ class SweepSchema:
     def __post_init__(self) -> None:
         problems = []
         for name in _SCHEMA_LIST_KEYS:
-            values = getattr(self, name)
+            values = _items(getattr(self, name))
+            if values is None:
+                problems.append(f"schema key {name!r} must be a list")
+                continue
+            object.__setattr__(self, name, values)
             if not values:
                 problems.append(f"schema key {name!r} must list at least one identifier")
             if len(set(values)) != len(values):
                 problems.append(f"schema key {name!r} contains duplicates")
-        if not self.hyperparameters:
-            problems.append("schema must declare at least one hyperparameter")
-        for hp, values in self.hyperparameters.items():
-            if not values:
-                problems.append(f"hyperparameter {hp!r} declares no values")
-            if len(set(values)) != len(values):
-                problems.append(f"hyperparameter {hp!r} declares duplicate values")
-        for hp in self.defaults:
-            if hp not in self.hyperparameters:
-                problems.append(f"default given for undeclared hyperparameter {hp!r}")
+        hps: dict[str, tuple[str, ...]] | None = None
+        if not isinstance(self.hyperparameters, Mapping):
+            problems.append("schema key 'hyperparameters' must be a mapping of name to value list")
+        else:
+            hps = {}
+            if not self.hyperparameters:
+                problems.append("schema must declare at least one hyperparameter")
+            for name, values in self.hyperparameters.items():
+                hp = _stringify(name)
+                hps[hp] = values = _items(values)
+                if values is None:
+                    problems.append(f"hyperparameter {name!r} must map to a list of values")
+                    continue
+                if not values:
+                    problems.append(f"hyperparameter {hp!r} declares no values")
+                if len(set(values)) != len(values):
+                    problems.append(f"hyperparameter {hp!r} declares duplicate values")
+            object.__setattr__(self, "hyperparameters", hps)
+        if not isinstance(self.defaults, Mapping):
+            problems.append("schema key 'defaults' must be a mapping")
+        else:
+            object.__setattr__(self, "defaults", {_stringify(k): _stringify(v) for k, v in self.defaults.items()})
+            problems.extend(f"default given for undeclared hyperparameter {hp!r}"
+                            for hp in self.defaults if hps is not None and hp not in hps)
         if problems:
             raise DatasetError(problems)
 
@@ -568,47 +597,33 @@ def _record_blocks(records: Iterable[RunRecord]) -> Iterator[_Block]:
         yield _Block(list(zip(*map(_RECORD_FIELDS, chunk))), None, None, {})
 
 
-def _line_cells(line: str, lineno: int, source: str) -> list[str] | None:
-    """One line's cells, ``[cell.strip() for cell in next(csv.reader([line]))]``,
-    or None for a blank or comment line."""
-    stripped = line.strip()
-    if not stripped or stripped[0] == "#":
-        return None
-    try:
-        return [cell.strip() for cell in next(csv.reader([line]))]
-    except csv.Error as exc:
-        raise DatasetError([f"{source}:{lineno}: malformed row: {exc}"]) from exc
-
-
 def _header_line(stream: IO[str], source: str, header: tuple[str, ...], what: str) -> int:
     """Read through the first line that is not blank or a comment, check that
     it is ``header``, and return its line number. A byte-order mark that
     starts the stream is read past."""
-    for lineno, line in enumerate(stream, start=1):
-        if lineno == 1:
-            line = line.removeprefix("\ufeff")
-        cells = _line_cells(line, lineno, source)
-        if cells is not None:
-            if tuple(cells) != header:
-                raise DatasetError([f"{source}:{lineno}: expected header {','.join(header)!r}, got {','.join(cells)!r}"])
-            return lineno
+    lines = chain([next(stream, "").removeprefix("\ufeff")], stream)
+    for lineno, cells, _ in _rows(lines, 1, source, len(header)):
+        if tuple(cells) != header:
+            raise DatasetError([f"{source}:{lineno}: expected header {','.join(header)!r}, got {','.join(cells)!r}"])
+        return lineno
     raise DatasetError([f"{source}: {what} is empty"])
 
 
-def _file_rows(stream: IO[str], source: str, header: tuple[str, ...], what: str,
-               make: Callable[[list[str]], tuple[list[str] | None, Any]]) -> Iterator[tuple]:
-    """Rows after a checked header line, one at a time, as
-    ``_admit_baselines`` reads them; ``make(cells)`` gives a row's text
-    problems (None for none) and item."""
-    start = _header_line(stream, source, header, what)
-    for lineno, line in enumerate(stream, start=start + 1):
-        cells = _line_cells(line, lineno, source)
-        if cells is None:
+def _rows(lines: Iterable[str], first: int, source: str,
+          width: int) -> Iterator[tuple[int, list[str], list[str] | None]]:
+    """Each line's number and cells, ``[cell.strip() for cell in
+    next(csv.reader([line]))]``, numbering from ``first``, with its problem
+    when it does not have ``width`` cells (None for none). Blank and comment
+    lines are skipped; a malformed line raises."""
+    for lineno, line in enumerate(lines, start=first):
+        stripped = line.strip()
+        if not stripped or stripped[0] == "#":
             continue
-        if len(cells) != len(header):
-            yield lineno, cells, [f"expected {len(header)} columns, got {len(cells)}"], None
-        else:
-            yield (lineno, cells, *make(cells))
+        try:
+            cells = [cell.strip() for cell in next(csv.reader([line]))]
+        except csv.Error as exc:
+            raise DatasetError([f"{source}:{lineno}: malformed row: {exc}"]) from exc
+        yield lineno, cells, None if len(cells) == width else [f"expected {width} columns, got {len(cells)}"]
 
 
 def _plain(body: str, lines: int) -> bool:
@@ -649,20 +664,16 @@ def _run_log_blocks(stream: IO[str], source: str) -> Iterator[_Block]:
             del block
             continue
         rows, linenos, found, unchecked, error = [], [], {}, [], None
-        for number, line in enumerate(lines, start=first):
-            try:
-                row = _line_cells(line, number, source)
-            except DatasetError as exc:
-                error = exc
-                break
-            if row is None:
-                continue
-            if len(row) != len(RUN_LOG_HEADER):
-                found[len(rows)] = [f"expected {len(RUN_LOG_HEADER)} columns, got {len(row)}"]
-                unchecked.append(len(rows))
-                row = _PLACEHOLDER
-            rows.append(row)
-            linenos.append(number)
+        try:
+            for number, row, problem in _rows(lines, first, source, len(RUN_LOG_HEADER)):
+                if problem:
+                    found[len(rows)] = problem
+                    unchecked.append(len(rows))
+                    row = _PLACEHOLDER
+                rows.append(row)
+                linenos.append(number)
+        except DatasetError as exc:
+            error = exc
         yield _text_block(list(zip(*rows)) or [()] * 7, linenos, found, unchecked, error)
         if error is not None:
             return
@@ -694,8 +705,9 @@ def parse_dataset(run_log: IO[str], baselines: IO[str], schema: SweepSchema) -> 
     is reported before the run log is read.
     """
     base_source = getattr(baselines, "name", "<baselines>")
-    rows = _file_rows(baselines, base_source, BASELINES_HEADER, "baseline table",
-                      lambda cells: (None, (cells[0], _convert(float, cells[1]), _convert(float, cells[2]))))
+    start = _header_line(baselines, base_source, BASELINES_HEADER, "baseline table")
+    rows = ((lineno, found, None if found else (cells[0], _convert(float, cells[1]), _convert(float, cells[2])))
+            for lineno, cells, found in _rows(baselines, start + 1, base_source, len(BASELINES_HEADER)))
     table = BaselineTable._parsed(rows, base_source)
     run_source = getattr(run_log, "name", "<run log>")
     return SweepDataset._parsed(_run_log_blocks(run_log, run_source), table, schema, run_source)
@@ -751,7 +763,13 @@ def load_schema(source: str | Path | IO[str]) -> SweepSchema:
     keep an exact spelling, e.g. ``"0.50"`` or ``"None"``.
     """
     doc, name = _load_yaml(source, "<schema>", lambda line: DatasetError([line]))
-    return _schema_from_mapping(doc, name)
+    if not isinstance(doc, dict):
+        raise DatasetError([f"{name}: schema document must be a mapping"])
+    try:
+        return SweepSchema(**{key: doc.get(key) for key in (*_SCHEMA_LIST_KEYS, "hyperparameters")},
+                           defaults=doc.get("defaults", {}))
+    except DatasetError as exc:
+        raise DatasetError([f"{name}: {line}" for line in exc.diagnostics]) from None
 
 
 def _load_yaml(source: str | Path | IO[str], default_name: str,
@@ -768,37 +786,6 @@ def _load_yaml(source: str | Path | IO[str], default_name: str,
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         raise error(f"{name}: malformed YAML{where}: {getattr(exc, 'problem', None) or exc}") from exc
-
-
-def _schema_from_mapping(doc: object, source: str) -> SweepSchema:
-    if not isinstance(doc, dict):
-        raise DatasetError([f"{source}: schema document must be a mapping"])
-    problems = []
-    lists: dict[str, tuple[str, ...]] = {}
-    for key in _SCHEMA_LIST_KEYS:
-        raw = doc.get(key)
-        if not isinstance(raw, list):
-            problems.append(f"{source}: schema key {key!r} must be a list")
-            continue
-        lists[key] = tuple(_stringify(v) for v in raw)
-    raw_hps = doc.get("hyperparameters")
-    if not isinstance(raw_hps, dict):
-        problems.append(f"{source}: schema key 'hyperparameters' must be a mapping of name to value list")
-        raw_hps = {}
-    hps: dict[str, tuple[str, ...]] = {}
-    for hp, values in raw_hps.items():
-        if not isinstance(values, list):
-            problems.append(f"{source}: hyperparameter {hp!r} must map to a list of values")
-            continue
-        hps[_stringify(hp)] = tuple(_stringify(v) for v in values)
-    raw_defaults = doc.get("defaults", {})
-    if not isinstance(raw_defaults, dict):
-        problems.append(f"{source}: schema key 'defaults' must be a mapping")
-        raw_defaults = {}
-    defaults = {_stringify(k): _stringify(v) for k, v in raw_defaults.items()}
-    if problems:
-        raise DatasetError(problems)
-    return SweepSchema(**lists, hyperparameters=hps, defaults=defaults)
 
 
 def bundled_schema() -> SweepSchema:

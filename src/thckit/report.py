@@ -71,6 +71,8 @@ def build_report_bundle(
     rank is aggregated once. ``inputs`` maps input names to content digests.
     """
     setups = [TransferSetup(s) for s in setups]
+    if not setups:
+        raise ValueError("no setups requested")
     if len(set(setups)) != len(setups):
         raise ValueError("duplicate setups requested")
     cells = CellTable(dataset, options)

@@ -10,6 +10,7 @@ recovery study traces how both THC and Kendall's W respond as noise grows.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
@@ -28,6 +29,7 @@ from .dataset import (
     SweepDataset,
     SweepSchema,
     _SCHEMA_LIST_KEYS,
+    _items,
     _load_yaml,
     _stringify,
 )
@@ -54,7 +56,7 @@ class PlantedHyperparameter:
     strict ordering (declared order, best first) in every context,
     ``reversal`` flips that ordering on every odd-indexed context, and
     ``explicit`` takes the table from ``means`` (rows = values, columns =
-    contexts).
+    contexts). ``values`` is held as strings and ``means`` as floats.
     """
 
     name: str
@@ -63,7 +65,16 @@ class PlantedHyperparameter:
     means: tuple[tuple[float, ...], ...] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(_stringify(v) for v in self.values))
+        values = _items(self.values)
+        if values is None:
+            raise ValueError(f"hyperparameter {self.name!r}: 'values' must be a list, got {self.values!r}")
+        means = _items(self.means, lambda row: _items(row, lambda x: float(x) if _is_a(x, numbers.Real) else None))
+        if self.means is not None and (means is None or any(row is None or None in row for row in means)):
+            raise ValueError(
+                f"hyperparameter {self.name!r}: 'means' must be a list of lists of numbers, got {self.means!r}")
+        for name, value in (("name", _stringify(self.name)), ("values", values),
+                            ("pattern", _stringify(self.pattern)), ("means", means)):
+            object.__setattr__(self, name, value)
         if not self.name:
             raise ValueError("hyperparameter name must be non-empty")
         if not self.values:
@@ -72,11 +83,9 @@ class PlantedHyperparameter:
             raise ValueError(f"{self.name}: values must be unique")
         if self.pattern not in PATTERNS:
             raise ValueError(f"{self.name}: unknown pattern {self.pattern!r}; expected one of {PATTERNS}")
-        if (self.pattern == "explicit") != (self.means is not None):
+        if (self.pattern == "explicit") != (means is not None):
             raise ValueError(f"{self.name}: a means table is required exactly when pattern is 'explicit'")
-        if self.means is not None:
-            means = tuple(tuple(float(x) for x in row) for row in self.means)
-            object.__setattr__(self, "means", means)
+        if means is not None:
             if len(means) != len(self.values) or len({len(r) for r in means}) > 1:
                 raise ValueError(f"{self.name}: means must be one equal-length row per value")
             if not all(np.isfinite(x) for row in means for x in row):
@@ -85,7 +94,9 @@ class PlantedHyperparameter:
 
 @dataclass(frozen=True)
 class PlantedDesign:
-    """Full description of a synthetic sweep and its ground truth."""
+    """Full description of a synthetic sweep and its ground truth. An axis is
+    a list of labels or a positive integer count, which numbers its labels
+    (``env01`` ...). A wrongly typed field raises ``ValueError`` naming it."""
 
     hyperparameters: tuple[PlantedHyperparameter, ...]
     agents: tuple[str, ...] = ("agent01",)
@@ -99,10 +110,25 @@ class PlantedDesign:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "hyperparameters", tuple(self.hyperparameters))
-        object.__setattr__(self, "context_axis", Axis(self.context_axis))
-        for name in _SCHEMA_LIST_KEYS:
-            labels = tuple(str(v) for v in getattr(self, name))
+        for name, prefix in zip(_SCHEMA_LIST_KEYS, ("agent", "env", "regime")):
+            value = getattr(self, name)
+            counted = _is_a(value, numbers.Integral) and value > 0
+            labels = tuple(f"{prefix}{i:02d}" for i in range(1, value + 1)) if counted else _items(value)
+            if labels is None:
+                raise ValueError(f"{name!r} must be a list of labels or a positive integer count, got {value!r}")
             object.__setattr__(self, name, labels)
+        try:
+            object.__setattr__(self, "context_axis", Axis(self.context_axis))
+        except ValueError:
+            raise ValueError(f"'context_axis' must be one of {', '.join(repr(axis.value) for axis in Axis)}, "
+                             f"got {self.context_axis!r}") from None
+        for name, kind in (("seeds_per_cell", int), ("noise_scale", float), ("score_gap", float), ("seed", int)):
+            value = getattr(self, name)
+            if not _is_a(value, numbers.Integral if kind is int else numbers.Real):
+                raise ValueError(f"{name!r} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+            object.__setattr__(self, name, kind(value))
+        for name in _SCHEMA_LIST_KEYS:
+            labels = getattr(self, name)
             if not labels or len(set(labels)) != len(labels):
                 raise ValueError(f"{name} must be non-empty and unique")
         if not self.hyperparameters:
@@ -245,28 +271,12 @@ def recovery_study(
 def design_from_mapping(data: Mapping[str, Any]) -> PlantedDesign:
     """Build a design from parsed config data.
 
-    Axis entries may be lists of labels or a positive integer count, in which
-    case labels are auto-numbered (``env01`` ...). Hyper-parameters map name
-    to ``{values, pattern, means}``. A wrongly typed entry raises
-    ``ValueError`` naming its key; a bool is neither a count nor a number.
-    Keys are :class:`PlantedDesign`'s fields, and an absent key takes its default.
+    Keys are :class:`PlantedDesign`'s fields, and an absent key takes its
+    default; hyper-parameters map name to ``{values, pattern, means}``. This
+    checks only the document's shape: :class:`PlantedDesign` and
+    :class:`PlantedHyperparameter` check their fields, so a wrongly typed
+    entry raises ``ValueError`` naming its key.
     """
-    defaults = {field.name: field.default for field in dataclasses.fields(PlantedDesign)}
-
-    def axis_labels(key: str, prefix: str) -> tuple[str, ...]:
-        value = data.get(key, defaults[key])
-        if _is_a(value, int) and value > 0:
-            return tuple(f"{prefix}{i:02d}" for i in range(1, value + 1))
-        if not isinstance(value, (list, tuple)):
-            raise ValueError(f"{key!r} must be a list of labels or a positive integer count, got {value!r}")
-        return tuple(str(v) for v in value)
-
-    def scalar(key: str, kind: type | tuple[type, ...]) -> Any:
-        value = data.get(key, defaults[key])
-        if not _is_a(value, kind):
-            raise ValueError(f"{key!r} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
-        return value
-
     hps = data.get("hyperparameters")
     if not isinstance(hps, Mapping) or not hps:
         raise ValueError("design must declare a non-empty 'hyperparameters' mapping")
@@ -274,35 +284,12 @@ def design_from_mapping(data: Mapping[str, Any]) -> PlantedDesign:
     for name, entry in hps.items():
         if not isinstance(entry, Mapping):
             raise ValueError(f"hyperparameter {name!r} must be a mapping with a 'values' list")
-        values, means = entry.get("values", ()), entry.get("means")
-        if not isinstance(values, (list, tuple)):
-            raise ValueError(f"hyperparameter {name!r}: 'values' must be a list, got {values!r}")
-        table = isinstance(means, (list, tuple)) and all(
-            isinstance(row, (list, tuple)) and all(_is_a(x, (int, float)) for x in row) for row in means)
-        if means is not None and not table:
-            raise ValueError(f"hyperparameter {name!r}: 'means' must be a list of lists of numbers, got {means!r}")
-        planted.append(PlantedHyperparameter(
-            name=str(name),
-            values=tuple(values),
-            pattern=str(entry.get("pattern", "consistent")),
-            means=tuple(tuple(row) for row in means) if means is not None else None,
-        ))
-
-    unknown = set(data) - set(defaults)
+        planted.append(PlantedHyperparameter(name, entry.get("values", ()), entry.get("pattern", "consistent"),
+                                             entry.get("means")))
+    unknown = set(data) - {field.name for field in dataclasses.fields(PlantedDesign)}
     if unknown:
-        raise ValueError(f"unknown design keys: {sorted(unknown)}")
-
-    return PlantedDesign(
-        hyperparameters=tuple(planted),
-        agents=axis_labels("agents", "agent"),
-        environments=axis_labels("environments", "env"),
-        data_regimes=axis_labels("data_regimes", "regime"),
-        context_axis=Axis(data.get("context_axis", defaults["context_axis"])),
-        seeds_per_cell=scalar("seeds_per_cell", int),
-        noise_scale=float(scalar("noise_scale", (int, float))),
-        score_gap=float(scalar("score_gap", (int, float))),
-        seed=scalar("seed", int),
-    )
+        raise ValueError(f"unknown design keys: {sorted(unknown, key=str)}")
+    return PlantedDesign(**{**data, "hyperparameters": planted})
 
 
 def _is_a(value: object, kind: type | tuple[type, ...]) -> bool:

@@ -428,6 +428,9 @@ class TestSynth:
         pytest.param("score_gap: false", "'score_gap' must be a number, got False", id="score-gap"),
         pytest.param("seeds_per_cell: 2.7", "'seeds_per_cell' must be an integer, got 2.7", id="seeds-per-cell"),
         pytest.param("seed: 1.5", "'seed' must be an integer, got 1.5", id="seed"),
+        pytest.param("context_axis: agents",
+                     "'context_axis' must be one of 'agent', 'environment', 'data_regime', got 'agents'",
+                     id="context-axis"),
     ])
     def test_wrongly_typed_design_exits_2(self, tmp_path, capsys, entry, message):
         design = tmp_path / "design.yaml"

@@ -532,6 +532,17 @@ class TestAssembly:
         assert entry.kendall.w == pytest.approx(0.76)
         assert entry.kendall.mean_tau == pytest.approx(0.6)
 
+    @pytest.mark.parametrize("normalization", list(PtpNormalization))
+    def test_entry_scores_are_the_profiles_thc_and_spreads(self, normalization):
+        dataset = dataset_from_intervals(reference_trajectory_cells())
+        options = AssemblyOptions(interval_source=IntervalSource.MEAN_SD)
+        report, profiles = build_consistency_report(
+            dataset, TransferSetup.ACROSS_ENVIRONMENTS, options, normalization)
+        for entry, profile in zip(report.entries, profiles, strict=True):
+            assert entry.thc == thc(profile, normalization)
+            spreads = normalized_ptp([ptp(row) for row in profile.ranks], len(profile.values), normalization)
+            assert list(entry.normalized_ptp.values()) == spreads
+
     def test_report_omits_kendall_by_default(self):
         dataset = dataset_from_intervals(reference_trajectory_cells())
         options = AssemblyOptions(interval_source=IntervalSource.MEAN_SD)

@@ -39,7 +39,7 @@ from thckit.dataset import (
     write_baselines,
     write_run_log,
 )
-from thckit.dataset import _file_rows, _run_log_blocks
+from thckit.dataset import _rows, _run_log_blocks
 from thckit.stats import human_normalize
 from thckit.synth import PlantedDesign, PlantedHyperparameter, generate
 
@@ -251,10 +251,8 @@ line_texts = st.lists(st.sampled_from([
 
 
 def tokenised(text: str) -> list[tuple[int, list[str]]]:
-    """``(lineno, cells)`` of the one line after a one-column header."""
-    stream = io.StringIO("h\n" + text)
-    rows = _file_rows(stream, "<t>", ("h",), "t", lambda cells: (None, None))
-    return [(lineno, cells) for lineno, cells, _, _ in rows]
+    """``(lineno, cells)`` of the one line, read as line 2."""
+    return [(lineno, cells) for lineno, cells, _ in _rows(io.StringIO(text), 2, "<t>", 1)]
 
 
 class TestTokeniser:
@@ -492,6 +490,39 @@ class TestSweepSchema:
         with pytest.raises(DatasetError):
             SweepSchema(**base)
 
+    @pytest.mark.parametrize("kwargs, diagnostic", [
+        ({"agents": "DER"}, "schema key 'agents' must be a list"),
+        ({"environments": 3}, "schema key 'environments' must be a list"),
+        ({"data_regimes": {"r1": 1}}, "schema key 'data_regimes' must be a list"),
+        ({"hyperparameters": [("lr", ("0.1",))]},
+         "schema key 'hyperparameters' must be a mapping of name to value list"),
+        ({"hyperparameters": {"lr": "0.1"}}, "hyperparameter 'lr' must map to a list of values"),
+        ({"defaults": [("lr", "0.1")]}, "schema key 'defaults' must be a mapping"),
+    ], ids=["agents-string", "environments-count", "data-regimes-mapping", "hyperparameters", "value-list",
+            "defaults"])
+    def test_wrongly_typed_fields_rejected_naming_them(self, kwargs, diagnostic):
+        base = dict(agents=("a1",), environments=("e1",), data_regimes=("r1",),
+                    hyperparameters={"lr": ("0.1",)})
+        with pytest.raises(DatasetError) as excinfo:
+            SweepSchema(**{**base, **kwargs})
+        assert excinfo.value.diagnostics == [diagnostic]
+
+    def test_values_are_held_as_strings_and_match_runs(self):
+        schema = SweepSchema(["a1"], np.array(["e1"]), ("r1",), {"lr": (0.1, True)}, {"lr": 0.1})
+        assert schema.environments == ("e1",)
+        assert schema.hyperparameters == {"lr": ("0.1", "True")}
+        assert schema.defaults == {"lr": "0.1"}
+        runs = "agent,environment,data_regime,hyperparameter,value,seed,final_score\na1,e1,r1,lr,0.1,0,1.0\n"
+        dataset = parse_dataset(io.StringIO(runs), io.StringIO("environment,random_score,human_score\ne1,0,1\n"),
+                                schema)
+        assert dataset.records[0].value == "0.1"
+
+    def test_lists_tuples_and_arrays_agree(self):
+        as_lists = SweepSchema(["a1", "a2"], ["e1"], ["r1"], {"lr": [0.5, 2]})
+        assert SweepSchema(("a1", "a2"), ("e1",), ("r1",), {"lr": ("0.5", "2")}) == as_lists
+        assert SweepSchema(np.array(["a1", "a2"]), np.array(["e1"]), np.array(["r1"]),
+                           {"lr": np.array([0.5, 2.0])}) == SweepSchema(["a1", "a2"], ["e1"], ["r1"], {"lr": [0.5, 2.0]})
+
 
 class TestParse:
     def test_valid_sample(self):
@@ -592,6 +623,8 @@ class TestSweepDataset:
         changed[3] = dataclasses.replace(changed[3], final_score=-1.0)
         assert SweepDataset(changed, small_baselines(), small_schema()) != a
         assert SweepDataset(make_records()[1:], small_baselines(), small_schema()) != a
+        assert a.__eq__(make_records()) is NotImplemented
+        assert a != "not a dataset"
 
 
 def reference_slice(ds: SweepDataset, hyperparameter: str, agent: str, data_regime: str) -> dict:
@@ -817,6 +850,13 @@ class TestSchemaConfig:
             load_schema(doc)
         assert excinfo.value.diagnostics == [f"<schema>: {diagnostic}"]
 
+    def test_content_problems_name_the_file_and_come_with_type_problems(self):
+        doc = io.StringIO("agents: a\nenvironments: [e, e]\ndata_regimes: [r1]\nhyperparameters: {lr: ['0.1']}\n")
+        with pytest.raises(DatasetError) as excinfo:
+            load_schema(doc)
+        assert excinfo.value.diagnostics == ["<schema>: schema key 'agents' must be a list",
+                                             "<schema>: schema key 'environments' contains duplicates"]
+
     def test_readme_example_loads(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
         [block] = re.findall(r"```yaml\n(.*?)```", readme, flags=re.DOTALL)
@@ -824,6 +864,45 @@ class TestSchemaConfig:
         assert schema.data_regimes == ("100k", "40M")
         assert schema.hyperparameters["learning_rate"] == ("0.001", "0.0001", "1e-05")
         assert schema.defaults == {"learning_rate": "0.0001"}
+
+
+# Schema documents for checking that load_schema and direct construction
+# agree: valid ones, and ones with a single wrongly typed or duplicated entry.
+# Scalars include spellings YAML reads as another type unless quoted.
+schema_scalars = st.one_of(st.sampled_from(["a", "e1", "0.50", "1e5", "null", "yes", "True", "~", "x: y", ""]),
+                           st.integers(-3, 300), st.floats(allow_nan=False, allow_infinity=False), st.booleans())
+schema_lists = st.lists(schema_scalars, min_size=1, max_size=3, unique_by=str)
+non_lists = st.one_of(schema_scalars, st.none(), st.dictionaries(st.sampled_from(["a", "b"]), schema_scalars))
+non_mappings = st.one_of(schema_scalars, st.none(), st.lists(schema_scalars, max_size=2))
+
+
+@st.composite
+def schema_documents(draw) -> dict:
+    doc = {key: draw(schema_lists) for key in ("agents", "environments", "data_regimes")}
+    doc["hyperparameters"] = draw(st.dictionaries(schema_scalars, schema_lists, min_size=1, max_size=3))
+    if draw(st.booleans()):
+        name, values = draw(st.sampled_from(list(doc["hyperparameters"].items())))
+        doc["defaults"] = {name: draw(st.sampled_from(values))}
+    # Every slot a list or a mapping belongs in, as (container, key).
+    slots = [(doc, key) for key in doc] + [(doc["hyperparameters"], name) for name in doc["hyperparameters"]]
+    container, key = draw(st.sampled_from(slots))
+    fault = draw(st.sampled_from(["none", "wrong type", "duplicate"]))
+    if fault == "wrong type":
+        container[key] = draw(non_lists if isinstance(container[key], list) else non_mappings)
+    elif fault == "duplicate" and isinstance(container[key], list):
+        container[key].append(container[key][0])
+    return doc
+
+
+class TestSchemaRoutes:
+    @settings(deadline=None)
+    @given(schema_documents())
+    def test_load_schema_equals_direct_construction(self, doc):
+        text = yaml.safe_dump(doc, sort_keys=False)
+        assert repr(yaml.safe_load(text)) == repr(doc)
+        direct = outcome(lambda: SweepSchema(**doc))
+        read = outcome(lambda: load_schema(io.StringIO(text)))
+        assert read == ([f"<schema>: {line}" for line in direct] if isinstance(direct, list) else direct)
 
 
 REPO = Path(__file__).parents[1]

@@ -76,6 +76,11 @@ class TestBundle:
             build_report_bundle(reference_dataset_cached,
                                 [TransferSetup.ACROSS_AGENTS, "agents"])
 
+    def test_no_setups_rejected(self, reference_dataset_cached):
+        # A bundle with no setup would write consistency.csv without its header.
+        with pytest.raises(ValueError, match="no setups"):
+            build_report_bundle(reference_dataset_cached, [])
+
     def test_provenance_flags(self, reference_dataset_cached):
         bundle = build_report_bundle(
             reference_dataset_cached, [TransferSetup.ACROSS_ENVIRONMENTS], MEAN_SD,

@@ -6,6 +6,9 @@ import io
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import thckit
 from thckit import synth
@@ -18,6 +21,7 @@ from thckit.consistency import (
 from thckit.dataset import Axis, parse_dataset, write_baselines, write_run_log
 from thckit.stats import human_normalize
 from thckit.synth import (
+    PATTERNS,
     PlantedDesign,
     PlantedHyperparameter,
     design_from_mapping,
@@ -68,6 +72,26 @@ class TestPlantedHyperparameter:
         with pytest.raises(ValueError, match="unique"):
             PlantedHyperparameter("lr", ("0.1", 0.1))
 
+    @pytest.mark.parametrize("values, means", [
+        (["a", "b"], [[1, 0], [0, 1]]),
+        (("a", "b"), ((1.0, 0.0), (0.0, 1.0))),
+        (np.array(["a", "b"]), np.array([[1.0, 0.0], [0.0, 1.0]])),
+    ], ids=["lists", "tuples", "arrays"])
+    def test_list_likes_are_held_as_tuples(self, values, means):
+        hp = PlantedHyperparameter("lr", values, "explicit", means)
+        assert hp.values == ("a", "b")
+        assert hp.means == ((1.0, 0.0), (0.0, 1.0))
+
+    @pytest.mark.parametrize("values, means, message", [
+        ("abc", None, "hyperparameter 'lr': 'values' must be a list, got 'abc'"),
+        (("a",), ((True,),), "hyperparameter 'lr': 'means' must be a list of lists of numbers, got ((True,),)"),
+        (("a",), ("1",), "hyperparameter 'lr': 'means' must be a list of lists of numbers, got ('1',)"),
+    ], ids=["values-string", "means-bool", "means-row-string"])
+    def test_wrongly_typed_fields_rejected_naming_them(self, values, means, message):
+        with pytest.raises(ValueError) as excinfo:
+            PlantedHyperparameter("lr", values, "explicit", means)
+        assert str(excinfo.value) == message
+
     @pytest.mark.parametrize("name, values, message", [
         ("", ("a",), "name must be non-empty"),
         ("lr", (), "at least one value required"),
@@ -98,6 +122,35 @@ class TestPlantedDesign:
             simple_design(noise_scale=-1.0)
         with pytest.raises(ValueError):
             simple_design(score_gap=0.0)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("seeds_per_cell", True, "'seeds_per_cell' must be an integer, got True"),
+        ("seeds_per_cell", 2.5, "'seeds_per_cell' must be an integer, got 2.5"),
+        ("seed", "7", "'seed' must be an integer, got '7'"),
+        ("noise_scale", None, "'noise_scale' must be a number, got None"),
+        ("score_gap", False, "'score_gap' must be a number, got False"),
+        ("environments", "env01", "'environments' must be a list of labels or a positive integer count, got 'env01'"),
+        ("agents", 0, "'agents' must be a list of labels or a positive integer count, got 0"),
+        ("context_axis", "agents",
+         "'context_axis' must be one of 'agent', 'environment', 'data_regime', got 'agents'"),
+    ])
+    def test_wrongly_typed_fields_rejected_naming_them(self, field, value, message):
+        with pytest.raises(ValueError) as excinfo:
+            simple_design(**{field: value})
+        assert str(excinfo.value) == message
+
+    def test_integer_axis_count_numbers_labels(self):
+        design = simple_design(environments=3, agents=np.int64(2))
+        assert design.environments == ("env01", "env02", "env03")
+        assert design.agents == ("agent01", "agent02")
+
+    @pytest.mark.parametrize("labels", [["e1", "e2", 3], ("e1", "e2", 3), np.array(["e1", "e2", "3"])],
+                             ids=["list", "tuple", "array"])
+    def test_axis_list_likes_are_held_as_string_tuples(self, labels):
+        design = simple_design(environments=labels, seeds_per_cell=np.int64(2), noise_scale=np.float32(0.5))
+        assert design.environments == ("e1", "e2", "3")
+        assert (design.seeds_per_cell, design.noise_scale) == (2, 0.5)
+        assert type(design.seeds_per_cell) is int and type(design.noise_scale) is float
 
     def test_explicit_means_must_cover_contexts(self):
         hp = PlantedHyperparameter("lr", ("a", "b"), pattern="explicit",
@@ -243,6 +296,9 @@ class TestRecoveryStudy:
         assert row.trials == 3
         assert row.thc_mean == 0.0 and row.thc_sd == 0.0
         assert row.w_mean == 1.0 and row.w_sd == 0.0
+        # One trial gives one sample per statistic, whose spread is 0.
+        (single,) = recovery_study(design, noise_levels=[0.5], trials=1)
+        assert single.thc_sd == 0.0 and single.w_sd == 0.0
 
     def test_noise_degrades_consistency(self):
         design = simple_design(
@@ -288,6 +344,9 @@ class TestDesignConfig:
                 "hyperparameters": {"lr": {"values": ["a"]}},
                 "typo_key": 1,
             })
+        # Keys of mixed types, as YAML reads `1:` and `typo:`, are listed too.
+        with pytest.raises(ValueError, match=r"unknown design keys: \[1, 'typo'\]"):
+            design_from_mapping({"hyperparameters": {"lr": {"values": ["a"]}}, "typo": 2, 1: 2})
 
     def test_hyperparameters_required(self):
         with pytest.raises(ValueError, match="hyperparameters"):
@@ -329,6 +388,76 @@ hyperparameters:
     def test_top_level_must_be_mapping(self):
         with pytest.raises(ValueError, match="mapping"):
             load_design(io.StringIO("- 1\n- 2\n"))
+
+
+# Design documents for checking that load_design and direct construction
+# agree: valid ones, and ones with a single wrongly typed or duplicated entry.
+labels = st.one_of(st.sampled_from(["a", "e1", "0.50", "null", "yes", "~"]), st.integers(0, 99), st.booleans())
+label_lists = st.lists(labels, min_size=1, max_size=3, unique_by=str)
+AXIS_KEYS = {Axis.AGENT: "agents", Axis.ENVIRONMENT: "environments", Axis.DATA_REGIME: "data_regimes"}
+# Wrong values for each kind of entry.
+MISFITS = {
+    "axis": st.one_of(st.floats(-2, 2), st.booleans(), st.none(), st.text("ab", max_size=2), st.integers(-2, 0),
+                      st.dictionaries(st.just("a"), st.integers())),
+    "integer": st.one_of(st.floats(-2, 9), st.booleans(), st.none(), st.text("12", max_size=2), st.lists(st.integers())),
+    "number": st.one_of(st.booleans(), st.none(), st.text("1.", max_size=2), st.lists(st.floats(0, 1), max_size=1)),
+    "context_axis": st.one_of(st.sampled_from(["agents", "Environment", "env"]), st.integers(0, 2), st.none()),
+    "values": st.one_of(st.text("ab", max_size=2), st.integers(), st.none(), st.dictionaries(st.just("a"), labels)),
+    "pattern": st.one_of(st.integers(0, 2), st.booleans(), st.none(), st.sampled_from(["Reversal", "x"])),
+    "means": st.one_of(st.integers(), st.text("1", max_size=2), st.lists(st.floats(0, 1), min_size=1, max_size=2),
+                       st.lists(st.lists(st.one_of(st.booleans(), st.text("1", min_size=1)), min_size=1, max_size=2),
+                                min_size=1, max_size=2)),
+}
+KINDS = {"agents": "axis", "environments": "axis", "data_regimes": "axis", "context_axis": "context_axis",
+         "seeds_per_cell": "integer", "seed": "integer", "noise_scale": "number", "score_gap": "number"}
+
+
+@st.composite
+def design_documents(draw) -> dict:
+    doc = {key: draw(st.one_of(st.integers(1, 3), label_lists)) for key in AXIS_KEYS.values() if draw(st.booleans())}
+    axis = draw(st.sampled_from(list(Axis)))
+    doc["context_axis"] = axis.value
+    doc.update(seeds_per_cell=draw(st.integers(1, 3)), seed=draw(st.integers(0, 2**40)),
+               noise_scale=draw(st.floats(0, 2)), score_gap=draw(st.floats(0.1, 3)))
+    contexts = doc.get(AXIS_KEYS[axis], len(getattr(PlantedDesign, AXIS_KEYS[axis])))
+    contexts = contexts if isinstance(contexts, int) else len(contexts)
+    doc["hyperparameters"] = {}
+    for name in draw(st.lists(st.sampled_from(["lr", "width", 7]), min_size=1, max_size=2, unique=True)):
+        values = draw(label_lists)
+        pattern = draw(st.sampled_from(PATTERNS))
+        doc["hyperparameters"][name] = {"values": values, "pattern": pattern}
+        if pattern == "explicit":
+            doc["hyperparameters"][name]["means"] = [[float(i + j) for j in range(contexts)] for i in range(len(values))]
+    entries = [(doc, key, KINDS[key]) for key in doc if key in KINDS]
+    entries += [(entry, key, key) for entry in doc["hyperparameters"].values() for key in entry]
+    container, key, kind = draw(st.sampled_from(entries))
+    fault = draw(st.sampled_from(["none", "wrong type", "duplicate"]))
+    if fault == "wrong type":
+        container[key] = draw(MISFITS[kind])
+    elif fault == "duplicate" and isinstance(container[key], list):
+        container[key].append(container[key][0])
+    return doc
+
+
+def built(build) -> tuple[object, str | None]:
+    """What ``build()`` returns, or the message of the ``ValueError`` it raises."""
+    try:
+        return build(), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+class TestDesignRoutes:
+    @settings(deadline=None)
+    @given(design_documents())
+    def test_load_design_equals_direct_construction(self, doc):
+        text = yaml.safe_dump(doc, sort_keys=False)
+        assert repr(yaml.safe_load(text)) == repr(doc)
+
+        def direct() -> PlantedDesign:
+            planted = [PlantedHyperparameter(name, **entry) for name, entry in doc["hyperparameters"].items()]
+            return PlantedDesign(**{**doc, "hyperparameters": planted})
+        assert built(lambda: load_design(io.StringIO(text))) == built(direct)
 
 
 class TestPackageExports:
