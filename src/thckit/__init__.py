@@ -59,15 +59,10 @@ from .stats import (
     stratified_bootstrap_ci,
 )
 
-# Only ``thckit synth`` and library callers use the generator, so it is
-# imported on first use of one of its names (PEP 562), not with the package.
-_SYNTH_NAMES = frozenset({
-    "PlantedDesign", "PlantedHyperparameter", "RecoveryRow", "generate", "load_design", "recovery_study",
-})
-
-
+# Names of ``__all__`` not bound above come from ``synth``, imported on first
+# use (PEP 562): only ``thckit synth`` and library callers use the generator.
 def __getattr__(name: str):
-    if name in _SYNTH_NAMES:
+    if name in __all__:
         from . import synth
 
         return getattr(synth, name)

@@ -38,6 +38,7 @@ from .ranking import RankingMode
 from .report import (
     _digest,
     _entry_label,
+    _fixed_label,
     _json_bytes,
     build_report_bundle,
     consistency_rows,
@@ -181,8 +182,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
         dataset, args.hyperparameter, agent=args.agent,
         data_regime=args.data_regime, environment=args.environment, options=options)
 
-    context = "; ".join(f"{k}={v}" for k, v in sorted(table.context.items()))
-    print(f"hyperparameter {args.hyperparameter}; {context}; "
+    print(f"hyperparameter {args.hyperparameter}; {_fixed_label(table.context, '; ')}; "
           f"source={options.interval_source.value}; mode={options.ranking_mode.value}")
     entries = [{
         "value": entry.label,
@@ -220,8 +220,7 @@ def _cmd_thc(args: argparse.Namespace) -> int:
 
     _print_table(consistency_rows(report, args.kendall))
     for skip in report.skipped:
-        fixed = "; ".join(f"{k}={v}" for k, v in sorted(skip.fixed.items()))
-        print(f"skipped {skip.hyperparameter}" + (f" [{fixed}]" if fixed else "") + f": {skip.reason}")
+        print(f"skipped {_entry_label(skip, '; ')}: {skip.reason}")
 
     if args.json:
         Path(args.json).write_bytes(_json_bytes({"setup": setup.value,

@@ -23,8 +23,10 @@ table's rows too: a line's cells are
 ``[cell.strip() for cell in next(csv.reader([line]))]``, a row of the wrong
 width gets its ``expected N columns`` problem, and a line the reader rejects
 gets a ``malformed row`` diagnostic. The header line is read the same way,
-and a byte-order mark that starts either stream is read past. Each rule is then one predicate over a
-column of a block: identifiers become integer codes by dict lookup, seeds and
+and a byte-order mark that starts either stream is read past. Each rule is
+then one predicate over a column of a block, whether the block was parsed or
+given as records: an empty identifier is one ``== ""`` per cell of a column
+that holds one, identifiers become integer codes by dict lookup, seeds and
 scores are converted with ``map``, finiteness is one ``np.isfinite``, and
 duplicate keys come from one stable sort of all runs. Diagnostics are
 formatted only for the rows that fail.
@@ -52,7 +54,7 @@ import csv
 import enum
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from itertools import chain, islice, repeat
 from operator import attrgetter
@@ -227,9 +229,24 @@ def _items(value: object, convert: Callable[[Any], Any] = _stringify) -> tuple |
         return None
 
 
+def _collisions(names: Iterable, what: str) -> list[str]:
+    """A problem for each of ``names`` that reads as the same string as an
+    earlier one, such as ``1`` and ``"1"``."""
+    first: dict[str, object] = {}
+    problems = []
+    for name in names:
+        key = _stringify(name)
+        if key in first:
+            problems.append(f"{what} {first[key]!r} and {name!r} both read as {key!r}")
+        first.setdefault(key, name)
+    return problems
+
+
 #: The schema's identifier lists, in document order: each is a field of
 #: :class:`SweepSchema` and a key of its YAML document.
 _SCHEMA_LIST_KEYS = ("agents", "environments", "data_regimes")
+#: The field that lists each axis's labels, in a schema or a planted design.
+_AXIS_FIELDS = dict(zip(Axis, _SCHEMA_LIST_KEYS))
 
 
 @dataclass(frozen=True)
@@ -273,10 +290,12 @@ class SweepSchema:
                     problems.append(f"hyperparameter {hp!r} declares no values")
                 if len(set(values)) != len(values):
                     problems.append(f"hyperparameter {hp!r} declares duplicate values")
+            problems.extend(_collisions(self.hyperparameters, "hyperparameter names"))
             object.__setattr__(self, "hyperparameters", hps)
         if not isinstance(self.defaults, Mapping):
             problems.append("schema key 'defaults' must be a mapping")
         else:
+            problems.extend(_collisions(self.defaults, "default keys"))
             object.__setattr__(self, "defaults", {_stringify(k): _stringify(v) for k, v in self.defaults.items()})
             problems.extend(f"default given for undeclared hyperparameter {hp!r}"
                             for hp in self.defaults if hps is not None and hp not in hps)
@@ -284,11 +303,7 @@ class SweepSchema:
             raise DatasetError(problems)
 
     def axis_values(self, axis: Axis) -> tuple[str, ...]:
-        return {
-            Axis.AGENT: self.agents,
-            Axis.ENVIRONMENT: self.environments,
-            Axis.DATA_REGIME: self.data_regimes,
-        }[Axis(axis)]
+        return getattr(self, _AXIS_FIELDS[Axis(axis)])
 
 
 def _vocabulary(schema: SweepSchema) -> tuple[Sequence, Sequence, Sequence, list[tuple[str, str]]]:
@@ -493,6 +508,9 @@ def _check(block: _Block, codes: list[dict], declared: list[int], unbased: list[
     checked = np.ones(n, bool)
     checked[list(block.unchecked)] = False
     rules = (
+        *((np.array([cell == "" for cell in column], bool) if "" in column else np.zeros(n, bool),
+           lambda i, name=name: f"empty column {name!r}")
+          for name, column in zip(RUN_LOG_HEADER, (agents, envs, regimes, hps, values))),
         (bad_seed, lambda i: f"column 'seed' must be a non-negative integer, got {_quoted(block, 5, i)!r}"),
         (missing, lambda i: f"column 'final_score' is not a number: {_quoted(block, 6, i)!r}"),
         (~(np.isfinite(value) | missing),
@@ -648,7 +666,7 @@ def _run_log_blocks(stream: IO[str], source: str) -> Iterator[_Block]:
     """The run log's rows after its checked header, ``BLOCK_LINES`` lines at a
     time: a block of plain 7-cell rows is split into columns at once, any
     other goes line by line. Parsing checks what needs the text: the column
-    count, empty identifiers, and int/float conversion."""
+    count and int/float conversion."""
     limit = csv.field_size_limit()
     lineno = _header_line(stream, source, RUN_LOG_HEADER, "run log")
     while lines := list(islice(stream, BLOCK_LINES)):
@@ -683,12 +701,7 @@ def _run_log_blocks(stream: IO[str], source: str) -> Iterator[_Block]:
 
 def _text_block(cells: list[Sequence[str]], linenos: Sequence[int], found: dict[int, list[str]],
                 unchecked: Sequence[int] = (), error: DatasetError | None = None) -> _Block:
-    """A block of run-log cells by column, with empty identifiers found and
-    seeds and scores converted."""
-    if any("" in column for column in cells[:5]):
-        for i, names in enumerate(zip(*cells[:5])):
-            if not all(names):
-                found[i] = [f"empty column {RUN_LOG_HEADER[k]!r}" for k, name in enumerate(names) if not name]
+    """A block of run-log cells by column, with seeds and scores converted."""
     fields = [*cells[:5], _converted(int, cells[5], repeats=True), _converted(float, cells[6])]
     return _Block(fields, cells, linenos, found, unchecked, error)
 
@@ -696,11 +709,11 @@ def _text_block(cells: list[Sequence[str]], linenos: Sequence[int], found: dict[
 def parse_dataset(run_log: IO[str], baselines: IO[str], schema: SweepSchema) -> SweepDataset:
     """Parse and validate a run log and baseline table against a schema.
 
-    Parsing checks what needs the text: the header, the column count, empty
-    identifiers, and int/float conversion. A byte-order mark that starts
-    either stream is read past. The rows then pass once through
-    the rules that direct construction of :class:`BaselineTable` and
-    :class:`SweepDataset` applies. Raises :class:`DatasetError` carrying one
+    Parsing checks what needs the text: the header, the column count, and
+    int/float conversion. A byte-order mark that starts either stream is read
+    past. The rows then pass once through the rules that direct construction
+    of :class:`BaselineTable` and :class:`SweepDataset` applies, the
+    empty-identifier rule among them. Raises :class:`DatasetError` carrying one
     diagnostic per problem, prefixed ``source:lineno:``; a bad baseline table
     is reported before the run log is read.
     """
@@ -760,16 +773,22 @@ def load_schema(source: str | Path | IO[str]) -> SweepSchema:
     Keys: ``agents``, ``environments``, ``data_regimes`` (lists of
     identifiers), ``hyperparameters`` (mapping of name to value list), and
     optional ``defaults`` (mapping of name to value). Quote values that must
-    keep an exact spelling, e.g. ``"0.50"`` or ``"None"``.
+    keep an exact spelling, e.g. ``"0.50"`` or ``"None"``. Unknown keys are
+    reported with the schema's own problems, each prefixed with the file name.
     """
     doc, name = _load_yaml(source, "<schema>", lambda line: DatasetError([line]))
     if not isinstance(doc, dict):
         raise DatasetError([f"{name}: schema document must be a mapping"])
+    unknown = set(doc) - {f.name for f in fields(SweepSchema)}
+    problems = [f"unknown schema keys: {sorted(unknown, key=str)}"] if unknown else []
     try:
-        return SweepSchema(**{key: doc.get(key) for key in (*_SCHEMA_LIST_KEYS, "hyperparameters")},
-                           defaults=doc.get("defaults", {}))
+        schema = SweepSchema(**{key: doc.get(key) for key in (*_SCHEMA_LIST_KEYS, "hyperparameters")},
+                             defaults=doc.get("defaults", {}))
     except DatasetError as exc:
-        raise DatasetError([f"{name}: {line}" for line in exc.diagnostics]) from None
+        problems += exc.diagnostics
+    if problems:
+        raise DatasetError([f"{name}: {line}" for line in problems])
+    return schema
 
 
 def _load_yaml(source: str | Path | IO[str], default_name: str,

@@ -40,7 +40,7 @@ __all__ = ["ReportBundle", "build_report_bundle", "write_report_bundle",
 
 @dataclass(frozen=True)
 class ReportBundle:
-    """Everything cli_report writes, before serialization."""
+    """Everything ``thckit report`` writes, before serialization."""
 
     reports: tuple[ConsistencyReport, ...]
     profiles: tuple[tuple[RankProfile, ...], ...]
@@ -99,14 +99,15 @@ def build_report_bundle(
     return ReportBundle(tuple(reports), tuple(profiles), provenance, cells)
 
 
-def _fixed_label(fixed: Mapping[str, str]) -> str:
-    return ";".join(f"{k}={v}" for k, v in sorted(fixed.items()))
+def _fixed_label(fixed: Mapping[str, str], sep: str = ";") -> str:
+    """Sorted ``k=v`` pairs joined by ``sep``: ``;`` in the bundle's files, ``"; "`` in CLI lines."""
+    return sep.join(f"{k}={v}" for k, v in sorted(fixed.items()))
 
 
-def _entry_label(item: HyperparameterConsistency | RankProfile | SkippedHyperparameter) -> str:
+def _entry_label(item: HyperparameterConsistency | RankProfile | SkippedHyperparameter, sep: str = ";") -> str:
     """``hyperparameter [k=v;...]``: a scored, ranked or skipped
     hyper-parameter named with the coordinates it holds fixed."""
-    return item.hyperparameter + (f" [{_fixed_label(item.fixed)}]" if item.fixed else "")
+    return item.hyperparameter + (f" [{_fixed_label(item.fixed, sep)}]" if item.fixed else "")
 
 
 def entry_to_dict(entry: HyperparameterConsistency, include_kendall: bool) -> dict[str, Any]:

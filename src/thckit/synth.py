@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import numbers
 from dataclasses import dataclass
+from itertools import product
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -28,6 +29,7 @@ from .dataset import (
     RunRecord,
     SweepDataset,
     SweepSchema,
+    _AXIS_FIELDS,
     _SCHEMA_LIST_KEYS,
     _items,
     _load_yaml,
@@ -81,6 +83,8 @@ class PlantedHyperparameter:
             raise ValueError(f"{self.name}: at least one value required")
         if len(set(self.values)) != len(self.values):
             raise ValueError(f"{self.name}: values must be unique")
+        if "" in self.values:
+            raise ValueError(f"{self.name}: values must not contain an empty string")
         if self.pattern not in PATTERNS:
             raise ValueError(f"{self.name}: unknown pattern {self.pattern!r}; expected one of {PATTERNS}")
         if (self.pattern == "explicit") != (means is not None):
@@ -131,6 +135,8 @@ class PlantedDesign:
             labels = getattr(self, name)
             if not labels or len(set(labels)) != len(labels):
                 raise ValueError(f"{name} must be non-empty and unique")
+            if "" in labels:
+                raise ValueError(f"{name} must not contain an empty label")
         if not self.hyperparameters:
             raise ValueError("at least one hyperparameter required")
         names = [h.name for h in self.hyperparameters]
@@ -148,7 +154,7 @@ class PlantedDesign:
                 raise ValueError(f"{h.name}: means rows must have {n} columns, one per context")
 
     def axis_values(self, axis: Axis) -> tuple[str, ...]:
-        return self.schema().axis_values(axis)
+        return getattr(self, _AXIS_FIELDS[Axis(axis)])
 
     def true_means(self, hyperparameter: PlantedHyperparameter) -> np.ndarray:
         """True mean score table, values x contexts."""
@@ -177,30 +183,20 @@ def generate(design: PlantedDesign) -> SweepDataset:
     """
     baselines = BaselineTable({env: (0.0, 1.0) for env in design.environments})
     records: list[RunRecord] = []
-    axis = design.context_axis
-    context_index = {label: i for i, label in enumerate(design.axis_values(axis))}
-
+    axes = list(Axis)  # A run record's order: agent, environment, data regime.
+    position = axes.index(design.context_axis)
+    context_index = {label: i for i, label in enumerate(design.axis_values(design.context_axis))}
     for hp in design.hyperparameters:
         means = design.true_means(hp)
-        for vi, value in enumerate(hp.values):
-            for agent in design.agents:
-                for env in design.environments:
-                    for regime in design.data_regimes:
-                        coord = {Axis.AGENT: agent, Axis.ENVIRONMENT: env,
-                                 Axis.DATA_REGIME: regime}[axis]
-                        mean = means[vi, context_index[coord]]
-                        if design.noise_scale > 0:
-                            rng = np.random.default_rng(
-                                derive_seed(design.seed, "synth", hp.name, value,
-                                            agent, env, regime))
-                            noise = design.noise_scale * rng.standard_normal(design.seeds_per_cell)
-                        else:
-                            noise = np.zeros(design.seeds_per_cell)
-                        records.extend(
-                            RunRecord(agent, env, regime, hp.name, value, s,
-                                      float(mean + noise[s]))
-                            for s in range(design.seeds_per_cell)
-                        )
+        for (vi, value), *coords in product(enumerate(hp.values), *map(design.axis_values, axes)):
+            mean = means[vi, context_index[coords[position]]]
+            if design.noise_scale > 0:
+                rng = np.random.default_rng(derive_seed(design.seed, "synth", hp.name, value, *coords))
+                noise = design.noise_scale * rng.standard_normal(design.seeds_per_cell)
+            else:
+                noise = np.zeros(design.seeds_per_cell)
+            records.extend(RunRecord(*coords, hp.name, value, s, float(mean + noise[s]))
+                           for s in range(design.seeds_per_cell))
     return SweepDataset(records, baselines, design.schema())
 
 

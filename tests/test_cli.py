@@ -431,6 +431,8 @@ class TestSynth:
         pytest.param("context_axis: agents",
                      "'context_axis' must be one of 'agent', 'environment', 'data_regime', got 'agents'",
                      id="context-axis"),
+        pytest.param("lr:\n    values: [a, '']", "lr: values must not contain an empty string", id="empty-value"),
+        pytest.param("environments: [e1, '']", "environments must not contain an empty label", id="empty-label"),
     ])
     def test_wrongly_typed_design_exits_2(self, tmp_path, capsys, entry, message):
         design = tmp_path / "design.yaml"

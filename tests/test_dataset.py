@@ -626,6 +626,17 @@ class TestSweepDataset:
         assert a.__eq__(make_records()) is NotImplemented
         assert a != "not a dataset"
 
+    def test_empty_identifiers_rejected_in_direct_records(self):
+        with pytest.raises(DatasetError) as excinfo:
+            SweepDataset([RunRecord("", "e1", "r1", "lr", "", 0, 1.0)], small_baselines(), small_schema())
+        assert excinfo.value.diagnostics == ["empty column 'agent'", "empty column 'value'", "unknown agent ''",
+                                             "value '' not declared for hyperparameter 'lr'"]
+
+    def test_a_falsy_identifier_is_not_empty(self):
+        with pytest.raises(DatasetError) as excinfo:
+            SweepDataset([RunRecord(0, "e1", "r1", "lr", "0.1", 0, 1.0)], small_baselines(), small_schema())
+        assert excinfo.value.diagnostics == ["unknown agent 0"]
+
 
 def reference_slice(ds: SweepDataset, hyperparameter: str, agent: str, data_regime: str) -> dict:
     """Brute-force filter-and-sort over every record, for checking the index."""
@@ -857,6 +868,30 @@ class TestSchemaConfig:
         assert excinfo.value.diagnostics == ["<schema>: schema key 'agents' must be a list",
                                              "<schema>: schema key 'environments' contains duplicates"]
 
+    @pytest.mark.parametrize("entries, diagnostic", [
+        ({"hyperparameters": {1: ["a"], "1": ["b"]}}, "hyperparameter names 1 and '1' both read as '1'"),
+        ({"hyperparameters": {"1": ["a", "b"]}, "defaults": {1: "a", "1": "b"}},
+         "default keys 1 and '1' both read as '1'"),
+    ], ids=["hyperparameters", "defaults"])
+    def test_names_that_read_alike_rejected_by_either_route(self, entries, diagnostic):
+        doc = {"agents": ["a1"], "environments": ["e1"], "data_regimes": ["r1"], **entries}
+        with pytest.raises(DatasetError) as excinfo:
+            SweepSchema(**doc)
+        assert excinfo.value.diagnostics == [diagnostic]
+        with pytest.raises(DatasetError) as excinfo:
+            load_schema(io.StringIO(yaml.safe_dump(doc)))
+        assert excinfo.value.diagnostics == [f"<schema>: {diagnostic}"]
+
+    def test_unknown_keys_rejected_with_the_other_problems(self):
+        doc = "agents: [a1]\nenvironments: [e1]\ndata_regimes: [r1]\nhyperparameters: {lr: [a]}\n"
+        with pytest.raises(DatasetError) as excinfo:
+            load_schema(io.StringIO(doc + "default: {lr: a}\n"))
+        assert excinfo.value.diagnostics == ["<schema>: unknown schema keys: ['default']"]
+        with pytest.raises(DatasetError) as excinfo:
+            load_schema(io.StringIO(doc.replace("[e1]", "[e1, e1]") + "1: x\nnotes: x\n"))
+        assert excinfo.value.diagnostics == ["<schema>: unknown schema keys: [1, 'notes']",
+                                             "<schema>: schema key 'environments' contains duplicates"]
+
     def test_readme_example_loads(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
         [block] = re.findall(r"```yaml\n(.*?)```", readme, flags=re.DOTALL)
@@ -886,11 +921,16 @@ def schema_documents(draw) -> dict:
     # Every slot a list or a mapping belongs in, as (container, key).
     slots = [(doc, key) for key in doc] + [(doc["hyperparameters"], name) for name in doc["hyperparameters"]]
     container, key = draw(st.sampled_from(slots))
-    fault = draw(st.sampled_from(["none", "wrong type", "duplicate"]))
+    fault = draw(st.sampled_from(["none", "wrong type", "duplicate", "collision"]))
     if fault == "wrong type":
         container[key] = draw(non_lists if isinstance(container[key], list) else non_mappings)
     elif fault == "duplicate" and isinstance(container[key], list):
         container[key].append(container[key][0])
+    elif fault == "collision":
+        # Two names that read as one string, such as 7 and "7".
+        name, key = draw(st.integers(2, 300)), draw(st.sampled_from(["hyperparameters", "defaults"]))
+        entry = schema_lists if key == "hyperparameters" else schema_scalars
+        doc.setdefault(key, {}).update({name: draw(entry), str(name): draw(entry)})
     return doc
 
 

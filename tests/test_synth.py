@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from thckit.consistency import (
     TransferSetup,
     build_consistency_report,
 )
-from thckit.dataset import Axis, parse_dataset, write_baselines, write_run_log
+from thckit.dataset import Axis, SweepSchema, parse_dataset, write_baselines, write_run_log
 from thckit.stats import human_normalize
 from thckit.synth import (
     PATTERNS,
@@ -95,6 +96,7 @@ class TestPlantedHyperparameter:
     @pytest.mark.parametrize("name, values, message", [
         ("", ("a",), "name must be non-empty"),
         ("lr", (), "at least one value required"),
+        ("lr", ("a", ""), "lr: values must not contain an empty string"),
     ])
     def test_empty_name_or_values(self, name, values, message):
         with pytest.raises(ValueError, match=message):
@@ -133,6 +135,7 @@ class TestPlantedDesign:
         ("agents", 0, "'agents' must be a list of labels or a positive integer count, got 0"),
         ("context_axis", "agents",
          "'context_axis' must be one of 'agent', 'environment', 'data_regime', got 'agents'"),
+        ("environments", ("e1", "", "e3"), "environments must not contain an empty label"),
     ])
     def test_wrongly_typed_fields_rejected_naming_them(self, field, value, message):
         with pytest.raises(ValueError) as excinfo:
@@ -175,6 +178,13 @@ class TestPlantedDesign:
 
 
 class TestGenerate:
+    def test_a_design_and_its_dataset_build_one_schema(self):
+        hps = [PlantedHyperparameter(f"hp{i}", ("a", "b")) for i in range(3)]
+        with mock.patch.object(SweepSchema, "__post_init__", autospec=True,
+                               side_effect=SweepSchema.__post_init__) as checked:
+            generate(PlantedDesign(hps, agents=2, environments=3))
+        assert checked.call_count == 1
+
     def test_noiseless_scores_equal_true_means(self):
         design = simple_design()
         dataset = generate(design)
