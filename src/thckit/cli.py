@@ -168,9 +168,9 @@ def _print_table(rows: Sequence[Sequence[str]]) -> None:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.runs, args.baselines, args.schema)
-    environments = {env for by_pair in dataset.index.values()
-                    for by_env in by_pair.values() for env in by_env}
-    print(f"OK: {len(dataset)} runs across {len(dataset.index)} hyperparameter(s), "
+    run = [hp for hp in dataset.schema.hyperparameters if dataset._labels_with_runs(hp, Axis.AGENT, {})]
+    environments = {env for hp in run for env in dataset._labels_with_runs(hp, Axis.ENVIRONMENT, {})}
+    print(f"OK: {len(dataset)} runs across {len(run)} hyperparameter(s), "
           f"{len(environments)} environment(s)")
     return EXIT_OK
 

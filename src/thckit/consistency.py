@@ -343,18 +343,26 @@ class CellTable:
     alone, so every setup and subcommand that reads a cell gets the same
     interval, and each cell is normalised, aggregated and warned about once,
     a whole context (hyper-parameter, agent, data regime, environment scope)
-    at a time. A fill block's scores are laid end to end in one array,
-    normalised and checked for non-finite values once; both aggregators read
-    that array as it is, mean +/- sd with each cell's length and the
-    bootstrap with each cell's row sizes, and both return lower bounds, upper
-    bounds and points. A context's cells are held as arrays over the declared
-    values.
+    at a time. A fill block's cells find their groups of runs in the
+    dataset's (cell, seed) sort with one search over the codes of every
+    (context, value, environment); groups of one seed are dropped (and
+    warned about), and one ragged gather lays the kept groups' scores end to
+    end, normalised by their environments' baselines and checked for
+    non-finite values once. Both aggregators read that array as it is, mean
+    +/- sd with each cell's length and the bootstrap with each cell's row
+    sizes, and both return lower bounds, upper bounds and points. A context's
+    cells are held as arrays over the declared values.
     """
 
     def __init__(self, dataset: SweepDataset, options: AssemblyOptions) -> None:
         self.dataset = dataset
         self.options = options
         self._contexts: dict[ContextKey, np.ndarray] = {}
+        hps = dataset.schema.hyperparameters
+        # Each hyper-parameter's first value code; random and human scores by environment code.
+        self._first = dict(zip(hps, np.cumsum([0, *map(len, hps.values())]).tolist()))
+        self._baselines = np.array([dataset.baselines.scores.get(env, (np.nan, np.nan))
+                                    for env in dataset.schema.environments]).T
 
     def fill(self, keys: Iterable[ContextKey]) -> None:
         """Aggregate the cells of every listed context the table does not hold,
@@ -370,9 +378,9 @@ class CellTable:
             elif key not in block:
                 block[key], pending = None, pending + m
                 if pending >= _FILL_BLOCK:
-                    aggregated += self._aggregate(block, groups)
+                    aggregated += self._aggregate(list(block), groups)
                     block, pending = {}, 0
-        aggregated += self._aggregate(block, groups)
+        aggregated += self._aggregate(list(block), groups)
         iqm_ci = self.options.interval_source is IntervalSource.IQM_CI
         replicates = aggregated * self.options.resamples if iqm_ci else 0
         logger.info("cell table: aggregated %d cells in %d size groups and drew %d bootstrap "
@@ -388,64 +396,77 @@ class CellTable:
             self.fill([key])
         return self._contexts[key]
 
-    def _aggregate(self, block: Iterable[ContextKey], groups: set[object]) -> int:
+    def _aggregate(self, block: list[ContextKey], groups: set[object]) -> int:
         """Store the arrays of every context in ``block``, its cells' scores
-        human-normalised by one array call and aggregated in one batched
-        call, and return its cell count. Adds the size groups of that call
-        (row sizes, or pooled lengths for mean +/- sd) to ``groups``."""
+        gathered, human-normalised and aggregated in array passes, and return
+        its cell count. Adds the size groups of the aggregating call (row
+        sizes, or pooled lengths for mean +/- sd) to ``groups``."""
+        if not block:
+            return 0
         schema, options = self.dataset.schema, self.options
-        cells: list[CellKey] = []
-        # Each cell's environment groups with at least 2 seeds, and its column.
-        cell_leaves: list[list[tuple[str, tuple[float, ...]]]] = []
-        columns, width = [], 0
-        for hp, agent, regime, env in block:
-            by_env = self.dataset.index.get(hp, {}).get((agent, regime), {})
-            nodes = [(e, by_env[e]) for e in (schema.environments if env is None else (env,)) if e in by_env]
-            for i, value in enumerate(schema.hyperparameters[hp]):
-                found = [(e, node[value]) for e, node in nodes if value in node]
-                thin = [e for e, scores in found if len(scores) < 2]
-                if thin:
-                    logger.warning("%s=%s, agent %s, regime %s: dropping groups with fewer than 2 seeds: %s",
-                                   hp, value, agent, regime, ", ".join(thin))
-                if len(thin) < len(found):
-                    cells.append((hp, value, agent, regime, env))
-                    cell_leaves.append([leaf for leaf in found if len(leaf[1]) >= 2])
-                    columns.append(width + i)
-            width += len(schema.hyperparameters[hp])
-        flat = [leaf for leaves in cell_leaves for leaf in leaves]
-        sizes = [len(scores) for _, scores in flat]
-        pairs = np.reshape([self.dataset.baselines.scores[env] for env, _ in flat], (-1, 2))
-        random, human = np.repeat(pairs, sizes, axis=0).T
-        scores = np.fromiter(itertools.chain.from_iterable(s for _, s in flat), float, sum(sizes))
-        lengths = np.array([sum(len(s) for _, s in leaves) for leaves in cell_leaves], dtype=int)
+        # Each context's agent, data regime, first value and first environment
+        # code, and its numbers of values and of environments.
+        a, r, p, e, m, s = np.array([(schema.agents.index(agent), schema.data_regimes.index(regime), self._first[hp],
+                                      0 if env is None else schema.environments.index(env),
+                                      len(schema.hyperparameters[hp]), len(schema.environments) if env is None else 1)
+                                     for hp, agent, regime, env in block]).T
+        # A cell is a context's value, an entry a cell's environment.
+        context = np.repeat(np.arange(len(block)), m)
+        position, width = _ragged(0 * m, m), len(context)
+        cell = np.repeat(np.arange(width), s[context])
+        env = _ragged(e[context], s[context])
+        starts, sizes = self.dataset._groups_at(a[context][cell], env, r[context][cell], (p[context] + position)[cell])
+        contexts, positions = context.tolist(), position.tolist()
+
+        def key(i: int) -> CellKey:
+            hp, agent, regime, environment = block[contexts[i]]
+            return hp, schema.hyperparameters[hp][positions[i]], agent, regime, environment
+
+        thin = np.flatnonzero(sizes == 1)
+        for i, entries in itertools.groupby(zip(cell[thin].tolist(), env[thin].tolist()), lambda x: x[0]):
+            hp, value, agent, regime, _ = key(i)
+            logger.warning("%s=%s, agent %s, regime %s: dropping groups with fewer than 2 seeds: %s",
+                           hp, value, agent, regime, ", ".join(schema.environments[e] for _, e in entries))
+        kept = sizes >= 2
+        rows = np.bincount(cell[kept], minlength=width)
+        columns = np.flatnonzero(rows)
+        sizes, env, rows = sizes[kept], env[kept], rows[columns]
+        lengths = np.bincount(cell[kept], weights=sizes, minlength=width)[columns].astype(int)
+        random, human = self._baselines[:, np.repeat(env, sizes)]
         with np.errstate(over="ignore", invalid="ignore"):
-            normalised = human_normalize(scores, random, human)
-            _require_finite(cells, np.logical_and.reduceat(np.isfinite(normalised),
-                                                           np.cumsum(lengths) - lengths),
-                            "a human-normalised score")
+            normalised = human_normalize(self.dataset._sorted[_ragged(starts[kept], sizes)], random, human)
+            _require_finite(lambda j: key(columns[j]), np.logical_and.reduceat(
+                np.isfinite(normalised), np.cumsum(lengths) - lengths), "a human-normalised score")
             if options.interval_source is IntervalSource.MEAN_SD:
                 out = pooled_mean_and_spreads(normalised, lengths)
                 groups |= set(lengths.tolist())
             else:
-                patterns = [tuple(len(scores) for _, scores in leaves) for leaves in cell_leaves]
-                seeds = [derive_seed(options.seed, hp, value, agent, regime, env or "*")
-                         for hp, value, agent, regime, env in cells]
+                flat, ends = sizes.tolist(), np.cumsum(rows).tolist()
+                patterns = [tuple(flat[end - n:end]) for end, n in zip(ends, rows.tolist())]
+                seeds = [derive_seed(options.seed, hp, value, agent, regime, environment or "*")
+                         for hp, value, agent, regime, environment in map(key, columns.tolist())]
                 out = pooled_bootstrap_cis(normalised, patterns, seeds, options.resamples, options.confidence)
                 groups |= set(patterns)
-        _require_finite(cells, np.isfinite(out).all(axis=0), "an interval bound or point estimate")
+        _require_finite(lambda j: key(columns[j]), np.isfinite(out).all(axis=0),
+                        "an interval bound or point estimate")
         arrays = np.full((3, width), np.nan)
         arrays[:, columns] = out
         arrays.flags.writeable = False
-        for key in block:
-            m = len(schema.hyperparameters[key[0]])
-            self._contexts[key], arrays = arrays[:, :m], arrays[:, m:]
-        return len(cells)
+        for k, n in zip(block, m.tolist()):
+            self._contexts[k], arrays = arrays[:, :n], arrays[:, n:]
+        return len(columns)
 
 
-def _require_finite(cells: Sequence[CellKey], finite: np.ndarray, what: str) -> None:
-    """Raise ``ValueError`` naming the first cell whose ``finite`` is false."""
+def _ragged(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``starts[i], starts[i] + 1, ..., starts[i] + counts[i] - 1`` for each
+    ``i``, laid end to end."""
+    return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+
+
+def _require_finite(cell: Callable[[int], CellKey], finite: np.ndarray, what: str) -> None:
+    """Raise ``ValueError`` naming ``cell(i)`` for the first ``i`` whose ``finite`` is false."""
     if not finite.all():
-        hp, value, agent, regime, environment = cells[int(np.argmin(finite))]
+        hp, value, agent, regime, environment = cell(int(np.argmin(finite)))
         scope = f"environment {environment}" if environment else "pooled environments"
         raise ValueError(f"{hp}={value}, agent {agent}, regime {regime}, {scope}: {what} is not finite")
 
@@ -480,8 +501,8 @@ def assemble_profiles(
 
     # Each plan's contexts as coordinates: its combo plus one label of the axis.
     plans = [(hp, combo, [{**combo, axis.value: label}
-                          for label in _labels_with_runs(dataset, hp, axis, combo)])
-             for hp in dataset.schema.hyperparameters if hp in dataset.index
+                          for label in dataset._labels_with_runs(hp, axis, combo)])
+             for hp in dataset.schema.hyperparameters if dataset._labels_with_runs(hp, Axis.AGENT, {})
              for combo in _combos(dataset, hp, setup, options)]
     # Every context the profiles read, in reading order, filled in one pass.
     cells.fill(_context_key(hp, c) for hp, _, contexts in plans if len(contexts) >= 2 for c in contexts)
@@ -512,7 +533,7 @@ def _combos(
     """
     def choices(axis: Axis) -> list[str]:
         pinned = getattr(options, axis.value)
-        return [pinned] if pinned is not None else _labels_with_runs(dataset, hp, axis, {})
+        return [pinned] if pinned is not None else dataset._labels_with_runs(hp, axis, {})
 
     # assemble_profiles has rejected a pin on the varying axis.
     free_axes = [a for a in (Axis.AGENT, Axis.DATA_REGIME) if a is not setup.axis]
@@ -520,19 +541,6 @@ def _combos(
         free_axes.append(Axis.ENVIRONMENT)
     return [{a.value: v for a, v in zip(free_axes, picks)}
             for picks in itertools.product(*(choices(a) for a in free_axes))]
-
-
-def _labels_with_runs(dataset: SweepDataset, hp: str, axis: Axis,
-                      coords: Mapping[str, str]) -> list[str]:
-    """Declared labels of ``axis``, in schema order, with runs of ``hp`` at
-    ``coords``. An agent or data regime that ``coords`` leaves out matches any
-    label; a pinned environment need not have runs of its own."""
-    found: set[str] = set()
-    for (agent, regime), by_env in dataset.index.get(hp, {}).items():
-        pair = {"agent": agent, "data_regime": regime}
-        if all(coords.get(key, label) == label for key, label in pair.items()):
-            found.update(by_env if axis is Axis.ENVIRONMENT else (pair[axis.value],))
-    return [label for label in dataset.schema.axis_values(axis) if label in found]
 
 
 def _context_key(hp: str, coords: Mapping[str, str]) -> ContextKey:

@@ -33,15 +33,24 @@ formatted only for the rows that fail.
 
 The dataset keeps its runs as columns in input order: one integer code per
 run for its (agent, environment, data regime, hyper-parameter value) cell,
-the seeds, and the scores. The same sort by (cell, seed) gives one read-only
-index of the runs:
+the seeds, and the scores. It also keeps what the sort by (cell, seed) that
+finds duplicate keys gives: the code of each cell with runs (a group) in code
+order, the start and size of each group's runs in that order, and the scores
+so ordered, and, made from the group codes, a mask per hyper-parameter of
+the (agent, environment, data regime) triples with runs. The analysis
+commands read only these: ``CellTable`` gathers its cells' scores from the
+groups, and ``SweepDataset._labels_with_runs`` reads the masks.
+
+``SweepDataset.index`` is the read-only index of the runs:
 ``hyperparameter -> (agent, data_regime) -> environment -> value -> scores``,
 with each leaf a tuple of final scores ordered by seed and every level in the
 order its keys were first seen. Only combinations that were run appear in
-it. :func:`slice_scores` returns one ``(agent, data_regime)`` node of it;
-callers take their output order from the schema, never from the index.
-``SweepDataset.records``, the runs as :class:`RunRecord` objects with the
-schema's identifier strings, is built the first time it is read.
+it. It is built the first time it is read, and no analysis command reads it.
+:func:`slice_scores` returns one ``(agent, data_regime)`` node of it, built
+from that pair's runs alone; callers take their output order from the
+schema, never from the index. ``SweepDataset.records``, the runs as
+:class:`RunRecord` objects with the schema's identifier strings, is also
+built the first time it is read.
 
 Hyper-parameter values are opaque strings compared by exact match. ``"0.5"``
 and ``"0.50"`` are different settings on purpose: ranking only needs
@@ -273,6 +282,8 @@ class SweepSchema:
                 problems.append(f"schema key {name!r} must list at least one identifier")
             if len(set(values)) != len(values):
                 problems.append(f"schema key {name!r} contains duplicates")
+            if "" in values:
+                problems.append(f"schema key {name!r} must not contain an empty label")
         hps: dict[str, tuple[str, ...]] | None = None
         if not isinstance(self.hyperparameters, Mapping):
             problems.append("schema key 'hyperparameters' must be a mapping of name to value list")
@@ -290,6 +301,10 @@ class SweepSchema:
                     problems.append(f"hyperparameter {hp!r} declares no values")
                 if len(set(values)) != len(values):
                     problems.append(f"hyperparameter {hp!r} declares duplicate values")
+                if "" in values:
+                    problems.append(f"hyperparameter {hp!r} must not contain an empty label")
+            if "" in hps:
+                problems.append("hyperparameter names must not contain an empty label")
             problems.extend(_collisions(self.hyperparameters, "hyperparameter names"))
             object.__setattr__(self, "hyperparameters", hps)
         if not isinstance(self.defaults, Mapping):
@@ -313,35 +328,13 @@ def _vocabulary(schema: SweepSchema) -> tuple[Sequence, Sequence, Sequence, list
             [(hp, value) for hp, values in schema.hyperparameters.items() for value in values])
 
 
-def _index(order: np.ndarray, cells: np.ndarray, scores: np.ndarray, vocabulary: tuple) -> Mapping:
-    """Read-only index of the runs that ``order`` sorts by (cell, seed): each
-    cell's scores become a leaf, and leaves are nested in the order their
-    cells were first seen."""
-    index: dict = {}
-    if order.size:
-        ordered = cells[order]
-        starts = np.flatnonzero(np.diff(ordered, prepend=-1))
-        ends = np.append(starts[1:], order.size)
-        # Groups in the order of their first run.
-        groups = np.argsort(np.minimum.reduceat(order, starts))
-        codes = np.unravel_index(ordered[starts[groups]], [len(names) for names in vocabulary])
-        leaves = tuple(scores[order].tolist())
-        agents, environments, regimes, pairs = vocabulary
-        for a, e, r, p, start, end in zip(*(c.tolist() for c in codes), starts[groups].tolist(),
-                                          ends[groups].tolist()):
-            hp, value = pairs[p]
-            index.setdefault(hp, {}).setdefault((agents[a], regimes[r]), {}) \
-                .setdefault(environments[e], {})[value] = leaves[start:end]
-    return _read_only(index, 3)
-
-
-def _read_only(node: dict, depth: int) -> Mapping:
-    """``node`` and the dicts ``depth`` levels below it behind read-only
-    views, made in place: no other code holds them."""
-    if depth:
-        for key, child in node.items():
-            node[key] = _read_only(child, depth - 1)
-    return MappingProxyType(node)
+def _read_only(node: dict | list, depth: int) -> Mapping | tuple:
+    """``node`` behind a read-only view, as the dicts ``depth`` levels below
+    it are, and each list of (seed, score) pairs at that depth a tuple of the
+    scores ordered by seed."""
+    if not depth:
+        return tuple(score for _, score in sorted(node))
+    return MappingProxyType({key: _read_only(child, depth - 1) for key, child in node.items()})
 
 
 class _Block(NamedTuple):
@@ -365,10 +358,11 @@ class SweepDataset:
 
     ``index`` maps hyperparameter -> (agent, data_regime) -> environment ->
     value -> seed-ordered scores, holding only combinations that were run.
-    ``records`` holds the runs in input order and is built on first read.
+    ``records`` holds the runs in input order. Both are built on first read.
     """
 
-    __slots__ = ("_cells", "_seeds", "_scores", "_records", "baselines", "schema", "index")
+    __slots__ = ("_cells", "_seeds", "_scores", "_groups", "_starts", "_sizes", "_sorted", "_runs",
+                 "_records", "_index", "baselines", "schema")
 
     def __init__(self, records: Iterable[RunRecord], baselines: BaselineTable, schema: SweepSchema):
         self._admit(_record_blocks(records), baselines, schema)
@@ -436,23 +430,76 @@ class SweepDataset:
             _raise_problems(problems, rows, after,
                             None if source is None else list(chain.from_iterable(linenos)), source)
 
+        scores, ordered = np.concatenate(scores), cells[order]
+        # Each group's start, and a past-the-end group of no runs that a cell without runs finds.
+        starts = np.append(np.flatnonzero(np.diff(ordered, prepend=-1)), len(order))
+        groups = np.append(ordered[starts[:-1]], np.iinfo(np.int64).max)
+        # Whether each (hyper-parameter, agent, environment, data regime) has runs, read by
+        # _labels_with_runs: unravelling the group codes per question costs more than the fill.
+        a, e, r, p = np.unravel_index(groups[:-1], declared)
+        runs = np.zeros((len(schema.hyperparameters), *declared[:3]), bool)
+        runs[np.repeat(np.arange(len(runs)), [len(v) for v in schema.hyperparameters.values()])[p], a, e, r] = True
         object.__setattr__(self, "_cells", cells)
         object.__setattr__(self, "_seeds", tuple(seeds))
-        object.__setattr__(self, "_scores", np.concatenate(scores))
+        object.__setattr__(self, "_scores", scores)
+        object.__setattr__(self, "_groups", groups)
+        object.__setattr__(self, "_starts", starts)
+        object.__setattr__(self, "_sizes", np.diff(starts, append=len(order)))
+        object.__setattr__(self, "_sorted", scores[order])
+        object.__setattr__(self, "_runs", dict(zip(schema.hyperparameters, runs)))
         object.__setattr__(self, "_records", None)
+        object.__setattr__(self, "_index", None)
         object.__setattr__(self, "baselines", baselines)
         object.__setattr__(self, "schema", schema)
-        object.__setattr__(self, "index", _index(order, cells, self._scores, vocabulary))
 
-    def _columns(self) -> list[Sequence]:
+    def _groups_at(self, *codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The start in ``_sorted`` and the size of the group of runs of each
+        cell whose (agent, environment, data regime, hyper-parameter value)
+        codes are ``codes``; size 0 for a cell without runs."""
+        cells = np.ravel_multi_index(codes, [len(names) for names in _vocabulary(self.schema)])
+        found = np.searchsorted(self._groups, cells)
+        return self._starts[found], np.where(self._groups[found] == cells, self._sizes[found], 0)
+
+    def _labels_with_runs(self, hp: str, axis: Axis, coords: Mapping[str, str]) -> list[str]:
+        """Declared labels of ``axis``, in schema order, with runs of ``hp`` at
+        ``coords``. An agent or data regime that ``coords`` leaves out matches
+        any label, and one the schema does not declare none; an environment in
+        ``coords`` is ignored."""
+        runs = self._runs[hp]
+        for position, pinned in ((0, Axis.AGENT), (2, Axis.DATA_REGIME)):
+            labels, label = self.schema.axis_values(pinned), coords.get(pinned.value)
+            if label is not None:
+                runs = runs.take([labels.index(label)] if label in labels else [], axis=position)
+        found = runs.any(axis=tuple({0, 1, 2} - {list(Axis).index(axis)})).tolist()
+        return [label for label, ran in zip(self.schema.axis_values(axis), found) if ran]
+
+    @property
+    def index(self) -> Mapping:
+        """Every run's score by hyper-parameter, (agent, data regime),
+        environment and value, built the first time it is read."""
+        if self._index is None:
+            object.__setattr__(self, "_index", self._nested())
+        return self._index
+
+    def _nested(self, rows: np.ndarray | None = None) -> Mapping:
+        """The read-only index of every run, or of the runs ``rows`` lists."""
+        index: dict = {}
+        for agent, env, regime, hp, value, seed, score in zip(*self._columns(rows)):
+            index.setdefault(hp, {}).setdefault((agent, regime), {}).setdefault(env, {}) \
+                .setdefault(value, []).append((seed, score))
+        return _read_only(index, 4)
+
+    def _columns(self, rows: np.ndarray | None = None) -> list[Sequence]:
         """The seven run-log columns in input order, identifiers spelled as
-        the schema spells them."""
+        the schema spells them: of every run, or of the runs ``rows`` lists."""
         agents, environments, regimes, pairs = vocabulary = _vocabulary(self.schema)
-        a, e, r, p = (c.tolist() for c in np.unravel_index(self._cells, [len(names) for names in vocabulary]))
+        cells, seeds, scores = (self._cells, self._seeds, self._scores) if rows is None else \
+            (self._cells[rows], [self._seeds[i] for i in rows.tolist()], self._scores[rows])
+        a, e, r, p = (c.tolist() for c in np.unravel_index(cells, [len(names) for names in vocabulary]))
         hps, values = [hp for hp, _ in pairs], [value for _, value in pairs]
         return [list(map(names.__getitem__, column)) for names, column in
                 ((agents, a), (environments, e), (regimes, r), (hps, p), (values, p))] \
-            + [self._seeds, self._scores.tolist()]
+            + [seeds, scores.tolist()]
 
     @property
     def records(self) -> tuple[RunRecord, ...]:
@@ -748,20 +795,23 @@ def slice_scores(
     """One hyper-parameter's per-seed final scores for one (agent, data
     regime) pair, grouped by environment and then by value.
 
-    The result is the read-only index node: only groups that were run
-    appear, and within a group, scores are ordered by seed. Raises
-    ``KeyError`` for an undeclared hyper-parameter and
-    :class:`EmptySliceError` when the pair has no runs of it at all.
+    The result equals the read-only index node
+    ``dataset.index[hyperparameter][agent, data_regime]``, built from this
+    pair's runs alone: only groups that were run appear, and within a group,
+    scores are ordered by seed. Raises ``KeyError`` for an undeclared
+    hyper-parameter and :class:`EmptySliceError` when the pair has no runs of
+    it at all; both checks read the dataset's group codes.
     """
     if hyperparameter not in dataset.schema.hyperparameters:
         raise KeyError(f"hyperparameter {hyperparameter!r} is not declared in the schema")
-    try:
-        return dataset.index[hyperparameter][agent, data_regime]
-    except KeyError:
-        context = {"agent": agent, "data_regime": data_regime}
-        raise EmptySliceError(
-            f"no records for hyperparameter {hyperparameter!r} in context {context}"
-        ) from None
+    context = {"agent": agent, "data_regime": data_regime}
+    if not dataset._labels_with_runs(hyperparameter, Axis.AGENT, context):
+        raise EmptySliceError(f"no records for hyperparameter {hyperparameter!r} in context {context}")
+    agents, _, regimes, pairs = vocabulary = _vocabulary(dataset.schema)
+    a, _, r, p = np.unravel_index(dataset._cells, [len(names) for names in vocabulary])
+    of_hp = np.array([hp == hyperparameter for hp, _ in pairs], bool)
+    rows = np.flatnonzero((a == agents.index(agent)) & (r == regimes.index(data_regime)) & of_hp[p])
+    return dataset._nested(rows)[hyperparameter][agent, data_regime]
 
 
 # -- schema and dataset serialization ---------------------------------------

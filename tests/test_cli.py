@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -12,14 +13,17 @@ from pathlib import Path
 import pytest
 
 import thckit
+import thckit.cli
 from thckit.cli import main
 from thckit.dataset import (
     BaselineTable,
+    EmptySliceError,
     RunRecord,
     SweepDataset,
     bundled_schema,
     bundled_schema_bytes,
     load_dataset,
+    slice_scores,
 )
 from thckit.synth import PlantedDesign, PlantedHyperparameter, generate
 
@@ -567,6 +571,72 @@ def run_cli(tmp_path, argv):
 
 def read_tree(root):
     return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.fixture()
+def unrun_paths(tmp_path):
+    """The committed fixture under a schema that also declares an agent, an
+    environment (with no baseline scores) and a hyper-parameter without runs."""
+    fixture = load_dataset(FIXTURE / "runs.csv", FIXTURE / "baselines.csv", FIXTURE / "schema.yaml")
+    schema = dataclasses.replace(fixture.schema, agents=(*fixture.schema.agents, "agent99"),
+                                 environments=(*fixture.schema.environments, "env99"),
+                                 hyperparameters={**fixture.schema.hyperparameters, "unrun": ("a", "b")})
+    return write_dataset_files(SweepDataset(fixture.records, fixture.baselines, schema), tmp_path / "inputs")
+
+
+@pytest.fixture()
+def loaded(monkeypatch):
+    """The datasets the CLI loads, in order."""
+    datasets = []
+
+    def load(*paths):
+        datasets.append(load_dataset(*paths))
+        return datasets[-1]
+
+    monkeypatch.setattr(thckit.cli, "load_dataset", load)
+    return datasets
+
+
+class TestIndexNotBuilt:
+    # The analysis commands read the dataset's group codes; the nested index
+    # is built only for library callers of ``index``, and ``slice_scores``
+    # (which ``rank`` calls for its errors) builds only its pair's node.
+    @pytest.mark.parametrize("argv", [
+        ["validate"],
+        ["rank", "--hyperparameter", "lr", "--agent", "agent01", "--data-regime", "low"],
+        ["rank", "--hyperparameter", "lr", "--agent", "agent01", "--data-regime", "low",
+         "--environment", "env02", "--interval-source", "mean_sd"],
+        ["thc", "--setup", "environments", "--interval-source", "mean_sd", "--kendall"],
+        ["thc", "--setup", "agents", "--resamples", "200"],
+        ["report", "--resamples", "200", "--kendall", "--out", "bundle"],
+    ], ids=["validate", "rank", "rank-environment", "thc-environments", "thc-agents", "report"])
+    def test_analysis_commands_leave_it_unbuilt(self, unrun_paths, loaded, tmp_path, capsys, argv):
+        args = [str(tmp_path / arg) if arg == "bundle" else arg for arg in argv[1:]]
+        assert main([argv[0], *dataset_args(unrun_paths), *args]) == 0
+        [dataset] = loaded
+        assert dataset._index is None
+
+    def test_validate_summary_counts_what_the_index_holds(self, unrun_paths, loaded, capsys):
+        assert main(["validate", *dataset_args(unrun_paths)]) == 0
+        out = capsys.readouterr().out
+        [dataset] = loaded
+        environments = {env for by_pair in dataset.index.values() for by_env in by_pair.values() for env in by_env}
+        assert out == f"OK: {len(dataset)} runs across {len(dataset.index)} hyperparameter(s), " \
+                      f"{len(environments)} environment(s)\n"
+        assert out == "OK: 384 runs across 3 hyperparameter(s), 4 environment(s)\n"
+
+    @pytest.mark.parametrize("hp, agent", [("lr", "agent99"), ("unrun", "agent01")])
+    def test_rank_of_a_slice_without_runs_exits_2_as_slice_scores_raises(self, unrun_paths, loaded, capsys,
+                                                                          hp, agent):
+        assert main(["rank", *dataset_args(unrun_paths), "--hyperparameter", hp, "--agent", agent,
+                     "--data-regime", "low"]) == 2
+        err = capsys.readouterr().err
+        [dataset] = loaded
+        assert dataset._index is None
+        with pytest.raises(EmptySliceError) as excinfo:
+            slice_scores(dataset, hp, agent, "low")
+        assert err == f"error: {excinfo.value}\n" == (
+            f"error: no records for hyperparameter {hp!r} in context {{'agent': {agent!r}, 'data_regime': 'low'}}\n")
 
 
 class TestVerbose:

@@ -10,6 +10,7 @@ import math
 import warnings
 from collections import defaultdict
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ from thckit.consistency import (
 from thckit.dataset import BaselineTable, EmptySliceError, RunRecord, SweepDataset, SweepSchema, load_dataset
 from thckit.ranking import RankingMode
 from thckit.report import build_report_bundle, write_report_bundle
-from thckit.stats import ScoreMatrix
+from thckit.stats import ScoreMatrix, derive_seed, human_normalize, pooled_bootstrap_cis, pooled_mean_and_spreads
 
 from conftest import dataset_from_intervals, rankable_cells, reference_trajectory_cells
 
@@ -774,11 +775,12 @@ class TestCellTable:
         assert "lr=0.1, agent agent01, regime low" in warned[0] and warned[0].endswith("env01")
 
 
-# -- assembly against a brute-force plan ---------------------------------------
+# -- assembly and cell gathering against brute-force references -----------------
 # Sparse sweeps over 2 agents x 3 environments x 2 regimes: per hyper-parameter,
 # some (agent, regime) pairs have runs, in some environments, with 0-3 seeds per
 # value, so contexts without data, contexts of thin groups only and values
-# rankable in some contexts but not all all occur.
+# rankable in some contexts but not all all occur. Scores and each
+# environment's baselines are drawn.
 
 SPARSE_AXES = {"agent": ("a1", "a2"), "environment": ("e1", "e2", "e3"), "data_regime": ("r1", "r2")}
 
@@ -791,12 +793,17 @@ def sparse_sweeps(draw) -> SweepDataset:
         for agent, regime in sorted(draw(st.sets(st.sampled_from(
                 [(a, r) for a in SPARSE_AXES["agent"] for r in SPARSE_AXES["data_regime"]])))):
             for env in sorted(draw(st.sets(st.sampled_from(SPARSE_AXES["environment"]), min_size=1))):
-                for i, value in enumerate(values):
-                    records += [RunRecord(agent, env, regime, hp, value, seed, float(i + seed / 2))
+                for value in values:
+                    records += [RunRecord(agent, env, regime, hp, value, seed, draw(st.floats(-100, 100)))
                                 for seed in range(draw(st.integers(0, 3)))]
     schema = SweepSchema(SPARSE_AXES["agent"], SPARSE_AXES["environment"], SPARSE_AXES["data_regime"],
                          hyperparameters)
-    return SweepDataset(records, BaselineTable({env: (0.0, 1.0) for env in schema.environments}), schema)
+    baselines = {}
+    for env in schema.environments:
+        random = draw(st.floats(-10, 10))
+        baselines[env] = (random, random + draw(st.floats(0.5, 50)))
+    return SweepDataset(records, BaselineTable(baselines), schema)
+
 
 
 @st.composite
@@ -860,3 +867,69 @@ class TestAssemblyReference:
         profiles, skipped = reference_plan(dataset, setup, {"environment": None, **pins})
         assert [(p.hyperparameter, dict(p.fixed), p.contexts, p.values) for p in assembled.profiles] == profiles
         assert [(s.hyperparameter, dict(s.fixed), s.reason) for s in assembled.skipped] == skipped
+
+
+def walked_context(dataset: SweepDataset, options: AssemblyOptions, key: tuple,
+                   warned: list[str]) -> np.ndarray:
+    """One context's ``(3, m)`` arrays built cell by cell from ``dataset.index``,
+    each cell aggregated alone; appends the context's thin-group warnings to
+    ``warned``."""
+    hp, agent, regime, env = key
+    node = dataset.index.get(hp, {}).get((agent, regime), {})
+    values = dataset.schema.hyperparameters[hp]
+    out = np.full((3, len(values)), np.nan)
+    for i, value in enumerate(values):
+        found = [(e, node[e][value]) for e in (dataset.schema.environments if env is None else (env,))
+                 if value in node.get(e, {})]
+        thin = [e for e, scores in found if len(scores) < 2]
+        if thin:
+            warned.append(f"{hp}={value}, agent {agent}, regime {regime}: "
+                          f"dropping groups with fewer than 2 seeds: {', '.join(thin)}")
+        kept = [(e, scores) for e, scores in found if len(scores) >= 2]
+        if not kept:
+            continue
+        normalised = np.concatenate([human_normalize(np.array(scores), *dataset.baselines.scores[e])
+                                     for e, scores in kept])
+        if options.interval_source is IntervalSource.MEAN_SD:
+            out[:, i] = pooled_mean_and_spreads(normalised, np.array([len(normalised)]))[:, 0]
+        else:
+            seed = derive_seed(options.seed, hp, value, agent, regime, env or "*")
+            out[:, i] = pooled_bootstrap_cis(normalised, [tuple(len(scores) for _, scores in kept)], [seed],
+                                             options.resamples, options.confidence)[:, 0]
+    return out
+
+
+class WarningList(logging.Handler):
+    def __init__(self) -> None:
+        super().__init__(logging.WARNING)
+        self.messages: list[str] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.messages.append(record.getMessage())
+
+
+class TestCellGather:
+    @given(sparse_sweeps(), st.data())
+    @settings(deadline=None)
+    def test_matches_a_cell_by_cell_walk_of_the_index(self, dataset, data):
+        # Every context, pooled and pinned, listed in a drawn order and filled in drawn block sizes.
+        keys = data.draw(st.permutations([(hp, agent, regime, env) for hp in dataset.schema.hyperparameters
+                                          for agent in SPARSE_AXES["agent"]
+                                          for regime in SPARSE_AXES["data_regime"]
+                                          for env in (None, *SPARSE_AXES["environment"])]))
+        block = data.draw(st.integers(1, 300))
+        for source in IntervalSource:
+            options = AssemblyOptions(interval_source=source, resamples=100, seed=7)
+            warned: list[str] = []
+            walked = [walked_context(dataset, options, key, warned) for key in keys]
+            cells, handler = CellTable(dataset, options), WarningList()
+            consistency.logger.addHandler(handler)
+            try:
+                with mock.patch.object(consistency, "_FILL_BLOCK", block):
+                    cells.fill(keys)
+            finally:
+                consistency.logger.removeHandler(handler)
+            assert handler.messages == warned
+            for key, arrays in zip(keys, walked):
+                assert ([list(map(float.hex, row)) for row in cells.context_arrays(*key).tolist()]
+                        == [list(map(float.hex, row)) for row in arrays.tolist()]), key

@@ -507,6 +507,30 @@ class TestSweepSchema:
             SweepSchema(**{**base, **kwargs})
         assert excinfo.value.diagnostics == [diagnostic]
 
+    @pytest.mark.parametrize("entries, diagnostic", [
+        ({"agents": ["", "a1"]}, "schema key 'agents' must not contain an empty label"),
+        ({"environments": ["e1", ""]}, "schema key 'environments' must not contain an empty label"),
+        ({"data_regimes": [""]}, "schema key 'data_regimes' must not contain an empty label"),
+        ({"hyperparameters": {"": ["0.1"]}}, "hyperparameter names must not contain an empty label"),
+        ({"hyperparameters": {"lr": ["", "0.1"]}}, "hyperparameter 'lr' must not contain an empty label"),
+    ], ids=["agent", "environment", "data-regime", "hyperparameter-name", "value"])
+    def test_empty_labels_rejected_by_either_route(self, entries, diagnostic):
+        # No run can carry an empty identifier, so a schema declaring one could never be met.
+        doc = {"agents": ["a1"], "environments": ["e1"], "data_regimes": ["r1"], "hyperparameters": {"lr": ["0.1"]},
+               **entries}
+        with pytest.raises(DatasetError) as excinfo:
+            SweepSchema(**doc)
+        assert excinfo.value.diagnostics == [diagnostic]
+        with pytest.raises(DatasetError) as excinfo:
+            load_schema(io.StringIO(yaml.safe_dump(doc)))
+        assert excinfo.value.diagnostics == [f"<schema>: {diagnostic}"]
+
+    def test_every_empty_label_reported_at_once(self):
+        with pytest.raises(DatasetError) as excinfo:
+            SweepSchema(["", "a"], ["e"], ["r"], {"lr": ["", "x"]})
+        assert excinfo.value.diagnostics == ["schema key 'agents' must not contain an empty label",
+                                             "hyperparameter 'lr' must not contain an empty label"]
+
     def test_values_are_held_as_strings_and_match_runs(self):
         schema = SweepSchema(["a1"], np.array(["e1"]), ("r1",), {"lr": (0.1, True)}, {"lr": 0.1})
         assert schema.environments == ("e1",)
@@ -722,6 +746,7 @@ class TestSlice:
     @given(record_sets)
     def test_matches_brute_force_filter_and_sort(self, records):
         ds = SweepDataset(records, small_baselines(), small_schema())
+        slices = {}
         for hp in ("lr", "bs"):
             for agent in ("a1", "a2"):
                 for regime in ("r1", "r2"):
@@ -730,8 +755,14 @@ class TestSlice:
                         with pytest.raises(EmptySliceError):
                             slice_scores(ds, hp, agent, regime)
                         continue
-                    groups = slice_scores(ds, hp, agent, regime)
+                    groups = slices[hp, agent, regime] = slice_scores(ds, hp, agent, regime)
                     assert {env: dict(by_value) for env, by_value in groups.items()} == expected
+        # Each pair's node is built alone, and equals the index's, key order included.
+        assert ds._index is None
+        for (hp, agent, regime), groups in slices.items():
+            nodes = [[(env, list(by_value.items())) for env, by_value in node.items()]
+                     for node in (groups, ds.index[hp][agent, regime])]
+            assert nodes[0] == nodes[1]
 
 
 def shuffled_run_log() -> tuple[SweepDataset, str, list[str], str]:
@@ -921,11 +952,17 @@ def schema_documents(draw) -> dict:
     # Every slot a list or a mapping belongs in, as (container, key).
     slots = [(doc, key) for key in doc] + [(doc["hyperparameters"], name) for name in doc["hyperparameters"]]
     container, key = draw(st.sampled_from(slots))
-    fault = draw(st.sampled_from(["none", "wrong type", "duplicate", "collision"]))
+    fault = draw(st.sampled_from(["none", "wrong type", "duplicate", "collision", "empty"]))
     if fault == "wrong type":
         container[key] = draw(non_lists if isinstance(container[key], list) else non_mappings)
     elif fault == "duplicate" and isinstance(container[key], list):
         container[key].append(container[key][0])
+    elif fault == "empty":
+        # An empty label in a list, or an empty hyper-parameter name.
+        if isinstance(container[key], list):
+            container[key].insert(draw(st.integers(0, len(container[key]))), "")
+        else:
+            doc["hyperparameters"][""] = draw(schema_lists)
     elif fault == "collision":
         # Two names that read as one string, such as 7 and "7".
         name, key = draw(st.integers(2, 300)), draw(st.sampled_from(["hyperparameters", "defaults"]))

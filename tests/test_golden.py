@@ -21,6 +21,18 @@ diff. Regenerate with:
         rows = recovery_study(load_design('tests/data/design.yaml'), [0.0, 0.25, 0.5], 5); \
         print(json.dumps([dataclasses.asdict(r) for r in rows], indent=2, sort_keys=True))" \
         > tests/golden/recovery.json
+
+tests/golden/north_star/MANIFEST.sha256 is the manifest of the north-star
+bundle: ``report --setup all --kendall`` at the default 2000 resamples on the
+41,600 runs that tests/data/north_star_design.yaml plants (20
+hyper-parameters x 4 values x 2 agents x 26 environments x 2 regimes x 5
+seeds). Only the manifest is committed, not the 3 MB bundle. Regenerate with:
+
+    python3 -m thckit.cli synth --design tests/data/north_star_design.yaml --out north_star
+    python3 -m thckit.cli report --runs north_star/runs.csv \
+        --baselines north_star/baselines.csv --schema north_star/schema.yaml \
+        --setup all --kendall --out north_star/report
+    cp north_star/report/MANIFEST.sha256 tests/golden/north_star/MANIFEST.sha256
 """
 
 from __future__ import annotations
@@ -95,3 +107,22 @@ def test_recovery_study_matches_golden():
     fresh = [dataclasses.asdict(row) for row in rows]
     golden = json.loads((GOLDEN / "recovery.json").read_text())
     assert fresh == golden
+
+
+def manifest_digests(text: str) -> dict[str, str]:
+    return {name: digest for digest, name in (line.split("  ", 1) for line in text.splitlines())}
+
+
+def test_north_star_manifest_matches_golden(tmp_path, capsys):
+    inputs, out = tmp_path / "north_star", tmp_path / "report"
+    assert main(["synth", "--design", str(DATA / "north_star_design.yaml"), "--out", str(inputs)]) == 0
+    assert main(["report", "--runs", str(inputs / "runs.csv"), "--baselines", str(inputs / "baselines.csv"),
+                 "--schema", str(inputs / "schema.yaml"), "--setup", "all", "--kendall", "--out", str(out)]) == 0
+    capsys.readouterr()
+    fresh = (out / "MANIFEST.sha256").read_bytes()
+    golden = (GOLDEN / "north_star" / "MANIFEST.sha256").read_bytes()
+    if fresh != golden:
+        fresh_digests, golden_digests = (manifest_digests(m.decode("utf-8")) for m in (fresh, golden))
+        differing = sorted(name for name in fresh_digests.keys() | golden_digests.keys()
+                           if fresh_digests.get(name) != golden_digests.get(name))
+        pytest.fail(f"north-star bundle differs from its golden manifest in: {', '.join(differing) or 'order'}")
