@@ -18,6 +18,7 @@ from typing import Sequence
 from . import __version__
 from .consistency import (
     AssemblyOptions,
+    ConsistencyReport,
     IntervalSource,
     PtpNormalization,
     TransferSetup,
@@ -168,6 +169,10 @@ def _print_table(rows: Sequence[Sequence[str]]) -> None:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.runs, args.baselines, args.schema)
+    # The analysis commands refuse such scores, so they fail validation too.
+    problems = dataset._normalisation_problems()
+    if problems:
+        raise DatasetError(problems)
     run = [hp for hp in dataset.schema.hyperparameters if dataset._labels_with_runs(hp, Axis.AGENT, {})]
     environments = {env for hp in run for env in dataset._labels_with_runs(hp, Axis.ENVIRONMENT, {})}
     print(f"OK: {len(dataset)} runs across {len(run)} hyperparameter(s), "
@@ -206,6 +211,13 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _setup_and_skips(report: ConsistencyReport) -> str:
+    """The report's setup as ``--setup`` spells it, then the reason it
+    skipped each hyper-parameter, if any."""
+    reasons = "; ".join(f"{s.hyperparameter}: {s.reason}" for s in report.skipped)
+    return report.setup.value.replace("_", "-") + (f" ({reasons})" if reasons else "")
+
+
 def _cmd_thc(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.runs, args.baselines, args.schema)
     setup = _SETUPS[args.setup]
@@ -214,9 +226,7 @@ def _cmd_thc(args: argparse.Namespace) -> int:
         dataset, setup, options, args.ptp_normalization, include_kendall=args.kendall)
 
     if not report.entries:
-        reasons = "; ".join(f"{s.hyperparameter}: {s.reason}" for s in report.skipped)
-        raise DegenerateError(
-            f"nothing comparable across {args.setup}" + (f" ({reasons})" if reasons else ""))
+        raise DegenerateError(f"nothing comparable across {_setup_and_skips(report)}")
 
     _print_table(consistency_rows(report, args.kendall))
     for skip in report.skipped:
@@ -253,6 +263,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     bundle = build_report_bundle(
         dataset, setups, options, args.ptp_normalization,
         include_kendall=args.kendall, inputs=inputs)
+    if not any(report.entries for report in bundle.reports):
+        raise DegenerateError("nothing comparable across " + ", ".join(map(_setup_and_skips, bundle.reports)))
     written = write_report_bundle(bundle, args.out)
     print(f"wrote {len(written)} files under {args.out}")
     return EXIT_OK

@@ -74,6 +74,8 @@ from typing import IO, AbstractSet, Any, Callable, Iterable, Iterator, Mapping, 
 import numpy as np
 import yaml
 
+from .stats import human_normalize
+
 __all__ = [
     "Axis",
     "BaselineTable",
@@ -472,6 +474,18 @@ class SweepDataset:
                 runs = runs.take([labels.index(label)] if label in labels else [], axis=position)
         found = runs.any(axis=tuple({0, 1, 2} - {list(Axis).index(axis)})).tolist()
         return [label for label, ran in zip(self.schema.axis_values(axis), found) if ran]
+
+    def _normalisation_problems(self) -> list[str]:
+        """One problem per environment, in schema order, with a run whose
+        human-normalised score is not finite."""
+        envs = self.schema.environments
+        env = np.unravel_index(self._cells, [len(names) for names in _vocabulary(self.schema)])[1]
+        baselines = np.array([self.baselines.scores.get(name, (np.nan, np.nan)) for name in envs])
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(human_normalize(self._scores, *baselines.T[:, env]))
+        return [f"a human-normalised score of environment {envs[code]!r} is not finite "
+                "(random_score {!r}, human_score {!r})".format(*baselines[code].tolist())
+                for code in np.unique(env[~finite]).tolist()]
 
     @property
     def index(self) -> Mapping:

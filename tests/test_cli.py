@@ -15,6 +15,7 @@ import pytest
 import thckit
 import thckit.cli
 from thckit.cli import main
+from thckit.consistency import AssemblyOptions, IntervalSource, TransferSetup
 from thckit.dataset import (
     BaselineTable,
     EmptySliceError,
@@ -25,6 +26,7 @@ from thckit.dataset import (
     load_dataset,
     slice_scores,
 )
+from thckit.report import build_report_bundle, write_report_bundle
 from thckit.synth import PlantedDesign, PlantedHyperparameter, generate
 
 from conftest import (
@@ -87,6 +89,22 @@ class TestValidate:
         baselines.write_text("\n".join(lines) + "\n")
         assert main(["validate", *dataset_args(reference_paths)]) == 1
         assert "g3" in capsys.readouterr().err
+
+    def test_unnormalisable_scores_exit_1_naming_the_environment(self, reference_paths, capsys):
+        # human - random = 1e-320 is subnormal, so every g3 score whose
+        # random-relative value is above about 1.8e-12 normalises to inf.
+        baselines = reference_paths["baselines"]
+        lines = baselines.read_text().splitlines()
+        baselines.write_text("\n".join(line if not line.startswith("g3,") else "g3,0.0,1e-320"
+                                       for line in lines) + "\n")
+        assert main(["validate", *dataset_args(reference_paths)]) == 1
+        assert capsys.readouterr().err == (
+            "a human-normalised score of environment 'g3' is not finite "
+            "(random_score 0.0, human_score 1e-320)\n"
+            "validation failed with 1 problem(s)\n")
+        assert main(["thc", *dataset_args(reference_paths), "--setup", "environments",
+                     "--interval-source", "mean_sd"]) == 2
+        assert "a human-normalised score is not finite" in capsys.readouterr().err
 
     def test_unparseable_score_names_line(self, reference_paths, capsys):
         runs = reference_paths["runs"]
@@ -298,14 +316,15 @@ class TestReport:
                    for e in report["setups"]["environments"]["entries"]}
         assert entries["ha"]["thc"] == pytest.approx(2.5 / 3)
 
-    def test_all_leaves_out_setups_that_vary_a_pin(self, reference_paths, tmp_path, capsys):
+    def test_all_leaves_out_setups_that_vary_a_pin(self, tmp_path, capsys):
+        # The fixture's two agents and two regimes make both setups comparable.
         out = tmp_path / "bundle"
-        assert main(["report", *dataset_args(reference_paths), "--out", str(out),
-                     "--environment", "g1", "--interval-source", "mean_sd"]) == 0
+        assert main(["report", *FIXTURE_ARGS, "--out", str(out),
+                     "--environment", "env01", "--interval-source", "mean_sd"]) == 0
         capsys.readouterr()
         report = json.loads((out / "report.json").read_text())
         assert report["provenance"]["flags"]["setups"] == ["agents", "data_regimes"]
-        assert report["provenance"]["flags"]["environment"] == "g1"
+        assert report["provenance"]["flags"]["environment"] == "env01"
         assert list(report["setups"]) == ["agents", "data_regimes"]
 
     @pytest.mark.parametrize("argv, message", [
@@ -320,6 +339,19 @@ class TestReport:
         out = tmp_path / "bundle"
         assert main(["report", *dataset_args(reference_paths), "--out", str(out), *argv]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, setups", [
+        ([], "agents, environments, data-regimes"),
+        (["--setup", "agents"], "agents"),
+    ], ids=["all", "agents"])
+    def test_nothing_comparable_exits_3_writing_nothing(self, reference_paths, tmp_path, capsys,
+                                                        argv, setups):
+        runs = reference_paths["runs"]
+        runs.write_text(runs.read_text().splitlines()[0] + "\n")
+        out = tmp_path / "bundle"
+        assert main(["report", *dataset_args(reference_paths), "--out", str(out), *argv]) == 3
+        assert capsys.readouterr().err == f"error: nothing comparable across {setups}\n"
         assert not out.exists()
 
     def test_series_name_collision_exits_2_naming_both_profiles(self, tmp_path, capsys):
@@ -337,7 +369,9 @@ class TestReport:
         assert not out.exists()
 
     # The committed fixture keeps some series files; the one-agent reference
-    # sweep has none across agents, so its series directory goes too.
+    # sweep has none across agents, so its series directory goes too. The
+    # CLI refuses a bundle without entries (exit 3), so that one is written
+    # through the library.
     @pytest.mark.parametrize("committed", [True, False], ids=["fixture", "reference"])
     def test_rerun_into_one_directory_matches_a_fresh_one(self, committed, reference_paths,
                                                           tmp_path, capsys):
@@ -349,8 +383,15 @@ class TestReport:
         reused, fresh = tmp_path / "reused", tmp_path / "fresh"
         assert main(["report", *common, "--setup", "all", "--out", str(reused)]) == 0
         before = read_tree(reused)
-        assert main(["report", *common, "--setup", "agents", "--out", str(reused)]) == 0
-        assert main(["report", *common, "--setup", "agents", "--out", str(fresh)]) == 0
+        for out in (reused, fresh):
+            if committed:
+                assert main(["report", *common, "--setup", "agents", "--out", str(out)]) == 0
+            else:
+                dataset = load_dataset(paths["runs"], paths["baselines"], paths["schema"])
+                bundle = build_report_bundle(dataset, [TransferSetup.ACROSS_AGENTS],
+                                             AssemblyOptions(interval_source=IntervalSource.MEAN_SD))
+                assert not bundle.reports[0].entries
+                write_report_bundle(bundle, out)
         capsys.readouterr()
         assert read_tree(reused) == read_tree(fresh)
         assert len(read_tree(fresh)) < len(before)

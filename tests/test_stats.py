@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import math
+import os
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -484,6 +488,119 @@ class TestCellBatches:
         assert out.shape == (3, 2_000)
         # Held at once, the replicate statistics alone would take 32 MB.
         assert peak < 4 * 2**20
+
+
+class CountedThread(threading.Thread):
+    """A thread that records itself in ``started`` when it starts."""
+
+    started: list = []
+
+    def start(self):
+        CountedThread.started.append(self)
+        super().start()
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the process's CPU affinity, as ``pooled_bootstrap_cis`` reads it,
+    to ``count`` CPUs, and count the threads started."""
+    monkeypatch.setattr(CountedThread, "started", [])
+    monkeypatch.setattr(threading, "Thread", CountedThread)
+
+    def set_count(count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+        return CountedThread.started
+    return set_count
+
+
+class TestThreads:
+    """Groups of row-sorted cells split across one thread per CPU."""
+
+    @pytest.mark.parametrize("count", [2, 3])
+    @pytest.mark.parametrize("chunk_entries", [1, 3_000, None],
+                             ids=["one replicate", "two small cells", "default"])
+    def test_bit_identical_at_any_cpu_count(self, monkeypatch, cpus, count, chunk_entries):
+        rng = np.random.default_rng(count)
+        # Seven cells of the 130-entry pattern take the row sort; the last
+        # slice, on a worker, holds the most cells.
+        cells = mixed_cells(rng, 28)
+        if chunk_entries is not None:
+            monkeypatch.setattr("thckit.stats._CHUNK_ENTRIES", chunk_entries)
+        cpus(1)
+        serial = pooled_cells(cells, MIN_RESAMPLES + 7).tolist()
+        assert CountedThread.started == []
+        started = cpus(count)
+        # Switch threads as often as the interpreter allows.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = pooled_cells(cells, MIN_RESAMPLES + 7).tolist()
+        finally:
+            sys.setswitchinterval(interval)
+        assert [[v.hex() for v in row] for row in threaded] == [[v.hex() for v in row] for row in serial]
+        assert len(started) == count - 1
+        assert not any(thread.is_alive() for thread in started)
+
+    def test_a_slow_worker_finishes_before_the_call_returns(self, monkeypatch, cpus):
+        # Two cells on three CPUs: one worker, which sleeps before its cell.
+        started = cpus(3)
+        estimates = stats._PatternGroup.estimates
+
+        def slow_on_workers(group, *args):
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.05)
+            return estimates(group, *args)
+
+        monkeypatch.setattr(stats._PatternGroup, "estimates", slow_on_workers)
+        rows = np.random.default_rng(3).normal(size=(2, 26, 5))
+        lower, upper, _ = pooled_bootstrap_cis(rows.ravel(), [(5,) * 26] * 2, [1, 2], MIN_RESAMPLES).tolist()
+        assert len(started) == 1 and not started[0].is_alive()
+        assert [hex_bounds(lo, up) for lo, up in zip(lower, upper)] == \
+            hexes(stratified_bootstrap_ci(ScoreMatrix(cell), MIN_RESAMPLES, seed=seed)
+                  for cell, seed in zip(rows, [1, 2]))
+
+    def test_network_groups_and_lone_cells_start_no_thread(self, monkeypatch, cpus):
+        cpus(3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading, "Thread", refuse)
+        rng = np.random.default_rng(4)
+        # Network cells of 3, 12 and 13 entries, then one row-sorted cell.
+        patterns = [(3,)] * 6 + [(3,) * 4] * 6 + [(1, 4, 7, 1)] * 6 + [(5,) * 26]
+        values = rng.normal(size=sum(map(sum, patterns)))
+        pooled_bootstrap_cis(values, patterns, range(len(patterns)), MIN_RESAMPLES)
+
+    @pytest.mark.parametrize("refused, message", [
+        ({200}, "resamples=100 needs 1,600 bytes for the replicate IQMs of 2 cell(s)"),
+        ({100, 200}, "resamples=100 needs 800 bytes for the replicate IQMs of 1 cell(s)"),
+    ], ids=["worker slice", "both slices"])
+    def test_allocation_error_reaches_the_caller_after_every_join(self, monkeypatch, cpus, refused, message):
+        # Three 130-entry cells on two CPUs: this thread takes one cell, whose
+        # replicate IQMs take 100 floats, and a worker the other two (200).
+        started = cpus(2)
+        empty = np.empty
+
+        def refuse_replicates(shape, *args, **kwargs):
+            if shape in refused:
+                raise MemoryError("Unable to allocate")
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", refuse_replicates)
+        values = np.random.default_rng(5).normal(size=3 * 130)
+        with pytest.raises(ValueError) as excinfo:
+            pooled_bootstrap_cis(values, [(5,) * 26] * 3, [1, 2, 3], MIN_RESAMPLES)
+        assert str(excinfo.value) == message + ", more than can be allocated"
+        assert isinstance(excinfo.value.__cause__, MemoryError)
+        assert len(started) == 1 and not started[0].is_alive()
+
+    def test_cpu_count_without_an_affinity_call(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert stats._cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert stats._cpus() == 1
 
 
 def narrow_cells(rng, n):
