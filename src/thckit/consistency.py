@@ -10,7 +10,9 @@ kept its rank everywhere; 1 means every value swung between best and worst.
 Kendall's W and pairwise Kendall's tau-b are provided as classical
 comparison baselines. Profiles read their cells' intervals from a
 :class:`CellTable`, which normalises and aggregates whole contexts in array
-passes, and rank all contexts of a profile with one ``rank_intervals`` call.
+passes. A setup's profiles of one hyper-parameter whose kept values agree
+are ranked with one ``rank_intervals`` call, and its profiles of one shape
+are scored in one pass; the one-profile functions are calls of that pass.
 """
 
 from __future__ import annotations
@@ -20,12 +22,12 @@ import functools
 import itertools
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .dataset import Axis, SweepDataset, SweepSchema, slice_scores
-from .ranking import RankingMode, RankingTable, rank_intervals, ranking_tables
+from .ranking import RankingMode, RankingTable, log_divergent, rank_intervals, ranking_tables
 from .stats import (
     DEFAULT_CONFIDENCE,
     DEFAULT_RESAMPLES,
@@ -119,7 +121,8 @@ class RankProfile:
         return self.build_tables()
 
     def __post_init__(self) -> None:
-        ranks = np.asarray(self.ranks, dtype=float)
+        # C order, so that scoring the profile alone or in a stack adds alike.
+        ranks = np.ascontiguousarray(self.ranks, dtype=float)
         object.__setattr__(self, "ranks", ranks)
         if len(set(self.values)) != len(self.values):
             raise ValueError("profile values must be unique")
@@ -154,27 +157,98 @@ def normalized_ptp(
     ``m`` is the number of values the spreads were computed over; it
     defaults to ``len(ptp_values)``.
     """
-    spreads = [float(p) for p in ptp_values]
-    if any(p < 0 for p in spreads):
+    spreads = np.array([[float(p) for p in ptp_values]])
+    if (spreads < 0).any():
         raise ValueError("ptp values must be non-negative")
     if m is None:
-        m = len(spreads)
+        m = spreads.shape[1]
     if m < 1:
         raise ValueError("value count m must be >= 1")
-    mode = PtpNormalization(mode)
+    return _normalized(spreads, m, PtpNormalization(mode))[0].tolist()
+
+
+# The kernels below score a stack of ``n`` profiles' ``(v, c)`` rank matrices
+# at once. Each of their numpy reductions runs over a contiguous last axis, so
+# a profile's scores are bit for bit those of a stack of one.
+
+@functools.cache
+def _triu(n: int, k: int) -> tuple[np.ndarray, ...]:
+    """``np.triu_indices(n, k)``, made once per size and read-only, as every caller shares it."""
+    pairs = np.triu_indices(n, k)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
+def _normalized(spreads: np.ndarray, m: int, mode: PtpNormalization) -> np.ndarray:
+    """Each row of ``(n, k)`` rank spreads over ``m`` values, normalized."""
     if mode is PtpNormalization.MAX:
-        if m == 1:
-            return [0.0 for _ in spreads]
-        return [p / (m - 1) for p in spreads]
-    total = sum(spreads)
-    if total == 0:
-        return [0.0 for _ in spreads]
-    return [p / total for p in spreads]
+        return spreads / (m - 1) if m > 1 else np.zeros_like(spreads)
+    totals = np.array([[sum(row)] for row in spreads.tolist()])
+    return np.divide(spreads, totals, out=np.zeros_like(spreads), where=totals != 0)
 
 
-def _profile_spreads(profile: RankProfile, mode: PtpNormalization) -> list[float]:
-    """Normalized rank spread of each of the profile's values, in order."""
-    return normalized_ptp([ptp(row) for row in profile.ranks], m=len(profile.values), mode=mode)
+def _spreads(ranks: np.ndarray, mode: PtpNormalization) -> list[list[float]]:
+    """Each profile's normalized rank spread per value."""
+    return _normalized(ranks.max(axis=2) - ranks.min(axis=2), ranks.shape[1], mode).tolist()
+
+
+def _kendall_ws(ranks: np.ndarray) -> list[float | None]:
+    """Each profile's Kendall W; see :func:`kendall_w`."""
+    n, v, c = ranks.shape
+    totals = ranks.sum(axis=2)
+    s = ((totals - totals.mean(axis=1, keepdims=True)) ** 2).sum(axis=1)
+    # Tie groups of every context at once: sort each context's ranks, mark
+    # where a new rank starts, and take each group's size t as the gap
+    # between marks. Each context's row starts with a mark, so no group
+    # spans two contexts, and the t**3 - t sums are exact integers.
+    ordered = np.sort(ranks, axis=1).transpose(0, 2, 1)
+    starts = np.ones(ordered.shape, dtype=bool)
+    starts[..., 1:] = ordered[..., 1:] != ordered[..., :-1]
+    marks = np.flatnonzero(starts)
+    t = np.diff(np.append(marks, starts.size))
+    tie_term = np.bincount(marks // (v * c), weights=t**3 - t, minlength=n)
+    denom = c * c * (v**3 - v) - c * tie_term
+    return [12.0 * total / d if d > 0 else None for total, d in zip(s.tolist(), denom.tolist())]
+
+
+def _taus(ranks: np.ndarray, diagonal: int) -> np.ndarray:
+    """Each profile's tau-b of every context pair ``(i, j)``, ``i + diagonal
+    <= j``, in ``np.triu_indices`` order.
+
+    All come from one sign matrix ``S`` per profile with a row per value pair
+    and a column per context: ``S.T @ S`` holds every concordant minus
+    discordant count exactly, and its diagonal each context's number of
+    non-tied pairs ``n``. Entry ``(i, j)`` is formed in scipy's
+    ``kendalltau`` operation order: the count divided by ``sqrt(n_i)``, then
+    by ``sqrt(n_j)``, clipped to [-1, 1]."""
+    _, v, c = ranks.shape
+    first, second = _triu(v, 1)
+    signs = np.sign(ranks[:, first] - ranks[:, second]).astype(np.int64)
+    con_minus_dis = np.einsum("nkc,nkd->ncd", signs, signs)
+    untied = np.einsum("ncc->nc", con_minus_dis)
+    root = np.where(untied > 0, np.sqrt(untied), np.nan)
+    i, j = _triu(c, diagonal)
+    # Indexing after a slice lays the pairs out profile-minor; a profile's
+    # mean must add its entries along a contiguous row.
+    return np.ascontiguousarray(np.clip(con_minus_dis[:, i, j] / root[:, i] / root[:, j], -1.0, 1.0))
+
+
+def _mean_taus(ranks: np.ndarray) -> list[float | None]:
+    """Each profile's mean of its defined off-diagonal tau-b entries."""
+    taus = _taus(ranks, 1)
+    finite = np.isfinite(taus)
+    means = taus.mean(axis=1).tolist()
+    for k in np.flatnonzero(~finite.all(axis=1)).tolist():
+        defined = taus[k, finite[k]]
+        means[k] = defined.mean().item() if defined.size else None
+    return means
+
+
+def _contexts(profile: RankProfile, name: str) -> int:
+    if profile.ranks.shape[1] < 2:
+        raise ValueError(f"{name} needs at least 2 contexts")
+    return profile.ranks.shape[1]
 
 
 def thc(profile: RankProfile, mode: PtpNormalization = PtpNormalization.MAX) -> float:
@@ -183,34 +257,18 @@ def thc(profile: RankProfile, mode: PtpNormalization = PtpNormalization.MAX) -> 
     A single-context profile scores 0 (there is nothing to be inconsistent
     about), as does one whose values keep identical ranks everywhere.
     """
-    normalized = _profile_spreads(profile, mode)
-    return float(sum(normalized) / len(normalized))
+    (spreads,) = _spreads(profile.ranks[np.newaxis], PtpNormalization(mode))
+    return sum(spreads) / len(spreads)
 
 
 def kendall_w(profile: RankProfile) -> float | None:
     """Tie-corrected coefficient of concordance across the profile's
     contexts; 1 means identical rankings. Returns ``None`` when every
     ranking is fully tied (the statistic is undefined)."""
-    v, c = profile.ranks.shape
-    if c < 2:
-        raise ValueError("kendall_w needs at least 2 contexts")
-    if v < 2:
+    _contexts(profile, "kendall_w")
+    if len(profile.values) < 2:
         raise ValueError("kendall_w needs at least 2 values")
-    totals = profile.ranks.sum(axis=1)
-    s = float(((totals - totals.mean()) ** 2).sum())
-    # Tie groups of every context at once: sort each context's ranks, mark
-    # where a new rank starts, and take each group's size t as the gap
-    # between marks. Each context's row starts with a mark, so no group
-    # spans two contexts, and the t**3 - t sum is an exact integer.
-    ordered = np.sort(profile.ranks, axis=0).T
-    starts = np.ones(ordered.shape, dtype=bool)
-    starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
-    t = np.diff(np.append(np.flatnonzero(starts), starts.size))
-    tie_term = float((t**3 - t).sum())
-    denom = c * c * (v**3 - v) - c * tie_term
-    if denom <= 0:
-        return None
-    return 12.0 * s / denom
+    return _kendall_ws(profile.ranks[np.newaxis])[0]
 
 
 def kendall_tau_matrix(profile: RankProfile) -> np.ndarray:
@@ -218,43 +276,21 @@ def kendall_tau_matrix(profile: RankProfile) -> np.ndarray:
 
     Entries are ``nan`` where the statistic is undefined (a fully tied
     ranking involved); the diagonal is 1 whenever a ranking has at least one
-    non-tied pair.
-
-    All entries come from one sign matrix ``S`` with a row per value pair
-    and a column per context: ``S.T @ S`` holds every concordant minus
-    discordant count exactly, and its diagonal each context's number of
-    non-tied pairs ``n``. Entry ``(i, j)``, ``i <= j``, is then formed in
-    scipy's ``kendalltau`` operation order (the count divided by
-    ``sqrt(n_i)``, then by ``sqrt(n_j)``, clipped to [-1, 1]) and mirrored,
-    so every entry equals ``kendalltau(ranks[:, i], ranks[:, j])`` bit for
-    bit.
+    non-tied pair. Each entry equals ``kendalltau(ranks[:, i], ranks[:, j])``
+    bit for bit; see :func:`_taus`.
     """
-    ranks = profile.ranks
-    v, c = ranks.shape
-    if c < 2:
-        raise ValueError("kendall_tau_matrix needs at least 2 contexts")
-    first, second = np.triu_indices(v, 1)
-    signs = np.sign(ranks[first] - ranks[second]).astype(np.int64)
-    con_minus_dis = signs.T @ signs
-    untied = np.diag(con_minus_dis)
-    root = np.where(untied > 0, np.sqrt(untied), np.nan)
-    i, j = np.triu_indices(c)
-    upper = np.clip(con_minus_dis[i, j] / root[i] / root[j], -1.0, 1.0)
+    c = _contexts(profile, "kendall_tau_matrix")
+    i, j = _triu(c, 0)
     out = np.empty((c, c))
-    out[i, j] = upper
-    out[j, i] = upper
+    out[i, j] = out[j, i] = _taus(profile.ranks[np.newaxis], 0)[0]
     return out
 
 
 def mean_pairwise_tau(profile: RankProfile) -> float | None:
     """Mean of the defined off-diagonal tau-b entries; ``None`` if none are
     defined."""
-    matrix = kendall_tau_matrix(profile)
-    offdiag = matrix[np.triu_indices(matrix.shape[0], 1)]
-    offdiag = offdiag[np.isfinite(offdiag)]
-    if not offdiag.size:
-        return None
-    return float(np.mean(offdiag))
+    _contexts(profile, "mean_pairwise_tau")
+    return _mean_taus(profile.ranks[np.newaxis])[0]
 
 
 # -- profile assembly from a dataset -----------------------------------------
@@ -509,13 +545,9 @@ def assemble_profiles(
 
     profiles: list[RankProfile] = []
     skipped: list[SkippedHyperparameter] = []
-    for hp, combo, contexts in plans:
-        result = _profile_for(dataset, hp, axis, combo, contexts, cells)
-        if isinstance(result, SkippedHyperparameter):
-            logger.warning("skipping %s %s: %s", hp, dict(combo), result.reason)
-            skipped.append(result)
-        else:
-            profiles.append(result)
+    for hp, hp_plans in itertools.groupby(plans, lambda plan: plan[0]):
+        for result in _profiles_of(dataset, hp, axis, [plan[1:] for plan in hp_plans], cells):
+            (skipped if isinstance(result, SkippedHyperparameter) else profiles).append(result)
 
     return AssembledProfiles(tuple(profiles), tuple(skipped), setup)
 
@@ -547,42 +579,77 @@ def _context_key(hp: str, coords: Mapping[str, str]) -> ContextKey:
     return (hp, coords["agent"], coords["data_regime"], coords.get("environment"))
 
 
-def _profile_for(
+def _profiles_of(
     dataset: SweepDataset,
     hp: str,
     axis: Axis,
-    combo: dict[str, str],
-    coords: list[dict[str, str]],
+    plans: list[tuple[dict[str, str], list[dict[str, str]]]],
     cells: CellTable,
-) -> RankProfile | SkippedHyperparameter:
-    if len(coords) < 2:
-        return SkippedHyperparameter(hp, dict(combo), f"only {len(coords)} context(s) with data")
-
-    lower, upper, _ = np.stack([cells.context_arrays(*_context_key(hp, c)) for c in coords], axis=2)
-    rankable = ~np.isnan(lower)
-    kept = rankable.any(axis=0)
-    if kept.sum() < 2:
-        return SkippedHyperparameter(hp, dict(combo),
-                                     f"only {int(kept.sum())} context(s) with rankable values")
-    common = rankable[:, kept].all(axis=1)
+) -> Iterator[RankProfile | SkippedHyperparameter]:
+    """The profile, or the skip, of each of one hyper-parameter's ``(combo,
+    contexts)`` plans, in order, logging each plan's warnings and overlap-mode
+    lines in turn. The plans' contexts are read as one array; the plans whose
+    rankable-everywhere values agree are ranked with one ``rank_intervals``
+    call over all their kept contexts."""
     declared = dataset.schema.hyperparameters[hp]
-    partial = sorted(v for v, some, every in zip(declared, rankable[:, kept].any(axis=1), common)
-                     if some and not every)
-    if partial:
-        logger.warning("%s %s: excluding values not rankable in every context: %s",
-                       hp, dict(combo), ", ".join(partial))
-    if not common.any():
-        return SkippedHyperparameter(hp, dict(combo), "no value is rankable in every context")
+    wide = [coords for _, coords in plans if len(coords) >= 2]
+    read = [c for coords in wide for c in coords]
+    if read:
+        bounds = np.stack([cells.context_arrays(*_context_key(hp, c))[:2] for c in read], axis=2)
+        starts = np.cumsum([0, *map(len, wide)])[:-1]
+        rankable = ~np.isnan(bounds[0])
+        kept = rankable.any(axis=0)
+        # Per read plan: its kept contexts' count, and per value whether it is
+        # rankable in some and in every one of them.
+        stats = iter(zip(starts.tolist(), np.add.reduceat(kept, starts, dtype=int).tolist(),
+                         np.logical_or.reduceat(rankable, starts, axis=1).T.tolist(),
+                         np.logical_and.reduceat(rankable | ~kept, starts, axis=1).T.tolist()))
 
-    values = [v for v, every in zip(declared, common) if every]
-    coords = [c for c, keep in zip(coords, kept) if keep]
-    lower, upper = lower[np.ix_(common, kept)], upper[np.ix_(common, kept)]
-    order, ranks = rank_intervals(values, lower, upper, cells.options.ranking_mode)
+    # Each plan's partially rankable values, and its skip reason or its
+    # (common values, offset, kept columns) in its group's rank call.
+    steps: list[tuple[list[str], str | tuple[tuple[bool, ...], int, np.ndarray]]] = []
+    groups: dict[tuple[bool, ...], list[np.ndarray]] = {}
+    for _, coords in plans:
+        if len(coords) < 2:
+            steps.append(([], f"only {len(coords)} context(s) with data"))
+            continue
+        start, count, some, every = next(stats)
+        if count < 2:
+            steps.append(([], f"only {count} context(s) with rankable values"))
+            continue
+        partial = sorted(v for v, s, e in zip(declared, some, every) if s and not e)
+        if not any(every):
+            steps.append((partial, "no value is rankable in every context"))
+            continue
+        columns = start + np.flatnonzero(kept[start:start + len(coords)])
+        group = groups.setdefault(tuple(every), [])
+        steps.append((partial, (tuple(every), sum(map(len, group)), columns)))
+        group.append(columns)
 
-    return RankProfile(hyperparameter=hp, values=tuple(values),
-                       contexts=tuple(c[axis.value] for c in coords), ranks=ranks, fixed=dict(combo),
-                       build_tables=functools.partial(ranking_tables, values, lower, upper, order,
-                                                      ranks, hp, coords))
+    ranked = {}
+    for common, members in groups.items():
+        values = [v for v, every in zip(declared, common) if every]
+        lo, up = bounds[:, np.array(common)][..., np.concatenate(members)]
+        ranked[common] = (values, lo, up, *rank_intervals(values, lo, up, cells.options.ranking_mode))
+
+    for (combo, _), (partial, outcome) in zip(plans, steps):
+        if partial:
+            logger.warning("%s %s: excluding values not rankable in every context: %s",
+                           hp, dict(combo), ", ".join(partial))
+        if isinstance(outcome, str):
+            logger.warning("skipping %s %s: %s", hp, dict(combo), outcome)
+            yield SkippedHyperparameter(hp, dict(combo), outcome)
+            continue
+        common, offset, columns = outcome
+        values, lo, up, order, ranks, divergent = ranked[common]
+        end = offset + len(columns)
+        log_divergent(d for d in divergent if offset <= d[0] < end)
+        coords = [read[c] for c in columns.tolist()]
+        lo, up, order, ranks = (a[:, offset:end] for a in (lo, up, order, ranks))
+        yield RankProfile(hyperparameter=hp, values=tuple(values),
+                          contexts=tuple(c[axis.value] for c in coords), ranks=ranks, fixed=dict(combo),
+                          build_tables=functools.partial(ranking_tables, values, lo, up, order,
+                                                         ranks, hp, coords))
 
 
 def rank_context(
@@ -614,7 +681,8 @@ def rank_context(
 
     values = [v for v, keep in zip(dataset.schema.hyperparameters[hyperparameter], kept) if keep]
     lower, upper = lower[kept, np.newaxis], upper[kept, np.newaxis]
-    order, ranks = rank_intervals(values, lower, upper, options.ranking_mode)
+    order, ranks, divergent = rank_intervals(values, lower, upper, options.ranking_mode)
+    log_divergent(divergent)
     context = {"agent": agent, "data_regime": data_regime, **({"environment": environment} if environment else {})}
     (table,) = ranking_tables(values, lower, upper, order, ranks, hyperparameter, [context])
     return table, dict(zip(values, points[kept].tolist()))
@@ -629,29 +697,25 @@ def build_consistency_report(
     *,
     cells: CellTable | None = None,
 ) -> tuple[ConsistencyReport, tuple[RankProfile, ...]]:
-    """Score every assembled profile for one transfer setup.
+    """Score every assembled profile for one transfer setup, one pass per
+    (values x contexts) shape, bit for bit as the one-profile functions do.
 
     Returns the report plus the underlying profiles (for table/plot export).
     """
     assembled = assemble_profiles(dataset, setup, options, cells=cells)
-    entries = []
-    for profile in assembled.profiles:
-        spreads = _profile_spreads(profile, normalization)
-        kendall = None
+    profiles, entries = assembled.profiles, [None] * len(assembled.profiles)
+    shapes: dict[tuple[int, int], list[int]] = {}
+    for k, profile in enumerate(profiles):
+        shapes.setdefault(profile.ranks.shape, []).append(k)
+    for (v, _), members in shapes.items():
+        ranks = np.stack([profiles[k].ranks for k in members])
+        kendall = itertools.repeat(None)
         if include_kendall:
-            defined = len(profile.values) >= 2
-            kendall = KendallSummary(
-                w=kendall_w(profile) if defined else None,
-                mean_tau=mean_pairwise_tau(profile) if defined else None,
-            )
-        entries.append(HyperparameterConsistency(
-            hyperparameter=profile.hyperparameter,
-            fixed=dict(profile.fixed),
-            contexts=profile.contexts,
-            values=profile.values,
-            thc=float(sum(spreads) / len(spreads)),
-            normalized_ptp=dict(zip(profile.values, spreads)),
-            kendall=kendall,
-        ))
-    report = ConsistencyReport(assembled.setup, tuple(entries), assembled.skipped)
-    return report, assembled.profiles
+            kendall = map(KendallSummary, _kendall_ws(ranks), _mean_taus(ranks)) if v >= 2 else \
+                itertools.repeat(KendallSummary(None, None))
+        for k, spreads, summary in zip(members, _spreads(ranks, PtpNormalization(normalization)), kendall):
+            p = profiles[k]
+            entries[k] = HyperparameterConsistency(p.hyperparameter, dict(p.fixed), p.contexts, p.values,
+                                                   sum(spreads) / len(spreads), dict(zip(p.values, spreads)),
+                                                   summary)
+    return ConsistencyReport(assembled.setup, tuple(entries), assembled.skipped), profiles

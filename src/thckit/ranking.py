@@ -22,7 +22,8 @@ actually overlap ``j``'s. Both agree whenever each setting's overlapping
 neighbours occupy a contiguous block of positions; where they diverge (a wide
 interval straddling a narrow non-overlapping one) the divergence is logged.
 
-:func:`rank_intervals` ranks every context of a profile in one array pass;
+:func:`rank_intervals` ranks many contexts in one array pass, and returns
+the divergences for the caller to log with :func:`log_divergent`;
 :func:`compute_rankings` is its one-context call. :func:`ranking_tables`
 builds :class:`RankingTable` objects only for the callers that read them.
 """
@@ -32,7 +33,7 @@ from __future__ import annotations
 import enum
 import logging
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -43,6 +44,7 @@ __all__ = [
     "RankingMode",
     "RankingTable",
     "compute_rankings",
+    "log_divergent",
     "rank_intervals",
     "ranking_tables",
 ]
@@ -97,12 +99,16 @@ class RankingTable:
 
 
 def rank_intervals(labels: Sequence[str], lower: np.ndarray, upper: np.ndarray,
-                   mode: RankingMode = RankingMode.SPAN) -> tuple[np.ndarray, np.ndarray]:
+                   mode: RankingMode = RankingMode.SPAN) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
     """Rank ``m`` uniquely labeled values in ``C`` contexts at once, from
-    ``(m, C)`` arrays of finite bounds. Returns ``(order, final)``: value
-    ``order[p, j]`` holds position ``p + 1`` in context ``j``, where value
-    ``i`` has final rank ``final[i, j]``. One lexsort gives every position,
-    one ``(m, m, C)`` comparison every span and overlap set."""
+    ``(m, C)`` arrays of finite bounds. Returns ``(order, final, divergent)``:
+    value ``order[p, j]`` holds position ``p + 1`` in context ``j``, where
+    value ``i`` has final rank ``final[i, j]``. In overlap mode ``divergent``
+    lists, context by context in position order, ``(j, *args)`` for each
+    value whose overlap set is non-contiguous, for :func:`log_divergent`.
+    One lexsort gives every position, one ``(m, m, C)`` comparison every
+    span and overlap set, and each context's result depends on its own
+    column alone."""
     m = len(labels)
     mode = RankingMode(mode)
     # Rows in label order, so the stable sort breaks full ties by label.
@@ -115,18 +121,25 @@ def rank_intervals(labels: Sequence[str], lower: np.ndarray, upper: np.ndarray,
     above = upper[order, columns][np.newaxis] >= lower[:, np.newaxis]
     span = (below.argmax(axis=1) + m - above[:, ::-1].argmax(axis=1) + 1) / 2.0
     if mode is RankingMode.SPAN:
-        return order, span
+        return order, span, []
     members = below & above
     count = members.sum(axis=1)
     final = (members * np.arange(1, m + 1)[:, np.newaxis]).sum(axis=1) / count
     # A set is contiguous when it fills every position from its first to its last.
     gaps = count != m - members[:, ::-1].argmax(axis=1) - members.argmax(axis=1)
+    divergent = []
     for j, p in zip(*np.nonzero(gaps[order, columns].T)):
         i = order[p, j]
+        divergent.append((j.item(), labels[i], (np.flatnonzero(members[i, :, j]) + 1).tolist(),
+                          final[i, j].item(), span[i, j].item()))
+    return order, final, divergent
+
+
+def log_divergent(divergent: Iterable[tuple]) -> None:
+    """Log, in order, each entry of :func:`rank_intervals`' ``divergent``."""
+    for _, *args in divergent:
         logger.info("setting %r overlaps a non-contiguous position set %s; overlap-mode rank %.3f "
-                    "differs from span rank %.3f", labels[i],
-                    (np.flatnonzero(members[i, :, j]) + 1).tolist(), final[i, j].item(), span[i, j].item())
-    return order, final
+                    "differs from span rank %.3f", *args)
 
 
 def compute_rankings(
@@ -145,7 +158,8 @@ def compute_rankings(
         raise ValueError("compute_rankings needs at least one setting")
     labels = [label for label, _ in settings]
     lower, upper = np.array([[iv.lower, iv.upper] for _, iv in settings], dtype=float).T[..., np.newaxis]
-    order, final = rank_intervals(labels, lower, upper, mode)
+    order, final, divergent = rank_intervals(labels, lower, upper, mode)
+    log_divergent(divergent)
     return ranking_tables(labels, lower, upper, order, final, hyperparameter, [context])[0]
 
 

@@ -82,6 +82,13 @@ class TestValidate:
         assert "duplicate" in err
         assert "validation failed with 1 problem(s)" in err
 
+    def test_header_only_run_log_exits_1(self, reference_paths, capsys):
+        runs = reference_paths["runs"]
+        runs.write_text(runs.read_text().splitlines()[0] + "\n")
+        assert main(["validate", *dataset_args(reference_paths)]) == 1
+        assert capsys.readouterr() == ("", f"{runs}: run log has no runs\nvalidation failed with 1 problem(s)\n")
+        assert main(["thc", *dataset_args(reference_paths), "--setup", "environments"]) == 3
+
     def test_missing_baseline_exits_1(self, reference_paths, capsys):
         baselines = reference_paths["baselines"]
         lines = [line for line in baselines.read_text().splitlines()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import itertools
 import logging
 import math
@@ -14,8 +15,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.stats import kendalltau, rankdata
 
 from thckit import consistency
@@ -37,7 +39,7 @@ from thckit.consistency import (
     thc,
 )
 from thckit.dataset import BaselineTable, EmptySliceError, RunRecord, SweepDataset, SweepSchema, load_dataset
-from thckit.ranking import RankingMode
+from thckit.ranking import RankingMode, log_divergent, rank_intervals, ranking_tables
 from thckit.report import build_report_bundle, write_report_bundle
 from thckit.stats import ScoreMatrix, derive_seed, human_normalize, pooled_bootstrap_cis, pooled_mean_and_spreads
 
@@ -933,3 +935,171 @@ class TestCellGather:
             for key, arrays in zip(keys, walked):
                 assert ([list(map(float.hex, row)) for row in cells.context_arrays(*key).tolist()]
                         == [list(map(float.hex, row)) for row in arrays.tolist()]), key
+
+
+# -- batched scoring ------------------------------------------------------------
+# A batch of profiles of a few shapes, from 1 to 12 values and 2 to 12
+# contexts. Each profile's ranks are a rank_intervals result over intervals on
+# a small grid, so ties, fully tied contexts (undefined tau-b) and overlap-mode
+# fractions all come up.
+
+@st.composite
+def rank_matrices(draw, shape: tuple[int, int]) -> np.ndarray:
+    v, c = shape
+    bounds = draw(arrays(np.int8, (2, v, c), elements=st.integers(0, 6), fill=st.nothing()))
+    lower, upper = np.sort(bounds, axis=0).astype(float)
+    return rank_intervals([f"v{i}" for i in range(v)], lower, upper, draw(st.sampled_from(list(RankingMode))))[1]
+
+
+profile_batches = st.lists(st.tuples(st.integers(1, 12), st.integers(2, 12)), min_size=1, max_size=3).flatmap(
+    lambda shapes: st.lists(st.sampled_from(shapes).flatmap(rank_matrices), min_size=1, max_size=8))
+
+
+def reference_spreads(ranks: np.ndarray, mode: PtpNormalization) -> list[float]:
+    """Normalized spreads written out one Python float at a time."""
+    spreads, m = [float(row.max() - row.min()) for row in ranks], ranks.shape[0]
+    divisor = (m - 1) if mode is PtpNormalization.MAX else sum(spreads)
+    return [p / divisor if divisor else 0.0 for p in spreads]
+
+
+def reference_mean_tau(p: RankProfile) -> float | None:
+    """The defined off-diagonal entries of the profile's tau-b matrix, averaged."""
+    matrix = kendall_tau_matrix(p)
+    offdiag = matrix[np.triu_indices(matrix.shape[0], 1)]
+    offdiag = offdiag[np.isfinite(offdiag)]
+    return float(np.mean(offdiag)) if offdiag.size else None
+
+
+def hexed(x: float | None) -> str | None:
+    return None if x is None else x.hex()
+
+
+def per_plan_assembly(dataset: SweepDataset, setup: TransferSetup, options: AssemblyOptions,
+                  cells: CellTable) -> tuple[list[RankProfile], list]:
+    """Profile assembly one plan at a time: each plan's contexts read,
+    checked and ranked alone, and its lines logged in turn."""
+    axis = setup.axis
+    plans = [(hp, combo, [{**combo, axis.value: label} for label in dataset._labels_with_runs(hp, axis, combo)])
+             for hp in dataset.schema.hyperparameters if dataset._labels_with_runs(hp, consistency.Axis.AGENT, {})
+             for combo in consistency._combos(dataset, hp, setup, options)]
+    cells.fill(consistency._context_key(hp, c) for hp, _, contexts in plans if len(contexts) >= 2
+               for c in contexts)
+    profiles, skipped = [], []
+    for hp, combo, coords in plans:
+        def skip(reason: str) -> None:
+            consistency.logger.warning("skipping %s %s: %s", hp, dict(combo), reason)
+            skipped.append((hp, dict(combo), reason))
+
+        if len(coords) < 2:
+            skip(f"only {len(coords)} context(s) with data")
+            continue
+        lower, upper, _ = np.stack([cells.context_arrays(*consistency._context_key(hp, c)) for c in coords], axis=2)
+        rankable = ~np.isnan(lower)
+        kept = rankable.any(axis=0)
+        if kept.sum() < 2:
+            skip(f"only {int(kept.sum())} context(s) with rankable values")
+            continue
+        common = rankable[:, kept].all(axis=1)
+        declared = dataset.schema.hyperparameters[hp]
+        partial = sorted(v for v, some, every in zip(declared, rankable[:, kept].any(axis=1), common)
+                         if some and not every)
+        if partial:
+            consistency.logger.warning("%s %s: excluding values not rankable in every context: %s",
+                                       hp, dict(combo), ", ".join(partial))
+        if not common.any():
+            skip("no value is rankable in every context")
+            continue
+        values = [v for v, every in zip(declared, common) if every]
+        coords = [c for c, keep in zip(coords, kept) if keep]
+        lower, upper = lower[np.ix_(common, kept)], upper[np.ix_(common, kept)]
+        order, ranks, divergent = rank_intervals(values, lower, upper, options.ranking_mode)
+        log_divergent(divergent)
+        profiles.append(RankProfile(hp, tuple(values), tuple(c[axis.value] for c in coords), ranks, dict(combo),
+                                    functools.partial(ranking_tables, values, lower, upper, order, ranks, hp,
+                                                      coords)))
+    return profiles, skipped
+
+
+@st.composite
+def dense_sweeps(draw) -> SweepDataset:
+    """Sweeps on SPARSE_AXES whose cells mostly have 2 or 3 seeds, scored on
+    a coarse grid, so most plans of a hyper-parameter keep the same values,
+    and narrow and wide intervals mix into non-contiguous overlap sets."""
+    hyperparameters = {hp: tuple(f"v{i}" for i in range(draw(st.integers(2, 5)))) for hp in ("h1", "h2")}
+    shape = tuple(map(len, SPARSE_AXES.values()))
+    records = []
+    for hp, values in hyperparameters.items():
+        seeds = draw(arrays(np.int8, (*shape, len(values)), elements=st.sampled_from([0, 1, 2, 2, 3, 3]),
+                              fill=st.nothing()))
+        scores = draw(arrays(np.int8, (*seeds.shape, 3), elements=st.sampled_from([0, 1, 9, 10]),
+                              fill=st.nothing()))
+        for (a, e, r, v), n in np.ndenumerate(seeds):
+            coords = [labels[i] for labels, i in zip(SPARSE_AXES.values(), (a, e, r))]
+            records += [RunRecord(*coords, hp, values[v], seed, float(scores[a, e, r, v, seed]))
+                        for seed in range(n)]
+    schema = SweepSchema(*SPARSE_AXES.values(), hyperparameters)
+    return SweepDataset(records, BaselineTable({env: (0.0, 1.0) for env in schema.environments}), schema)
+
+
+def profile_record(p: RankProfile) -> tuple:
+    return (p.hyperparameter, p.values, p.contexts, dict(p.fixed),
+            [list(map(float.hex, row)) for row in p.ranks.tolist()], p.tables)
+
+
+class TestBatchedScoring:
+    @given(profile_batches, st.sampled_from(list(PtpNormalization)))
+    @settings(deadline=None)
+    def test_report_scores_equal_per_profile_calls(self, batch, normalization):
+        profiles = tuple(profile(ranks, name=f"hp{k}") for k, ranks in enumerate(batch))
+        assembled = consistency.AssembledProfiles(profiles, (), TransferSetup.ACROSS_AGENTS)
+        with mock.patch.object(consistency, "assemble_profiles", return_value=assembled):
+            report, _ = build_consistency_report(None, TransferSetup.ACROSS_AGENTS, AssemblyOptions(),
+                                                 normalization, include_kendall=True)
+        for entry, p in zip(report.entries, profiles, strict=True):
+            spreads = reference_spreads(p.ranks, normalization)
+            assert list(map(float.hex, entry.normalized_ptp.values())) == list(map(float.hex, spreads))
+            assert entry.thc.hex() == thc(p, normalization).hex() == (sum(spreads) / len(spreads)).hex()
+            if len(p.values) < 2:
+                assert entry.kendall == consistency.KendallSummary(None, None)
+                continue
+            assert hexed(entry.kendall.w) == hexed(kendall_w(p)) == hexed(loop_kendall_w(p.ranks))
+            assert hexed(entry.kendall.mean_tau) == hexed(mean_pairwise_tau(p)) == hexed(reference_mean_tau(p))
+
+    def test_wide_profiles_equal_per_profile_calls(self):
+        rng = np.random.default_rng(23)
+        shapes = [(4, 26)] * 3 + [(15, 29)] * 2 + [(9, 9), (1, 12)]
+        batch = list(tied_profiles(rng, shapes))
+        assembled = consistency.AssembledProfiles(tuple(batch), (), TransferSetup.ACROSS_AGENTS)
+        with mock.patch.object(consistency, "assemble_profiles", return_value=assembled):
+            report, _ = build_consistency_report(None, TransferSetup.ACROSS_AGENTS, AssemblyOptions(),
+                                                 include_kendall=True)
+        for entry, p in zip(report.entries, batch, strict=True):
+            assert entry.thc.hex() == thc(p).hex()
+            if len(p.values) >= 2:
+                assert hexed(entry.kendall.w) == hexed(loop_kendall_w(p.ranks))
+                assert hexed(entry.kendall.mean_tau) == hexed(reference_mean_tau(p))
+
+    @given(st.one_of(sparse_sweeps(), dense_sweeps()), setups_and_pins(), st.sampled_from(list(RankingMode)))
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_assembly_equals_the_per_plan_reference(self, caplog, dataset, setup_and_pins, mode):
+        setup, pins = setup_and_pins
+        options = AssemblyOptions(interval_source=IntervalSource.MEAN_SD, ranking_mode=mode, **pins)
+        cells = CellTable(dataset, options)
+        cells.fill(key for hp in dataset.schema.hyperparameters for key in itertools.product(
+            [hp], SPARSE_AXES["agent"], SPARSE_AXES["data_regime"], (None, *SPARSE_AXES["environment"])))
+
+        def records() -> list[tuple]:
+            logged = [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
+            caplog.clear()
+            return logged
+
+        with caplog.at_level(logging.INFO, logger="thckit"):
+            caplog.clear()
+            with mock.patch.object(consistency, "rank_intervals", wraps=consistency.rank_intervals) as ranked:
+                assembled = assemble_profiles(dataset, setup, options, cells=cells)
+            batched_log = records()
+            profiles, skipped = per_plan_assembly(dataset, setup, options, cells)
+            assert batched_log == records()
+        assert list(map(profile_record, assembled.profiles)) == list(map(profile_record, profiles))
+        assert [(s.hyperparameter, dict(s.fixed), s.reason) for s in assembled.skipped] == skipped
+        assert ranked.call_count == len({(p.hyperparameter, p.values) for p in assembled.profiles})

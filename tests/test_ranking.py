@@ -20,6 +20,7 @@ from thckit.ranking import (
     RankingMode,
     RankingTable,
     compute_rankings,
+    log_divergent,
     rank_intervals,
 )
 from thckit.stats import Interval
@@ -238,7 +239,10 @@ class TestReferenceEquivalence:
         lower = np.array([[iv.lower for iv in column] for column in contexts]).T
         upper = np.array([[iv.upper for iv in column] for column in contexts]).T
         with ranking_messages() as messages:
-            order, final = rank_intervals(labels, lower, upper, mode)
+            order, final, divergent = rank_intervals(labels, lower, upper, mode)
+            assert not messages
+            log_divergent(divergent)
+        assert [j for j, *_ in divergent] == sorted(j for j, *_ in divergent)
         expected, expected_messages = reference_rankings(
             [list(zip(labels, column)) for column in contexts], mode)
         got = [[(labels[i], p + 1, final[i, j].item()) for p, i in enumerate(order[:, j].tolist())]
