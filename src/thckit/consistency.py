@@ -27,10 +27,11 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .dataset import Axis, SweepDataset, SweepSchema, slice_scores
-from .ranking import RankingMode, RankingTable, log_divergent, rank_intervals, ranking_tables
+from .ranking import RankingMode, RankingTable, compute_rankings, log_divergent, rank_intervals, ranking_tables
 from .stats import (
     DEFAULT_CONFIDENCE,
     DEFAULT_RESAMPLES,
+    Interval,
     derive_seed,
     human_normalize,
     pooled_bootstrap_cis,
@@ -664,11 +665,13 @@ def rank_context(
 
     Environments are pooled as strata unless ``environment`` pins one. Each
     value's interval is its :class:`CellTable` cell, so it equals the one
-    every ``report`` setup gives that cell. Returns the ranking table and
-    per-value point estimates. Raises ``KeyError`` for an undeclared
-    hyper-parameter, agent, data regime or environment,
-    :class:`EmptySliceError` when the selector matches nothing and
-    ``ValueError`` when no value has enough seeds to rank.
+    every ``report`` setup gives that cell, and the kept cells are ranked by
+    :func:`compute_rankings`. Returns the ranking table and per-value point
+    estimates. Raises ``KeyError`` for an undeclared hyper-parameter, agent,
+    data regime or environment, :class:`EmptySliceError` when the selector
+    matches nothing and ``ValueError`` when no value has enough seeds to
+    rank; it calls :func:`slice_scores` for its errors about the
+    hyper-parameter and the pair.
     """
     _check_pins(dataset.schema, {Axis.AGENT: agent, Axis.DATA_REGIME: data_regime,
                                  Axis.ENVIRONMENT: environment})
@@ -680,11 +683,9 @@ def rank_context(
         raise ValueError(f"no value of {hyperparameter!r} has at least 2 seeds in this context")
 
     values = [v for v, keep in zip(dataset.schema.hyperparameters[hyperparameter], kept) if keep]
-    lower, upper = lower[kept, np.newaxis], upper[kept, np.newaxis]
-    order, ranks, divergent = rank_intervals(values, lower, upper, options.ranking_mode)
-    log_divergent(divergent)
     context = {"agent": agent, "data_regime": data_regime, **({"environment": environment} if environment else {})}
-    (table,) = ranking_tables(values, lower, upper, order, ranks, hyperparameter, [context])
+    table = compute_rankings(list(zip(values, map(Interval, lower[kept], upper[kept]))), options.ranking_mode,
+                             hyperparameter, context)
     return table, dict(zip(values, points[kept].tolist()))
 
 

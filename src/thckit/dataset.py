@@ -37,20 +37,15 @@ the seeds, and the scores. It also keeps what the sort by (cell, seed) that
 finds duplicate keys gives: the code of each cell with runs (a group) in code
 order, the start and size of each group's runs in that order, and the scores
 so ordered, and, made from the group codes, a mask per hyper-parameter of
-the (agent, environment, data regime) triples with runs. The analysis
-commands read only these: ``CellTable`` gathers its cells' scores from the
-groups, and ``SweepDataset._labels_with_runs`` reads the masks.
-
-``SweepDataset.index`` is the read-only index of the runs:
-``hyperparameter -> (agent, data_regime) -> environment -> value -> scores``,
-with each leaf a tuple of final scores ordered by seed and every level in the
-order its keys were first seen. Only combinations that were run appear in
-it. It is built the first time it is read, and no analysis command reads it.
-:func:`slice_scores` returns one ``(agent, data_regime)`` node of it, built
-from that pair's runs alone; callers take their output order from the
-schema, never from the index. ``SweepDataset.records``, the runs as
-:class:`RunRecord` objects with the schema's identifier strings, is also
-built the first time it is read.
+the (agent, environment, data regime) triples with runs. These arrays are
+the dataset's only store of runs, and the analysis reads only the sort:
+``CellTable`` gathers its cells' scores from the groups,
+``SweepDataset._labels_with_runs`` reads the masks, and :func:`slice_scores`
+reads one (agent, data regime) pair's groups as ``environment -> value ->
+scores``, each leaf the group's scores in seed order and both levels in
+schema order. ``SweepDataset.records``, the runs as :class:`RunRecord`
+objects with the schema's identifier strings, is built the first time it is
+read.
 
 Hyper-parameter values are opaque strings compared by exact match. ``"0.5"``
 and ``"0.50"`` are different settings on purpose: ranking only needs
@@ -330,15 +325,6 @@ def _vocabulary(schema: SweepSchema) -> tuple[Sequence, Sequence, Sequence, list
             [(hp, value) for hp, values in schema.hyperparameters.items() for value in values])
 
 
-def _read_only(node: dict | list, depth: int) -> Mapping | tuple:
-    """``node`` behind a read-only view, as the dicts ``depth`` levels below
-    it are, and each list of (seed, score) pairs at that depth a tuple of the
-    scores ordered by seed."""
-    if not depth:
-        return tuple(score for _, score in sorted(node))
-    return MappingProxyType({key: _read_only(child, depth - 1) for key, child in node.items()})
-
-
 class _Block(NamedTuple):
     """Consecutive rows as ``SweepDataset._admit`` reads them, by column."""
 
@@ -358,13 +344,13 @@ class _Block(NamedTuple):
 class SweepDataset:
     """Validated, immutable collection of run records plus baselines.
 
-    ``index`` maps hyperparameter -> (agent, data_regime) -> environment ->
-    value -> seed-ordered scores, holding only combinations that were run.
-    ``records`` holds the runs in input order. Both are built on first read.
+    The runs are held once, as columns in input order and their (cell,
+    seed) sort. ``records`` holds them as :class:`RunRecord` objects in
+    input order, built on first read.
     """
 
     __slots__ = ("_cells", "_seeds", "_scores", "_groups", "_starts", "_sizes", "_sorted", "_runs",
-                 "_records", "_index", "baselines", "schema")
+                 "_records", "baselines", "schema")
 
     def __init__(self, records: Iterable[RunRecord], baselines: BaselineTable, schema: SweepSchema):
         self._admit(_record_blocks(records), baselines, schema)
@@ -380,7 +366,7 @@ class SweepDataset:
     def _admit(self, blocks: Iterable[_Block], baselines: BaselineTable, schema: SweepSchema,
                source: str | None = None) -> None:
         """Apply every run-record rule to each block, one column at a time, and
-        keep and index the runs if no row has a problem. Otherwise raise the
+        keep and sort the runs if no row has a problem. Otherwise raise the
         problems in row order and, within a row, in rule order, stopping as a
         row-by-row check would after the row that brings them to
         ``MAX_DIAGNOSTICS``; a file row's are prefixed ``source:lineno:``."""
@@ -450,7 +436,6 @@ class SweepDataset:
         object.__setattr__(self, "_sorted", scores[order])
         object.__setattr__(self, "_runs", dict(zip(schema.hyperparameters, runs)))
         object.__setattr__(self, "_records", None)
-        object.__setattr__(self, "_index", None)
         object.__setattr__(self, "baselines", baselines)
         object.__setattr__(self, "schema", schema)
 
@@ -487,33 +472,15 @@ class SweepDataset:
                 "(random_score {!r}, human_score {!r})".format(*baselines[code].tolist())
                 for code in np.unique(env[~finite]).tolist()]
 
-    @property
-    def index(self) -> Mapping:
-        """Every run's score by hyper-parameter, (agent, data regime),
-        environment and value, built the first time it is read."""
-        if self._index is None:
-            object.__setattr__(self, "_index", self._nested())
-        return self._index
-
-    def _nested(self, rows: np.ndarray | None = None) -> Mapping:
-        """The read-only index of every run, or of the runs ``rows`` lists."""
-        index: dict = {}
-        for agent, env, regime, hp, value, seed, score in zip(*self._columns(rows)):
-            index.setdefault(hp, {}).setdefault((agent, regime), {}).setdefault(env, {}) \
-                .setdefault(value, []).append((seed, score))
-        return _read_only(index, 4)
-
-    def _columns(self, rows: np.ndarray | None = None) -> list[Sequence]:
+    def _columns(self) -> list[Sequence]:
         """The seven run-log columns in input order, identifiers spelled as
-        the schema spells them: of every run, or of the runs ``rows`` lists."""
+        the schema spells them."""
         agents, environments, regimes, pairs = vocabulary = _vocabulary(self.schema)
-        cells, seeds, scores = (self._cells, self._seeds, self._scores) if rows is None else \
-            (self._cells[rows], [self._seeds[i] for i in rows.tolist()], self._scores[rows])
-        a, e, r, p = (c.tolist() for c in np.unravel_index(cells, [len(names) for names in vocabulary]))
+        a, e, r, p = (c.tolist() for c in np.unravel_index(self._cells, [len(names) for names in vocabulary]))
         hps, values = [hp for hp, _ in pairs], [value for _, value in pairs]
         return [list(map(names.__getitem__, column)) for names, column in
                 ((agents, a), (environments, e), (regimes, r), (hps, p), (values, p))] \
-            + [seeds, scores.tolist()]
+            + [self._seeds, self._scores.tolist()]
 
     @property
     def records(self) -> tuple[RunRecord, ...]:
@@ -809,23 +776,28 @@ def slice_scores(
     """One hyper-parameter's per-seed final scores for one (agent, data
     regime) pair, grouped by environment and then by value.
 
-    The result equals the read-only index node
-    ``dataset.index[hyperparameter][agent, data_regime]``, built from this
-    pair's runs alone: only groups that were run appear, and within a group,
-    scores are ordered by seed. Raises ``KeyError`` for an undeclared
-    hyper-parameter and :class:`EmptySliceError` when the pair has no runs of
-    it at all; both checks read the dataset's group codes.
+    Read-only, from the pair's groups in the dataset's (cell, seed) sort:
+    only groups that were run appear, environments and values in schema
+    order, and each group's scores are ordered by seed. Raises ``KeyError``
+    for an undeclared hyper-parameter and :class:`EmptySliceError` when the
+    pair has no runs of it at all.
     """
-    if hyperparameter not in dataset.schema.hyperparameters:
+    schema = dataset.schema
+    if hyperparameter not in schema.hyperparameters:
         raise KeyError(f"hyperparameter {hyperparameter!r} is not declared in the schema")
     context = {"agent": agent, "data_regime": data_regime}
     if not dataset._labels_with_runs(hyperparameter, Axis.AGENT, context):
         raise EmptySliceError(f"no records for hyperparameter {hyperparameter!r} in context {context}")
-    agents, _, regimes, pairs = vocabulary = _vocabulary(dataset.schema)
-    a, _, r, p = np.unravel_index(dataset._cells, [len(names) for names in vocabulary])
-    of_hp = np.array([hp == hyperparameter for hp, _ in pairs], bool)
-    rows = np.flatnonzero((a == agents.index(agent)) & (r == regimes.index(data_regime)) & of_hp[p])
-    return dataset._nested(rows)[hyperparameter][agent, data_regime]
+    values, scores = schema.hyperparameters[hyperparameter], dataset._sorted
+    env, value = np.divmod(np.arange(len(schema.environments) * len(values)), len(values))
+    first = _vocabulary(schema)[3].index((hyperparameter, values[0]))
+    starts, sizes = dataset._groups_at(schema.agents.index(agent), env, schema.data_regimes.index(data_regime),
+                                       first + value)
+    node: dict = {}
+    for e, v, start, size in zip(env.tolist(), value.tolist(), starts.tolist(), sizes.tolist()):
+        if size:
+            node.setdefault(schema.environments[e], {})[values[v]] = tuple(scores[start:start + size].tolist())
+    return MappingProxyType({env: MappingProxyType(by_value) for env, by_value in node.items()})
 
 
 # -- schema and dataset serialization ---------------------------------------

@@ -646,9 +646,10 @@ def loaded(monkeypatch):
 
 
 class TestIndexNotBuilt:
-    # The analysis commands read the dataset's group codes; the nested index
-    # is built only for library callers of ``index``, and ``slice_scores``
-    # (which ``rank`` calls for its errors) builds only its pair's node.
+    # The analysis commands read the dataset's (cell, seed) sort, its one
+    # store of runs; ``records`` is built only for library callers, and
+    # ``slice_scores`` (which ``rank`` calls for its errors) reads its pair's
+    # groups of the sort.
     @pytest.mark.parametrize("argv", [
         ["validate"],
         ["rank", "--hyperparameter", "lr", "--agent", "agent01", "--data-regime", "low"],
@@ -662,14 +663,15 @@ class TestIndexNotBuilt:
         args = [str(tmp_path / arg) if arg == "bundle" else arg for arg in argv[1:]]
         assert main([argv[0], *dataset_args(unrun_paths), *args]) == 0
         [dataset] = loaded
-        assert dataset._index is None
+        assert dataset._records is None
 
     def test_validate_summary_counts_what_the_index_holds(self, unrun_paths, loaded, capsys):
         assert main(["validate", *dataset_args(unrun_paths)]) == 0
         out = capsys.readouterr().out
         [dataset] = loaded
-        environments = {env for by_pair in dataset.index.values() for by_env in by_pair.values() for env in by_env}
-        assert out == f"OK: {len(dataset)} runs across {len(dataset.index)} hyperparameter(s), " \
+        hyperparameters = {record.hyperparameter for record in dataset.records}
+        environments = {record.environment for record in dataset.records}
+        assert out == f"OK: {len(dataset)} runs across {len(hyperparameters)} hyperparameter(s), " \
                       f"{len(environments)} environment(s)\n"
         assert out == "OK: 384 runs across 3 hyperparameter(s), 4 environment(s)\n"
 
@@ -680,7 +682,6 @@ class TestIndexNotBuilt:
                      "--data-regime", "low"]) == 2
         err = capsys.readouterr().err
         [dataset] = loaded
-        assert dataset._index is None
         with pytest.raises(EmptySliceError) as excinfo:
             slice_scores(dataset, hp, agent, "low")
         assert err == f"error: {excinfo.value}\n" == (

@@ -873,11 +873,14 @@ class TestAssemblyReference:
 
 def walked_context(dataset: SweepDataset, options: AssemblyOptions, key: tuple,
                    warned: list[str]) -> np.ndarray:
-    """One context's ``(3, m)`` arrays built cell by cell from ``dataset.index``,
-    each cell aggregated alone; appends the context's thin-group warnings to
-    ``warned``."""
+    """One context's ``(3, m)`` arrays built cell by cell from
+    ``dataset.records`` filtered and sorted by seed, each cell aggregated
+    alone; appends the context's thin-group warnings to ``warned``."""
     hp, agent, regime, env = key
-    node = dataset.index.get(hp, {}).get((agent, regime), {})
+    node: dict[str, dict[str, list[float]]] = {}
+    for rec in sorted(dataset.records, key=lambda rec: rec.seed):
+        if (rec.hyperparameter, rec.agent, rec.data_regime) == (hp, agent, regime):
+            node.setdefault(rec.environment, {}).setdefault(rec.value, []).append(rec.final_score)
     values = dataset.schema.hyperparameters[hp]
     out = np.full((3, len(values)), np.nan)
     for i, value in enumerate(values):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import itertools
 import math
 import random
 import re
@@ -219,7 +220,9 @@ class TestFaultTable:
                    for r in RUNS_RECORDS]
         dataset = SweepDataset(records, small_baselines(), small_schema())
         plain = SweepDataset(RUNS_RECORDS, small_baselines(), small_schema())
-        assert dataset == plain and dataset.index == plain.index
+        assert dataset == plain
+        for hp, agent, regime in {(r.hyperparameter, r.agent, r.data_regime) for r in RUNS_RECORDS}:
+            assert slice_scores(dataset, hp, agent, regime) == slice_scores(plain, hp, agent, regime)
 
     def test_diagnostics_quote_cells_as_written(self):
         runs = RUNS_CSV + "a2,e1,r1,lr,0.1,-03,NaN\n"
@@ -414,8 +417,18 @@ def assert_ingest_matches_reference(block: int, text: str) -> None:
     runs, index = expected
     assert isinstance(parsed, SweepDataset)
     assert len(parsed) == len(runs)
-    # repr also compares key order at every level and the types of leaves and fields.
-    assert parsed.index == index and repr(parsed.index) == repr(index)
+    for hp in INGEST_SCHEMA.hyperparameters:
+        for pair in itertools.product(INGEST_SCHEMA.agents, INGEST_SCHEMA.data_regimes):
+            if pair not in index.get(hp, {}):
+                with pytest.raises(EmptySliceError):
+                    slice_scores(parsed, hp, *pair)
+                continue
+            groups = slice_scores(parsed, hp, *pair)
+            assert {env: dict(by_value) for env, by_value in groups.items()} \
+                == {env: dict(by_value) for env, by_value in index[hp][pair].items()}
+            assert all(type(leaf) is tuple and all(type(score) is float for score in leaf)
+                       for by_value in groups.values() for leaf in by_value.values())
+    # repr also compares the types of fields.
     records = tuple(RunRecord(*key, score) for key, score in runs)
     assert parsed.records == records and repr(parsed.records) == repr(records)
     assert parsed == SweepDataset(records[::-1], baselines, INGEST_SCHEMA)
@@ -728,8 +741,6 @@ class TestSlice:
             groups["e1"]["0.1"] = ()
         with pytest.raises(TypeError):
             groups["e1"]["0.1"][0] = 99.0
-        with pytest.raises(TypeError):
-            ds.index["lr"] = {}
         assert slice_scores(ds, "lr", "a1", "r1")["e1"]["0.1"] == (0.0, 1.0, 2.0, 3.0, 4.0)
 
     def test_undeclared_hyperparameter(self):
@@ -757,12 +768,18 @@ class TestSlice:
                         continue
                     groups = slices[hp, agent, regime] = slice_scores(ds, hp, agent, regime)
                     assert {env: dict(by_value) for env, by_value in groups.items()} == expected
-        # Each pair's node is built alone, and equals the index's, key order included.
-        assert ds._index is None
+        # Keys come in schema order at both levels.
         for (hp, agent, regime), groups in slices.items():
-            nodes = [[(env, list(by_value.items())) for env, by_value in node.items()]
-                     for node in (groups, ds.index[hp][agent, regime])]
-            assert nodes[0] == nodes[1]
+            assert list(groups) == [env for env in ds.schema.environments if env in groups]
+            assert all(list(by_value) == [v for v in ds.schema.hyperparameters[hp] if v in by_value]
+                       for by_value in groups.values())
+
+    def test_keys_in_schema_order_when_runs_come_in_reverse(self):
+        ds = SweepDataset(make_records(seeds=2)[::-1], small_baselines(), small_schema())
+        groups = slice_scores(ds, "lr", "a1", "r1")
+        assert [(env, list(by_value)) for env, by_value in groups.items()] == \
+            [("e1", ["0.1", "0.01"]), ("e2", ["0.1", "0.01"])]
+        assert groups["e2"]["0.01"] == (0.0, 1.0)
 
 
 def shuffled_run_log() -> tuple[SweepDataset, str, list[str], str]:
@@ -818,7 +835,10 @@ class TestRoundTrip:
         parsed = parse_dataset(io.StringIO(header + "".join(lines)), io.StringIO(baselines), direct.schema)
         assert parsed == direct
         assert len(parsed) == len(direct) == 3120
-        assert parsed.index == direct.index
+        for hp in direct.schema.hyperparameters:
+            for agent in direct.schema.agents:
+                for regime in direct.schema.data_regimes:
+                    assert slice_scores(parsed, hp, agent, regime) == slice_scores(direct, hp, agent, regime)
         by_key = {rec.key: rec for rec in direct.records}
         in_file_order = []
         for row in csv.reader(line for line in lines if line.strip() and not line.startswith("#")):
