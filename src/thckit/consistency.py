@@ -29,6 +29,7 @@ import numpy as np
 from .dataset import Axis, SweepDataset, SweepSchema, slice_scores
 from .ranking import RankingMode, RankingTable, compute_rankings, log_divergent, rank_intervals, ranking_tables
 from .stats import (
+    _require_resampling,
     DEFAULT_CONFIDENCE,
     DEFAULT_RESAMPLES,
     Interval,
@@ -299,7 +300,8 @@ def mean_pairwise_tau(profile: RankProfile) -> float | None:
 
 @dataclass(frozen=True)
 class AssemblyOptions:
-    """Knobs for turning a dataset into rank profiles."""
+    """Knobs for turning a dataset into rank profiles. The bootstrap's
+    ``resamples`` and ``confidence`` are checked whatever the interval source."""
 
     interval_source: IntervalSource = IntervalSource.IQM_CI
     ranking_mode: RankingMode = RankingMode.SPAN
@@ -313,6 +315,7 @@ class AssemblyOptions:
     def __post_init__(self) -> None:
         object.__setattr__(self, "interval_source", IntervalSource(self.interval_source))
         object.__setattr__(self, "ranking_mode", RankingMode(self.ranking_mode))
+        _require_resampling(self.resamples, self.confidence)
 
 
 @dataclass(frozen=True)

@@ -11,23 +11,23 @@ and both return a ``(3, k)`` array of lower bounds, upper bounds and point
 estimates. Each bootstrap cell draws its indices from the stream of a fresh
 ``Philox(key=seed)``: replicate after replicate, each row's indices in row
 order, as ``Generator.integers`` gives them. Cells with the same row sizes
-are evaluated together, with one generator re-keyed from cell to cell, in
-bounded-memory chunks that may hold several cells' replicates. A chunk
-takes each cell's next replicates with one ``integers`` call, and numpy
-continues a stream across calls where the last call stopped, so results are
-bit-identical regardless of chunking or of which cells are evaluated
-together. A chunk of cells of at most 13 entries sorts its replicates with
-a min/max network over entries-major lanes; wider cells sort rows. Either
-way each replicate's IQM and the percentile bounds equal the one-cell
-``np.sort``, ``np.mean`` and ``np.percentile`` formulas bit for bit. The
-row-sorted cells of one row-size pattern are split into contiguous slices,
-one per CPU the process may run on, each evaluated on a thread of its own
-with its own generator and buffers; since a cell's stream depends only on
-its seed, results are bit-identical at any CPU count.
+are evaluated together in bounded-memory chunks, all replicates of several
+cells or a span of one cell's, in three stages. Draw re-keys a cell at its
+first span and takes a span's indices with one ``integers`` call per cell,
+which continues the stream where the last call stopped. Reduce takes each
+replicate's IQM by a min/max network over entries-major lanes for cells of
+at most 13 entries, else by a row sort, chosen with the index layout once
+per row-size pattern. Select takes a chunk's percentile pairs from one
+partition. Results equal the one-cell ``np.sort``, ``np.mean`` and
+``np.percentile`` formulas bit for bit at any chunking. The row-sorted
+cells of a pattern are split into one contiguous slice per CPU the process
+may run on, each on its own thread, generator and buffers; since a cell's
+stream depends only on its seed, results are bit-identical at any CPU count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import os
@@ -176,6 +176,14 @@ def derive_seed(master: int, *parts: object) -> int:
     return int.from_bytes(sha256(text.encode("utf-8")).digest()[:8], "big")
 
 
+def _require_resampling(resamples: int, confidence: float) -> None:
+    """Reject fewer than ``MIN_RESAMPLES`` resamples or a confidence off (0, 1)."""
+    if resamples < MIN_RESAMPLES:
+        raise ValueError(f"resamples must be >= {MIN_RESAMPLES}, got {resamples}")
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
+
+
 def _require_laid_end_to_end(values: np.ndarray, lengths: np.ndarray) -> None:
     """Reject ``values`` unless the cells of ``lengths`` fill it exactly."""
     if lengths.sum() != len(values):
@@ -184,12 +192,11 @@ def _require_laid_end_to_end(values: np.ndarray, lengths: np.ndarray) -> None:
 
 
 # Bound of one chunk of replicates, in resampled entries. Each entry takes
-# an int64 index and a float64 sample in the chunk's buffers, and at most one
-# more int64 while a cell's draws are copied in (24 bytes). The sorting
-# network's spare lane adds 8 bytes per replicate, at most one per entry. A
-# chunk's buffers take at most 1 MiB per thread at any cell count and
-# resample count; only row-sorted groups run on more than one thread. The
-# replicate IQMs of a chunk's cells take 8 bytes per replicate besides.
+# an int64 index and a float64 sample in the chunk's buffers, at most one more
+# int64 while a cell's draws are added in (24 bytes), and the network's spare
+# lane at most 8 bytes more. So a chunk's buffers take at most 1 MiB per
+# thread at any cell and resample count, and its cells' replicate IQMs 8 bytes
+# per replicate besides. Only row-sorted groups run on more than one thread.
 _CHUNK_ENTRIES = 1 << 15
 
 # Cells of at most this many entries sort their replicates with a min/max
@@ -239,28 +246,17 @@ def pooled_bootstrap_cis(
     ``i`` holding rows of the sizes ``patterns[i]`` and drawing from
     ``seeds[i]``; each cell's results equal the one-cell call's bit for bit.
 
-    Cells with the same row sizes are evaluated together, with one generator
-    re-keyed per cell, in chunks that reuse one set of preallocated buffers.
-    A chunk holds every replicate of as many whole cells as fit in
-    ``_CHUNK_ENTRIES`` resampled entries, and takes one ``integers`` call per
-    cell, one sort and trimmed mean of its replicates, and one partition for
-    the percentiles. Cells of at most ``_NETWORK_MAX_ENTRIES`` entries sort
-    with a min/max network, lane by lane, and sum the kept lanes; wider cells
-    sort and average rows. A cell too large for one chunk is evaluated alone,
-    a slice of its replicates per chunk, its stream continuing from slice to
-    slice. A group of wider cells is split into one contiguous slice of cells
-    per CPU in the process's affinity set (at most one per cell): this thread
-    evaluates the first and one thread per other slice the rest, each with
-    its own generator and chunk buffers. The chunk buffers stay within 1 MiB
-    per thread at any cell and resample count; the replicate IQMs of a
-    chunk's cells take 8 bytes per replicate. A resample count whose
-    replicate IQMs cannot be allocated raises ``ValueError``; every thread is
-    joined first, and the error of the first failing slice is raised.
+    The cells of one row-size pattern share a :class:`_PatternGroup` and its
+    chunks of at most ``_CHUNK_ENTRIES`` resampled entries. Groups of cells
+    wider than ``_NETWORK_MAX_ENTRIES`` are split into one contiguous slice
+    per CPU in the process's affinity set (at most one per cell), each on its
+    own thread and group, this thread taking the first. Chunk buffers stay
+    within 1 MiB per thread at any cell and resample count, and a chunk's
+    replicate IQMs take 8 bytes per replicate. A resample count whose
+    replicate IQMs cannot be allocated raises ``ValueError``, the first
+    failing slice's, once every thread is joined.
     """
-    if resamples < MIN_RESAMPLES:
-        raise ValueError(f"resamples must be >= {MIN_RESAMPLES}, got {resamples}")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
+    _require_resampling(resamples, confidence)
     if len(seeds) != len(patterns):
         raise ValueError(f"got {len(seeds)} seeds for {len(patterns)} cells")
     seeds = [operator.index(seed) for seed in seeds]
@@ -352,9 +348,8 @@ def _merge_exchange(n: int) -> list[tuple[int, int]]:
 
 
 def _rekey(bitgen: np.random.Philox, seed: int) -> None:
-    """Put ``bitgen`` in the state of a fresh ``Philox(key=seed)``: counter
-    0, the 128-bit key as two 64-bit words, low first, and no buffered
-    output."""
+    """Put ``bitgen`` in a fresh ``Philox(key=seed)``'s state: counter 0, the
+    128-bit key as two 64-bit words, low first, and no buffered output."""
     bitgen.state = {
         "bit_generator": "Philox",
         "state": {"counter": (0, 0, 0, 0), "key": (seed & 0xFFFF_FFFF_FFFF_FFFF, seed >> 64)},
@@ -369,7 +364,9 @@ def _percentiles(stats: np.ndarray, percents: tuple[float, float]) -> np.ndarray
     numpy partitions a copy at the same positions, ``0``, ``-1`` and the two
     neighbours of each percentile's virtual index, so equal values of either
     sign of zero land where its partition puts them; then it interpolates
-    from the nearer neighbour, and a row holding a NaN yields NaN."""
+    from the nearer neighbour, and a row holding a NaN yields NaN. The
+    bootstrap's replicate IQMs are never -0.0 (both reduce paths sum from
+    +0.0), so for them the picks do not depend on the positions partitioned."""
     last = stats.shape[1] - 1
     picks = []
     for percent in percents:
@@ -390,9 +387,9 @@ def _percentiles(stats: np.ndarray, percents: tuple[float, float]) -> np.ndarray
 
 
 class _PatternGroup:
-    """Draw bounds, sorting network, generator and chunk buffers shared by
-    the cells with one row-size pattern; see :func:`stratified_bootstrap_ci`
-    for the draws."""
+    """Generator, draw bounds and chunk buffers of the cells of one row-size
+    pattern; :func:`stratified_bootstrap_ci` gives the draws. ``estimates``
+    runs ``draw`` and ``reduce`` per chunk span and ``_percentiles`` per chunk."""
 
     def __init__(self, sizes: tuple[int, ...], resamples: int, cells: int) -> None:
         sizes_arr = np.array(sizes)
@@ -414,85 +411,88 @@ class _PatternGroup:
                         + np.arange(0, self.cells_per_chunk * n, n)[:, np.newaxis])
         rows = self.cells_per_chunk * self.replicates_per_chunk
         self.idx = np.empty(rows * n, dtype=np.int64)
-        self.network = n <= _NETWORK_MAX_ENTRIES
-        if self.network:
-            # Lanes live in the rows of an ``(n + 1, rows)`` array. Each
-            # comparator writes its minimum to the spare row, its maximum
-            # over its upper lane, and its lower lane's old row becomes the
-            # spare, so ``steps`` names rows, not lanes.
-            self.samples = np.empty((n + 1) * rows)
+        # Reduce is a function of the buffers: a bound method would make a cycle.
+        if n <= _NETWORK_MAX_ENTRIES:
+            # ``draw`` lays replicates out entries-major, as the network's
+            # ``(n + 1, rows)`` lanes take them. Each comparator writes its min
+            # to the spare row and its max over its upper lane, whose old row
+            # becomes the spare, so ``steps`` names rows, not lanes.
             row_of = list(range(n + 1))
-            self.steps = []
+            steps = []
             for i, j in _merge_exchange(n):
-                self.steps.append((row_of[i], row_of[j], row_of[n]))
+                steps.append((row_of[i], row_of[j], row_of[n]))
                 row_of[i], row_of[n] = row_of[n], row_of[i]
-            self.kept = row_of[self.trim: n - self.trim]
+            self.order, self.reduce = "F", functools.partial(
+                _iqms_by_network, np.empty((n + 1) * rows), steps, row_of[self.trim: n - self.trim])
         else:
-            self.samples = np.empty(n * rows)
+            self.order, self.reduce = "C", functools.partial(_iqms_by_rows, np.empty(n * rows), self.trim)
 
     def estimates(self, values: np.ndarray, starts: np.ndarray, seeds: Sequence[int],
                   percents: tuple[float, float]) -> np.ndarray:
         """``(3, len(starts))`` percentile pair of each cell's replicate IQMs
-        and its IQM, one partition per chunk of cells; cell ``i``'s entries
-        start at ``values[starts[i]]``."""
-        n, trim = self.n, self.trim
+        and its IQM; cell ``i``'s entries start at ``values[starts[i]]``. A
+        chunk holds whole cells, or one cell in spans of its replicates."""
+        n, resamples, trim = self.n, self.resamples, self.trim
         out = np.empty((3, len(starts)))
         for first in range(0, len(starts), self.cells_per_chunk):
             chunk = slice(first, first + self.cells_per_chunk)
             cells = values[starts[chunk, np.newaxis] + np.arange(n)]
-            out[:2, chunk] = _percentiles(self.statistics(cells, seeds[chunk]), percents)
+            count = len(cells)
+            # Rows run cell by cell, each cell's replicates in order, so a
+            # span's replicate IQMs are one contiguous run of ``stats``.
+            try:
+                stats = np.empty(count * resamples)
+            except (MemoryError, ValueError) as exc:
+                raise ValueError(f"resamples={resamples} needs {count * resamples * 8:,} bytes for the "
+                                 f"replicate IQMs of {count} cell(s), more than can be allocated") from exc
+            for start in range(0, resamples, self.replicates_per_chunk):
+                span = min(self.replicates_per_chunk, resamples - start)
+                idx = self.draw(seeds[chunk], start, span)
+                self.reduce(cells, idx, stats[start * count: (start + span) * count])
+            out[:2, chunk] = _percentiles(stats.reshape(count, resamples), percents)
             cells.sort(axis=1)
             out[2, chunk] = cells[:, trim: n - trim].mean(axis=1)
         return out
 
-    def statistics(self, cells: np.ndarray, seeds: Sequence[int]) -> np.ndarray:
-        """``(len(cells), resamples)`` replicate IQMs of one chunk's cells, a
-        ``(cells, n)`` array, or of one cell in slices of its replicates."""
-        n, resamples, trim = self.n, self.resamples, self.trim
-        count = len(cells)
-        # Rows run cell by cell, each cell's replicates in order, so a chunk's
-        # statistics are one contiguous run of ``stats``.
-        try:
-            stats = np.empty(count * resamples)
-        except (MemoryError, ValueError) as exc:
-            raise ValueError(f"resamples={resamples} needs {count * resamples * 8:,} bytes for the "
-                             f"replicate IQMs of {count} cell(s), more than can be allocated") from exc
-        for start in range(0, resamples, self.replicates_per_chunk):
-            span = min(self.replicates_per_chunk, resamples - start)
-            rows = count * span
-            # The network takes its replicates entries-major, as ``(n, rows)``.
-            idx = self.idx[:rows * n].reshape((n, rows) if self.network else (rows, n))
-            for cell, seed in enumerate(seeds):
-                if start == 0:
-                    _rekey(self.bitgen, seed)
-                draws = self.stream.integers(0, self.high, size=(span, n))
-                block = slice(cell * span, (cell + 1) * span)
-                if self.network:
-                    np.add(draws.T, self.offsets[cell, :, np.newaxis], out=idx[:, block])
-                else:
-                    np.add(draws, self.offsets[cell], out=idx[block])
-            iqms = stats[start * count: start * count + rows]
-            if self.network:
-                lanes = self.samples[:(n + 1) * rows].reshape(n + 1, rows)
-                # Every index is in range, and ``clip`` writes straight into
-                # ``out`` where the default mode would buffer.
-                np.take(cells, idx, out=lanes[:n], mode="clip")
-                lane = list(lanes)
-                for low, high, spare in self.steps:
-                    np.minimum(lane[low], lane[high], out=lane[spare])
-                    np.maximum(lane[low], lane[high], out=lane[high])
-                # The row mean's sum, from +0.0 and left to right; a sum from
-                # the first lane would keep an all -0.0 slice's sign.
-                np.add(lane[self.kept[0]], 0.0, out=iqms)
-                for row in self.kept[1:]:
-                    np.add(iqms, lane[row], out=iqms)
-                np.divide(iqms, len(self.kept), out=iqms)
-            else:
-                samples = self.samples[:rows * n].reshape(rows, n)
-                np.take(cells, idx, out=samples, mode="clip")
-                samples.sort(axis=1)
-                # Each replicate's mean over a contiguous slice sums pairwise
-                # exactly like the 1-D ``iqm``, so the replicate IQMs are
-                # bit-identical to it.
-                np.mean(samples[:, trim: n - trim], axis=1, out=iqms)
-        return stats.reshape(count, resamples)
+    def draw(self, seeds: Sequence[int], start: int, span: int) -> np.ndarray:
+        """Each entry's draw plus offset for replicates ``start`` to ``start +
+        span`` of each cell of ``seeds``, as a ``(len(seeds) * span, n)`` view
+        of the index buffer in ``self.order``; a cell is re-keyed at span 0.
+        Adding along the span is fastest for the network's layout."""
+        idx = self.idx[:len(seeds) * span * self.n].reshape(-1, self.n, order=self.order)
+        for cell, seed in enumerate(seeds):
+            if start == 0:
+                _rekey(self.bitgen, seed)
+            draws = self.stream.integers(0, self.high, size=(span, self.n))
+            np.add(draws.T, self.offsets[cell, :, np.newaxis], out=idx[cell * span: (cell + 1) * span].T)
+        return idx
+
+
+def _iqms_by_network(samples: np.ndarray, steps: list[tuple[int, int, int]], kept: list[int],
+                     cells: np.ndarray, idx: np.ndarray, iqms: np.ndarray) -> None:
+    """Write the IQM of each ``draw`` replicate of ``cells`` into ``iqms`` by
+    the min/max network's ``steps`` over lanes in ``samples``."""
+    lanes = samples[:(idx.shape[1] + 1) * len(iqms)].reshape(-1, len(iqms))
+    # Every index is in range, and ``clip`` writes straight into ``out``
+    # where the default mode would buffer.
+    np.take(cells, idx.T, out=lanes[:-1], mode="clip")
+    lane = list(lanes)
+    for low, high, spare in steps:
+        np.minimum(lane[low], lane[high], out=lane[spare])
+        np.maximum(lane[low], lane[high], out=lane[high])
+    # The row mean's sum, from +0.0 and left to right; a sum from the first
+    # lane would keep an all -0.0 slice's sign.
+    np.add(lane[kept[0]], 0.0, out=iqms)
+    for row in kept[1:]:
+        np.add(iqms, lane[row], out=iqms)
+    np.divide(iqms, len(kept), out=iqms)
+
+
+def _iqms_by_rows(samples: np.ndarray, trim: int,
+                  cells: np.ndarray, idx: np.ndarray, iqms: np.ndarray) -> None:
+    """As ``_iqms_by_network``, by a row sort. A mean over a contiguous slice
+    sums pairwise exactly like the 1-D ``iqm``, bit for bit."""
+    samples = samples[:idx.size].reshape(idx.shape)
+    np.take(cells, idx, out=samples, mode="clip")
+    samples.sort(axis=1)
+    np.mean(samples[:, trim: idx.shape[1] - trim], axis=1, out=iqms)

@@ -573,6 +573,25 @@ class TestResampleCount:
         assert not out.exists()
 
 
+class TestBootstrapFlags:
+    @pytest.mark.parametrize("source", ["iqm_ci", "mean_sd"])
+    @pytest.mark.parametrize("command, flags, message", [
+        (["thc", "--setup", "agents"], ["--resamples", "5", "--confidence", "7"],
+         "resamples must be >= 100, got 5"),
+        (["rank", "--hyperparameter", "depth", "--agent", "agent02", "--data-regime", "high"],
+         ["--confidence", "2"], "confidence must lie in (0, 1), got 2.0"),
+        (["report"], ["--resamples", "99"], "resamples must be >= 100, got 99"),
+        (["report"], ["--confidence", "1"], "confidence must lie in (0, 1), got 1.0"),
+    ], ids=["thc resamples", "rank confidence", "report resamples", "report confidence"])
+    def test_out_of_range_flags_exit_2_whatever_the_interval_source(self, tmp_path, capsys, source,
+                                                                  command, flags, message):
+        out = tmp_path / "bundle"
+        argv = [*command, *FIXTURE_ARGS, "--interval-source", source, *flags]
+        assert main(argv + (["--out", str(out)] if command == ["report"] else [])) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
 # Runs ``main`` in a fresh interpreter and records which modules the import
 # of thckit.cli and then ``main`` itself loaded.
 MODULE_PROBE = """

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import gc
 import math
 import os
 import sys
 import threading
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -382,6 +384,18 @@ class TestBatchedBootstrap:
             tracemalloc.stop()
         assert peak - resamples * 8 < 4 * 2**20
 
+    @pytest.mark.parametrize("sizes", [(3,), (5,) * 26], ids=["network", "rows"])
+    def test_a_group_and_its_buffers_are_freed_without_the_cycle_collector(self, sizes):
+        # One group's buffers are alive at a time only if dropping a group frees them.
+        gc.disable()
+        try:
+            group = stats._PatternGroup(sizes, MIN_RESAMPLES, 2)
+            freed = weakref.ref(group)
+            del group
+            assert freed() is None
+        finally:
+            gc.enable()
+
     def test_unallocatable_replicates_name_the_resample_count(self, monkeypatch):
         # Three (5,) cells at 1,000 resamples share one chunk: 3,000 replicate IQMs.
         empty = np.empty
@@ -653,6 +667,107 @@ class TestNarrowCells:
             for i, j in stats._merge_exchange(n):
                 lanes[:, i], lanes[:, j] = np.minimum(lanes[:, i], lanes[:, j]), np.maximum(lanes[:, i], lanes[:, j])
             assert (np.diff(lanes, axis=1) >= 0).all(), f"n={n}"
+
+
+def chunk_spans(group, count):
+    """``(chunk, start, span)`` of each chunk span that ``estimates`` runs
+    over ``count`` cells, in its order."""
+    for first in range(0, count, group.cells_per_chunk):
+        chunk = slice(first, first + group.cells_per_chunk)
+        for start in range(0, group.resamples, group.replicates_per_chunk):
+            yield chunk, start, min(group.replicates_per_chunk, group.resamples - start)
+
+
+STAGE_PATTERNS = [(5,), (3,) * 4, (1, 4, 7, 1), (13,), (14,), (5,) * 26]
+
+
+def stage_cells(sizes):
+    """:func:`narrow_cells`' values for row sizes ``sizes``, as a ``(cells,
+    n)`` array, and seeds, every other one with a nonzero high 64-bit word."""
+    cells = narrow_cells(np.random.default_rng(sum(sizes)), sum(sizes))
+    return (np.array([np.concatenate(rows) for rows, _ in cells]),
+            [seed << 64 * (i % 2) for i, (_, seed) in enumerate(cells)])
+
+
+class TestStages:
+    """The draw and reduce stages of ``_PatternGroup``, each on its own, over
+    the chunk spans ``estimates`` runs."""
+
+    @pytest.mark.parametrize("chunk_entries", [1, 3_000, None],
+                             ids=["one replicate", "two small cells", "default"])
+    @pytest.mark.parametrize("sizes", STAGE_PATTERNS, ids=str)
+    def test_draw_equals_each_cells_stream(self, monkeypatch, chunk_entries, sizes):
+        if chunk_entries is not None:
+            monkeypatch.setattr("thckit.stats._CHUNK_ENTRIES", chunk_entries)
+        n, resamples = sum(sizes), MIN_RESAMPLES + 7
+        _, seeds = stage_cells(sizes)
+        streams = []
+        for seed in seeds:
+            rng = np.random.Generator(np.random.Philox(key=seed))
+            streams.append([np.concatenate([rng.integers(0, size, size=size) for size in sizes])
+                            for _ in range(resamples)])
+        row_starts = np.repeat(np.cumsum(sizes) - sizes, sizes)
+        group = stats._PatternGroup(sizes, resamples, len(seeds))
+        for chunk, start, span in chunk_spans(group, len(seeds)):
+            idx = group.draw(seeds[chunk], start, span)
+            for place, cell in enumerate(range(len(seeds))[chunk]):
+                got = idx[place * span: (place + 1) * span] - row_starts - place * n
+                assert got.tolist() == [draws.tolist() for draws in streams[cell][start: start + span]], \
+                    f"cell {cell}, replicates {start}-{start + span}"
+
+    @pytest.mark.parametrize("chunk_entries", [1, 3_000, None],
+                             ids=["one replicate", "two small cells", "default"])
+    @pytest.mark.parametrize("path", ["network", "rows"])
+    def test_reduce_equals_sort_and_trimmed_mean(self, monkeypatch, chunk_entries, path):
+        if chunk_entries is not None:
+            monkeypatch.setattr("thckit.stats._CHUNK_ENTRIES", chunk_entries)
+        monkeypatch.setattr("thckit.stats._NETWORK_MAX_ENTRIES", 13 if path == "network" else 0)
+        for sizes in STAGE_PATTERNS:
+            n = sum(sizes)
+            if path == "network" and n > 13:
+                continue
+            trim = n // 4
+            cells, seeds = stage_cells(sizes)
+            group = stats._PatternGroup(sizes, MIN_RESAMPLES + 7, len(cells))
+            assert group.reduce.func is getattr(stats, f"_iqms_by_{path}")
+            for chunk, start, span in chunk_spans(group, len(cells)):
+                idx = group.draw(seeds[chunk], start, span)
+                # Draw writes the layout reduce reads: entries-major for the network.
+                assert (idx.T if path == "network" else idx).flags.c_contiguous
+                samples = cells[chunk].ravel()[idx]
+                iqms = np.empty(len(idx))
+                group.reduce(cells[chunk], idx, iqms)
+                assert [v.hex() for v in iqms.tolist()] == \
+                    [float(np.mean(np.sort(row)[trim: n - trim])).hex() for row in samples], \
+                    f"sizes {sizes}, replicates {start}-{start + span}"
+
+
+class TestSignedZeros:
+    """Replicate IQMs and points are never -0.0, on either reduce path, so
+    which positions ``_percentiles`` partitions cannot change a bound's sign."""
+
+    @pytest.mark.parametrize("network_max", [130, 0], ids=["network", "rows"])
+    @pytest.mark.parametrize("sizes", [(5,), (3,) * 4, (14,), (20,), (5,) * 26], ids=str)
+    def test_no_replicate_iqm_or_point_is_negative_zero(self, monkeypatch, network_max, sizes):
+        monkeypatch.setattr("thckit.stats._NETWORK_MAX_ENTRIES", network_max)
+        replicates = []
+        percentiles = stats._percentiles
+
+        def recording(iqms, percents):
+            replicates.append(iqms.copy())
+            return percentiles(iqms, percents)
+
+        monkeypatch.setattr(stats, "_percentiles", recording)
+        rng = np.random.default_rng(sum(sizes))
+        n = sum(sizes)
+        cells = [np.full(n, -0.0), rng.choice([-0.0, 0.0], size=n)]
+        cells += [rng.choice([-0.0, 0.0, -1.0, 1.0], size=n) for _ in range(4)]
+        out = pooled_bootstrap_cis(np.concatenate(cells), [sizes] * len(cells), range(len(cells)), MIN_RESAMPLES)
+        iqms = np.concatenate([chunk.ravel() for chunk in replicates])
+        assert iqms.size == len(cells) * MIN_RESAMPLES
+        assert (iqms == 0).any()
+        for name, values in [("replicate IQMs", iqms), ("bounds and points", out.ravel())]:
+            assert not (np.signbit(values) & (values == 0)).any(), name
 
 
 class TestPercentiles:
