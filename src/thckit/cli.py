@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 dataset validation failure, 2 usage error (bad
 flags, unreadable files, unknown pinned identifiers, selectors matching
 nothing), 3 degenerate computation (a setup with nothing comparable, or an
-undefined Kendall statistic under --strict).
+undefined Kendall statistic under --strict). Flag ranges and the pins of
+``report --setup all`` are checked before any file is read.
 """
 
 from __future__ import annotations
@@ -181,8 +182,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
-    dataset = load_dataset(args.runs, args.baselines, args.schema)
     options = _options(args)
+    dataset = load_dataset(args.runs, args.baselines, args.schema)
     table, points = rank_context(
         dataset, args.hyperparameter, agent=args.agent,
         data_regime=args.data_regime, environment=args.environment, options=options)
@@ -211,22 +212,22 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _setup_and_skips(report: ConsistencyReport) -> str:
-    """The report's setup as ``--setup`` spells it, then the reason it
-    skipped each hyper-parameter, if any."""
-    reasons = "; ".join(f"{s.hyperparameter}: {s.reason}" for s in report.skipped)
-    return report.setup.value.replace("_", "-") + (f" ({reasons})" if reasons else "")
+def _require_comparable(reports: Sequence[ConsistencyReport]) -> None:
+    """Unless some report has an entry, raise :class:`DegenerateError` naming each setup and its skips."""
+    if not any(report.entries for report in reports):
+        reasons = ["; ".join(f"{s.hyperparameter}: {s.reason}" for s in report.skipped) for report in reports]
+        raise DegenerateError("nothing comparable across " + ", ".join(
+            report.setup.value.replace("_", "-") + (f" ({why})" if why else "")
+            for report, why in zip(reports, reasons)))
 
 
 def _cmd_thc(args: argparse.Namespace) -> int:
-    dataset = load_dataset(args.runs, args.baselines, args.schema)
-    setup = _SETUPS[args.setup]
     options = _options(args)
+    setup = _SETUPS[args.setup]
+    dataset = load_dataset(args.runs, args.baselines, args.schema)
     report, _ = build_consistency_report(
         dataset, setup, options, args.ptp_normalization, include_kendall=args.kendall)
-
-    if not report.entries:
-        raise DegenerateError(f"nothing comparable across {_setup_and_skips(report)}")
+    _require_comparable([report])
 
     _print_table(consistency_rows(report, args.kendall))
     for skip in report.skipped:
@@ -246,25 +247,21 @@ def _cmd_thc(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    dataset = load_dataset(args.runs, args.baselines, args.schema)
     options = _options(args)
-    if args.setup != "all":
-        setups = [_SETUPS[args.setup]]
-    else:
-        # A pinned axis cannot vary, so "all" leaves out the setups that vary one.
-        setups = [s for s in _SETUPS.values() if getattr(options, s.axis.value) is None]
-        if not setups:
-            raise ValueError("every setup varies a pinned axis; pin at most two of "
-                             "--agent, --environment and --data-regime")
-
+    # A pinned axis cannot vary, so "all" leaves out the setups that vary one.
+    setups = [s for s in _SETUPS.values() if getattr(options, s.axis.value) is None] \
+        if args.setup == "all" else [_SETUPS[args.setup]]
+    if not setups:
+        raise ValueError("every setup varies a pinned axis; pin at most two of "
+                         "--agent, --environment and --data-regime")
+    dataset = load_dataset(args.runs, args.baselines, args.schema)
     inputs = {"runs": file_digest(args.runs), "baselines": file_digest(args.baselines)}
     inputs["schema"] = file_digest(args.schema) if args.schema else _digest(bundled_schema_bytes())
 
     bundle = build_report_bundle(
         dataset, setups, options, args.ptp_normalization,
         include_kendall=args.kendall, inputs=inputs)
-    if not any(report.entries for report in bundle.reports):
-        raise DegenerateError("nothing comparable across " + ", ".join(map(_setup_and_skips, bundle.reports)))
+    _require_comparable(bundle.reports)
     written = write_report_bundle(bundle, args.out)
     print(f"wrote {len(written)} files under {args.out}")
     return EXIT_OK

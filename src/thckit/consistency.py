@@ -398,11 +398,6 @@ class CellTable:
         self.dataset = dataset
         self.options = options
         self._contexts: dict[ContextKey, np.ndarray] = {}
-        hps = dataset.schema.hyperparameters
-        # Each hyper-parameter's first value code; random and human scores by environment code.
-        self._first = dict(zip(hps, np.cumsum([0, *map(len, hps.values())]).tolist()))
-        self._baselines = np.array([dataset.baselines.scores.get(env, (np.nan, np.nan))
-                                    for env in dataset.schema.environments]).T
 
     def fill(self, keys: Iterable[ContextKey]) -> None:
         """Aggregate the cells of every listed context the table does not hold,
@@ -443,10 +438,10 @@ class CellTable:
         sizes, or pooled lengths for mean +/- sd) to ``groups``."""
         if not block:
             return 0
-        schema, options = self.dataset.schema, self.options
+        dataset, schema, options = self.dataset, self.dataset.schema, self.options
         # Each context's agent, data regime, first value and first environment
         # code, and its numbers of values and of environments.
-        a, r, p, e, m, s = np.array([(schema.agents.index(agent), schema.data_regimes.index(regime), self._first[hp],
+        a, r, p, e, m, s = np.array([(schema.agents.index(agent), schema.data_regimes.index(regime), dataset._first[hp],
                                       0 if env is None else schema.environments.index(env),
                                       len(schema.hyperparameters[hp]), len(schema.environments) if env is None else 1)
                                      for hp, agent, regime, env in block]).T
@@ -455,7 +450,7 @@ class CellTable:
         position, width = _ragged(0 * m, m), len(context)
         cell = np.repeat(np.arange(width), s[context])
         env = _ragged(e[context], s[context])
-        starts, sizes = self.dataset._groups_at(a[context][cell], env, r[context][cell], (p[context] + position)[cell])
+        starts, sizes = dataset._groups_at(a[context][cell], env, r[context][cell], (p[context] + position)[cell])
         contexts, positions = context.tolist(), position.tolist()
 
         def key(i: int) -> CellKey:
@@ -472,9 +467,9 @@ class CellTable:
         columns = np.flatnonzero(rows)
         sizes, env, rows = sizes[kept], env[kept], rows[columns]
         lengths = np.bincount(cell[kept], weights=sizes, minlength=width)[columns].astype(int)
-        random, human = self._baselines[:, np.repeat(env, sizes)]
+        random, human = dataset._baseline_scores[np.repeat(env, sizes)].T
         with np.errstate(over="ignore", invalid="ignore"):
-            normalised = human_normalize(self.dataset._sorted[_ragged(starts[kept], sizes)], random, human)
+            normalised = human_normalize(dataset._sorted[_ragged(starts[kept], sizes)], random, human)
             _require_finite(lambda j: key(columns[j]), np.logical_and.reduceat(
                 np.isfinite(normalised), np.cumsum(lengths) - lengths), "a human-normalised score")
             if options.interval_source is IntervalSource.MEAN_SD:

@@ -350,7 +350,7 @@ class SweepDataset:
     """
 
     __slots__ = ("_cells", "_seeds", "_scores", "_groups", "_starts", "_sizes", "_sorted", "_runs",
-                 "_records", "baselines", "schema")
+                 "_shape", "_first", "_baseline_scores", "_records", "baselines", "schema")
 
     def __init__(self, records: Iterable[RunRecord], baselines: BaselineTable, schema: SweepSchema):
         self._admit(_record_blocks(records), baselines, schema)
@@ -372,8 +372,12 @@ class SweepDataset:
         ``MAX_DIAGNOSTICS``; a file row's are prefixed ``source:lineno:``."""
         vocabulary = _vocabulary(schema)
         codes = [{name: code for code, name in enumerate(names)} for names in vocabulary]
-        declared = [len(names) for names in vocabulary]
-        unbased = [code for code, env in enumerate(schema.environments) if env not in baselines]
+        # The cell-code shape, each hyper-parameter's first value code, and the random and
+        # human scores by environment code (NaN where the table has no row): derived here only.
+        declared, counts = tuple(map(len, vocabulary)), list(map(len, schema.hyperparameters.values()))
+        first = dict(zip(schema.hyperparameters, np.cumsum([0, *counts]).tolist()))
+        table = np.array([baselines.scores.get(env, (np.nan, np.nan)) for env in schema.environments], np.float64)
+        unbased = np.flatnonzero(np.isnan(table[:, 0]))
         keys, seeds, scores, keyed, linenos = [np.zeros((4, 0), np.int64)], [], [np.zeros(0)], [], []
         problems: dict[int, list[str]] = {}
         count = rows = 0
@@ -425,8 +429,8 @@ class SweepDataset:
         # Whether each (hyper-parameter, agent, environment, data regime) has runs, read by
         # _labels_with_runs: unravelling the group codes per question costs more than the fill.
         a, e, r, p = np.unravel_index(groups[:-1], declared)
-        runs = np.zeros((len(schema.hyperparameters), *declared[:3]), bool)
-        runs[np.repeat(np.arange(len(runs)), [len(v) for v in schema.hyperparameters.values()])[p], a, e, r] = True
+        runs = np.zeros((len(counts), *declared[:3]), bool)
+        runs[np.repeat(np.arange(len(counts)), counts)[p], a, e, r] = True
         object.__setattr__(self, "_cells", cells)
         object.__setattr__(self, "_seeds", tuple(seeds))
         object.__setattr__(self, "_scores", scores)
@@ -435,6 +439,9 @@ class SweepDataset:
         object.__setattr__(self, "_sizes", np.diff(starts, append=len(order)))
         object.__setattr__(self, "_sorted", scores[order])
         object.__setattr__(self, "_runs", dict(zip(schema.hyperparameters, runs)))
+        object.__setattr__(self, "_shape", declared)
+        object.__setattr__(self, "_first", first)
+        object.__setattr__(self, "_baseline_scores", table)
         object.__setattr__(self, "_records", None)
         object.__setattr__(self, "baselines", baselines)
         object.__setattr__(self, "schema", schema)
@@ -443,7 +450,7 @@ class SweepDataset:
         """The start in ``_sorted`` and the size of the group of runs of each
         cell whose (agent, environment, data regime, hyper-parameter value)
         codes are ``codes``; size 0 for a cell without runs."""
-        cells = np.ravel_multi_index(codes, [len(names) for names in _vocabulary(self.schema)])
+        cells = np.ravel_multi_index(codes, self._shape)
         found = np.searchsorted(self._groups, cells)
         return self._starts[found], np.where(self._groups[found] == cells, self._sizes[found], 0)
 
@@ -463,11 +470,10 @@ class SweepDataset:
     def _normalisation_problems(self) -> list[str]:
         """One problem per environment, in schema order, with a run whose
         human-normalised score is not finite."""
-        envs = self.schema.environments
-        env = np.unravel_index(self._cells, [len(names) for names in _vocabulary(self.schema)])[1]
-        baselines = np.array([self.baselines.scores.get(name, (np.nan, np.nan)) for name in envs])
+        envs, baselines = self.schema.environments, self._baseline_scores
+        env = np.unravel_index(self._cells, self._shape)[1]
         with np.errstate(over="ignore", invalid="ignore"):
-            finite = np.isfinite(human_normalize(self._scores, *baselines.T[:, env]))
+            finite = np.isfinite(human_normalize(self._scores, *baselines[env].T))
         return [f"a human-normalised score of environment {envs[code]!r} is not finite "
                 "(random_score {!r}, human_score {!r})".format(*baselines[code].tolist())
                 for code in np.unique(env[~finite]).tolist()]
@@ -475,8 +481,8 @@ class SweepDataset:
     def _columns(self) -> list[Sequence]:
         """The seven run-log columns in input order, identifiers spelled as
         the schema spells them."""
-        agents, environments, regimes, pairs = vocabulary = _vocabulary(self.schema)
-        a, e, r, p = (c.tolist() for c in np.unravel_index(self._cells, [len(names) for names in vocabulary]))
+        agents, environments, regimes, pairs = _vocabulary(self.schema)
+        a, e, r, p = (c.tolist() for c in np.unravel_index(self._cells, self._shape))
         hps, values = [hp for hp, _ in pairs], [value for _, value in pairs]
         return [list(map(names.__getitem__, column)) for names, column in
                 ((agents, a), (environments, e), (regimes, r), (hps, p), (values, p))] \
@@ -508,7 +514,7 @@ class SweepDataset:
                 and self.schema == other.schema and runs(self) == runs(other))
 
 
-def _check(block: _Block, codes: list[dict], declared: list[int], unbased: list[int],
+def _check(block: _Block, codes: list[dict], declared: Sequence[int], unbased: np.ndarray,
            schema: SweepSchema) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, list[str]]]:
     """Apply each row-local run-record rule to a block, one column at a time.
     Returns the rows' identifier codes (agent, environment, data regime,
@@ -790,9 +796,8 @@ def slice_scores(
         raise EmptySliceError(f"no records for hyperparameter {hyperparameter!r} in context {context}")
     values, scores = schema.hyperparameters[hyperparameter], dataset._sorted
     env, value = np.divmod(np.arange(len(schema.environments) * len(values)), len(values))
-    first = _vocabulary(schema)[3].index((hyperparameter, values[0]))
     starts, sizes = dataset._groups_at(schema.agents.index(agent), env, schema.data_regimes.index(data_regime),
-                                       first + value)
+                                       dataset._first[hyperparameter] + value)
     node: dict = {}
     for e, v, start, size in zip(env.tolist(), value.tolist(), starts.tolist(), sizes.tolist()):
         if size:

@@ -284,16 +284,18 @@ def _bundle_files(bundle: ReportBundle) -> dict[str, bytes]:
 
 
 def write_report_bundle(bundle: ReportBundle, out_dir: str | Path) -> list[str]:
-    """Write all report files plus MANIFEST.sha256; returns written paths.
+    """Write all report files, then MANIFEST.sha256; returns written paths.
 
     The manifest lists the digest of every other file, so two report
     directories are identical exactly when their manifests are. Series
     files that an earlier bundle's manifest in ``out_dir`` lists and this
-    bundle does not write are deleted first; no other file is touched.
+    bundle does not write are deleted first, then that manifest, so a
+    write that fails leaves none; no other file is touched.
     """
     root = Path(out_dir)
+    manifest = root / "MANIFEST.sha256"
     files = _bundle_files(bundle)
-    stale = [root / name for name in _manifest_names(root / "MANIFEST.sha256")
+    stale = [root / name for name in _manifest_names(manifest)
              if name not in files and _SERIES_FILE.fullmatch(name) and ".." not in name]
     for path in stale:
         if path.is_file():
@@ -301,14 +303,15 @@ def write_report_bundle(bundle: ReportBundle, out_dir: str | Path) -> list[str]:
     if stale:
         with contextlib.suppress(OSError):  # kept unless empty
             (root / "series").rmdir()
-    manifest_lines = [f"{_digest(data)}  {name}" for name, data in sorted(files.items())]
-    files["MANIFEST.sha256"] = ("\n".join(manifest_lines) + "\n").encode("utf-8")
+    manifest.unlink(missing_ok=True)
+    entries = sorted(files.items())
+    entries.append((manifest.name, "".join(f"{_digest(data)}  {name}\n" for name, data in entries).encode("utf-8")))
 
     written = []
-    for name in sorted(files):
+    for name, data in entries:
         path = root / name
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(files[name])
+        path.write_bytes(data)
         written.append(str(path))
     return written
 

@@ -348,6 +348,26 @@ class TestReport:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    # The manifest is written last, so a write that fails leaves none: into a
+    # fresh directory whose series path is a file, and over an earlier bundle
+    # one of whose series files is now a directory.
+    @pytest.mark.parametrize("earlier", [False, True], ids=["series-is-a-file", "series-file-is-a-directory"])
+    def test_failed_write_leaves_no_manifest(self, tmp_path, capsys, earlier):
+        out = tmp_path / "bundle"
+        argv = ["report", *FIXTURE_ARGS, "--interval-source", "mean_sd", "--out", str(out)]
+        if earlier:
+            assert main(argv) == 0
+            blocked = next((out / "series").iterdir())
+            blocked.unlink()
+            blocked.mkdir()
+        else:
+            out.mkdir()
+            (out / "series").write_text("not a directory")
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (out / "MANIFEST.sha256").exists()
+
     @pytest.mark.parametrize("argv, setups", [
         ([], "agents, environments, data-regimes"),
         (["--setup", "agents"], "agents"),
@@ -573,23 +593,47 @@ class TestResampleCount:
         assert not out.exists()
 
 
+FLAG_ERRORS = [
+    pytest.param(["thc", "--setup", "agents"], ["--resamples", "5", "--confidence", "7"],
+                 "resamples must be >= 100, got 5", id="thc resamples"),
+    pytest.param(["rank", "--hyperparameter", "depth", "--agent", "agent02", "--data-regime", "high"],
+                 ["--confidence", "2"], "confidence must lie in (0, 1), got 2.0", id="rank confidence"),
+    pytest.param(["report"], ["--resamples", "99"], "resamples must be >= 100, got 99", id="report resamples"),
+    pytest.param(["report"], ["--confidence", "1"], "confidence must lie in (0, 1), got 1.0",
+                 id="report confidence"),
+]
+
+
 class TestBootstrapFlags:
-    @pytest.mark.parametrize("source", ["iqm_ci", "mean_sd"])
-    @pytest.mark.parametrize("command, flags, message", [
-        (["thc", "--setup", "agents"], ["--resamples", "5", "--confidence", "7"],
-         "resamples must be >= 100, got 5"),
-        (["rank", "--hyperparameter", "depth", "--agent", "agent02", "--data-regime", "high"],
-         ["--confidence", "2"], "confidence must lie in (0, 1), got 2.0"),
-        (["report"], ["--resamples", "99"], "resamples must be >= 100, got 99"),
-        (["report"], ["--confidence", "1"], "confidence must lie in (0, 1), got 1.0"),
-    ], ids=["thc resamples", "rank confidence", "report resamples", "report confidence"])
-    def test_out_of_range_flags_exit_2_whatever_the_interval_source(self, tmp_path, capsys, source,
-                                                                  command, flags, message):
-        out = tmp_path / "bundle"
-        argv = [*command, *FIXTURE_ARGS, "--interval-source", source, *flags]
+    @staticmethod
+    def exits_2_with(argv, command, message, out, capsys):
         assert main(argv + (["--out", str(out)] if command == ["report"] else [])) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["iqm_ci", "mean_sd"])
+    @pytest.mark.parametrize("command, flags, message", FLAG_ERRORS)
+    def test_out_of_range_flags_exit_2_whatever_the_interval_source(self, tmp_path, capsys, source,
+                                                                  command, flags, message):
+        argv = [*command, *FIXTURE_ARGS, "--interval-source", source, *flags]
+        self.exits_2_with(argv, command, message, tmp_path / "bundle", capsys)
+
+    # The flags, and report's "--setup all" pins, are checked before any file
+    # is read, so a missing run log does not hide their error.
+    @pytest.mark.parametrize("source", ["iqm_ci", "mean_sd"])
+    @pytest.mark.parametrize("command, flags, message", [
+        *FLAG_ERRORS,
+        pytest.param(["thc", "--setup", "agents"], ["--resamples", "5"],
+                     "resamples must be >= 100, got 5", id="thc resamples alone"),
+        pytest.param(["report"], ["--agent", "agent01", "--environment", "env01", "--data-regime", "low"],
+                     "every setup varies a pinned axis; pin at most two of "
+                     "--agent, --environment and --data-regime", id="report all pinned"),
+    ])
+    def test_flags_are_checked_before_the_run_log_is_read(self, tmp_path, capsys, source,
+                                                          command, flags, message):
+        argv = [*command, "--runs", str(tmp_path / "missing.csv"), *FIXTURE_ARGS[2:],
+                "--interval-source", source, *flags]
+        self.exits_2_with(argv, command, message, tmp_path / "bundle", capsys)
 
 
 # Runs ``main`` in a fresh interpreter and records which modules the import
