@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 dataset validation failure, 2 usage error (bad
 flags, unreadable files, unknown pinned identifiers, selectors matching
 nothing), 3 degenerate computation (a setup with nothing comparable, or an
-undefined Kendall statistic under --strict). Flag ranges and the pins of
-``report --setup all`` are checked before any file is read.
+undefined Kendall statistic under --strict). Flag ranges and a setup that
+varies a pinned axis are checked before any file is read.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .consistency import (
     IntervalSource,
     PtpNormalization,
     TransferSetup,
+    _check_varying,
     build_consistency_report,
     rank_context,
 )
@@ -221,9 +222,22 @@ def _require_comparable(reports: Sequence[ConsistencyReport]) -> None:
             for report, why in zip(reports, reasons)))
 
 
+def _setups(args: argparse.Namespace, options: AssemblyOptions) -> list[TransferSetup]:
+    """The setups ``--setup`` names, checked against the pins. A pinned axis
+    cannot vary, so "all" leaves out the setups that vary one."""
+    if args.setup != "all":
+        _check_varying(_SETUPS[args.setup], options)
+        return [_SETUPS[args.setup]]
+    setups = [s for s in _SETUPS.values() if getattr(options, s.axis.value) is None]
+    if not setups:
+        raise ValueError("every setup varies a pinned axis; pin at most two of "
+                         "--agent, --environment and --data-regime")
+    return setups
+
+
 def _cmd_thc(args: argparse.Namespace) -> int:
     options = _options(args)
-    setup = _SETUPS[args.setup]
+    (setup,) = _setups(args, options)
     dataset = load_dataset(args.runs, args.baselines, args.schema)
     report, _ = build_consistency_report(
         dataset, setup, options, args.ptp_normalization, include_kendall=args.kendall)
@@ -248,12 +262,7 @@ def _cmd_thc(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     options = _options(args)
-    # A pinned axis cannot vary, so "all" leaves out the setups that vary one.
-    setups = [s for s in _SETUPS.values() if getattr(options, s.axis.value) is None] \
-        if args.setup == "all" else [_SETUPS[args.setup]]
-    if not setups:
-        raise ValueError("every setup varies a pinned axis; pin at most two of "
-                         "--agent, --environment and --data-regime")
+    setups = _setups(args, options)
     dataset = load_dataset(args.runs, args.baselines, args.schema)
     inputs = {"runs": file_digest(args.runs), "baselines": file_digest(args.baselines)}
     inputs["schema"] = file_digest(args.schema) if args.schema else _digest(bundled_schema_bytes())

@@ -10,9 +10,9 @@ kept its rank everywhere; 1 means every value swung between best and worst.
 Kendall's W and pairwise Kendall's tau-b are provided as classical
 comparison baselines. Profiles read their cells' intervals from a
 :class:`CellTable`, which normalises and aggregates whole contexts in array
-passes. A setup's profiles of one hyper-parameter whose kept values agree
-are ranked with one ``rank_intervals`` call, and its profiles of one shape
-are scored in one pass; the one-profile functions are calls of that pass.
+passes. Each profile's contexts are ranked with one ``rank_intervals``
+call, and a setup's profiles of one shape are scored in one pass; the
+one-profile functions are calls of that pass.
 """
 
 from __future__ import annotations
@@ -22,12 +22,12 @@ import functools
 import itertools
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .dataset import Axis, SweepDataset, SweepSchema, slice_scores
-from .ranking import RankingMode, RankingTable, compute_rankings, log_divergent, rank_intervals, ranking_tables
+from .ranking import RankingMode, RankingTable, compute_rankings, rank_intervals, ranking_tables
 from .stats import (
     _require_resampling,
     DEFAULT_CONFIDENCE,
@@ -359,6 +359,12 @@ class ConsistencyReport:
     skipped: tuple[SkippedHyperparameter, ...]
 
 
+def _check_varying(setup: TransferSetup, options: AssemblyOptions) -> None:
+    """Raise ``ValueError`` when ``options`` pins the axis that ``setup`` varies."""
+    if getattr(options, setup.axis.value) is not None:
+        raise ValueError(f"cannot fix {setup.axis.value!r}; it is the varying axis of setup {setup.value!r}")
+
+
 def _check_pins(schema: SweepSchema, pins: Mapping[Axis, str | None]) -> None:
     """Raise ``KeyError`` for a pinned coordinate the schema does not declare."""
     for axis, value in pins.items():
@@ -526,8 +532,7 @@ def assemble_profiles(
     """
     setup = TransferSetup(setup)
     axis = setup.axis
-    if getattr(options, axis.value) is not None:
-        raise ValueError(f"cannot fix {axis.value!r}; it is the varying axis of setup {setup.value!r}")
+    _check_varying(setup, options)
     _check_pins(dataset.schema, {a: getattr(options, a.value) for a in Axis})
     if cells is None:
         cells = CellTable(dataset, options)
@@ -544,9 +549,9 @@ def assemble_profiles(
 
     profiles: list[RankProfile] = []
     skipped: list[SkippedHyperparameter] = []
-    for hp, hp_plans in itertools.groupby(plans, lambda plan: plan[0]):
-        for result in _profiles_of(dataset, hp, axis, [plan[1:] for plan in hp_plans], cells):
-            (skipped if isinstance(result, SkippedHyperparameter) else profiles).append(result)
+    for hp, combo, coords in plans:
+        result = _profile_of(dataset, hp, axis, combo, coords, cells)
+        (skipped if isinstance(result, SkippedHyperparameter) else profiles).append(result)
 
     return AssembledProfiles(tuple(profiles), tuple(skipped), setup)
 
@@ -578,77 +583,44 @@ def _context_key(hp: str, coords: Mapping[str, str]) -> ContextKey:
     return (hp, coords["agent"], coords["data_regime"], coords.get("environment"))
 
 
-def _profiles_of(
+def _profile_of(
     dataset: SweepDataset,
     hp: str,
     axis: Axis,
-    plans: list[tuple[dict[str, str], list[dict[str, str]]]],
+    combo: dict[str, str],
+    coords: list[dict[str, str]],
     cells: CellTable,
-) -> Iterator[RankProfile | SkippedHyperparameter]:
-    """The profile, or the skip, of each of one hyper-parameter's ``(combo,
-    contexts)`` plans, in order, logging each plan's warnings and overlap-mode
-    lines in turn. The plans' contexts are read as one array; the plans whose
-    rankable-everywhere values agree are ranked with one ``rank_intervals``
-    call over all their kept contexts."""
+) -> RankProfile | SkippedHyperparameter:
+    """The profile, or the skip, of one plan: a hyper-parameter's ``combo``
+    and the coordinates of its contexts with data. Logs the plan's warnings,
+    then ranks its kept contexts with one ``rank_intervals`` call, which logs
+    its overlap-mode lines."""
+    def skip(reason: str) -> SkippedHyperparameter:
+        logger.warning("skipping %s %s: %s", hp, dict(combo), reason)
+        return SkippedHyperparameter(hp, dict(combo), reason)
+
+    if len(coords) < 2:
+        return skip(f"only {len(coords)} context(s) with data")
+    lower, upper = np.stack([cells.context_arrays(*_context_key(hp, c))[:2] for c in coords], axis=2)
+    rankable = ~np.isnan(lower)
+    kept = rankable.any(axis=0)
+    if kept.sum() < 2:
+        return skip(f"only {int(kept.sum())} context(s) with rankable values")
+    common = rankable[:, kept].all(axis=1)
     declared = dataset.schema.hyperparameters[hp]
-    wide = [coords for _, coords in plans if len(coords) >= 2]
-    read = [c for coords in wide for c in coords]
-    if read:
-        bounds = np.stack([cells.context_arrays(*_context_key(hp, c))[:2] for c in read], axis=2)
-        starts = np.cumsum([0, *map(len, wide)])[:-1]
-        rankable = ~np.isnan(bounds[0])
-        kept = rankable.any(axis=0)
-        # Per read plan: its kept contexts' count, and per value whether it is
-        # rankable in some and in every one of them.
-        stats = iter(zip(starts.tolist(), np.add.reduceat(kept, starts, dtype=int).tolist(),
-                         np.logical_or.reduceat(rankable, starts, axis=1).T.tolist(),
-                         np.logical_and.reduceat(rankable | ~kept, starts, axis=1).T.tolist()))
-
-    # Each plan's partially rankable values, and its skip reason or its
-    # (common values, offset, kept columns) in its group's rank call.
-    steps: list[tuple[list[str], str | tuple[tuple[bool, ...], int, np.ndarray]]] = []
-    groups: dict[tuple[bool, ...], list[np.ndarray]] = {}
-    for _, coords in plans:
-        if len(coords) < 2:
-            steps.append(([], f"only {len(coords)} context(s) with data"))
-            continue
-        start, count, some, every = next(stats)
-        if count < 2:
-            steps.append(([], f"only {count} context(s) with rankable values"))
-            continue
-        partial = sorted(v for v, s, e in zip(declared, some, every) if s and not e)
-        if not any(every):
-            steps.append((partial, "no value is rankable in every context"))
-            continue
-        columns = start + np.flatnonzero(kept[start:start + len(coords)])
-        group = groups.setdefault(tuple(every), [])
-        steps.append((partial, (tuple(every), sum(map(len, group)), columns)))
-        group.append(columns)
-
-    ranked = {}
-    for common, members in groups.items():
-        values = [v for v, every in zip(declared, common) if every]
-        lo, up = bounds[:, np.array(common)][..., np.concatenate(members)]
-        ranked[common] = (values, lo, up, *rank_intervals(values, lo, up, cells.options.ranking_mode))
-
-    for (combo, _), (partial, outcome) in zip(plans, steps):
-        if partial:
-            logger.warning("%s %s: excluding values not rankable in every context: %s",
-                           hp, dict(combo), ", ".join(partial))
-        if isinstance(outcome, str):
-            logger.warning("skipping %s %s: %s", hp, dict(combo), outcome)
-            yield SkippedHyperparameter(hp, dict(combo), outcome)
-            continue
-        common, offset, columns = outcome
-        values, lo, up, order, ranks, divergent = ranked[common]
-        end = offset + len(columns)
-        log_divergent(d for d in divergent if offset <= d[0] < end)
-        coords = [read[c] for c in columns.tolist()]
-        lo, up, order, ranks = (a[:, offset:end] for a in (lo, up, order, ranks))
-        yield RankProfile(hyperparameter=hp, values=tuple(values),
-                          contexts=tuple(c[axis.value] for c in coords), ranks=ranks, fixed=dict(combo),
-                          build_tables=functools.partial(ranking_tables, values, lo, up, order,
-                                                         ranks, hp, coords))
+    partial = sorted(v for v, some, every in zip(declared, rankable.any(axis=1), common) if some and not every)
+    if partial:
+        logger.warning("%s %s: excluding values not rankable in every context: %s",
+                       hp, dict(combo), ", ".join(partial))
+    if not common.any():
+        return skip("no value is rankable in every context")
+    values = [v for v, every in zip(declared, common) if every]
+    coords = [c for c, keep in zip(coords, kept) if keep]
+    lower, upper = lower[common][:, kept], upper[common][:, kept]
+    order, ranks = rank_intervals(values, lower, upper, cells.options.ranking_mode)
+    return RankProfile(hyperparameter=hp, values=tuple(values), contexts=tuple(c[axis.value] for c in coords),
+                       ranks=ranks, fixed=dict(combo),
+                       build_tables=functools.partial(ranking_tables, values, lower, upper, order, ranks, hp, coords))
 
 
 def rank_context(

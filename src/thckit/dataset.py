@@ -476,7 +476,7 @@ class SweepDataset:
             finite = np.isfinite(human_normalize(self._scores, *baselines[env].T))
         return [f"a human-normalised score of environment {envs[code]!r} is not finite "
                 "(random_score {!r}, human_score {!r})".format(*baselines[code].tolist())
-                for code in np.unique(env[~finite]).tolist()]
+                for code in np.flatnonzero(np.bincount(env[~finite], minlength=len(envs))).tolist()]
 
     def _columns(self) -> list[Sequence]:
         """The seven run-log columns in input order, identifiers spelled as

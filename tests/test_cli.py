@@ -618,7 +618,7 @@ class TestBootstrapFlags:
         argv = [*command, *FIXTURE_ARGS, "--interval-source", source, *flags]
         self.exits_2_with(argv, command, message, tmp_path / "bundle", capsys)
 
-    # The flags, and report's "--setup all" pins, are checked before any file
+    # The flags, and the pins against the setups, are checked before any file
     # is read, so a missing run log does not hide their error.
     @pytest.mark.parametrize("source", ["iqm_ci", "mean_sd"])
     @pytest.mark.parametrize("command, flags, message", [
@@ -628,6 +628,12 @@ class TestBootstrapFlags:
         pytest.param(["report"], ["--agent", "agent01", "--environment", "env01", "--data-regime", "low"],
                      "every setup varies a pinned axis; pin at most two of "
                      "--agent, --environment and --data-regime", id="report all pinned"),
+        pytest.param(["thc"], ["--setup", "environments", "--environment", "env01"],
+                     "cannot fix 'environment'; it is the varying axis of setup 'environments'",
+                     id="thc setup varies a pin"),
+        pytest.param(["report"], ["--setup", "environments", "--environment", "env01"],
+                     "cannot fix 'environment'; it is the varying axis of setup 'environments'",
+                     id="report setup varies a pin"),
     ])
     def test_flags_are_checked_before_the_run_log_is_read(self, tmp_path, capsys, source,
                                                           command, flags, message):
@@ -662,9 +668,11 @@ def modules_loaded(tmp_path, argv):
 
 class TestRuntimeImports:
     @pytest.mark.parametrize("argv", [
+        ["validate", *FIXTURE_ARGS],
+        ["rank", *FIXTURE_ARGS, "--hyperparameter", "depth", "--agent", "agent02", "--data-regime", "high"],
         ["thc", *FIXTURE_ARGS, "--setup", "environments", "--kendall"],
         ["report", *FIXTURE_ARGS, "--resamples", "200", "--kendall", "--out", "bundle"],
-    ], ids=["thc", "report"])
+    ], ids=["validate", "rank", "thc", "report"])
     def test_no_scipy_and_no_numpy_module_loaded_by_main(self, tmp_path, argv):
         imported, after_main = modules_loaded(tmp_path, argv)
         assert "scipy" not in imported | after_main

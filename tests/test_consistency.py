@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.stats import kendalltau, rankdata
@@ -39,7 +39,7 @@ from thckit.consistency import (
     thc,
 )
 from thckit.dataset import BaselineTable, EmptySliceError, RunRecord, SweepDataset, SweepSchema, load_dataset
-from thckit.ranking import RankingMode, log_divergent, rank_intervals, ranking_tables
+from thckit.ranking import RankingMode, rank_intervals, ranking_tables
 from thckit.report import build_report_bundle, write_report_bundle
 from thckit.stats import ScoreMatrix, derive_seed, human_normalize, pooled_bootstrap_cis, pooled_mean_and_spreads
 
@@ -1015,8 +1015,7 @@ def per_plan_assembly(dataset: SweepDataset, setup: TransferSetup, options: Asse
         values = [v for v, every in zip(declared, common) if every]
         coords = [c for c, keep in zip(coords, kept) if keep]
         lower, upper = lower[np.ix_(common, kept)], upper[np.ix_(common, kept)]
-        order, ranks, divergent = rank_intervals(values, lower, upper, options.ranking_mode)
-        log_divergent(divergent)
+        order, ranks = rank_intervals(values, lower, upper, options.ranking_mode)
         profiles.append(RankProfile(hp, tuple(values), tuple(c[axis.value] for c in coords), ranks, dict(combo),
                                     functools.partial(ranking_tables, values, lower, upper, order, ranks, hp,
                                                       coords)))
@@ -1041,6 +1040,21 @@ def dense_sweeps(draw) -> SweepDataset:
             records += [RunRecord(*coords, hp, values[v], seed, float(scores[a, e, r, v, seed]))
                         for seed in range(n)]
     schema = SweepSchema(*SPARSE_AXES.values(), hyperparameters)
+    return SweepDataset(records, BaselineTable({env: (0.0, 1.0) for env in schema.environments}), schema)
+
+
+def straddling_sweep() -> SweepDataset:
+    """A sweep on SPARSE_AXES whose two plans of ``h1`` across agents keep
+    different values. In regime r1, v4 has one seed under agent a2 and is
+    excluded, and under agent a1 the wide v1 straddles the narrow v2, so
+    v3's overlap set, positions 1 and 3, is non-contiguous. In regime r2
+    every value is kept."""
+    scores = {("a1", "r1"): [[0, 20], [15, 16], [5, 6], [1, 2]], ("a2", "r1"): [[1, 2], [3, 4], [5, 6], [7]]}
+    records = [RunRecord(agent, "e1", regime, "h1", f"v{v + 1}", seed, float(score))
+               for agent in SPARSE_AXES["agent"] for regime in SPARSE_AXES["data_regime"]
+               for v, seeds in enumerate(scores.get((agent, regime), [[1, 2], [3, 4], [5, 6], [7, 8]]))
+               for seed, score in enumerate(seeds)]
+    schema = SweepSchema(*SPARSE_AXES.values(), {"h1": ("v1", "v2", "v3", "v4")})
     return SweepDataset(records, BaselineTable({env: (0.0, 1.0) for env in schema.environments}), schema)
 
 
@@ -1083,6 +1097,8 @@ class TestBatchedScoring:
                 assert hexed(entry.kendall.mean_tau) == hexed(reference_mean_tau(p))
 
     @given(st.one_of(sparse_sweeps(), dense_sweeps()), setups_and_pins(), st.sampled_from(list(RankingMode)))
+    @example(straddling_sweep(), (TransferSetup.ACROSS_AGENTS, {"environment": None, "data_regime": None}),
+             RankingMode.OVERLAP)
     @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_assembly_equals_the_per_plan_reference(self, caplog, dataset, setup_and_pins, mode):
         setup, pins = setup_and_pins
@@ -1105,4 +1121,4 @@ class TestBatchedScoring:
             assert batched_log == records()
         assert list(map(profile_record, assembled.profiles)) == list(map(profile_record, profiles))
         assert [(s.hyperparameter, dict(s.fixed), s.reason) for s in assembled.skipped] == skipped
-        assert ranked.call_count == len({(p.hyperparameter, p.values) for p in assembled.profiles})
+        assert ranked.call_count == len(assembled.profiles)
