@@ -133,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--setup", required=True, choices=sorted(_SETUPS),
                    help="which coordinate varies across contexts")
     p.add_argument("--strict", action="store_true",
-                   help="fail (exit 3) when a requested Kendall statistic is undefined")
+                   help="fail (exit 3) when a requested Kendall statistic is undefined; needs --kendall")
     p.add_argument("--json", default=None, help="also write the report as JSON to this path")
 
     p = sub.add_parser("report", help="write the full static report bundle")
@@ -216,7 +216,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
 def _require_comparable(reports: Sequence[ConsistencyReport]) -> None:
     """Unless some report has an entry, raise :class:`DegenerateError` naming each setup and its skips."""
     if not any(report.entries for report in reports):
-        reasons = ["; ".join(f"{s.hyperparameter}: {s.reason}" for s in report.skipped) for report in reports]
+        reasons = ["; ".join(f"{_entry_label(s, '; ')}: {s.reason}" for s in report.skipped) for report in reports]
         raise DegenerateError("nothing comparable across " + ", ".join(
             report.setup.value.replace("_", "-") + (f" ({why})" if why else "")
             for report, why in zip(reports, reasons)))
@@ -236,6 +236,8 @@ def _setups(args: argparse.Namespace, options: AssemblyOptions) -> list[Transfer
 
 
 def _cmd_thc(args: argparse.Namespace) -> int:
+    if args.strict and not args.kendall:
+        raise ValueError("--strict needs --kendall")
     options = _options(args)
     (setup,) = _setups(args, options)
     dataset = load_dataset(args.runs, args.baselines, args.schema)
@@ -252,7 +254,7 @@ def _cmd_thc(args: argparse.Namespace) -> int:
                                                  "ptp_normalization": args.ptp_normalization,
                                                  **report_to_dict(report, args.kendall)}))
 
-    if args.strict and args.kendall:
+    if args.strict:
         undefined = [_entry_label(entry) for entry in report.entries
                      if entry.kendall is None or entry.kendall.w is None]
         if undefined:

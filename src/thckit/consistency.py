@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .dataset import Axis, SweepDataset, SweepSchema, slice_scores
-from .ranking import RankingMode, RankingTable, compute_rankings, rank_intervals, ranking_tables
+from .ranking import RankingMode, RankingTable, compute_rankings, rank_intervals
 from .stats import (
     _require_resampling,
     DEFAULT_CONFIDENCE,
@@ -107,7 +107,9 @@ class RankProfile:
 
     ``ranks[i, j]`` is the rank of ``values[i]`` in ``contexts[j]``. All
     entries must be present; values that could not be ranked in every
-    context are excluded before a profile is built.
+    context are excluded before a profile is built. An assembled profile
+    also holds the cells and positions it was ranked from, which the report
+    export writes; a profile built from ranks alone has neither.
     """
 
     hyperparameter: str
@@ -115,12 +117,10 @@ class RankProfile:
     contexts: tuple[str, ...]
     ranks: np.ndarray
     fixed: Mapping[str, str] = field(default_factory=dict)
-    #: Builds :attr:`tables`, each context's ranking table, on their first read.
-    build_tables: Callable[[], tuple[RankingTable, ...]] = field(default=tuple, compare=False, repr=False)
-
-    @functools.cached_property
-    def tables(self) -> tuple[RankingTable, ...]:
-        return self.build_tables()
+    #: ``(3, values, contexts)`` lower bounds, upper bounds and points of the ranked cells.
+    intervals: np.ndarray | None = field(default=None, compare=False, repr=False)
+    #: ``(values, contexts)``: ``order[p, j]`` is the index of the value at position ``p + 1`` in context ``j``.
+    order: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         # C order, so that scoring the profile alone or in a stack adds alike.
@@ -137,6 +137,10 @@ class RankProfile:
             )
         if ranks.size == 0:
             raise ValueError("profile must contain at least one value and one context")
+        for name, shape in (("intervals", (3, *ranks.shape)), ("order", ranks.shape)):
+            array = getattr(self, name)
+            if array is not None and np.shape(array) != shape:
+                raise ValueError(f"{name} shape {np.shape(array)} does not match {shape}")
         if not np.all(np.isfinite(ranks)):
             raise ValueError("profile ranks must all be present and finite")
 
@@ -601,8 +605,8 @@ def _profile_of(
 
     if len(coords) < 2:
         return skip(f"only {len(coords)} context(s) with data")
-    lower, upper = np.stack([cells.context_arrays(*_context_key(hp, c))[:2] for c in coords], axis=2)
-    rankable = ~np.isnan(lower)
+    intervals = np.stack([cells.context_arrays(*_context_key(hp, c)) for c in coords], axis=2)
+    rankable = ~np.isnan(intervals[0])
     kept = rankable.any(axis=0)
     if kept.sum() < 2:
         return skip(f"only {int(kept.sum())} context(s) with rankable values")
@@ -615,12 +619,10 @@ def _profile_of(
     if not common.any():
         return skip("no value is rankable in every context")
     values = [v for v, every in zip(declared, common) if every]
-    coords = [c for c, keep in zip(coords, kept) if keep]
-    lower, upper = lower[common][:, kept], upper[common][:, kept]
-    order, ranks = rank_intervals(values, lower, upper, cells.options.ranking_mode)
-    return RankProfile(hyperparameter=hp, values=tuple(values), contexts=tuple(c[axis.value] for c in coords),
-                       ranks=ranks, fixed=dict(combo),
-                       build_tables=functools.partial(ranking_tables, values, lower, upper, order, ranks, hp, coords))
+    contexts = tuple(c[axis.value] for c, keep in zip(coords, kept) if keep)
+    intervals = intervals[:, common][..., kept]
+    order, ranks = rank_intervals(values, *intervals[:2], cells.options.ranking_mode)
+    return RankProfile(hp, tuple(values), contexts, ranks, dict(combo), intervals, order)
 
 
 def rank_context(

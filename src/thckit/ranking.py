@@ -23,9 +23,8 @@ neighbours occupy a contiguous block of positions; where they diverge (a wide
 interval straddling a narrow non-overlapping one) the divergence is logged.
 
 :func:`rank_intervals` ranks many contexts in one array pass and logs their
-divergences; :func:`compute_rankings` is its one-context call.
-:func:`ranking_tables` builds :class:`RankingTable` objects only for the
-callers that read them.
+divergences; :func:`compute_rankings` is its one-context call, and the only
+builder of :class:`RankingTable` objects.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ __all__ = [
     "RankingTable",
     "compute_rankings",
     "rank_intervals",
-    "ranking_tables",
 ]
 
 logger = logging.getLogger(__name__)
@@ -148,18 +146,8 @@ def compute_rankings(
     if not settings:
         raise ValueError("compute_rankings needs at least one setting")
     labels = [label for label, _ in settings]
-    lower, upper = np.array([[iv.lower, iv.upper] for _, iv in settings], dtype=float).T[..., np.newaxis]
-    order, final = rank_intervals(labels, lower, upper, mode)
-    return ranking_tables(labels, lower, upper, order, final, hyperparameter, [context])[0]
-
-
-def ranking_tables(labels: Sequence[str], lower: np.ndarray, upper: np.ndarray, order: np.ndarray,
-                   final: np.ndarray, hyperparameter: str | None = None,
-                   contexts: Sequence[Mapping[str, str] | None] = (None,)) -> tuple[RankingTable, ...]:
-    """The table of each context, given its column of :func:`rank_intervals`'
-    bounds and result."""
-    return tuple(
-        RankingTable(tuple(RankedSetting(labels[i], Interval(lo[i], up[i]), p + 1, ranks[i])
-                           for p, i in enumerate(column)), hyperparameter, context)
-        for column, lo, up, ranks, context in zip(order.T.tolist(), lower.T.tolist(),
-                                                  upper.T.tolist(), final.T.tolist(), contexts))
+    bounds = np.array([[iv.lower, iv.upper] for _, iv in settings], dtype=float)
+    order, final = rank_intervals(labels, bounds[:, :1], bounds[:, 1:], mode)
+    (lower, upper), final = bounds.T.tolist(), final[:, 0].tolist()
+    return RankingTable(tuple(RankedSetting(labels[i], Interval(lower[i], upper[i]), p + 1, final[i])
+                              for p, i in enumerate(order[:, 0].tolist())), hyperparameter, context)

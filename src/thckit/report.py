@@ -45,8 +45,6 @@ class ReportBundle:
     reports: tuple[ConsistencyReport, ...]
     profiles: tuple[tuple[RankProfile, ...], ...]
     provenance: Mapping[str, Any]
-    #: The cells every setup read; the export takes point estimates from it.
-    cells: CellTable
 
 
 def _digest(data: bytes) -> str:
@@ -96,7 +94,7 @@ def build_report_bundle(
             "kendall": include_kendall,
         },
     }
-    return ReportBundle(tuple(reports), tuple(profiles), provenance, cells)
+    return ReportBundle(tuple(reports), tuple(profiles), provenance)
 
 
 def _fixed_label(fixed: Mapping[str, str], sep: str = ";") -> str:
@@ -249,19 +247,17 @@ def _bundle_files(bundle: ReportBundle) -> dict[str, bytes]:
                             _fixed_label(skip.fixed), skip.reason])
         setups_json[report.setup.value] = report_to_dict(report, include_kendall)
         for profile in profiles:
-            hp, fixed = profile.hyperparameter, _fixed_label(profile.fixed)
+            hp, fixed, values = profile.hyperparameter, _fixed_label(profile.fixed), profile.values
             series_rows = [["context", "value", "point", "lower", "upper"]]
-            for table in profile.tables:
-                context = table.context[report.setup.axis.value]
+            # Each context's lower bounds, upper bounds and points as written, in value order.
+            cells = ([list(map(repr, column)) for column in array.T.tolist()] for array in profile.intervals)
+            for context, order, lower, upper, point, ranks in zip(
+                    profile.contexts, profile.order.T.tolist(), *cells, profile.ranks.T.tolist()):
                 row = [report.setup.value, hp, fixed, context]
-                points = bundle.cells.context_arrays(hp, **table.context)[2].tolist()
-                point_of = dict(zip(bundle.cells.dataset.schema.hyperparameters[hp], map(repr, points)))
-                bounds = {e.label: [repr(e.interval.lower), repr(e.interval.upper)] for e in table}
-                for entry in table:
-                    rankings.append([*row, entry.label, *bounds[entry.label], str(entry.initial_rank),
-                                     repr(entry.final_rank)])
-                    intervals.append([*row, entry.label, *bounds[entry.label], point_of[entry.label]])
-                series_rows += [[context, value, point_of[value], *bounds[value]] for value in profile.values]
+                for position, i in enumerate(order, 1):
+                    rankings.append([*row, values[i], lower[i], upper[i], str(position), repr(ranks[i])])
+                    intervals.append([*row, values[i], lower[i], upper[i], point[i]])
+                series_rows += [[context, value, point[i], lower[i], upper[i]] for i, value in enumerate(values)]
             name, owner = _series_name(report.setup, profile), _entry_label(profile)
             if name in series_owners:
                 raise ValueError(f"{report.setup.value} profiles {series_owners[name]!r} and {owner!r} "

@@ -271,6 +271,19 @@ class TestThc:
         assert capsys.readouterr().out.splitlines()[-1] == \
             "skipped solo [agent=agent01; data_regime=regime01]: only 1 context(s) with data"
 
+    def test_nothing_comparable_names_each_skip_with_its_fixed_coordinates(self, tmp_path, capsys):
+        # One seed per cell leaves no value rankable anywhere, so every plan
+        # is skipped, and only its fixed coordinates tell two skips apart.
+        assert main(["synth", "--design", str(FIXTURE / "design.yaml"), "--seeds-per-cell", "1",
+                     "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        paths = {name: tmp_path / f"{name}.{ext}" for name, ext in
+                 (("runs", "csv"), ("baselines", "csv"), ("schema", "yaml"))}
+        assert main(["thc", *dataset_args(paths), "--setup", "agents"]) == 3
+        skips = "; ".join(f"{hp} [data_regime={regime}]: only 0 context(s) with rankable values"
+                          for hp in ("lr", "width", "depth") for regime in ("low", "high"))
+        assert capsys.readouterr().err.splitlines()[-1] == f"error: nothing comparable across agents ({skips})"
+
     def test_sum_normalization_flag(self, reference_paths, tmp_path, capsys):
         sidecar = tmp_path / "thc.json"
         main(["thc", *dataset_args(reference_paths),
@@ -634,6 +647,8 @@ class TestBootstrapFlags:
         pytest.param(["report"], ["--setup", "environments", "--environment", "env01"],
                      "cannot fix 'environment'; it is the varying axis of setup 'environments'",
                      id="report setup varies a pin"),
+        pytest.param(["thc", "--setup", "agents"], ["--strict"], "--strict needs --kendall",
+                     id="thc strict without kendall"),
     ])
     def test_flags_are_checked_before_the_run_log_is_read(self, tmp_path, capsys, source,
                                                           command, flags, message):

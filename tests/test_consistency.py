@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import functools
 import itertools
 import logging
 import math
@@ -39,11 +38,12 @@ from thckit.consistency import (
     thc,
 )
 from thckit.dataset import BaselineTable, EmptySliceError, RunRecord, SweepDataset, SweepSchema, load_dataset
-from thckit.ranking import RankingMode, rank_intervals, ranking_tables
+from thckit.ranking import RankingMode, rank_intervals
 from thckit.report import build_report_bundle, write_report_bundle
-from thckit.stats import ScoreMatrix, derive_seed, human_normalize, pooled_bootstrap_cis, pooled_mean_and_spreads
+from thckit.stats import (Interval, ScoreMatrix, derive_seed, human_normalize, pooled_bootstrap_cis,
+                          pooled_mean_and_spreads)
 
-from conftest import dataset_from_intervals, rankable_cells, reference_trajectory_cells
+from conftest import dataset_from_intervals, reference_trajectory_cells
 
 
 def profile(matrix, name="hp") -> RankProfile:
@@ -148,6 +148,19 @@ class TestRankProfileValidation:
     def test_duplicate_contexts(self):
         with pytest.raises(ValueError, match="contexts must be unique"):
             RankProfile("hp", ("a", "b"), ("c1", "c1"), np.array([[1.0, 1.0], [2.0, 2.0]]))
+
+    @pytest.mark.parametrize("intervals, order, message", [
+        (np.zeros((3, 3, 2)), None, r"intervals shape \(3, 3, 2\) does not match \(3, 2, 3\)"),
+        (np.zeros((2, 2, 3)), None, r"intervals shape \(2, 2, 3\) does not match \(3, 2, 3\)"),
+        (None, np.zeros((3, 2), dtype=int), r"order shape \(3, 2\) does not match \(2, 3\)"),
+        (None, np.zeros(6, dtype=int), r"order shape \(6,\) does not match \(2, 3\)"),
+    ])
+    def test_intervals_and_order_must_be_values_by_contexts(self, intervals, order, message):
+        ranks = np.array([[1.0, 1.0, 2.0], [2.0, 2.0, 1.0]])
+        RankProfile("hp", ("a", "b"), ("c1", "c2", "c3"), ranks, {}, np.zeros((3, 2, 3)),
+                    np.zeros((2, 3), dtype=int))
+        with pytest.raises(ValueError, match=message):
+            RankProfile("hp", ("a", "b"), ("c1", "c2", "c3"), ranks, {}, intervals, order)
 
 
 def brute_force_tau_b(x, y):
@@ -426,16 +439,16 @@ class TestAssembly:
         assert ranks["ha"] == TRAJECTORY_A1
         assert ranks["hb"] == TRAJECTORY_B1
 
-    def test_points_and_tables_populated(self):
+    def test_profile_holds_its_cells_and_positions(self):
         dataset = dataset_from_intervals(reference_trajectory_cells())
         options = AssemblyOptions(interval_source=IntervalSource.MEAN_SD)
-        cells = CellTable(dataset, options)
-        assembled = assemble_profiles(dataset, TransferSetup.ACROSS_ENVIRONMENTS, options, cells=cells)
-        p = assembled.profiles[0]
-        assert len(p.tables) == len(p.contexts)
-        # Every ranked value's point estimate is held by the cell table.
-        for table in p.tables:
-            assert set(rankable_cells(cells, p.hyperparameter, **table.context)) == set(p.values)
+        setup = TransferSetup.ACROSS_ENVIRONMENTS
+        profiles = assemble_profiles(dataset, setup, options).profiles
+        assert len(profiles) == 2
+        for p in profiles:
+            assert hexed_cells(p) == fresh_cells(dataset, setup, options, p)
+            for coords, rows in ranked_rows(p, setup):
+                assert rank_context_rows(dataset, p.hyperparameter, coords, options) == rows
 
     def test_cannot_pin_the_varying_axis(self):
         dataset = dataset_from_intervals(reference_trajectory_cells())
@@ -517,13 +530,12 @@ class TestAssembly:
     def test_iqm_ci_source_is_deterministic(self):
         dataset = dataset_from_intervals(reference_trajectory_cells())
         options = AssemblyOptions(resamples=150, seed=9)
-        first_cells, second_cells = CellTable(dataset, options), CellTable(dataset, options)
-        first = assemble_profiles(dataset, TransferSetup.ACROSS_ENVIRONMENTS, options, cells=first_cells)
-        second = assemble_profiles(dataset, TransferSetup.ACROSS_ENVIRONMENTS, options, cells=second_cells)
+        first = assemble_profiles(dataset, TransferSetup.ACROSS_ENVIRONMENTS, options)
+        second = assemble_profiles(dataset, TransferSetup.ACROSS_ENVIRONMENTS, options)
         assert first.profiles
         for a, b in zip(first.profiles, second.profiles):
             assert np.array_equal(a.ranks, b.ranks)
-            assert profile_fields(a, first_cells) == profile_fields(b, second_cells)
+            assert profile_fields(a) == profile_fields(b)
 
     def test_report_includes_kendall_when_requested(self):
         dataset = dataset_from_intervals(reference_trajectory_cells())
@@ -635,11 +647,48 @@ def bundle_cells(fixture_dataset, tmp_path_factory):
     return cells
 
 
-def profile_fields(p: RankProfile, cells: CellTable) -> tuple:
-    """A profile's fields, ranking tables, and each ranked context's cells
-    (intervals and points) as ``cells`` holds them."""
-    return (p.hyperparameter, p.values, p.contexts, p.ranks.tolist(), dict(p.fixed),
-            p.tables, [rankable_cells(cells, p.hyperparameter, **t.context) for t in p.tables])
+def hexed_cells(p: RankProfile) -> list[list[list[str]]]:
+    """A profile's ``(3, values, contexts)`` ranked cells as ``float.hex`` strings."""
+    return [[list(map(float.hex, row)) for row in rows] for rows in p.intervals.tolist()]
+
+
+def context_coords(p: RankProfile, setup: TransferSetup) -> list[dict[str, str]]:
+    """The coordinates of each of a profile's contexts."""
+    return [{**p.fixed, setup.axis.value: context} for context in p.contexts]
+
+
+def fresh_cells(dataset: SweepDataset, setup: TransferSetup, options: AssemblyOptions,
+                p: RankProfile) -> list[list[list[str]]]:
+    """The :func:`hexed_cells` of ``p`` as a fresh ``CellTable`` holds them."""
+    fresh = CellTable(dataset, options)
+    arrays = np.stack([fresh.context_arrays(p.hyperparameter, **c) for c in context_coords(p, setup)], axis=2)
+    rows = [dataset.schema.hyperparameters[p.hyperparameter].index(value) for value in p.values]
+    return [[list(map(float.hex, row)) for row in array] for array in arrays[:, rows].tolist()]
+
+
+def ranked_rows(p: RankProfile, setup: TransferSetup) -> list[tuple[dict[str, str], list[tuple]]]:
+    """Each of a profile's contexts as its coordinates and, in position order
+    read from the profile's arrays, its values' bounds and points (as
+    ``float.hex``), positions and final ranks."""
+    cells = hexed_cells(p)
+    return [(coords, [(p.values[i], *(array[i][j] for array in cells), position, p.ranks[i, j].item())
+                      for position, i in enumerate(p.order[:, j].tolist(), 1)])
+            for j, coords in enumerate(context_coords(p, setup))]
+
+
+def rank_context_rows(dataset: SweepDataset, hp: str, coords: dict[str, str],
+                      options: AssemblyOptions) -> list[tuple]:
+    """The rows of :func:`ranked_rows` for one context, from ``rank_context``."""
+    table, points = rank_context(dataset, hp, **coords, options=options)
+    assert (table.hyperparameter, dict(table.context)) == (hp, coords)
+    return [(e.label, e.interval.lower.hex(), e.interval.upper.hex(), points[e.label].hex(),
+             e.initial_rank, e.final_rank) for e in table]
+
+
+def profile_fields(p: RankProfile) -> tuple:
+    """A profile's fields, ranked cells (as ``float.hex``) and positions."""
+    return (p.hyperparameter, p.values, p.contexts, p.ranks.tolist(), dict(p.fixed), hexed_cells(p),
+            p.order.tolist())
 
 
 class TestCellTable:
@@ -661,7 +710,8 @@ class TestCellTable:
                                    dataclasses.replace(FIXTURE_OPTIONS, environment="env01"))
         profile = next(p for p in pinned.profiles
                        if p.hyperparameter == "lr" and p.fixed["data_regime"] == "low")
-        across_agents = {e.label: e.interval for e in profile.tables[profile.contexts.index("agent01")]}
+        lower, upper, _ = profile.intervals[:, :, profile.contexts.index("agent01")].tolist()
+        across_agents = dict(zip(profile.values, map(Interval, lower, upper)))
         assert len(table) == 3
         for e in table:
             assert bundle_cells["lr", e.label, "agent01", "low", "env01"] == {
@@ -673,14 +723,14 @@ class TestCellTable:
     def test_rank_context_gives_every_bundle_table(self, fixture_dataset, source, mode):
         options = dataclasses.replace(FIXTURE_OPTIONS, interval_source=source, ranking_mode=mode)
         bundle = build_report_bundle(fixture_dataset, ALL_SETUPS, options)
-        tables = [table for profiles in bundle.profiles for p in profiles for table in p.tables]
-        assert len(tables) == 72
-        for table in tables:
-            ranked, points = rank_context(fixture_dataset, table.hyperparameter, **table.context,
-                                          options=options)
-            assert ranked == table
-            held = rankable_cells(bundle.cells, table.hyperparameter, **table.context)
-            assert points == {value: point for value, (_, point) in held.items()}
+        contexts = 0
+        for setup, profiles in zip(ALL_SETUPS, bundle.profiles):
+            for p in profiles:
+                assert hexed_cells(p) == fresh_cells(fixture_dataset, setup, options, p)
+                for coords, rows in ranked_rows(p, setup):
+                    assert rank_context_rows(fixture_dataset, p.hyperparameter, coords, options) == rows
+                    contexts += 1
+        assert contexts == 72
 
     def test_bundle_aggregates_each_cell_once(self, fixture_dataset, monkeypatch):
         seeds = []
@@ -696,8 +746,7 @@ class TestCellTable:
         for setup, shared in zip(ALL_SETUPS, bundle.profiles):
             cells = CellTable(fixture_dataset, FIXTURE_OPTIONS)
             _, alone = build_consistency_report(fixture_dataset, setup, FIXTURE_OPTIONS, cells=cells)
-            assert ([profile_fields(p, bundle.cells) for p in shared]
-                    == [profile_fields(p, cells) for p in alone])
+            assert list(map(profile_fields, shared)) == list(map(profile_fields, alone))
 
     def test_bundle_builds_no_score_matrix(self, fixture_dataset, monkeypatch):
         # The cell table checks every normalised score once and hands the
@@ -742,7 +791,7 @@ class TestCellTable:
                 bundle = build_report_bundle(dataset, ALL_SETUPS, options)
             fills = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
             warned = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
-            fields = [[profile_fields(p, bundle.cells) for p in profiles] for profiles in bundle.profiles]
+            fields = [list(map(profile_fields, profiles)) for profiles in bundle.profiles]
             return fields, fills, warned
 
         whole, whole_fills, whole_warned = bundle_and_log()
@@ -996,8 +1045,8 @@ def per_plan_assembly(dataset: SweepDataset, setup: TransferSetup, options: Asse
         if len(coords) < 2:
             skip(f"only {len(coords)} context(s) with data")
             continue
-        lower, upper, _ = np.stack([cells.context_arrays(*consistency._context_key(hp, c)) for c in coords], axis=2)
-        rankable = ~np.isnan(lower)
+        intervals = np.stack([cells.context_arrays(*consistency._context_key(hp, c)) for c in coords], axis=2)
+        rankable = ~np.isnan(intervals[0])
         kept = rankable.any(axis=0)
         if kept.sum() < 2:
             skip(f"only {int(kept.sum())} context(s) with rankable values")
@@ -1014,11 +1063,10 @@ def per_plan_assembly(dataset: SweepDataset, setup: TransferSetup, options: Asse
             continue
         values = [v for v, every in zip(declared, common) if every]
         coords = [c for c, keep in zip(coords, kept) if keep]
-        lower, upper = lower[np.ix_(common, kept)], upper[np.ix_(common, kept)]
-        order, ranks = rank_intervals(values, lower, upper, options.ranking_mode)
+        intervals = intervals[np.ix_(range(3), common, kept)]
+        order, ranks = rank_intervals(values, intervals[0], intervals[1], options.ranking_mode)
         profiles.append(RankProfile(hp, tuple(values), tuple(c[axis.value] for c in coords), ranks, dict(combo),
-                                    functools.partial(ranking_tables, values, lower, upper, order, ranks, hp,
-                                                      coords)))
+                                    intervals, order))
     return profiles, skipped
 
 
@@ -1060,7 +1108,7 @@ def straddling_sweep() -> SweepDataset:
 
 def profile_record(p: RankProfile) -> tuple:
     return (p.hyperparameter, p.values, p.contexts, dict(p.fixed),
-            [list(map(float.hex, row)) for row in p.ranks.tolist()], p.tables)
+            [list(map(float.hex, row)) for row in p.ranks.tolist()], hexed_cells(p), p.order.tolist())
 
 
 class TestBatchedScoring:

@@ -262,12 +262,14 @@ class TestReferenceEquivalence:
         assert profiles
         expected_messages = []
         for profile in profiles:
-            contexts = [[(value, rankable_cells(cells, profile.hyperparameter, **table.context)[value][0])
-                         for value in profile.values] for table in profile.tables]
-            expected, logged = reference_rankings(contexts, RankingMode.OVERLAP)
+            held = [rankable_cells(cells, profile.hyperparameter, **profile.fixed, **{setup.axis.value: context})
+                    for context in profile.contexts]
+            expected, logged = reference_rankings([[(value, context[value][0]) for value in profile.values]
+                                                   for context in held], RankingMode.OVERLAP)
             expected_messages += logged
-            assert [[(e.label, e.initial_rank, e.final_rank) for e in t]
-                    for t in profile.tables] == expected
+            assert [[(profile.values[i], position, profile.ranks[i, j].item())
+                     for position, i in enumerate(profile.order[:, j].tolist(), 1)]
+                    for j in range(len(profile.contexts))] == expected
             ranks = {(label, j): rank for j, table in enumerate(expected) for label, _, rank in table}
             assert profile.ranks.tolist() == [[ranks[value, j] for j in range(len(expected))]
                                               for value in profile.values]

@@ -15,8 +15,12 @@ from thckit.consistency import (
     IntervalSource,
     TransferSetup,
     build_consistency_report,
+    rank_context,
 )
+from thckit.dataset import load_dataset
+from thckit.ranking import RankingMode
 from thckit.report import (
+    _series_name,
     build_report_bundle,
     consistency_rows,
     entry_to_dict,
@@ -29,6 +33,7 @@ from conftest import dataset_from_intervals, reference_trajectory_cells
 MEAN_SD = AssemblyOptions(interval_source=IntervalSource.MEAN_SD)
 ALL_SETUPS = (TransferSetup.ACROSS_AGENTS, TransferSetup.ACROSS_ENVIRONMENTS,
               TransferSetup.ACROSS_DATA_REGIMES)
+FIXTURE = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +44,11 @@ def reference_dataset_cached():
 def read_tree(directory: Path) -> dict[str, bytes]:
     return {p.relative_to(directory).as_posix(): p.read_bytes()
             for p in sorted(directory.rglob("*")) if p.is_file()}
+
+
+def read_rows(path: Path) -> list[list[str]]:
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.reader(fh))
 
 
 class TestTables:
@@ -191,6 +201,38 @@ class TestBundle:
         json.loads(text)  # strict parse
         assert "NaN" not in text
         assert files
+
+    # Only the default flags have a golden bundle. Under every pair of ranking
+    # mode and interval source, each row of the fixture's bundle is rebuilt
+    # here from the table and points that the rank command gives its context.
+    @pytest.mark.parametrize("mode", list(RankingMode))
+    @pytest.mark.parametrize("source", list(IntervalSource))
+    def test_rows_equal_the_rank_context_of_their_context(self, tmp_path, source, mode):
+        dataset = load_dataset(FIXTURE / "runs.csv", FIXTURE / "baselines.csv", FIXTURE / "schema.yaml")
+        options = AssemblyOptions(interval_source=source, ranking_mode=mode, resamples=200)
+        bundle = build_report_bundle(dataset, ALL_SETUPS, options)
+        write_report_bundle(bundle, tmp_path)
+        columns = ["setup", "hyperparameter", "fixed", "context", "value", "lower", "upper"]
+        rankings, intervals = [[*columns, "initial_rank", "final_rank"]], [[*columns, "point"]]
+        series = {}
+        for setup, profiles in zip(ALL_SETUPS, bundle.profiles):
+            for p in profiles:
+                hp, fixed = p.hyperparameter, ";".join(f"{k}={v}" for k, v in sorted(p.fixed.items()))
+                rows = series.setdefault(_series_name(setup, p), [["context", "value", "point", "lower", "upper"]])
+                for context in p.contexts:
+                    table, points = rank_context(dataset, hp, **p.fixed, **{setup.axis.value: context},
+                                                 options=options)
+                    bounds = {e.label: [repr(e.interval.lower), repr(e.interval.upper)] for e in table}
+                    row = [setup.value, hp, fixed, context]
+                    for e in table:
+                        rankings.append([*row, e.label, *bounds[e.label], str(e.initial_rank), repr(e.final_rank)])
+                        intervals.append([*row, e.label, *bounds[e.label], repr(points[e.label])])
+                    rows += [[context, value, repr(points[value]), *bounds[value]]
+                             for value in dataset.schema.hyperparameters[hp] if value in points]
+        assert len(rankings) == len(intervals) == 1 + 192 and len(series) == 24
+        assert read_rows(tmp_path / "rankings.csv") == rankings
+        assert read_rows(tmp_path / "intervals.csv") == intervals
+        assert {f"series/{path.name}": read_rows(path) for path in (tmp_path / "series").iterdir()} == series
 
     def test_file_digest_matches_hashlib(self, tmp_path):
         path = tmp_path / "blob.bin"
