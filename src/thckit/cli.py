@@ -171,10 +171,9 @@ def _print_table(rows: Sequence[Sequence[str]]) -> None:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.runs, args.baselines, args.schema)
-    # The analysis commands refuse an empty log and such scores, so they fail validation too.
-    problems = dataset._normalisation_problems() if len(dataset) else [f"{args.runs}: run log has no runs"]
-    if problems:
-        raise DatasetError(problems)
+    # The analysis commands refuse an empty log, so it fails validation too.
+    if not len(dataset):
+        raise DatasetError([f"{args.runs}: run log has no runs"])
     run = [hp for hp in dataset.schema.hyperparameters if dataset._labels_with_runs(hp, Axis.AGENT, {})]
     environments = {env for hp in run for env in dataset._labels_with_runs(hp, Axis.ENVIRONMENT, {})}
     print(f"OK: {len(dataset)} runs across {len(run)} hyperparameter(s), "

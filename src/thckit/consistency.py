@@ -9,10 +9,11 @@ kept its rank everywhere; 1 means every value swung between best and worst.
 
 Kendall's W and pairwise Kendall's tau-b are provided as classical
 comparison baselines. Profiles read their cells' intervals from a
-:class:`CellTable`, which normalises and aggregates whole contexts in array
-passes. Each profile's contexts are ranked with one ``rank_intervals``
-call, and a setup's profiles of one shape are scored in one pass; the
-one-profile functions are calls of that pass.
+:class:`CellTable`, which aggregates whole contexts of the dataset's
+human-normalised scores in array passes. Each profile's contexts are
+ranked with one ``rank_intervals`` call, and a setup's profiles of one
+shape are scored in one pass; the one-profile functions are calls of that
+pass.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import functools
 import itertools
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -34,7 +35,6 @@ from .stats import (
     DEFAULT_RESAMPLES,
     Interval,
     derive_seed,
-    human_normalize,
     pooled_bootstrap_cis,
     pooled_mean_and_spreads,
 )
@@ -391,17 +391,17 @@ class CellTable:
     scope); ``environment=None`` pools all declared environments as
     bootstrap strata. A cell's bootstrap seed is derived from its identity
     alone, so every setup and subcommand that reads a cell gets the same
-    interval, and each cell is normalised, aggregated and warned about once,
-    a whole context (hyper-parameter, agent, data regime, environment scope)
-    at a time. A fill block's cells find their groups of runs in the
-    dataset's (cell, seed) sort with one search over the codes of every
-    (context, value, environment); groups of one seed are dropped (and
-    warned about), and one ragged gather lays the kept groups' scores end to
-    end, normalised by their environments' baselines and checked for
-    non-finite values once. Both aggregators read that array as it is, mean
-    +/- sd with each cell's length and the bootstrap with each cell's row
-    sizes, and both return lower bounds, upper bounds and points. A context's
-    cells are held as arrays over the declared values.
+    interval, and each cell is aggregated and warned about once, a whole
+    context (hyper-parameter, agent, data regime, environment scope) at a
+    time. A fill block's cells find their groups of runs in the dataset's
+    (cell, seed) sort with one search over the codes of every (context,
+    value, environment); groups of one seed are dropped (and warned about),
+    and one ragged gather lays the kept groups' scores end to end, as the
+    dataset normalised and checked them when it admitted its runs. Both
+    aggregators read that array as it is, mean +/- sd with each cell's length
+    and the bootstrap with each cell's row sizes, and both return lower
+    bounds, upper bounds and points. A context's cells are held as arrays
+    over the declared values.
     """
 
     def __init__(self, dataset: SweepDataset, options: AssemblyOptions) -> None:
@@ -411,8 +411,8 @@ class CellTable:
 
     def fill(self, keys: Iterable[ContextKey]) -> None:
         """Aggregate the cells of every listed context the table does not hold,
-        in batched passes of about ``_FILL_BLOCK`` cells. Each cell is normalised,
-        and warned about when it drops thin groups, in the order listed."""
+        in batched passes of about ``_FILL_BLOCK`` cells. Each cell is warned
+        about when it drops thin groups, in the order listed."""
         block: dict[ContextKey, None] = {}
         groups: set[object] = set()
         pending = aggregated = held = 0
@@ -442,8 +442,8 @@ class CellTable:
         return self._contexts[key]
 
     def _aggregate(self, block: list[ContextKey], groups: set[object]) -> int:
-        """Store the arrays of every context in ``block``, its cells' scores
-        gathered, human-normalised and aggregated in array passes, and return
+        """Store the arrays of every context in ``block``, its cells'
+        normalised scores gathered and aggregated in array passes, and return
         its cell count. Adds the size groups of the aggregating call (row
         sizes, or pooled lengths for mean +/- sd) to ``groups``."""
         if not block:
@@ -475,13 +475,11 @@ class CellTable:
         kept = sizes >= 2
         rows = np.bincount(cell[kept], minlength=width)
         columns = np.flatnonzero(rows)
-        sizes, env, rows = sizes[kept], env[kept], rows[columns]
+        sizes, rows = sizes[kept], rows[columns]
         lengths = np.bincount(cell[kept], weights=sizes, minlength=width)[columns].astype(int)
-        random, human = dataset._baseline_scores[np.repeat(env, sizes)].T
+        normalised = dataset._sorted[_ragged(starts[kept], sizes)]
+        # An aggregate of finite scores can still overflow; the check below names its cell.
         with np.errstate(over="ignore", invalid="ignore"):
-            normalised = human_normalize(dataset._sorted[_ragged(starts[kept], sizes)], random, human)
-            _require_finite(lambda j: key(columns[j]), np.logical_and.reduceat(
-                np.isfinite(normalised), np.cumsum(lengths) - lengths), "a human-normalised score")
             if options.interval_source is IntervalSource.MEAN_SD:
                 out = pooled_mean_and_spreads(normalised, lengths)
                 groups |= set(lengths.tolist())
@@ -492,8 +490,12 @@ class CellTable:
                          for hp, value, agent, regime, environment in map(key, columns.tolist())]
                 out = pooled_bootstrap_cis(normalised, patterns, seeds, options.resamples, options.confidence)
                 groups |= set(patterns)
-        _require_finite(lambda j: key(columns[j]), np.isfinite(out).all(axis=0),
-                        "an interval bound or point estimate")
+        finite = np.isfinite(out).all(axis=0)
+        if not finite.all():
+            hp, value, agent, regime, environment = key(columns[int(np.argmin(finite))])
+            scope = f"environment {environment}" if environment else "pooled environments"
+            raise ValueError(f"{hp}={value}, agent {agent}, regime {regime}, {scope}: "
+                             "an interval bound or point estimate is not finite")
         arrays = np.full((3, width), np.nan)
         arrays[:, columns] = out
         arrays.flags.writeable = False
@@ -506,14 +508,6 @@ def _ragged(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """``starts[i], starts[i] + 1, ..., starts[i] + counts[i] - 1`` for each
     ``i``, laid end to end."""
     return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
-
-
-def _require_finite(cell: Callable[[int], CellKey], finite: np.ndarray, what: str) -> None:
-    """Raise ``ValueError`` naming ``cell(i)`` for the first ``i`` whose ``finite`` is false."""
-    if not finite.all():
-        hp, value, agent, regime, environment = cell(int(np.argmin(finite)))
-        scope = f"environment {environment}" if environment else "pooled environments"
-        raise ValueError(f"{hp}={value}, agent {agent}, regime {regime}, {scope}: {what} is not finite")
 
 
 def assemble_profiles(

@@ -25,27 +25,30 @@ width gets its ``expected N columns`` problem, and a line the reader rejects
 gets a ``malformed row`` diagnostic. The header line is read the same way,
 and a byte-order mark that starts either stream is read past. Each rule is
 then one predicate over a column of a block, whether the block was parsed or
-given as records: an empty identifier is one ``== ""`` per cell of a column
-that holds one, identifiers become integer codes by dict lookup, seeds and
+given as records: identifiers become integer codes by dict lookup, seeds and
 scores are converted with ``map``, finiteness is one ``np.isfinite``, and
-duplicate keys come from one stable sort of all runs. Diagnostics are
-formatted only for the rows that fail.
+duplicate keys come from one stable sort of all runs; an empty identifier
+is an unknown one, as a schema declares no empty label. Diagnostics are
+formatted only for the rows that fail. The runs of rows that all pass are
+then human-normalised in one pass, one problem per environment with a
+score that does not normalise to a finite number.
 
 The dataset keeps its runs as columns in input order: one integer code per
 run for its (agent, environment, data regime, hyper-parameter value) cell,
 the seeds, and the scores. It also keeps what the sort by (cell, seed) that
 finds duplicate keys gives: the code of each cell with runs (a group) in code
-order, the start and size of each group's runs in that order, and the scores
-so ordered, and, made from the group codes, a mask per hyper-parameter of
-the (agent, environment, data regime) triples with runs. These arrays are
-the dataset's only store of runs, and the analysis reads only the sort:
-``CellTable`` gathers its cells' scores from the groups,
-``SweepDataset._labels_with_runs`` reads the masks, and :func:`slice_scores`
-reads one (agent, data regime) pair's groups as ``environment -> value ->
-scores``, each leaf the group's scores in seed order and both levels in
-schema order. ``SweepDataset.records``, the runs as :class:`RunRecord`
-objects with the schema's identifier strings, is built the first time it is
-read.
+order, the start and size of each group's runs in that order, the
+permutation that puts the runs in that order, and their human-normalised
+scores so ordered, and, made from the group codes, a mask per
+hyper-parameter of the (agent, environment, data regime) triples with runs.
+These arrays are the dataset's only store of runs, and the analysis reads
+only the sort: ``CellTable`` gathers its cells' normalised scores from the
+groups, ``SweepDataset._labels_with_runs`` reads the masks, and
+:func:`slice_scores` reads one (agent, data regime) pair's groups, through
+the permutation, as ``environment -> value -> scores``, each leaf the
+group's raw scores in seed order and both levels in schema order.
+``SweepDataset.records``, the runs as :class:`RunRecord` objects with the
+schema's identifier strings, is built the first time it is read.
 
 Hyper-parameter values are opaque strings compared by exact match. ``"0.5"``
 and ``"0.50"`` are different settings on purpose: ranking only needs
@@ -333,10 +336,9 @@ class _Block(NamedTuple):
     # The same columns as written; None for records given directly.
     cells: Sequence[Sequence[str]] | None
     linenos: Sequence[int] | None
-    # Problems parsing found, by row.
+    # Problems parsing found, by row: only a row with the wrong number of cells has
+    # one, and its placeholder fields are checked by no rule.
     found: Mapping[int, list[str]]
-    # Rows with the wrong number of cells: they hold placeholder fields that no rule checks.
-    unchecked: Sequence[int] = ()
     # What a malformed line right after the rows raised; it ends the log.
     error: DatasetError | None = None
 
@@ -349,8 +351,8 @@ class SweepDataset:
     input order, built on first read.
     """
 
-    __slots__ = ("_cells", "_seeds", "_scores", "_groups", "_starts", "_sizes", "_sorted", "_runs",
-                 "_shape", "_first", "_baseline_scores", "_records", "baselines", "schema")
+    __slots__ = ("_cells", "_seeds", "_scores", "_groups", "_starts", "_sizes", "_order", "_sorted", "_runs",
+                 "_shape", "_first", "_records", "baselines", "schema")
 
     def __init__(self, records: Iterable[RunRecord], baselines: BaselineTable, schema: SweepSchema):
         self._admit(_record_blocks(records), baselines, schema)
@@ -369,7 +371,8 @@ class SweepDataset:
         keep and sort the runs if no row has a problem. Otherwise raise the
         problems in row order and, within a row, in rule order, stopping as a
         row-by-row check would after the row that brings them to
-        ``MAX_DIAGNOSTICS``; a file row's are prefixed ``source:lineno:``."""
+        ``MAX_DIAGNOSTICS``; a file row's are prefixed ``source:lineno:``.
+        Then raise a problem per environment whose normalised scores are not finite."""
         vocabulary = _vocabulary(schema)
         codes = [{name: code for code, name in enumerate(names)} for names in vocabulary]
         # The cell-code shape, each hyper-parameter's first value code, and the random and
@@ -421,27 +424,40 @@ class SweepDataset:
         if problems or after is not None:
             _raise_problems(problems, rows, after,
                             None if source is None else list(chain.from_iterable(linenos)), source)
+        # Free the key arrays before normalising, which holds several run-sized temporaries.
+        del key, keys, keyed, keyed_rows, seed_keys, sort, sorted_seeds, repeats
 
         scores, ordered = np.concatenate(scores), cells[order]
         # Each group's start, and a past-the-end group of no runs that a cell without runs finds.
         starts = np.append(np.flatnonzero(np.diff(ordered, prepend=-1)), len(order))
         groups = np.append(ordered[starts[:-1]], np.iinfo(np.int64).max)
+        sizes = np.diff(starts, append=len(order))
         # Whether each (hyper-parameter, agent, environment, data regime) has runs, read by
         # _labels_with_runs: unravelling the group codes per question costs more than the fill.
         a, e, r, p = np.unravel_index(groups[:-1], declared)
         runs = np.zeros((len(counts), *declared[:3]), bool)
         runs[np.repeat(np.arange(len(counts)), counts)[p], a, e, r] = True
+        # Each sorted run's human-normalised score, by its group's environment baselines.
+        with np.errstate(over="ignore", invalid="ignore"):
+            normalised = human_normalize(scores[order], *(np.repeat(column, sizes[:-1]) for column in table[e].T))
+        finite = np.isfinite(normalised)
+        if not finite.all():
+            env = np.repeat(e, sizes[:-1])[~finite]
+            raise DatasetError([
+                f"a human-normalised score of environment {schema.environments[code]!r} is not finite "
+                "(random_score {!r}, human_score {!r})".format(*table[code].tolist())
+                for code in np.flatnonzero(np.bincount(env, minlength=declared[1])).tolist()])
         object.__setattr__(self, "_cells", cells)
         object.__setattr__(self, "_seeds", tuple(seeds))
         object.__setattr__(self, "_scores", scores)
         object.__setattr__(self, "_groups", groups)
         object.__setattr__(self, "_starts", starts)
-        object.__setattr__(self, "_sizes", np.diff(starts, append=len(order)))
-        object.__setattr__(self, "_sorted", scores[order])
+        object.__setattr__(self, "_sizes", sizes)
+        object.__setattr__(self, "_order", order)
+        object.__setattr__(self, "_sorted", normalised)
         object.__setattr__(self, "_runs", dict(zip(schema.hyperparameters, runs)))
         object.__setattr__(self, "_shape", declared)
         object.__setattr__(self, "_first", first)
-        object.__setattr__(self, "_baseline_scores", table)
         object.__setattr__(self, "_records", None)
         object.__setattr__(self, "baselines", baselines)
         object.__setattr__(self, "schema", schema)
@@ -466,17 +482,6 @@ class SweepDataset:
                 runs = runs.take([labels.index(label)] if label in labels else [], axis=position)
         found = runs.any(axis=tuple({0, 1, 2} - {list(Axis).index(axis)})).tolist()
         return [label for label, ran in zip(self.schema.axis_values(axis), found) if ran]
-
-    def _normalisation_problems(self) -> list[str]:
-        """One problem per environment, in schema order, with a run whose
-        human-normalised score is not finite."""
-        envs, baselines = self.schema.environments, self._baseline_scores
-        env = np.unravel_index(self._cells, self._shape)[1]
-        with np.errstate(over="ignore", invalid="ignore"):
-            finite = np.isfinite(human_normalize(self._scores, *baselines[env].T))
-        return [f"a human-normalised score of environment {envs[code]!r} is not finite "
-                "(random_score {!r}, human_score {!r})".format(*baselines[code].tolist())
-                for code in np.flatnonzero(np.bincount(env[~finite], minlength=len(envs))).tolist()]
 
     def _columns(self) -> list[Sequence]:
         """The seven run-log columns in input order, identifiers spelled as
@@ -540,11 +545,8 @@ def _check(block: _Block, codes: list[dict], declared: Sequence[int], unbased: n
     unknown_hp = undeclared & np.array([hp not in schema.hyperparameters for hp in hps], dtype=bool) \
         if undeclared.any() else undeclared
     checked = np.ones(n, bool)
-    checked[list(block.unchecked)] = False
+    checked[list(block.found)] = False
     rules = (
-        *((np.array([cell == "" for cell in column], bool) if "" in column else np.zeros(n, bool),
-           lambda i, name=name: f"empty column {name!r}")
-          for name, column in zip(RUN_LOG_HEADER, (agents, envs, regimes, hps, values))),
         (bad_seed, lambda i: f"column 'seed' must be a non-negative integer, got {_quoted(block, 5, i)!r}"),
         (missing, lambda i: f"column 'final_score' is not a number: {_quoted(block, 6, i)!r}"),
         (~(np.isfinite(value) | missing),
@@ -715,18 +717,17 @@ def _run_log_blocks(stream: IO[str], source: str) -> Iterator[_Block]:
             yield block
             del block
             continue
-        rows, linenos, found, unchecked, error = [], [], {}, [], None
+        rows, linenos, found, error = [], [], {}, None
         try:
             for number, row, problem in _rows(lines, first, source, len(RUN_LOG_HEADER)):
                 if problem:
                     found[len(rows)] = problem
-                    unchecked.append(len(rows))
                     row = _PLACEHOLDER
                 rows.append(row)
                 linenos.append(number)
         except DatasetError as exc:
             error = exc
-        yield _text_block(list(zip(*rows)) or [()] * 7, linenos, found, unchecked, error)
+        yield _text_block(list(zip(*rows)) or [()] * 7, linenos, found, error)
         if error is not None:
             return
         # Read the next block holding no text of this one.
@@ -734,10 +735,10 @@ def _run_log_blocks(stream: IO[str], source: str) -> Iterator[_Block]:
 
 
 def _text_block(cells: list[Sequence[str]], linenos: Sequence[int], found: dict[int, list[str]],
-                unchecked: Sequence[int] = (), error: DatasetError | None = None) -> _Block:
+                error: DatasetError | None = None) -> _Block:
     """A block of run-log cells by column, with seeds and scores converted."""
     fields = [*cells[:5], _converted(int, cells[5], repeats=True), _converted(float, cells[6])]
-    return _Block(fields, cells, linenos, found, unchecked, error)
+    return _Block(fields, cells, linenos, found, error)
 
 
 def parse_dataset(run_log: IO[str], baselines: IO[str], schema: SweepSchema) -> SweepDataset:
@@ -746,10 +747,10 @@ def parse_dataset(run_log: IO[str], baselines: IO[str], schema: SweepSchema) -> 
     Parsing checks what needs the text: the header, the column count, and
     int/float conversion. A byte-order mark that starts either stream is read
     past. The rows then pass once through the rules that direct construction
-    of :class:`BaselineTable` and :class:`SweepDataset` applies, the
-    empty-identifier rule among them. Raises :class:`DatasetError` carrying one
-    diagnostic per problem, prefixed ``source:lineno:``; a bad baseline table
-    is reported before the run log is read.
+    of :class:`BaselineTable` and :class:`SweepDataset` applies, the finite
+    human-normalised score among them. Raises :class:`DatasetError` carrying
+    one diagnostic per problem, a row's prefixed ``source:lineno:``; a bad
+    baseline table is reported before the run log is read.
     """
     base_source = getattr(baselines, "name", "<baselines>")
     start = _header_line(baselines, base_source, BASELINES_HEADER, "baseline table")
@@ -794,14 +795,14 @@ def slice_scores(
     context = {"agent": agent, "data_regime": data_regime}
     if not dataset._labels_with_runs(hyperparameter, Axis.AGENT, context):
         raise EmptySliceError(f"no records for hyperparameter {hyperparameter!r} in context {context}")
-    values, scores = schema.hyperparameters[hyperparameter], dataset._sorted
+    values, scores, order = schema.hyperparameters[hyperparameter], dataset._scores, dataset._order
     env, value = np.divmod(np.arange(len(schema.environments) * len(values)), len(values))
     starts, sizes = dataset._groups_at(schema.agents.index(agent), env, schema.data_regimes.index(data_regime),
                                        dataset._first[hyperparameter] + value)
     node: dict = {}
     for e, v, start, size in zip(env.tolist(), value.tolist(), starts.tolist(), sizes.tolist()):
         if size:
-            node.setdefault(schema.environments[e], {})[values[v]] = tuple(scores[start:start + size].tolist())
+            node.setdefault(schema.environments[e], {})[values[v]] = tuple(scores[order[start:start + size]].tolist())
     return MappingProxyType({env: MappingProxyType(by_value) for env, by_value in node.items()})
 
 

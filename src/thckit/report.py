@@ -227,7 +227,8 @@ def _escape(text: str) -> str:
 
 def _bundle_files(bundle: ReportBundle) -> dict[str, bytes]:
     """All report files as path -> bytes (manifest excluded). Raises
-    ``ValueError`` when two profiles' series would share one file name."""
+    ``ValueError`` when two profiles' series would share one file name, or
+    when a profile built from ranks alone holds nothing to export."""
     include_kendall = bundle.provenance["flags"]["kendall"]
 
     consistency = []
@@ -247,6 +248,8 @@ def _bundle_files(bundle: ReportBundle) -> dict[str, bytes]:
                             _fixed_label(skip.fixed), skip.reason])
         setups_json[report.setup.value] = report_to_dict(report, include_kendall)
         for profile in profiles:
+            if profile.intervals is None or profile.order is None:
+                raise ValueError(f"profile {_entry_label(profile)!r} has no intervals or positions to export")
             hp, fixed, values = profile.hyperparameter, _fixed_label(profile.fixed), profile.values
             series_rows = [["context", "value", "point", "lower", "upper"]]
             # Each context's lower bounds, upper bounds and points as written, in value order.

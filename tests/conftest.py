@@ -251,12 +251,9 @@ def _reference_file_rows(stream: IO[str], source: str, header: tuple[str, ...], 
 
 def _reference_run_log_entry(cells: list[str]) -> tuple[list[str] | None, tuple]:
     agent, env, regime, hp, value, seed, score = cells
-    empty = None
-    if not (agent and env and regime and hp and value):
-        empty = [f"empty column {RUN_LOG_HEADER[i]!r}" for i in range(5) if not cells[i]]
     intern = sys.intern
-    return empty, (intern(agent), intern(env), intern(regime), intern(hp), intern(value),
-                   _reference_convert(int, seed), _reference_convert(float, score))
+    return None, (intern(agent), intern(env), intern(regime), intern(hp), intern(value),
+                  _reference_convert(int, seed), _reference_convert(float, score))
 
 
 def _reference_admit(rows: Iterable[tuple], baselines: BaselineTable, schema: SweepSchema,

@@ -18,6 +18,7 @@ from thckit.cli import main
 from thckit.consistency import AssemblyOptions, IntervalSource, TransferSetup
 from thckit.dataset import (
     BaselineTable,
+    DatasetError,
     EmptySliceError,
     RunRecord,
     SweepDataset,
@@ -104,14 +105,14 @@ class TestValidate:
         lines = baselines.read_text().splitlines()
         baselines.write_text("\n".join(line if not line.startswith("g3,") else "g3,0.0,1e-320"
                                        for line in lines) + "\n")
+        expected = ("a human-normalised score of environment 'g3' is not finite "
+                    "(random_score 0.0, human_score 1e-320)\n"
+                    "validation failed with 1 problem(s)\n")
         assert main(["validate", *dataset_args(reference_paths)]) == 1
-        assert capsys.readouterr().err == (
-            "a human-normalised score of environment 'g3' is not finite "
-            "(random_score 0.0, human_score 1e-320)\n"
-            "validation failed with 1 problem(s)\n")
+        assert capsys.readouterr().err == expected
         assert main(["thc", *dataset_args(reference_paths), "--setup", "environments",
-                     "--interval-source", "mean_sd"]) == 2
-        assert "a human-normalised score is not finite" in capsys.readouterr().err
+                     "--interval-source", "mean_sd"]) == 1
+        assert capsys.readouterr() == ("", expected)
 
     def test_unparseable_score_names_line(self, reference_paths, capsys):
         runs = reference_paths["runs"]
@@ -551,24 +552,58 @@ class TestMalformedYaml:
         assert capsys.readouterr().err.startswith(f"error: {design}: malformed YAML at line 3, column ")
 
 
+def overflow_g3(paths) -> None:
+    """Rewrite g3's baselines and scores so that score - random = 1e308 + 1e308
+    and human - random both overflow to inf: every g3 score normalises to
+    inf / inf = nan."""
+    baselines = paths["baselines"]
+    lines = baselines.read_text().splitlines()
+    baselines.write_text("".join((line if not line.startswith("g3,") else "g3,-1e308,1e308") + "\n"
+                                 for line in lines))
+    runs = paths["runs"]
+    rows = [row.split(",") for row in runs.read_text().splitlines()]
+    runs.write_text("".join(",".join(row[:-1] + ["1e308"] if row[1] == "g3" else row) + "\n" for row in rows))
+
+
+# What every command prints on stderr for the files overflow_g3 writes.
+OVERFLOW_G3_STDERR = ("a human-normalised score of environment 'g3' is not finite "
+                      "(random_score -1e+308, human_score 1e+308)\n"
+                      "validation failed with 1 problem(s)\n")
+
+
 class TestNonFiniteScores:
     @pytest.mark.parametrize("source", ["iqm_ci", "mean_sd"])
-    def test_overflowing_normalisation_exits_2_naming_the_cell(self, reference_paths, capsys, source):
-        # score - random = 1e308 + 1e308 and human - random both overflow to
-        # inf, so every g3 score normalises to inf / inf = nan.
-        baselines = reference_paths["baselines"]
-        lines = baselines.read_text().splitlines()
-        lines = [line if not line.startswith("g3,") else "g3,-1e308,1e308" for line in lines]
-        baselines.write_text("\n".join(lines) + "\n")
-        runs = reference_paths["runs"]
-        rows = [row.split(",") for row in runs.read_text().splitlines()]
-        runs.write_text("".join(",".join(row[:-1] + ["1e308"] if row[1] == "g3" else row) + "\n"
-                                for row in rows))
+    def test_overflowing_normalisation_exits_1_naming_the_environment(self, reference_paths, capsys, source):
+        overflow_g3(reference_paths)
         assert main(["thc", *dataset_args(reference_paths), "--setup", "environments",
-                     "--interval-source", source, "--resamples", "100"]) == 2
-        assert capsys.readouterr().err == (
-            "error: ha=a, agent agent01, regime regime01, environment g3: "
-            "a human-normalised score is not finite\n")
+                     "--interval-source", source, "--resamples", "100"]) == 1
+        assert capsys.readouterr() == ("", OVERFLOW_G3_STDERR)
+
+    # Normalisation is a dataset rule, so every command refuses the run log as
+    # validate does, rank even on an environment whose scores normalise.
+    @pytest.mark.parametrize("command", [
+        ["validate"],
+        ["rank", "--hyperparameter", "ha", "--agent", "agent01", "--data-regime", "regime01",
+         "--environment", "g1"],
+        ["thc", "--setup", "environments"],
+        ["report", "--out", "{out}"],
+    ], ids=["validate", "rank-healthy-environment", "thc", "report"])
+    def test_every_command_refuses_overflowing_normalisation_alike(self, reference_paths, capsys, tmp_path,
+                                                                  command):
+        overflow_g3(reference_paths)
+        argv = [arg.format(out=tmp_path / "out") for arg in command]
+        assert main([argv[0], *dataset_args(reference_paths), *argv[1:]]) == 1
+        assert capsys.readouterr() == ("", OVERFLOW_G3_STDERR)
+        assert not (tmp_path / "out").exists()
+
+    def test_direct_construction_raises_the_lines_validate_prints(self, reference_paths):
+        dataset = load_dataset(reference_paths["runs"], reference_paths["baselines"], reference_paths["schema"])
+        records = [dataclasses.replace(r, final_score=1e308) if r.environment == "g3" else r
+                   for r in dataset.records]
+        baselines = BaselineTable({**dataset.baselines.scores, "g3": (-1e308, 1e308)})
+        with pytest.raises(DatasetError) as excinfo:
+            SweepDataset(records, baselines, dataset.schema)
+        assert excinfo.value.diagnostics == OVERFLOW_G3_STDERR.splitlines()[:1]
 
 
 class TestParser:

@@ -130,8 +130,8 @@ FAULTS = [
     pytest.param(RUNS_CSV + "a1,e1,r1,lr,0.1,7\n", BASELINES_CSV,
                  ["<run log>:8: expected 7 columns, got 6"], None, id="column-count"),
     pytest.param(RUNS_CSV + ",e1,r1,lr,0.1,7,1.0\n", BASELINES_CSV,
-                 ["<run log>:8: empty column 'agent'", "<run log>:8: unknown agent ''"], None,
-                 id="empty-identifier"),
+                 ["<run log>:8: unknown agent ''"],
+                 with_record("", "e1", "r1", "lr", "0.1", 7, 1.0), id="empty-identifier"),
     pytest.param(RUNS_CSV + "a2,e1,r1,lr,0.1,x,1.0\n", BASELINES_CSV,
                  ["<run log>:8: column 'seed' must be a non-negative integer, got 'x'"],
                  with_record("a2", "e1", "r1", "lr", "0.1", "x", 1.0), id="bad-seed"),
@@ -666,8 +666,7 @@ class TestSweepDataset:
     def test_empty_identifiers_rejected_in_direct_records(self):
         with pytest.raises(DatasetError) as excinfo:
             SweepDataset([RunRecord("", "e1", "r1", "lr", "", 0, 1.0)], small_baselines(), small_schema())
-        assert excinfo.value.diagnostics == ["empty column 'agent'", "empty column 'value'", "unknown agent ''",
-                                             "value '' not declared for hyperparameter 'lr'"]
+        assert excinfo.value.diagnostics == ["unknown agent ''", "value '' not declared for hyperparameter 'lr'"]
 
     def test_a_falsy_identifier_is_not_empty(self):
         with pytest.raises(DatasetError) as excinfo:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import xml.etree.ElementTree as ET
@@ -13,6 +14,7 @@ import pytest
 from thckit.consistency import (
     AssemblyOptions,
     IntervalSource,
+    RankProfile,
     TransferSetup,
     build_consistency_report,
     rank_context,
@@ -201,6 +203,15 @@ class TestBundle:
         json.loads(text)  # strict parse
         assert "NaN" not in text
         assert files
+
+    def test_a_profile_built_from_ranks_alone_is_refused_by_name(self, reference_dataset_cached, tmp_path):
+        bundle = build_report_bundle(reference_dataset_cached, [TransferSetup.ACROSS_ENVIRONMENTS], MEAN_SD)
+        first, *rest = bundle.profiles[0]
+        bare = RankProfile(first.hyperparameter, first.values, first.contexts, first.ranks, first.fixed)
+        with pytest.raises(ValueError) as excinfo:
+            write_report_bundle(dataclasses.replace(bundle, profiles=((bare, *rest),)), tmp_path / "out")
+        assert str(excinfo.value) == ("profile 'ha [agent=agent01;data_regime=regime01]' "
+                                      "has no intervals or positions to export")
 
     # Only the default flags have a golden bundle. Under every pair of ranking
     # mode and interval source, each row of the fixture's bundle is rebuilt
