@@ -25,11 +25,6 @@ from .consistency import (
     TransferSetup,
     assemble_profiles,
     build_consistency_report,
-    kendall_tau_matrix,
-    kendall_w,
-    mean_pairwise_tau,
-    normalized_ptp,
-    ptp,
     rank_context,
     thc,
 )
@@ -45,19 +40,10 @@ from .dataset import (
     load_dataset,
     load_schema,
     parse_dataset,
-    slice_scores,
 )
-from .ranking import RankedSetting, RankingMode, RankingTable, compute_rankings
+from .ranking import RankingMode
 from .report import ReportBundle, build_report_bundle, write_report_bundle
-from .stats import (
-    Interval,
-    ScoreMatrix,
-    derive_seed,
-    human_normalize,
-    iqm,
-    mean_and_spread,
-    stratified_bootstrap_ci,
-)
+from .stats import derive_seed, human_normalize
 
 # Names of ``__all__`` not bound above come from ``synth``, imported on first
 # use (PEP 562): only ``thckit synth`` and library callers use the generator.
@@ -80,20 +66,16 @@ __all__ = [
     "DatasetError",
     "EmptySliceError",
     "HyperparameterConsistency",
-    "Interval",
     "IntervalSource",
     "KendallSummary",
     "PlantedDesign",
     "PlantedHyperparameter",
     "PtpNormalization",
     "RankProfile",
-    "RankedSetting",
     "RankingMode",
-    "RankingTable",
     "RecoveryRow",
     "ReportBundle",
     "RunRecord",
-    "ScoreMatrix",
     "SkippedHyperparameter",
     "SweepDataset",
     "SweepSchema",
@@ -102,25 +84,15 @@ __all__ = [
     "build_consistency_report",
     "build_report_bundle",
     "bundled_schema",
-    "compute_rankings",
     "derive_seed",
     "generate",
     "human_normalize",
-    "iqm",
-    "kendall_tau_matrix",
-    "kendall_w",
     "load_dataset",
     "load_design",
     "load_schema",
-    "mean_and_spread",
-    "mean_pairwise_tau",
-    "normalized_ptp",
     "parse_dataset",
-    "ptp",
     "rank_context",
     "recovery_study",
-    "slice_scores",
-    "stratified_bootstrap_ci",
     "thc",
     "write_report_bundle",
 ]

@@ -184,27 +184,31 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_rank(args: argparse.Namespace) -> int:
     options = _options(args)
     dataset = load_dataset(args.runs, args.baselines, args.schema)
-    table, points = rank_context(
+    values, intervals, order, ranks = rank_context(
         dataset, args.hyperparameter, agent=args.agent,
         data_regime=args.data_regime, environment=args.environment, options=options)
 
-    print(f"hyperparameter {args.hyperparameter}; {_fixed_label(table.context, '; ')}; "
+    context = {"agent": args.agent, "data_regime": args.data_regime,
+               **({"environment": args.environment} if args.environment else {})}
+    print(f"hyperparameter {args.hyperparameter}; {_fixed_label(context, '; ')}; "
           f"source={options.interval_source.value}; mode={options.ranking_mode.value}")
+    (lower, upper, point), ranks = intervals.tolist(), ranks.tolist()
+    # Position by position, as ``report`` writes a context's rankings.csv rows.
     entries = [{
-        "value": entry.label,
-        "lower": entry.interval.lower,
-        "upper": entry.interval.upper,
-        "point": points[entry.label],
-        "initial_rank": entry.initial_rank,
-        "final_rank": entry.final_rank,
-    } for entry in table]
+        "value": values[i],
+        "lower": lower[i],
+        "upper": upper[i],
+        "point": point[i],
+        "initial_rank": position,
+        "final_rank": ranks[i],
+    } for position, i in enumerate(order.tolist(), 1)]
     # str gives a float's repr, so each cell reads as the JSON number does.
     _print_table([list(entries[0]), *([str(cell) for cell in entry.values()] for entry in entries)])
 
     if args.json:
         Path(args.json).write_bytes(_json_bytes({
             "hyperparameter": args.hyperparameter,
-            "context": dict(table.context),
+            "context": context,
             "interval_source": options.interval_source.value,
             "ranking_mode": options.ranking_mode.value,
             "entries": entries,

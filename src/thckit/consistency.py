@@ -7,13 +7,12 @@ across contexts, normalize by the largest spread a value could show
 (``m - 1`` for ``m`` values), and average over values. 0 means every value
 kept its rank everywhere; 1 means every value swung between best and worst.
 
-Kendall's W and pairwise Kendall's tau-b are provided as classical
-comparison baselines. Profiles read their cells' intervals from a
+Kendall's W and the mean pairwise Kendall's tau-b are reported as
+classical comparison baselines. Profiles read their cells' intervals from a
 :class:`CellTable`, which aggregates whole contexts of the dataset's
 human-normalised scores in array passes. Each profile's contexts are
 ranked with one ``rank_intervals`` call, and a setup's profiles of one
-shape are scored in one pass; the one-profile functions are calls of that
-pass.
+shape are scored in one pass.
 """
 
 from __future__ import annotations
@@ -23,17 +22,16 @@ import functools
 import itertools
 import logging
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from .dataset import Axis, SweepDataset, SweepSchema, slice_scores
-from .ranking import RankingMode, RankingTable, compute_rankings, rank_intervals
+from .dataset import Axis, EmptySliceError, SweepDataset, SweepSchema
+from .ranking import RankingMode, rank_intervals
 from .stats import (
     _require_resampling,
     DEFAULT_CONFIDENCE,
     DEFAULT_RESAMPLES,
-    Interval,
     derive_seed,
     pooled_bootstrap_cis,
     pooled_mean_and_spreads,
@@ -53,11 +51,6 @@ __all__ = [
     "TransferSetup",
     "assemble_profiles",
     "build_consistency_report",
-    "kendall_tau_matrix",
-    "kendall_w",
-    "mean_pairwise_tau",
-    "normalized_ptp",
-    "ptp",
     "rank_context",
     "thc",
 ]
@@ -145,42 +138,14 @@ class RankProfile:
             raise ValueError("profile ranks must all be present and finite")
 
 
-def ptp(ranks: Sequence[float]) -> float:
-    """Peak-to-peak spread (max minus min) of one value's ranks."""
-    arr = np.asarray(ranks, dtype=float)
-    if arr.size == 0:
-        raise ValueError("ptp of an empty rank list is undefined")
-    return float(arr.max() - arr.min())
-
-
-def normalized_ptp(
-    ptp_values: Sequence[float],
-    m: int | None = None,
-    mode: PtpNormalization = PtpNormalization.MAX,
-) -> list[float]:
-    """Normalize per-value rank spreads into [0, 1].
-
-    ``m`` is the number of values the spreads were computed over; it
-    defaults to ``len(ptp_values)``.
-    """
-    spreads = np.array([[float(p) for p in ptp_values]])
-    if (spreads < 0).any():
-        raise ValueError("ptp values must be non-negative")
-    if m is None:
-        m = spreads.shape[1]
-    if m < 1:
-        raise ValueError("value count m must be >= 1")
-    return _normalized(spreads, m, PtpNormalization(mode))[0].tolist()
-
-
 # The kernels below score a stack of ``n`` profiles' ``(v, c)`` rank matrices
 # at once. Each of their numpy reductions runs over a contiguous last axis, so
 # a profile's scores are bit for bit those of a stack of one.
 
 @functools.cache
-def _triu(n: int, k: int) -> tuple[np.ndarray, ...]:
-    """``np.triu_indices(n, k)``, made once per size and read-only, as every caller shares it."""
-    pairs = np.triu_indices(n, k)
+def _triu(n: int) -> tuple[np.ndarray, ...]:
+    """``np.triu_indices(n, 1)``, made once per size and read-only, as every caller shares it."""
+    pairs = np.triu_indices(n, 1)
     for index in pairs:
         index.flags.writeable = False
     return pairs
@@ -200,7 +165,9 @@ def _spreads(ranks: np.ndarray, mode: PtpNormalization) -> list[list[float]]:
 
 
 def _kendall_ws(ranks: np.ndarray) -> list[float | None]:
-    """Each profile's Kendall W; see :func:`kendall_w`."""
+    """Each profile's tie-corrected coefficient of concordance across its
+    contexts, Kendall's W: 1 for identical rankings, ``None`` where every
+    ranking is fully tied and the statistic is undefined."""
     n, v, c = ranks.shape
     totals = ranks.sum(axis=2)
     s = ((totals - totals.mean(axis=1, keepdims=True)) ** 2).sum(axis=1)
@@ -218,9 +185,9 @@ def _kendall_ws(ranks: np.ndarray) -> list[float | None]:
     return [12.0 * total / d if d > 0 else None for total, d in zip(s.tolist(), denom.tolist())]
 
 
-def _taus(ranks: np.ndarray, diagonal: int) -> np.ndarray:
-    """Each profile's tau-b of every context pair ``(i, j)``, ``i + diagonal
-    <= j``, in ``np.triu_indices`` order.
+def _taus(ranks: np.ndarray) -> np.ndarray:
+    """Each profile's tau-b of every context pair ``(i, j)``, ``i < j``, in
+    ``np.triu_indices`` order; ``nan`` where a fully tied ranking is involved.
 
     All come from one sign matrix ``S`` per profile with a row per value pair
     and a column per context: ``S.T @ S`` holds every concordant minus
@@ -229,32 +196,27 @@ def _taus(ranks: np.ndarray, diagonal: int) -> np.ndarray:
     ``kendalltau`` operation order: the count divided by ``sqrt(n_i)``, then
     by ``sqrt(n_j)``, clipped to [-1, 1]."""
     _, v, c = ranks.shape
-    first, second = _triu(v, 1)
+    first, second = _triu(v)
     signs = np.sign(ranks[:, first] - ranks[:, second]).astype(np.int64)
     con_minus_dis = np.einsum("nkc,nkd->ncd", signs, signs)
     untied = np.einsum("ncc->nc", con_minus_dis)
     root = np.where(untied > 0, np.sqrt(untied), np.nan)
-    i, j = _triu(c, diagonal)
+    i, j = _triu(c)
     # Indexing after a slice lays the pairs out profile-minor; a profile's
     # mean must add its entries along a contiguous row.
     return np.ascontiguousarray(np.clip(con_minus_dis[:, i, j] / root[:, i] / root[:, j], -1.0, 1.0))
 
 
 def _mean_taus(ranks: np.ndarray) -> list[float | None]:
-    """Each profile's mean of its defined off-diagonal tau-b entries."""
-    taus = _taus(ranks, 1)
+    """Each profile's mean of its defined off-diagonal tau-b entries;
+    ``None`` where none is defined."""
+    taus = _taus(ranks)
     finite = np.isfinite(taus)
     means = taus.mean(axis=1).tolist()
     for k in np.flatnonzero(~finite.all(axis=1)).tolist():
         defined = taus[k, finite[k]]
         means[k] = defined.mean().item() if defined.size else None
     return means
-
-
-def _contexts(profile: RankProfile, name: str) -> int:
-    if profile.ranks.shape[1] < 2:
-        raise ValueError(f"{name} needs at least 2 contexts")
-    return profile.ranks.shape[1]
 
 
 def thc(profile: RankProfile, mode: PtpNormalization = PtpNormalization.MAX) -> float:
@@ -265,38 +227,6 @@ def thc(profile: RankProfile, mode: PtpNormalization = PtpNormalization.MAX) -> 
     """
     (spreads,) = _spreads(profile.ranks[np.newaxis], PtpNormalization(mode))
     return sum(spreads) / len(spreads)
-
-
-def kendall_w(profile: RankProfile) -> float | None:
-    """Tie-corrected coefficient of concordance across the profile's
-    contexts; 1 means identical rankings. Returns ``None`` when every
-    ranking is fully tied (the statistic is undefined)."""
-    _contexts(profile, "kendall_w")
-    if len(profile.values) < 2:
-        raise ValueError("kendall_w needs at least 2 values")
-    return _kendall_ws(profile.ranks[np.newaxis])[0]
-
-
-def kendall_tau_matrix(profile: RankProfile) -> np.ndarray:
-    """Pairwise tau-b between every pair of context rankings.
-
-    Entries are ``nan`` where the statistic is undefined (a fully tied
-    ranking involved); the diagonal is 1 whenever a ranking has at least one
-    non-tied pair. Each entry equals ``kendalltau(ranks[:, i], ranks[:, j])``
-    bit for bit; see :func:`_taus`.
-    """
-    c = _contexts(profile, "kendall_tau_matrix")
-    i, j = _triu(c, 0)
-    out = np.empty((c, c))
-    out[i, j] = out[j, i] = _taus(profile.ranks[np.newaxis], 0)[0]
-    return out
-
-
-def mean_pairwise_tau(profile: RankProfile) -> float | None:
-    """Mean of the defined off-diagonal tau-b entries; ``None`` if none are
-    defined."""
-    _contexts(profile, "mean_pairwise_tau")
-    return _mean_taus(profile.ranks[np.newaxis])[0]
 
 
 # -- profile assembly from a dataset -----------------------------------------
@@ -626,33 +556,37 @@ def rank_context(
     data_regime: str,
     environment: str | None = None,
     options: AssemblyOptions = AssemblyOptions(),
-) -> tuple[RankingTable, dict[str, float]]:
+) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray]:
     """Rank one hyper-parameter's values in a single context.
 
     Environments are pooled as strata unless ``environment`` pins one. Each
     value's interval is its :class:`CellTable` cell, so it equals the one
-    every ``report`` setup gives that cell, and the kept cells are ranked by
-    :func:`compute_rankings`. Returns the ranking table and per-value point
-    estimates. Raises ``KeyError`` for an undeclared hyper-parameter, agent,
-    data regime or environment, :class:`EmptySliceError` when the selector
-    matches nothing and ``ValueError`` when no value has enough seeds to
-    rank; it calls :func:`slice_scores` for its errors about the
-    hyper-parameter and the pair.
+    every ``report`` setup gives that cell, and the values with a cell are
+    ranked by one ``rank_intervals`` call. Returns a :class:`RankProfile`'s
+    arrays for this one context, ``(values, intervals, order, ranks)``: the
+    ranked values in schema order, their ``(3, values)`` lower bounds, upper
+    bounds and points, ``order[p]``, the index of the value at position ``p
+    + 1``, and each value's final rank. Raises ``KeyError`` for an
+    undeclared hyper-parameter, agent, data regime or environment,
+    :class:`EmptySliceError` when the (agent, data regime) pair has no runs
+    of the hyper-parameter and ``ValueError`` when no value has enough seeds
+    to rank.
     """
-    _check_pins(dataset.schema, {Axis.AGENT: agent, Axis.DATA_REGIME: data_regime,
-                                 Axis.ENVIRONMENT: environment})
-    slice_scores(dataset, hyperparameter, agent, data_regime)
-    lower, upper, points = CellTable(dataset, options).context_arrays(
-        hyperparameter, agent, data_regime, environment)
-    kept = ~np.isnan(lower)
+    schema = dataset.schema
+    _check_pins(schema, {Axis.AGENT: agent, Axis.DATA_REGIME: data_regime, Axis.ENVIRONMENT: environment})
+    if hyperparameter not in schema.hyperparameters:
+        raise KeyError(f"hyperparameter {hyperparameter!r} is not declared in the schema")
+    pair = {"agent": agent, "data_regime": data_regime}
+    if not dataset._labels_with_runs(hyperparameter, Axis.AGENT, pair):
+        raise EmptySliceError(f"no records for hyperparameter {hyperparameter!r} in context {pair}")
+    intervals = CellTable(dataset, options).context_arrays(hyperparameter, agent, data_regime, environment)
+    kept = ~np.isnan(intervals[0])
     if not kept.any():
         raise ValueError(f"no value of {hyperparameter!r} has at least 2 seeds in this context")
-
-    values = [v for v, keep in zip(dataset.schema.hyperparameters[hyperparameter], kept) if keep]
-    context = {"agent": agent, "data_regime": data_regime, **({"environment": environment} if environment else {})}
-    table = compute_rankings(list(zip(values, map(Interval, lower[kept], upper[kept]))), options.ranking_mode,
-                             hyperparameter, context)
-    return table, dict(zip(values, points[kept].tolist()))
+    values = tuple(v for v, keep in zip(schema.hyperparameters[hyperparameter], kept) if keep)
+    intervals = intervals[:, kept]
+    order, ranks = rank_intervals(values, *intervals[:2, :, np.newaxis], options.ranking_mode)
+    return values, intervals, order[:, 0], ranks[:, 0]
 
 
 def build_consistency_report(
@@ -665,7 +599,7 @@ def build_consistency_report(
     cells: CellTable | None = None,
 ) -> tuple[ConsistencyReport, tuple[RankProfile, ...]]:
     """Score every assembled profile for one transfer setup, one pass per
-    (values x contexts) shape, bit for bit as the one-profile functions do.
+    (values x contexts) shape; a profile's scores are those of a stack of one.
 
     Returns the report plus the underlying profiles (for table/plot export).
     """

@@ -1,4 +1,4 @@
-"""Experiment sweep data model: run logs, baselines, schemas, and slicing.
+"""Experiment sweep data model: run logs, baselines and schemas.
 
 A sweep is stored in long form, one row per training run, keyed by
 ``(agent, environment, data_regime, hyperparameter, value, seed)``. The
@@ -37,16 +37,12 @@ The dataset keeps its runs as columns in input order: one integer code per
 run for its (agent, environment, data regime, hyper-parameter value) cell,
 the seeds, and the scores. It also keeps what the sort by (cell, seed) that
 finds duplicate keys gives: the code of each cell with runs (a group) in code
-order, the start and size of each group's runs in that order, the
-permutation that puts the runs in that order, and their human-normalised
-scores so ordered, and, made from the group codes, a mask per
-hyper-parameter of the (agent, environment, data regime) triples with runs.
-These arrays are the dataset's only store of runs, and the analysis reads
-only the sort: ``CellTable`` gathers its cells' normalised scores from the
-groups, ``SweepDataset._labels_with_runs`` reads the masks, and
-:func:`slice_scores` reads one (agent, data regime) pair's groups, through
-the permutation, as ``environment -> value -> scores``, each leaf the
-group's raw scores in seed order and both levels in schema order.
+order, the start and size of each group's runs in that order, and their
+human-normalised scores so ordered, and, made from the group codes, a mask
+per hyper-parameter of the (agent, environment, data regime) triples with
+runs. These arrays are the dataset's only store of runs, and the analysis
+reads only the sort: ``CellTable`` gathers its cells' normalised scores
+from the groups, and ``SweepDataset._labels_with_runs`` reads the masks.
 ``SweepDataset.records``, the runs as :class:`RunRecord` objects with the
 schema's identifier strings, is built the first time it is read.
 
@@ -66,7 +62,6 @@ from importlib import resources
 from itertools import chain, islice, repeat
 from operator import attrgetter
 from pathlib import Path
-from types import MappingProxyType
 from typing import IO, AbstractSet, Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -88,7 +83,6 @@ __all__ = [
     "load_dataset",
     "load_schema",
     "parse_dataset",
-    "slice_scores",
     "write_baselines",
     "write_run_log",
 ]
@@ -351,7 +345,7 @@ class SweepDataset:
     input order, built on first read.
     """
 
-    __slots__ = ("_cells", "_seeds", "_scores", "_groups", "_starts", "_sizes", "_order", "_sorted", "_runs",
+    __slots__ = ("_cells", "_seeds", "_scores", "_groups", "_starts", "_sizes", "_sorted", "_runs",
                  "_shape", "_first", "_records", "baselines", "schema")
 
     def __init__(self, records: Iterable[RunRecord], baselines: BaselineTable, schema: SweepSchema):
@@ -453,7 +447,6 @@ class SweepDataset:
         object.__setattr__(self, "_groups", groups)
         object.__setattr__(self, "_starts", starts)
         object.__setattr__(self, "_sizes", sizes)
-        object.__setattr__(self, "_order", order)
         object.__setattr__(self, "_sorted", normalised)
         object.__setattr__(self, "_runs", dict(zip(schema.hyperparameters, runs)))
         object.__setattr__(self, "_shape", declared)
@@ -772,38 +765,6 @@ def load_dataset(run_log_path: str | Path, baselines_path: str | Path,
     with open(run_log_path, encoding="utf-8") as run_log, \
             open(baselines_path, encoding="utf-8") as baselines:
         return parse_dataset(run_log, baselines, schema)
-
-
-def slice_scores(
-    dataset: SweepDataset,
-    hyperparameter: str,
-    agent: str,
-    data_regime: str,
-) -> Mapping[str, Mapping[str, tuple[float, ...]]]:
-    """One hyper-parameter's per-seed final scores for one (agent, data
-    regime) pair, grouped by environment and then by value.
-
-    Read-only, from the pair's groups in the dataset's (cell, seed) sort:
-    only groups that were run appear, environments and values in schema
-    order, and each group's scores are ordered by seed. Raises ``KeyError``
-    for an undeclared hyper-parameter and :class:`EmptySliceError` when the
-    pair has no runs of it at all.
-    """
-    schema = dataset.schema
-    if hyperparameter not in schema.hyperparameters:
-        raise KeyError(f"hyperparameter {hyperparameter!r} is not declared in the schema")
-    context = {"agent": agent, "data_regime": data_regime}
-    if not dataset._labels_with_runs(hyperparameter, Axis.AGENT, context):
-        raise EmptySliceError(f"no records for hyperparameter {hyperparameter!r} in context {context}")
-    values, scores, order = schema.hyperparameters[hyperparameter], dataset._scores, dataset._order
-    env, value = np.divmod(np.arange(len(schema.environments) * len(values)), len(values))
-    starts, sizes = dataset._groups_at(schema.agents.index(agent), env, schema.data_regimes.index(data_regime),
-                                       dataset._first[hyperparameter] + value)
-    node: dict = {}
-    for e, v, start, size in zip(env.tolist(), value.tolist(), starts.tolist(), sizes.tolist()):
-        if size:
-            node.setdefault(schema.environments[e], {})[values[v]] = tuple(scores[order[start:start + size]].tolist())
-    return MappingProxyType({env: MappingProxyType(by_value) for env, by_value in node.items()})
 
 
 # -- schema and dataset serialization ---------------------------------------

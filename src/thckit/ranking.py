@@ -23,28 +23,18 @@ neighbours occupy a contiguous block of positions; where they diverge (a wide
 interval straddling a narrow non-overlapping one) the divergence is logged.
 
 :func:`rank_intervals` ranks many contexts in one array pass and logs their
-divergences; :func:`compute_rankings` is its one-context call, and the only
-builder of :class:`RankingTable` objects.
+divergences.
 """
 
 from __future__ import annotations
 
 import enum
 import logging
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .stats import Interval
-
-__all__ = [
-    "RankedSetting",
-    "RankingMode",
-    "RankingTable",
-    "compute_rankings",
-    "rank_intervals",
-]
+__all__ = ["RankingMode", "rank_intervals"]
 
 logger = logging.getLogger(__name__)
 
@@ -56,43 +46,6 @@ class RankingMode(str, enum.Enum):
     SPAN = "span"
     #: Mean initial rank over the set of settings whose intervals overlap.
     OVERLAP = "overlap"
-
-
-@dataclass(frozen=True)
-class RankedSetting:
-    label: str
-    interval: Interval
-    initial_rank: int
-    final_rank: float
-
-    def __post_init__(self) -> None:
-        if self.initial_rank < 1:
-            raise ValueError("initial_rank is 1-based")
-        if self.final_rank < 1:
-            raise ValueError("final_rank must be >= 1")
-
-
-@dataclass(frozen=True)
-class RankingTable:
-    """Fractional ranks of one hyper-parameter's settings in one context."""
-
-    entries: tuple[RankedSetting, ...]
-    hyperparameter: str | None = None
-    context: Mapping[str, str] | None = field(default=None)
-
-    def __post_init__(self) -> None:
-        labels = [e.label for e in self.entries]
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"ranking table labels must be unique: {sorted(labels)}")
-
-    def final_ranks(self) -> dict[str, float]:
-        return {e.label: e.final_rank for e in self.entries}
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 def rank_intervals(labels: Sequence[str], lower: np.ndarray, upper: np.ndarray,
@@ -130,24 +83,3 @@ def rank_intervals(labels: Sequence[str], lower: np.ndarray, upper: np.ndarray,
                     (np.flatnonzero(members[i, :, j]) + 1).tolist(), final[i, j].item(), span[i, j].item())
     return order, final
 
-
-def compute_rankings(
-    settings: Sequence[tuple[str, Interval]],
-    mode: RankingMode = RankingMode.SPAN,
-    hyperparameter: str | None = None,
-    context: Mapping[str, str] | None = None,
-) -> RankingTable:
-    """Rank labeled intervals, sharing rank between settings that overlap.
-
-    ``settings`` is a sequence of ``(label, interval)`` pairs with unique
-    labels; input order never affects the result. Returns entries in rank
-    order (best first). The one-context call of :func:`rank_intervals`.
-    """
-    if not settings:
-        raise ValueError("compute_rankings needs at least one setting")
-    labels = [label for label, _ in settings]
-    bounds = np.array([[iv.lower, iv.upper] for _, iv in settings], dtype=float)
-    order, final = rank_intervals(labels, bounds[:, :1], bounds[:, 1:], mode)
-    (lower, upper), final = bounds.T.tolist(), final[:, 0].tolist()
-    return RankingTable(tuple(RankedSetting(labels[i], Interval(lower[i], upper[i]), p + 1, final[i])
-                              for p, i in enumerate(order[:, 0].tolist())), hyperparameter, context)

@@ -18,11 +18,12 @@ which continues the stream where the last call stopped. Reduce takes each
 replicate's IQM by a min/max network over entries-major lanes for cells of
 at most 13 entries, else by a row sort, chosen with the index layout once
 per row-size pattern. Select takes a chunk's percentile pairs from one
-partition. Results equal the one-cell ``np.sort``, ``np.mean`` and
-``np.percentile`` formulas bit for bit at any chunking. The row-sorted
-cells of a pattern are split into one contiguous slice per CPU the process
-may run on, each on its own thread, generator and buffers; since a cell's
-stream depends only on its seed, results are bit-identical at any CPU count.
+partition. Each cell's results equal the ``np.sort``, ``np.mean`` and
+``np.percentile`` formulas over that cell alone bit for bit at any
+chunking. The row-sorted cells of a pattern are split into one contiguous
+slice per CPU the process may run on, each on its own thread, generator and
+buffers; since a cell's stream depends only on its seed, results are
+bit-identical at any CPU count.
 """
 
 from __future__ import annotations
@@ -32,9 +33,8 @@ import math
 import operator
 import os
 import threading
-from dataclasses import dataclass
 from hashlib import sha256
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 # numpy 2 loads this lazily, inside the first bootstrap call; load it at
@@ -42,74 +42,15 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 __all__ = [
-    "Interval",
-    "ScoreMatrix",
     "derive_seed",
     "human_normalize",
-    "iqm",
-    "mean_and_spread",
     "pooled_bootstrap_cis",
     "pooled_mean_and_spreads",
-    "stratified_bootstrap_ci",
 ]
 
 DEFAULT_RESAMPLES = 2000
 DEFAULT_CONFIDENCE = 0.95
 MIN_RESAMPLES = 100
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Closed interval ``[lower, upper]`` describing an aggregate estimate.
-
-    Houses either ``mean - sd .. mean + sd`` or a bootstrap confidence
-    interval; downstream ranking treats both uniformly.
-    """
-
-    lower: float
-    upper: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
-            raise ValueError(f"interval bounds must be finite, got ({self.lower}, {self.upper})")
-        if self.lower > self.upper:
-            raise ValueError(f"interval lower bound {self.lower} exceeds upper bound {self.upper}")
-
-    def overlaps(self, other: "Interval") -> bool:
-        """True when the closed intervals share at least one point."""
-        return self.lower <= other.upper and other.lower <= self.upper
-
-
-class ScoreMatrix:
-    """Per-environment rows of per-seed scores; rows may be ragged.
-
-    The environment row is the resampling stratum for the bootstrap. A
-    single-row matrix describes a per-environment analysis where seeds are
-    the only stratum.
-    """
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: Iterable[Sequence[float]]):
-        collected = []
-        for i, row in enumerate(rows):
-            arr = np.asarray(row, dtype=float)
-            if arr.ndim != 1 or arr.size == 0:
-                raise ValueError(f"score matrix row {i} must be a non-empty 1-D sequence")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"score matrix row {i} contains non-finite entries")
-            arr.flags.writeable = False
-            collected.append(arr)
-        if not collected:
-            raise ValueError("score matrix must have at least one row")
-        self.rows: tuple[np.ndarray, ...] = tuple(collected)
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def pooled(self) -> np.ndarray:
-        """All entries concatenated in row order."""
-        return np.concatenate(self.rows)
 
 
 def human_normalize(score: float | np.ndarray, random_score: float | np.ndarray,
@@ -120,30 +61,6 @@ def human_normalize(score: float | np.ndarray, random_score: float | np.ndarray,
     if np.any(denom == 0):
         raise ValueError("human_score equals random_score; normalization denominator is zero")
     return (score - random_score) / denom
-
-
-def iqm(samples: Sequence[float]) -> float:
-    """Interquartile mean: drop the lowest and highest ``floor(n/4)`` samples,
-    then average the rest.
-
-    For ``n < 4`` nothing is dropped and this is the plain mean. Ties are
-    broken by sort order, so the result is exact and reproducible.
-    """
-    arr = np.asarray(samples, dtype=float)
-    if arr.size == 0:
-        raise ValueError("iqm of an empty sample set is undefined")
-    trim = arr.size // 4
-    core = np.sort(arr)[trim: arr.size - trim]
-    return float(np.mean(core))
-
-
-def mean_and_spread(samples: Sequence[float]) -> Interval:
-    """Interval ``mean - sd .. mean + sd`` with the sample (n-1) standard
-    deviation. Requires at least two samples. The one-set call of
-    :func:`pooled_mean_and_spreads`."""
-    arr = np.asarray(samples, dtype=float).ravel()
-    (lower,), (upper,), _ = pooled_mean_and_spreads(arr, np.array([arr.size])).tolist()
-    return Interval(lower, upper)
 
 
 def pooled_mean_and_spreads(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -206,34 +123,6 @@ _CHUNK_ENTRIES = 1 << 15
 _NETWORK_MAX_ENTRIES = 13
 
 
-def stratified_bootstrap_ci(
-    matrix: ScoreMatrix,
-    resamples: int = DEFAULT_RESAMPLES,
-    confidence: float = DEFAULT_CONFIDENCE,
-    seed: int = 0,
-) -> Interval:
-    """Percentile bootstrap interval for the IQM, resampling each environment
-    row independently (stratified).
-
-    Every replicate resamples each row with replacement to its own length,
-    pools the entries, and takes their IQM; the interval is the empirical
-    ``(1-confidence)/2`` and ``1-(1-confidence)/2`` percentile pair of the
-    replicate IQMs.
-
-    The cell's indices come from one ``Generator(Philox(key=seed))``, one
-    replicate after another and one row after another, each row's as
-    ``integers(0, row.size, size=row.size)`` would give them.
-
-    This is the one-cell call of :func:`pooled_bootstrap_cis`.
-    Deterministic for fixed ``(matrix, resamples, confidence, seed)``. A
-    degenerate matrix (all rows constant) yields a zero-width interval rather
-    than an error. ``seed`` must lie in ``[0, 2**128)``.
-    """
-    (lower,), (upper,), _ = pooled_bootstrap_cis(
-        matrix.pooled(), [tuple(row.size for row in matrix.rows)], [seed], resamples, confidence).tolist()
-    return Interval(lower, upper)
-
-
 def pooled_bootstrap_cis(
     values: np.ndarray,
     patterns: Sequence[tuple[int, ...]],
@@ -241,10 +130,22 @@ def pooled_bootstrap_cis(
     resamples: int = DEFAULT_RESAMPLES,
     confidence: float = DEFAULT_CONFIDENCE,
 ) -> np.ndarray:
-    """:func:`stratified_bootstrap_ci` bounds and :func:`iqm` point, as a
-    ``(3, k)`` array, of the ``k`` cells laid end to end in ``values``, cell
-    ``i`` holding rows of the sizes ``patterns[i]`` and drawing from
-    ``seeds[i]``; each cell's results equal the one-cell call's bit for bit.
+    """Percentile bootstrap interval of the IQM and the IQM itself, as a
+    ``(3, k)`` array of lower bounds, upper bounds and points, of the ``k``
+    cells laid end to end in ``values``, cell ``i`` holding rows of the sizes
+    ``patterns[i]`` and drawing from ``seeds[i]``.
+
+    The IQM of ``n`` entries drops the lowest and highest ``n // 4`` and
+    averages the rest (the plain mean for ``n < 4``). Every replicate
+    resamples each row of a cell with replacement to its own length
+    (environments are the strata), pools the entries and takes their IQM;
+    the interval is the ``(1-confidence)/2`` and ``1-(1-confidence)/2``
+    percentile pair of the replicate IQMs. A cell's indices come from one
+    ``Generator(Philox(key=seed))``, one replicate after another and one row
+    after another, each row's as ``integers(0, row.size, size=row.size)``
+    would give them, so a cell's results do not depend on the other cells.
+    A cell of constant rows gets a zero-width interval. Each seed must lie
+    in ``[0, 2**128)``.
 
     The cells of one row-size pattern share a :class:`_PatternGroup` and its
     chunks of at most ``_CHUNK_ENTRIES`` resampled entries. Groups of cells
@@ -388,7 +289,7 @@ def _percentiles(stats: np.ndarray, percents: tuple[float, float]) -> np.ndarray
 
 class _PatternGroup:
     """Generator, draw bounds and chunk buffers of the cells of one row-size
-    pattern; :func:`stratified_bootstrap_ci` gives the draws. ``estimates``
+    pattern; :func:`pooled_bootstrap_cis` gives the draws. ``estimates``
     runs ``draw`` and ``reduce`` per chunk span and ``_percentiles`` per chunk."""
 
     def __init__(self, sizes: tuple[int, ...], resamples: int, cells: int) -> None:
@@ -491,7 +392,8 @@ def _iqms_by_network(samples: np.ndarray, steps: list[tuple[int, int, int]], kep
 def _iqms_by_rows(samples: np.ndarray, trim: int,
                   cells: np.ndarray, idx: np.ndarray, iqms: np.ndarray) -> None:
     """As ``_iqms_by_network``, by a row sort. A mean over a contiguous slice
-    sums pairwise exactly like the 1-D ``iqm``, bit for bit."""
+    sums pairwise exactly like the 1-D ``np.mean`` of one sorted sample, bit
+    for bit."""
     samples = samples[:idx.size].reshape(idx.shape)
     np.take(cells, idx, out=samples, mode="clip")
     samples.sort(axis=1)

@@ -38,7 +38,6 @@ from thckit.dataset import (
     write_run_log,
 )
 from thckit.ranking import RankingMode
-from thckit.stats import Interval
 
 # More examples for the ranking property suites; select with
 # ``--hypothesis-profile=ci``.
@@ -156,11 +155,11 @@ def yaml_loader(request, monkeypatch):
 
 
 def rankable_cells(cells: CellTable, hp: str, agent: str, data_regime: str,
-                   environment: str | None = None) -> dict[str, tuple[Interval, float]]:
+                   environment: str | None = None) -> dict[str, tuple[tuple[float, float], float]]:
     """The rankable cells of one context of a ``CellTable``, value ->
-    ``(interval, point)`` in schema order, read from its ``context_arrays``."""
+    ``((lower, upper), point)`` in schema order, read from its ``context_arrays``."""
     arrays = cells.context_arrays(hp, agent, data_regime, environment).tolist()
-    return {value: (Interval(lo, up), pt) for value, lo, up, pt
+    return {value: ((lo, up), pt) for value, lo, up, pt
             in zip(cells.dataset.schema.hyperparameters[hp], *arrays) if not math.isnan(lo)}
 
 
@@ -169,11 +168,11 @@ NON_CONTIGUOUS = ("setting %r overlaps a non-contiguous position set %s; "
 
 
 def reference_rankings(
-    contexts: Sequence[Sequence[tuple[str, Interval]]],
+    contexts: Sequence[Sequence[tuple[str, tuple[float, float]]]],
     mode: RankingMode = RankingMode.SPAN,
 ) -> tuple[list[list[tuple[str, int, float]]], list[str]]:
-    """Oracle for the rank layer: each context ranked on its own, setting by
-    setting, with linear scans.
+    """Oracle for the rank layer: each context's ``(label, (lower, upper))``
+    settings ranked on their own, setting by setting, with linear scans.
 
     Returns, per context, the ``(label, initial_rank, final_rank)`` triples
     in rank order, and the INFO messages overlap mode logs for
@@ -181,18 +180,19 @@ def reference_rankings(
     """
     tables, messages = [], []
     for settings_list in contexts:
-        ordered = sorted(settings_list, key=lambda s: (-s[1].upper, -s[1].lower, s[0]))
+        ordered = sorted(settings_list, key=lambda s: (-s[1][1], -s[1][0], s[0]))
         m = len(ordered)
-        uppers = [iv.upper for _, iv in ordered]
-        lowers = [iv.lower for _, iv in ordered]
+        uppers = [upper for _, (_, upper) in ordered]
+        lowers = [lower for _, (lower, _) in ordered]
         entries = []
-        for pos0, (label, interval) in enumerate(ordered):
-            l = next(p for p in range(m) if lowers[p] <= interval.upper) + 1
-            u = next(p for p in reversed(range(m)) if uppers[p] >= interval.lower) + 1
+        for pos0, (label, (lower, upper)) in enumerate(ordered):
+            l = next(p for p in range(m) if lowers[p] <= upper) + 1
+            u = next(p for p in reversed(range(m)) if uppers[p] >= lower) + 1
             if RankingMode(mode) is RankingMode.SPAN:
                 final = (l + u) / 2.0
             else:
-                members = [p + 1 for p in range(m) if interval.overlaps(ordered[p][1])]
+                # Closed intervals overlap when they share at least one point.
+                members = [p + 1 for p in range(m) if lower <= uppers[p] and lowers[p] <= upper]
                 if members != list(range(members[0], members[-1] + 1)):
                     messages.append(NON_CONTIGUOUS % (
                         label, members, sum(members) / len(members), (l + u) / 2.0))

@@ -23,18 +23,10 @@ from thckit.consistency import (
     PtpNormalization,
     TransferSetup,
     build_consistency_report,
-    kendall_tau_matrix,
-    kendall_w,
     thc,
 )
-from thckit.ranking import compute_rankings
-from thckit.stats import (
-    MIN_RESAMPLES,
-    Interval,
-    ScoreMatrix,
-    iqm,
-    stratified_bootstrap_ci,
-)
+from thckit.ranking import rank_intervals
+from thckit.stats import MIN_RESAMPLES
 from thckit.synth import PlantedDesign, PlantedHyperparameter, generate
 
 from conftest import write_dataset_files
@@ -44,9 +36,12 @@ from test_consistency import (
     TRAJECTORY_B1,
     TRAJECTORY_B2,
     brute_force_tau_b,
+    pair_taus,
     profile,
+    w_of,
 )
-from test_stats import hex_bounds, reference_bootstrap
+from test_ranking import ranks
+from test_stats import bootstrap_bounds, hex_bounds, iqm_point, reference_bootstrap
 
 MEAN_SD = AssemblyOptions(interval_source=IntervalSource.MEAN_SD)
 
@@ -67,20 +62,22 @@ def verdict(capsys, number: int, title: str):
 def test_01_ranking_oracle(capsys):
     with verdict(capsys, 1, "five-interval ranking oracle, < 1 ms"):
         settings = [
-            ("1e-2", Interval(200, 300)),
-            ("1e-1", Interval(250, 350)),
-            ("1", Interval(400, 600)),
-            ("1e1", Interval(110, 220)),
-            ("1e2", Interval(30, 70)),
+            ("1e-2", (200, 300)),
+            ("1e-1", (250, 350)),
+            ("1", (400, 600)),
+            ("1e1", (110, 220)),
+            ("1e2", (30, 70)),
         ]
-        assert compute_rankings(settings).final_ranks() == {
+        assert ranks(settings) == {
             "1": 1.0, "1e-1": 2.5, "1e-2": 3.0, "1e1": 3.5, "1e2": 5.0,
         }
         # best single-call latency over 20 repeats
+        labels = [label for label, _ in settings]
+        lower, upper = np.array([bounds for _, bounds in settings], dtype=float).T[:, :, np.newaxis]
         samples = []
         for _ in range(20):
             start = time.perf_counter()
-            compute_rankings(settings)
+            rank_intervals(labels, lower, upper)
             samples.append(time.perf_counter() - start)
         assert min(samples) < 1e-3, f"slowest acceptable 1 ms, best {min(samples):.2e} s"
 
@@ -88,11 +85,11 @@ def test_01_ranking_oracle(capsys):
 def test_02_full_overlap_oracle(capsys):
     with verdict(capsys, 2, "fully overlapping intervals all rank 2"):
         settings = [
-            ("A", Interval(200, 300)),
-            ("B", Interval(250, 350)),
-            ("C", Interval(180, 260)),
+            ("A", (200, 300)),
+            ("B", (250, 350)),
+            ("C", (180, 260)),
         ]
-        assert compute_rankings(settings).final_ranks() == {"A": 2.0, "B": 2.0, "C": 2.0}
+        assert ranks(settings) == {"A": 2.0, "B": 2.0, "C": 2.0}
 
 
 def test_03_thc_oracle_one(capsys):
@@ -145,10 +142,9 @@ def test_06_ranking_property_suite(capsys):
             lowers = rng.integers(-100_000, 100_000, size=m).astype(float)
             widths = rng.integers(0, 500, size=m).astype(float)
             labels = [f"v{k}" for k in range(m)]
-            settings = [(lab, Interval(lo, lo + w))
-                        for lab, lo, w in zip(labels, lowers, widths)]
+            settings = [(lab, (lo, lo + w)) for lab, lo, w in zip(labels, lowers, widths)]
 
-            base = compute_rankings(settings).final_ranks()
+            base = ranks(settings)
 
             # bounds and half-integer granularity
             for rank in base.values():
@@ -157,26 +153,23 @@ def test_06_ranking_property_suite(capsys):
 
             # permutation invariance
             order = rng.permutation(m)
-            shuffled = compute_rankings([settings[k] for k in order]).final_ranks()
+            shuffled = ranks([settings[k] for k in order])
             assert shuffled == base
 
             # translation invariance (integer shift keeps gaps exact)
             shift = float(rng.integers(-10_000, 10_000))
-            moved = compute_rankings(
-                [(lab, Interval(iv.lower + shift, iv.upper + shift))
-                 for lab, iv in settings]).final_ranks()
+            moved = ranks([(lab, (lo + shift, up + shift)) for lab, (lo, up) in settings])
             assert moved == base
 
             # disjoint intervals agree with the strict sort by upper bound
             if i % 4 == 0:
                 starts = np.sort(rng.choice(np.arange(0, 10_000), size=m, replace=False))
                 gap_settings = [
-                    (labels[k], Interval(float(starts[k] * 1000),
-                                         float(starts[k] * 1000 + 500)))
+                    (labels[k], (float(starts[k] * 1000), float(starts[k] * 1000 + 500)))
                     for k in range(m)
                 ]
-                strict = compute_rankings(gap_settings).final_ranks()
-                by_upper = sorted(gap_settings, key=lambda s: -s[1].upper)
+                strict = ranks(gap_settings)
+                by_upper = sorted(gap_settings, key=lambda s: -s[1][1])
                 assert [strict[lab] for lab, _ in by_upper] == [float(r) for r in range(1, m + 1)]
 
         elapsed = time.perf_counter() - started
@@ -185,21 +178,19 @@ def test_06_ranking_property_suite(capsys):
 
 def test_07_iqm_and_bootstrap(capsys):
     with verdict(capsys, 7, "iqm trim rule, zero-width CI, reference-resampler bit match"):
-        assert iqm([1, 2, 3, 4, 5, 6, 7, 8]) == 4.5
+        assert iqm_point([1, 2, 3, 4, 5, 6, 7, 8]) == 4.5
 
-        constant = ScoreMatrix([[3.25] * 6, [3.25] * 4])
-        ci = stratified_bootstrap_ci(constant, resamples=MIN_RESAMPLES, seed=1)
-        assert ci.upper - ci.lower == 0.0
-        assert ci.lower == 3.25
+        lower, upper = bootstrap_bounds([[3.25] * 6, [3.25] * 4], resamples=MIN_RESAMPLES, seed=1)
+        assert upper - lower == 0.0
+        assert lower == 3.25
 
         rng = np.random.default_rng(555)
         for case in range(20):
             rows = [list(rng.normal(size=5)) for _ in range(3)]
             seed = int(rng.integers(0, 2**32))
-            fast = stratified_bootstrap_ci(ScoreMatrix(rows), resamples=MIN_RESAMPLES,
-                                           seed=seed)
+            fast = bootstrap_bounds(rows, resamples=MIN_RESAMPLES, seed=seed)
             slow = reference_bootstrap(rows, MIN_RESAMPLES, 0.95, seed)
-            assert hex_bounds(fast.lower, fast.upper) == hex_bounds(*slow), f"case {case} diverged"
+            assert hex_bounds(*fast) == hex_bounds(*slow), f"case {case} diverged"
 
 
 def test_08_end_to_end_synthetic(capsys):
@@ -267,23 +258,21 @@ def test_08_end_to_end_synthetic(capsys):
 def test_09_kendall_baselines(capsys):
     with verdict(capsys, 9, "Kendall W/tau oracles and 1,000-profile pair-count match"):
         identical = profile([[1, 1], [2, 2], [3, 3]])
-        assert kendall_w(identical) == 1.0
-        assert kendall_tau_matrix(identical)[0, 1] == pytest.approx(1.0)
+        assert w_of(identical) == 1.0
+        assert pair_taus(identical)[0] == pytest.approx(1.0)
         reversed_ = profile([[1, 3], [2, 2], [3, 1]])
-        assert kendall_tau_matrix(reversed_)[0, 1] == pytest.approx(-1.0)
+        assert pair_taus(reversed_)[0] == pytest.approx(-1.0)
 
         rng = np.random.default_rng(31337)
         for _ in range(1000):
             p = random_profile(rng)
-            matrix = kendall_tau_matrix(p)
             c = p.ranks.shape[1]
-            for i in range(c):
-                for j in range(i + 1, c):
-                    expected = brute_force_tau_b(p.ranks[:, i], p.ranks[:, j])
-                    if np.isnan(expected):
-                        assert np.isnan(matrix[i, j])
-                    else:
-                        assert abs(matrix[i, j] - expected) < 1e-12
+            for (i, j), tau in zip(zip(*np.triu_indices(c, 1)), pair_taus(p).tolist()):
+                expected = brute_force_tau_b(p.ranks[:, i], p.ranks[:, j])
+                if np.isnan(expected):
+                    assert np.isnan(tau)
+                else:
+                    assert abs(tau - expected) < 1e-12
 
 
 def test_10_report_reproducibility(capsys, tmp_path):

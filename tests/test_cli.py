@@ -15,7 +15,7 @@ import pytest
 import thckit
 import thckit.cli
 from thckit.cli import main
-from thckit.consistency import AssemblyOptions, IntervalSource, TransferSetup
+from thckit.consistency import AssemblyOptions, IntervalSource, TransferSetup, rank_context
 from thckit.dataset import (
     BaselineTable,
     DatasetError,
@@ -25,7 +25,6 @@ from thckit.dataset import (
     bundled_schema,
     bundled_schema_bytes,
     load_dataset,
-    slice_scores,
 )
 from thckit.report import build_report_bundle, write_report_bundle
 from thckit.synth import PlantedDesign, PlantedHyperparameter, generate
@@ -768,9 +767,7 @@ def loaded(monkeypatch):
 
 class TestIndexNotBuilt:
     # The analysis commands read the dataset's (cell, seed) sort, its one
-    # store of runs; ``records`` is built only for library callers, and
-    # ``slice_scores`` (which ``rank`` calls for its errors) reads its pair's
-    # groups of the sort.
+    # store of runs; ``records`` is built only for library callers.
     @pytest.mark.parametrize("argv", [
         ["validate"],
         ["rank", "--hyperparameter", "lr", "--agent", "agent01", "--data-regime", "low"],
@@ -797,14 +794,14 @@ class TestIndexNotBuilt:
         assert out == "OK: 384 runs across 3 hyperparameter(s), 4 environment(s)\n"
 
     @pytest.mark.parametrize("hp, agent", [("lr", "agent99"), ("unrun", "agent01")])
-    def test_rank_of_a_slice_without_runs_exits_2_as_slice_scores_raises(self, unrun_paths, loaded, capsys,
+    def test_rank_of_a_slice_without_runs_exits_2_as_rank_context_raises(self, unrun_paths, loaded, capsys,
                                                                           hp, agent):
         assert main(["rank", *dataset_args(unrun_paths), "--hyperparameter", hp, "--agent", agent,
                      "--data-regime", "low"]) == 2
         err = capsys.readouterr().err
         [dataset] = loaded
         with pytest.raises(EmptySliceError) as excinfo:
-            slice_scores(dataset, hp, agent, "low")
+            rank_context(dataset, hp, agent, "low")
         assert err == f"error: {excinfo.value}\n" == (
             f"error: no records for hyperparameter {hp!r} in context {{'agent': {agent!r}, 'data_regime': 'low'}}\n")
 

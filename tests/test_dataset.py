@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import thckit.dataset
+from thckit.consistency import rank_context
 from thckit.dataset import (
     BLOCK_LINES,
     MAX_DIAGNOSTICS,
@@ -36,7 +37,6 @@ from thckit.dataset import (
     load_dataset,
     load_schema,
     parse_dataset,
-    slice_scores,
     write_baselines,
     write_run_log,
 )
@@ -222,7 +222,7 @@ class TestFaultTable:
         plain = SweepDataset(RUNS_RECORDS, small_baselines(), small_schema())
         assert dataset == plain
         for hp, agent, regime in {(r.hyperparameter, r.agent, r.data_regime) for r in RUNS_RECORDS}:
-            assert slice_scores(dataset, hp, agent, regime) == slice_scores(plain, hp, agent, regime)
+            assert sorted_groups(dataset, hp, agent, regime) == sorted_groups(plain, hp, agent, regime)
 
     def test_diagnostics_quote_cells_as_written(self):
         runs = RUNS_CSV + "a2,e1,r1,lr,0.1,-03,NaN\n"
@@ -419,13 +419,9 @@ def assert_ingest_matches_reference(block: int, text: str) -> None:
     assert len(parsed) == len(runs)
     for hp in INGEST_SCHEMA.hyperparameters:
         for pair in itertools.product(INGEST_SCHEMA.agents, INGEST_SCHEMA.data_regimes):
-            if pair not in index.get(hp, {}):
-                with pytest.raises(EmptySliceError):
-                    slice_scores(parsed, hp, *pair)
-                continue
-            groups = slice_scores(parsed, hp, *pair)
-            assert {env: dict(by_value) for env, by_value in groups.items()} \
-                == {env: dict(by_value) for env, by_value in index[hp][pair].items()}
+            groups = sorted_groups(parsed, hp, *pair)
+            assert groups == {env: {value: normalised(baselines, env, leaf) for value, leaf in by_value.items()}
+                              for env, by_value in index.get(hp, {}).get(pair, {}).items()}
             assert all(type(leaf) is tuple and all(type(score) is float for score in leaf)
                        for by_value in groups.values() for leaf in by_value.values())
     # repr also compares the types of fields.
@@ -674,14 +670,37 @@ class TestSweepDataset:
         assert excinfo.value.diagnostics == ["unknown agent 0"]
 
 
+def sorted_groups(ds: SweepDataset, hyperparameter: str, agent: str, data_regime: str) -> dict:
+    """One (agent, data regime) pair's groups of runs of a hyper-parameter in
+    the dataset's (cell, seed) sort, found by ``_groups_at`` as ``CellTable``
+    finds them: environment -> value -> human-normalised scores, only groups
+    that were run, both levels in schema order."""
+    schema = ds.schema
+    values = schema.hyperparameters[hyperparameter]
+    env, value = np.divmod(np.arange(len(schema.environments) * len(values)), len(values))
+    starts, sizes = ds._groups_at(schema.agents.index(agent), env, schema.data_regimes.index(data_regime),
+                                  ds._first[hyperparameter] + value)
+    groups: dict[str, dict[str, tuple[float, ...]]] = {}
+    for e, v, start, size in zip(env.tolist(), value.tolist(), starts.tolist(), sizes.tolist()):
+        if size:
+            groups.setdefault(schema.environments[e], {})[values[v]] = tuple(ds._sorted[start:start + size].tolist())
+    return groups
+
+
+def normalised(baselines: BaselineTable, environment: str, scores) -> tuple[float, ...]:
+    """Raw scores of one environment, human-normalised one at a time."""
+    return tuple(human_normalize(score, *baselines.scores[environment]) for score in scores)
+
+
 def reference_slice(ds: SweepDataset, hyperparameter: str, agent: str, data_regime: str) -> dict:
-    """Brute-force filter-and-sort over every record, for checking the index."""
+    """Brute-force filter-and-sort over every record, for checking the sort."""
     pairs: dict[str, dict[str, list[tuple[int, float]]]] = {}
     for rec in ds.records:
         if (rec.hyperparameter, rec.agent, rec.data_regime) == (hyperparameter, agent, data_regime):
             pairs.setdefault(rec.environment, {}).setdefault(rec.value, []).append(
                 (rec.seed, rec.final_score))
-    return {env: {value: tuple(score for _, score in sorted(runs)) for value, runs in by_value.items()}
+    return {env: {value: normalised(ds.baselines, env, [score for _, score in sorted(runs)])
+                  for value, runs in by_value.items()}
             for env, by_value in pairs.items()}
 
 
@@ -704,18 +723,18 @@ record_sets = st.lists(
 class TestSlice:
     def test_grouping_counts(self):
         ds = SweepDataset(make_records(seeds=5), small_baselines(), small_schema())
-        groups = slice_scores(ds, "lr", "a1", "r1")
+        groups = sorted_groups(ds, "lr", "a1", "r1")
         assert sum(len(by_value) for by_value in groups.values()) == 4
         assert all(len(scores) == 5 for by_value in groups.values() for scores in by_value.values())
 
     def test_partition_property(self):
         ds = SweepDataset(make_records(seeds=5), small_baselines(), small_schema())
-        groups = slice_scores(ds, "lr", "a1", "r1")
+        groups = sorted_groups(ds, "lr", "a1", "r1")
         pooled = Counter()
         for by_value in groups.values():
             for scores in by_value.values():
                 pooled.update(scores)
-        expected = Counter(rec.final_score for rec in ds.records
+        expected = Counter(normalised(ds.baselines, rec.environment, [rec.final_score])[0] for rec in ds.records
                            if (rec.agent, rec.data_regime, rec.hyperparameter) == ("a1", "r1", "lr"))
         assert pooled == expected
 
@@ -723,34 +742,23 @@ class TestSlice:
         records = [RunRecord("a1", "e1", "r1", "lr", "0.1", seed, score)
                    for seed, score in ((2, 30.0), (0, 10.0), (1, 20.0))]
         ds = SweepDataset(records, small_baselines(), small_schema())
-        assert list(slice_scores(ds, "lr", "a1", "r1")["e1"]["0.1"]) == [10.0, 20.0, 30.0]
+        assert list(sorted_groups(ds, "lr", "a1", "r1")["e1"]["0.1"]) == [10.0, 20.0, 30.0]
 
     def test_groups_never_run_are_absent(self):
         records = [RunRecord("a1", "e1", "r1", "lr", "0.1", 0, 1.0)]
         ds = SweepDataset(records, small_baselines(), small_schema())
-        groups = slice_scores(ds, "lr", "a1", "r1")
-        assert {env: dict(by_value) for env, by_value in groups.items()} == {"e1": {"0.1": (1.0,)}}
-
-    def test_groups_are_read_only(self):
-        ds = SweepDataset(make_records(), small_baselines(), small_schema())
-        groups = slice_scores(ds, "lr", "a1", "r1")
-        with pytest.raises(TypeError):
-            groups["e1"] = {}
-        with pytest.raises(TypeError):
-            groups["e1"]["0.1"] = ()
-        with pytest.raises(TypeError):
-            groups["e1"]["0.1"][0] = 99.0
-        assert slice_scores(ds, "lr", "a1", "r1")["e1"]["0.1"] == (0.0, 1.0, 2.0, 3.0, 4.0)
+        assert sorted_groups(ds, "lr", "a1", "r1") == {"e1": {"0.1": (1.0,)}}
+        assert sorted_groups(ds, "lr", "a2", "r2") == {}
 
     def test_undeclared_hyperparameter(self):
         ds = SweepDataset(make_records(), small_baselines(), small_schema())
         with pytest.raises(KeyError):
-            slice_scores(ds, "momentum", "a1", "r1")
+            rank_context(ds, "momentum", "a1", "r1")
 
     def test_empty_slice(self):
         ds = SweepDataset(make_records(), small_baselines(), small_schema())
         with pytest.raises(EmptySliceError):
-            slice_scores(ds, "lr", "a2", "r2")
+            rank_context(ds, "lr", "a2", "r2")
 
     @settings(max_examples=200, deadline=None)
     @given(record_sets)
@@ -760,13 +768,11 @@ class TestSlice:
         for hp in ("lr", "bs"):
             for agent in ("a1", "a2"):
                 for regime in ("r1", "r2"):
-                    expected = reference_slice(ds, hp, agent, regime)
-                    if not expected:
-                        with pytest.raises(EmptySliceError):
-                            slice_scores(ds, hp, agent, regime)
-                        continue
-                    groups = slices[hp, agent, regime] = slice_scores(ds, hp, agent, regime)
-                    assert {env: dict(by_value) for env, by_value in groups.items()} == expected
+                    groups = slices[hp, agent, regime] = sorted_groups(ds, hp, agent, regime)
+                    assert groups == reference_slice(ds, hp, agent, regime)
+                    # A pair has runs exactly when it has a group.
+                    assert bool(ds._labels_with_runs(hp, Axis.AGENT, {"agent": agent, "data_regime": regime})) \
+                        == bool(groups)
         # Keys come in schema order at both levels.
         for (hp, agent, regime), groups in slices.items():
             assert list(groups) == [env for env in ds.schema.environments if env in groups]
@@ -775,10 +781,10 @@ class TestSlice:
 
     def test_keys_in_schema_order_when_runs_come_in_reverse(self):
         ds = SweepDataset(make_records(seeds=2)[::-1], small_baselines(), small_schema())
-        groups = slice_scores(ds, "lr", "a1", "r1")
+        groups = sorted_groups(ds, "lr", "a1", "r1")
         assert [(env, list(by_value)) for env, by_value in groups.items()] == \
             [("e1", ["0.1", "0.01"]), ("e2", ["0.1", "0.01"])]
-        assert groups["e2"]["0.01"] == (0.0, 1.0)
+        assert groups["e2"]["0.01"] == normalised(ds.baselines, "e2", (0.0, 1.0))
 
 
 def shuffled_run_log() -> tuple[SweepDataset, str, list[str], str]:
@@ -837,7 +843,7 @@ class TestRoundTrip:
         for hp in direct.schema.hyperparameters:
             for agent in direct.schema.agents:
                 for regime in direct.schema.data_regimes:
-                    assert slice_scores(parsed, hp, agent, regime) == slice_scores(direct, hp, agent, regime)
+                    assert sorted_groups(parsed, hp, agent, regime) == sorted_groups(direct, hp, agent, regime)
         by_key = {rec.key: rec for rec in direct.records}
         in_file_order = []
         for row in csv.reader(line for line in lines if line.strip() and not line.startswith("#")):

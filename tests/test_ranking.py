@@ -15,26 +15,29 @@ from hypothesis import strategies as st
 from conftest import rankable_cells, reference_rankings
 from thckit import CellTable, TransferSetup, assemble_profiles, load_dataset
 from thckit.consistency import AssemblyOptions, IntervalSource
-from thckit.ranking import (
-    RankedSetting,
-    RankingMode,
-    RankingTable,
-    compute_rankings,
-    rank_intervals,
-)
-from thckit.stats import Interval
+from thckit.ranking import RankingMode, rank_intervals
 
 
-def ranks(settings_list, **kwargs):
-    return compute_rankings(settings_list, **kwargs).final_ranks()
+def rank_one(settings_list, mode=RankingMode.SPAN):
+    """One context's ``(label, (lower, upper))`` settings ranked by
+    ``rank_intervals``, as ``(label, initial_rank, final_rank)`` triples in
+    rank order."""
+    labels = [label for label, _ in settings_list]
+    lower, upper = np.array([bounds for _, bounds in settings_list], dtype=float).T[:, :, np.newaxis]
+    order, final = rank_intervals(labels, lower, upper, mode)
+    return [(labels[i], p + 1, final[i, 0].item()) for p, i in enumerate(order[:, 0].tolist())]
+
+
+def ranks(settings_list, mode=RankingMode.SPAN):
+    return {label: final for label, _, final in rank_one(settings_list, mode)}
 
 
 FIVE_SETTINGS = [
-    ("1e-2", Interval(200, 300)),
-    ("1e-1", Interval(250, 350)),
-    ("1", Interval(400, 600)),
-    ("1e1", Interval(110, 220)),
-    ("1e2", Interval(30, 70)),
+    ("1e-2", (200, 300)),
+    ("1e-1", (250, 350)),
+    ("1", (400, 600)),
+    ("1e1", (110, 220)),
+    ("1e2", (30, 70)),
 ]
 
 
@@ -45,85 +48,66 @@ class TestWorkedOracles:
         }
 
     def test_five_interval_initial_positions(self):
-        table = compute_rankings(FIVE_SETTINGS)
-        assert {e.label: e.initial_rank for e in table} == {
+        assert {label: initial for label, initial, _ in rank_one(FIVE_SETTINGS)} == {
             "1": 1, "1e-1": 2, "1e-2": 3, "1e1": 4, "1e2": 5,
         }
 
     def test_full_overlap_shares_mean_rank(self):
         settings_list = [
-            ("A", Interval(200, 300)),
-            ("B", Interval(250, 350)),
-            ("C", Interval(180, 260)),
+            ("A", (200, 300)),
+            ("B", (250, 350)),
+            ("C", (180, 260)),
         ]
         assert ranks(settings_list) == {"A": 2.0, "B": 2.0, "C": 2.0}
 
 
 class TestEdgeCases:
     def test_single_setting(self):
-        assert ranks([("only", Interval(1, 2))]) == {"only": 1.0}
+        assert ranks([("only", (1, 2))]) == {"only": 1.0}
 
     def test_two_disjoint(self):
-        assert ranks([("lo", Interval(0, 1)), ("hi", Interval(5, 6))]) == {"hi": 1.0, "lo": 2.0}
+        assert ranks([("lo", (0, 1)), ("hi", (5, 6))]) == {"hi": 1.0, "lo": 2.0}
 
     def test_identical_intervals_all_tied(self):
-        settings_list = [(label, Interval(10, 20)) for label in "zxy"]
+        settings_list = [(label, (10, 20)) for label in "zxy"]
         assert ranks(settings_list) == {"x": 2.0, "y": 2.0, "z": 2.0}
 
     def test_identical_intervals_initial_order_lexicographic(self):
-        table = compute_rankings([(label, Interval(10, 20)) for label in "zxy"])
-        assert [e.label for e in table] == ["x", "y", "z"]
+        ranked = rank_one([(label, (10, 20)) for label in "zxy"])
+        assert [label for label, _, _ in ranked] == ["x", "y", "z"]
 
     def test_touching_endpoints_overlap(self):
         # closed intervals sharing an endpoint cannot be separated
-        result = ranks([("a", Interval(0, 5)), ("b", Interval(5, 10))])
+        result = ranks([("a", (0, 5)), ("b", (5, 10))])
         assert result == {"a": 1.5, "b": 1.5}
 
+    def test_a_gap_separates_and_nesting_overlaps(self):
+        assert ranks([("a", (0, 1)), ("b", (1.0000001, 2))]) == {"b": 1.0, "a": 2.0}
+        assert ranks([("outer", (0, 10)), ("inner", (4, 5))]) == {"outer": 1.5, "inner": 1.5}
+
+    def test_zero_width_intervals(self):
+        assert ranks([("point", (2, 2)), ("span", (1, 3))]) == {"point": 1.5, "span": 1.5}
+        assert ranks([("lo", (1, 1)), ("hi", (2, 2))]) == {"hi": 1.0, "lo": 2.0}
+
     def test_upper_tie_broken_by_lower(self):
-        table = compute_rankings([("narrow", Interval(8, 10)), ("wide", Interval(0, 10))])
-        assert [e.label for e in table] == ["narrow", "wide"]
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            compute_rankings([])
-
-    def test_duplicate_labels_rejected(self):
-        with pytest.raises(ValueError):
-            compute_rankings([("a", Interval(0, 1)), ("a", Interval(2, 3))])
-
-    def test_entries_carry_metadata(self):
-        table = compute_rankings(FIVE_SETTINGS, hyperparameter="lr",
-                                 context={"agent": "x"})
-        assert table.hyperparameter == "lr"
-        assert table.context == {"agent": "x"}
-
-    def test_ranked_setting_validation(self):
-        with pytest.raises(ValueError):
-            RankedSetting("a", Interval(0, 1), 0, 1.0)
-        with pytest.raises(ValueError):
-            RankedSetting("a", Interval(0, 1), 1, 0.5)
-
-    def test_table_rejects_duplicate_labels(self):
-        entry = RankedSetting("a", Interval(0, 1), 1, 1.0)
-        with pytest.raises(ValueError):
-            RankingTable((entry, entry))
+        ranked = rank_one([("narrow", (8, 10)), ("wide", (0, 10))])
+        assert [label for label, _, _ in ranked] == ["narrow", "wide"]
 
 
 class TestOverlapMode:
     def test_agrees_on_contiguous_overlaps(self):
         for settings_list in (FIVE_SETTINGS,
-                              [("A", Interval(200, 300)), ("B", Interval(250, 350)),
-                               ("C", Interval(180, 260))]):
+                              [("A", (200, 300)), ("B", (250, 350)), ("C", (180, 260))]):
             assert ranks(settings_list, mode=RankingMode.OVERLAP) == ranks(settings_list)
 
     def test_diverges_when_overlap_set_not_contiguous(self, caplog):
         # "wide" straddles "mid-hi" without touching it, so its overlap set
         # {positions 1, 3, 4} skips position 2 and the two rules disagree.
         settings_list = [
-            ("wide", Interval(0, 100)),
-            ("mid-hi", Interval(80, 90)),
-            ("low-a", Interval(40, 50)),
-            ("low-b", Interval(35, 45)),
+            ("wide", (0, 100)),
+            ("mid-hi", (80, 90)),
+            ("low-a", (40, 50)),
+            ("low-b", (35, 45)),
         ]
         span = ranks(settings_list, mode=RankingMode.SPAN)
         with caplog.at_level(logging.INFO, logger="thckit.ranking"):
@@ -139,7 +123,7 @@ class TestOverlapMode:
 # between two bounds would otherwise collapse under a shift and genuinely
 # change which intervals overlap.
 intervals_st = st.builds(
-    lambda a, b: Interval(float(min(a, b)), float(max(a, b))),
+    lambda a, b: (float(min(a, b)), float(max(a, b))),
     st.integers(min_value=-100_000, max_value=100_000),
     st.integers(min_value=-100_000, max_value=100_000),
 )
@@ -159,40 +143,37 @@ class TestProperties:
 
     @given(settings_st, st.integers(min_value=-10_000, max_value=10_000).map(float))
     def test_translation_invariant(self, settings_list, shift):
-        moved = [(label, Interval(iv.lower + shift, iv.upper + shift))
-                 for label, iv in settings_list]
+        moved = [(label, (lower + shift, upper + shift)) for label, (lower, upper) in settings_list]
         assert ranks(moved) == ranks(settings_list)
 
     @given(settings_st, st.floats(min_value=0.01, max_value=100))
     def test_positive_scaling_invariant(self, settings_list, factor):
-        scaled = [(label, Interval(iv.lower * factor, iv.upper * factor))
-                  for label, iv in settings_list]
+        scaled = [(label, (lower * factor, upper * factor)) for label, (lower, upper) in settings_list]
         assert ranks(scaled) == ranks(settings_list)
 
     @given(settings_st)
     def test_rank_bounds_and_half_integers(self, settings_list):
         m = len(settings_list)
-        table = compute_rankings(settings_list)
-        assert sorted(e.initial_rank for e in table) == list(range(1, m + 1))
-        for entry in table:
-            assert 1.0 <= entry.final_rank <= m
-            assert (2 * entry.final_rank) == int(2 * entry.final_rank)
+        ranked = rank_one(settings_list)
+        assert sorted(initial for _, initial, _ in ranked) == list(range(1, m + 1))
+        for _, _, final in ranked:
+            assert 1.0 <= final <= m
+            assert (2 * final) == int(2 * final)
 
     @given(st.integers(min_value=1, max_value=8), st.randoms())
     def test_disjoint_intervals_rank_strictly(self, m, rnd):
         settings_list = []
         for i in range(m):
             base = 100.0 * (m - i)
-            settings_list.append((f"v{i}", Interval(base, base + 50.0)))
+            settings_list.append((f"v{i}", (base, base + 50.0)))
         rnd.shuffle(settings_list)
         result = ranks(settings_list)
         assert result == {f"v{i}": float(i + 1) for i in range(m)}
 
     @given(settings_st)
     def test_overlap_mode_respects_bounds_too(self, settings_list):
-        table = compute_rankings(settings_list, mode=RankingMode.OVERLAP)
-        for entry in table:
-            assert 1.0 <= entry.final_rank <= len(settings_list)
+        for _, _, final in rank_one(settings_list, mode=RankingMode.OVERLAP):
+            assert 1.0 <= final <= len(settings_list)
 
 
 class _Messages(logging.Handler):
@@ -221,7 +202,7 @@ def ranking_messages():
 # Bounds from a small grid, so ties, touching endpoints, nested intervals and
 # a -0.0 lower bound against a 0.0 upper bound all come up often.
 grid_intervals_st = st.lists(st.sampled_from([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0]),
-                             min_size=2, max_size=2).map(lambda b: Interval(min(b), max(b)))
+                             min_size=2, max_size=2).map(lambda b: (min(b), max(b)))
 profiles_st = st.tuples(st.integers(1, 8), st.integers(1, 6)).flatmap(
     lambda shape: st.tuples(
         st.permutations([f"v{i}" for i in range(shape[0])]),
@@ -235,8 +216,8 @@ class TestReferenceEquivalence:
     @given(profiles_st, st.sampled_from(list(RankingMode)))
     def test_rank_intervals_matches_reference(self, profile, mode):
         labels, contexts = profile
-        lower = np.array([[iv.lower for iv in column] for column in contexts]).T
-        upper = np.array([[iv.upper for iv in column] for column in contexts]).T
+        lower = np.array([[lo for lo, _ in column] for column in contexts]).T
+        upper = np.array([[up for _, up in column] for column in contexts]).T
         with ranking_messages() as messages:
             order, final = rank_intervals(labels, lower, upper, mode)
         expected, expected_messages = reference_rankings(
@@ -246,8 +227,7 @@ class TestReferenceEquivalence:
         assert got == expected
         assert messages == expected_messages
         for column, table in zip(contexts, expected):
-            ranked = compute_rankings(list(zip(labels, column)), mode=mode)
-            assert [(e.label, e.initial_rank, e.final_rank) for e in ranked] == table
+            assert rank_one(list(zip(labels, column)), mode) == table
 
     @pytest.mark.parametrize("source", list(IntervalSource))
     @pytest.mark.parametrize("setup", list(TransferSetup))

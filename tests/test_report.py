@@ -215,7 +215,7 @@ class TestBundle:
 
     # Only the default flags have a golden bundle. Under every pair of ranking
     # mode and interval source, each row of the fixture's bundle is rebuilt
-    # here from the table and points that the rank command gives its context.
+    # here from the arrays that rank_context, and so the rank command, gives its context.
     @pytest.mark.parametrize("mode", list(RankingMode))
     @pytest.mark.parametrize("source", list(IntervalSource))
     def test_rows_equal_the_rank_context_of_their_context(self, tmp_path, source, mode):
@@ -231,15 +231,14 @@ class TestBundle:
                 hp, fixed = p.hyperparameter, ";".join(f"{k}={v}" for k, v in sorted(p.fixed.items()))
                 rows = series.setdefault(_series_name(setup, p), [["context", "value", "point", "lower", "upper"]])
                 for context in p.contexts:
-                    table, points = rank_context(dataset, hp, **p.fixed, **{setup.axis.value: context},
-                                                 options=options)
-                    bounds = {e.label: [repr(e.interval.lower), repr(e.interval.upper)] for e in table}
+                    values, cells, order, ranks = rank_context(dataset, hp, **p.fixed,
+                                                               **{setup.axis.value: context}, options=options)
+                    lower, upper, point = ([repr(x) for x in row] for row in cells.tolist())
                     row = [setup.value, hp, fixed, context]
-                    for e in table:
-                        rankings.append([*row, e.label, *bounds[e.label], str(e.initial_rank), repr(e.final_rank)])
-                        intervals.append([*row, e.label, *bounds[e.label], repr(points[e.label])])
-                    rows += [[context, value, repr(points[value]), *bounds[value]]
-                             for value in dataset.schema.hyperparameters[hp] if value in points]
+                    for position, i in enumerate(order.tolist(), 1):
+                        rankings.append([*row, values[i], lower[i], upper[i], str(position), repr(ranks[i].item())])
+                        intervals.append([*row, values[i], lower[i], upper[i], point[i]])
+                    rows += [[context, *cell] for cell in zip(values, point, lower, upper)]
         assert len(rankings) == len(intervals) == 1 + 192 and len(series) == 24
         assert read_rows(tmp_path / "rankings.csv") == rankings
         assert read_rows(tmp_path / "intervals.csv") == intervals

@@ -1,4 +1,5 @@
-"""Normalization, IQM, and stratified bootstrap tests."""
+"""Normalization, IQM, and stratified bootstrap tests, against the batched
+aggregators and brute-force references."""
 
 from __future__ import annotations
 
@@ -19,75 +20,15 @@ from hypothesis import strategies as st
 from thckit import stats
 from thckit.stats import (
     DEFAULT_CONFIDENCE,
-    Interval,
     MIN_RESAMPLES,
-    ScoreMatrix,
     derive_seed,
     human_normalize,
-    iqm,
-    mean_and_spread,
     pooled_bootstrap_cis,
     pooled_mean_and_spreads,
-    stratified_bootstrap_ci,
 )
 
 finite_scores = st.floats(min_value=-1e6, max_value=1e6,
                           allow_nan=False, allow_infinity=False)
-
-
-class TestInterval:
-    def test_bounds_and_accessors(self):
-        iv = Interval(1.0, 3.0)
-        assert (iv.lower, iv.upper) == (1.0, 3.0)
-
-    def test_zero_width_allowed(self):
-        iv = Interval(2.0, 2.0)
-        assert iv.lower == iv.upper == 2.0
-
-    def test_inverted_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            Interval(3.0, 1.0)
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-    def test_nonfinite_rejected(self, bad):
-        with pytest.raises(ValueError):
-            Interval(0.0, bad)
-
-    def test_overlap_is_closed(self):
-        # sharing a single endpoint counts as overlap
-        assert Interval(0, 1).overlaps(Interval(1, 2))
-        assert Interval(1, 2).overlaps(Interval(0, 1))
-        assert not Interval(0, 1).overlaps(Interval(1.0000001, 2))
-        assert Interval(0, 10).overlaps(Interval(4, 5))
-
-    def test_overlap_is_symmetric_and_reflexive(self):
-        a, b = Interval(0, 5), Interval(3, 9)
-        assert a.overlaps(b) == b.overlaps(a) is True
-        assert a.overlaps(a)
-
-
-class TestScoreMatrix:
-    def test_ragged_rows_allowed(self):
-        m = ScoreMatrix([[1.0, 2.0], [3.0, 4.0, 5.0]])
-        assert len(m) == 2
-        assert m.pooled().tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
-
-    def test_rows_are_read_only(self):
-        m = ScoreMatrix([[1.0, 2.0]])
-        with pytest.raises(ValueError):
-            m.rows[0][0] = 9.0
-
-    def test_empty_row_rejected(self):
-        with pytest.raises(ValueError):
-            ScoreMatrix([[1.0], []])
-
-    def test_no_rows_rejected(self):
-        with pytest.raises(ValueError):
-            ScoreMatrix([])
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            ScoreMatrix([[1.0, float("nan")]])
 
 
 class TestHumanNormalize:
@@ -125,58 +66,70 @@ def brute_force_iqm(samples):
     return float(np.mean(kept))
 
 
+def iqm_point(samples):
+    """The bootstrap's point estimate of one single-row cell: its IQM."""
+    samples = np.asarray(samples, dtype=float)
+    return pooled_bootstrap_cis(samples, [(samples.size,)], [0], MIN_RESAMPLES)[2, 0].item()
+
+
+def mean_sd_bounds(samples):
+    """``(mean - sd, mean + sd)`` of one sample set."""
+    samples = np.asarray(samples, dtype=float)
+    return tuple(pooled_mean_and_spreads(samples, np.array([samples.size]))[:2, 0].tolist())
+
+
 class TestIqm:
     def test_trim_rule(self):
-        assert iqm([1, 2, 3, 4, 5, 6, 7, 8]) == 4.5
+        assert iqm_point([1, 2, 3, 4, 5, 6, 7, 8]) == 4.5
 
     def test_constant(self):
-        assert iqm([3.25] * 11) == 3.25
+        assert iqm_point([3.25] * 11) == 3.25
 
     def test_short_inputs_are_plain_mean(self):
-        assert iqm([4.0]) == 4.0
-        assert iqm([1.0, 3.0]) == 2.0
-        assert iqm([1.0, 2.0, 6.0]) == 3.0
+        assert iqm_point([4.0]) == 4.0
+        assert iqm_point([1.0, 3.0]) == 2.0
+        assert iqm_point([1.0, 2.0, 6.0]) == 3.0
 
     def test_n4_trims_one_each_side(self):
-        assert iqm([0.0, 10.0, 20.0, 1000.0]) == 15.0
+        assert iqm_point([0.0, 10.0, 20.0, 1000.0]) == 15.0
 
     def test_order_invariant(self):
-        assert iqm([8, 1, 5, 2, 7, 3, 6, 4]) == 4.5
+        assert iqm_point([8, 1, 5, 2, 7, 3, 6, 4]) == 4.5
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            iqm([])
+            iqm_point([])
 
     def test_matches_brute_force_on_random_data(self):
         rng = np.random.default_rng(1234)
         for n in list(range(1, 30)) + [100, 257]:
             samples = rng.normal(size=n) * 100
-            assert iqm(samples) == brute_force_iqm(samples)
+            assert iqm_point(samples) == brute_force_iqm(samples)
 
     @given(st.lists(finite_scores, min_size=1, max_size=60))
     def test_bounded_by_extremes(self, samples):
-        value = iqm(samples)
+        value = iqm_point(samples)
         assert min(samples) - 1e-9 <= value <= max(samples) + 1e-9
 
     @given(st.lists(finite_scores, min_size=1, max_size=40))
     def test_matches_brute_force(self, samples):
-        assert iqm(samples) == brute_force_iqm(samples)
+        assert iqm_point(samples) == brute_force_iqm(samples)
 
 
 class TestMeanAndSpread:
     def test_known_values(self):
-        iv = mean_and_spread([0.0, 2.0])
+        lower, upper = mean_sd_bounds([0.0, 2.0])
         sd = math.sqrt(2.0)
-        assert iv.lower == pytest.approx(1.0 - sd)
-        assert iv.upper == pytest.approx(1.0 + sd)
+        assert lower == pytest.approx(1.0 - sd)
+        assert upper == pytest.approx(1.0 + sd)
 
     def test_constant_data_zero_width(self):
-        iv = mean_and_spread([5.0, 5.0, 5.0])
-        assert iv.lower == iv.upper == 5.0
+        lower, upper = mean_sd_bounds([5.0, 5.0, 5.0])
+        assert lower == upper == 5.0
 
     def test_single_sample_rejected(self):
         with pytest.raises(ValueError):
-            mean_and_spread([1.0])
+            mean_sd_bounds([1.0])
 
     def test_batched_single_sample_set_rejected(self):
         with pytest.raises(ValueError, match="set 1 holds 1"):
@@ -204,7 +157,7 @@ class TestMeanAndSpread:
             lower, upper, mean = got[:, i].tolist()
             assert [v.hex() for v in (mean, lower, upper)] == \
                 [v.hex() for v in (mu, mu - sd, mu + sd)], f"set {i}"
-            assert mean_and_spread(samples) == Interval(lower, upper)
+            assert mean_sd_bounds(samples) == (lower, upper)
 
 
 class TestDeriveSeed:
@@ -247,8 +200,8 @@ def hex_bounds(lower, upper):
     return lower.hex(), upper.hex()
 
 
-def hexes(intervals):
-    return [hex_bounds(iv.lower, iv.upper) for iv in intervals]
+def hexes(pairs):
+    return [hex_bounds(lower, upper) for lower, upper in pairs]
 
 
 def random_rows(rng, max_rows=26, max_size=12):
@@ -257,33 +210,33 @@ def random_rows(rng, max_rows=26, max_size=12):
     return [np.round(rng.normal(scale=3, size=size), 1) for size in sizes]
 
 
+def bootstrap_bounds(rows, resamples, seed, confidence=DEFAULT_CONFIDENCE):
+    """``(lower, upper)`` of one cell of ``rows`` drawing from ``seed``, by
+    :func:`pooled_bootstrap_cis`."""
+    return tuple(pooled_cells([(rows, seed)], resamples, confidence)[:2, 0].tolist())
+
+
 class TestStratifiedBootstrap:
     def test_constant_data_zero_width(self):
-        matrix = ScoreMatrix([[2.0] * 5, [2.0] * 7])
-        iv = stratified_bootstrap_ci(matrix, resamples=200, seed=3)
-        assert iv.lower == iv.upper == 2.0
+        lower, upper = bootstrap_bounds([[2.0] * 5, [2.0] * 7], resamples=200, seed=3)
+        assert lower == upper == 2.0
 
     def test_deterministic_same_seed(self):
-        matrix = ScoreMatrix([[1.0, 5.0, 2.0], [4.0, 0.5, 2.5]])
-        a = stratified_bootstrap_ci(matrix, resamples=300, seed=11)
-        b = stratified_bootstrap_ci(matrix, resamples=300, seed=11)
-        assert (a.lower, a.upper) == (b.lower, b.upper)
+        rows = [[1.0, 5.0, 2.0], [4.0, 0.5, 2.5]]
+        assert bootstrap_bounds(rows, resamples=300, seed=11) == bootstrap_bounds(rows, resamples=300, seed=11)
 
     def test_seed_changes_result(self):
-        matrix = ScoreMatrix([[1.0, 5.0, 2.0, 8.0, 3.0]])
-        a = stratified_bootstrap_ci(matrix, resamples=300, seed=11)
-        b = stratified_bootstrap_ci(matrix, resamples=300, seed=12)
-        assert (a.lower, a.upper) != (b.lower, b.upper)
+        rows = [[1.0, 5.0, 2.0, 8.0, 3.0]]
+        assert bootstrap_bounds(rows, resamples=300, seed=11) != bootstrap_bounds(rows, resamples=300, seed=12)
 
     def test_matches_reference_resampler(self):
         rng = np.random.default_rng(2024)
         for case in range(20):
             rows = [rng.normal(loc=rng.uniform(-5, 5), scale=2, size=5) for _ in range(3)]
-            matrix = ScoreMatrix(rows)
             seed = int(rng.integers(0, 2**32))
-            iv = stratified_bootstrap_ci(matrix, resamples=MIN_RESAMPLES, seed=seed)
+            bounds = bootstrap_bounds(rows, resamples=MIN_RESAMPLES, seed=seed)
             ref = reference_bootstrap(rows, MIN_RESAMPLES, DEFAULT_CONFIDENCE, seed)
-            assert hex_bounds(iv.lower, iv.upper) == hex_bounds(*ref), f"case {case}"
+            assert hex_bounds(*bounds) == hex_bounds(*ref), f"case {case}"
 
     def test_seeds_above_64_bits_match_reference(self):
         rng = np.random.default_rng(67)
@@ -291,38 +244,37 @@ class TestStratifiedBootstrap:
             rows = random_rows(rng)
             high, low = rng.integers(1, 2**64, size=2, dtype=np.uint64)
             seed = int(high) << 64 | int(low)
-            iv = stratified_bootstrap_ci(ScoreMatrix(rows), resamples=MIN_RESAMPLES, seed=seed)
+            bounds = bootstrap_bounds(rows, resamples=MIN_RESAMPLES, seed=seed)
             ref = reference_bootstrap(rows, MIN_RESAMPLES, DEFAULT_CONFIDENCE, seed)
-            assert hex_bounds(iv.lower, iv.upper) == hex_bounds(*ref), f"case {case}: seed {seed:#x}"
+            assert hex_bounds(*bounds) == hex_bounds(*ref), f"case {case}: seed {seed:#x}"
 
     def test_interval_within_sample_range(self):
         rng = np.random.default_rng(6)
         rows = [rng.uniform(0, 10, size=7) for _ in range(3)]
-        matrix = ScoreMatrix(rows)
-        iv = stratified_bootstrap_ci(matrix, resamples=200, seed=0)
-        pooled = matrix.pooled()
-        assert pooled.min() <= iv.lower <= iv.upper <= pooled.max()
+        lower, upper = bootstrap_bounds(rows, resamples=200, seed=0)
+        pooled = np.concatenate(rows)
+        assert pooled.min() <= lower <= upper <= pooled.max()
 
     def test_validation_errors(self):
-        matrix = ScoreMatrix([[1.0, 2.0]])
+        values = np.array([1.0, 2.0])
         with pytest.raises(ValueError):
-            stratified_bootstrap_ci(matrix, resamples=MIN_RESAMPLES - 1)
+            pooled_bootstrap_cis(values, [(2,)], [0], resamples=MIN_RESAMPLES - 1)
         with pytest.raises(ValueError):
-            stratified_bootstrap_ci(matrix, confidence=0.0)
+            pooled_bootstrap_cis(values, [(2,)], [0], confidence=0.0)
         with pytest.raises(ValueError):
-            stratified_bootstrap_ci(matrix, confidence=1.0)
+            pooled_bootstrap_cis(values, [(2,)], [0], confidence=1.0)
         # Philox keys are 128-bit and non-negative; a uint64 cast would wrap.
         with pytest.raises(ValueError):
-            stratified_bootstrap_ci(matrix, seed=-1)
+            pooled_bootstrap_cis(values, [(2,)], [-1])
         with pytest.raises(ValueError):
-            stratified_bootstrap_ci(matrix, seed=2**128)
+            pooled_bootstrap_cis(values, [(2,)], [2**128])
 
     def test_wider_confidence_widens_interval(self):
         rng = np.random.default_rng(21)
-        matrix = ScoreMatrix([rng.normal(size=8) for _ in range(3)])
-        narrow = stratified_bootstrap_ci(matrix, resamples=500, confidence=0.5, seed=1)
-        wide = stratified_bootstrap_ci(matrix, resamples=500, confidence=0.99, seed=1)
-        assert wide.lower <= narrow.lower and narrow.upper <= wide.upper
+        rows = [rng.normal(size=8) for _ in range(3)]
+        narrow = bootstrap_bounds(rows, resamples=500, seed=1, confidence=0.5)
+        wide = bootstrap_bounds(rows, resamples=500, seed=1, confidence=0.99)
+        assert wide[0] <= narrow[0] and narrow[1] <= wide[1]
 
 
 class TestBatchedBootstrap:
@@ -354,17 +306,16 @@ class TestBatchedBootstrap:
             resamples = MIN_RESAMPLES + 1 + 7 * int(rng.integers(0, 20))
             seed = int(rng.integers(0, 2**63))
             monkeypatch.setattr("thckit.stats._CHUNK_ENTRIES", replicates_per_chunk * sum(sizes))
-            iv = stratified_bootstrap_ci(ScoreMatrix(rows), resamples=resamples, seed=seed)
+            bounds = bootstrap_bounds(rows, resamples=resamples, seed=seed)
             ref = reference_bootstrap(rows, resamples, DEFAULT_CONFIDENCE, seed)
-            assert hex_bounds(iv.lower, iv.upper) == hex_bounds(*ref), f"case {case}: sizes {sizes}"
+            assert hex_bounds(*bounds) == hex_bounds(*ref), f"case {case}: sizes {sizes}"
 
     @pytest.mark.parametrize("resamples", [2_000, 50_000])
     def test_memory_bounded_at_any_resample_count(self, resamples):
-        rng = np.random.default_rng(8)
-        matrix = ScoreMatrix([rng.normal(size=5) for _ in range(26)])
+        values = np.random.default_rng(8).normal(size=(26, 5)).ravel()
         tracemalloc.start()
         try:
-            stratified_bootstrap_ci(matrix, resamples=resamples, seed=1)
+            pooled_bootstrap_cis(values, [(5,) * 26], [1], resamples=resamples)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -375,10 +326,10 @@ class TestBatchedBootstrap:
     def test_memory_bounded_for_one_narrow_cell_at_a_million_resamples(self):
         # A second resample-sized array (8 MB) would overrun the slack.
         resamples = 1_000_000
-        matrix = ScoreMatrix([np.random.default_rng(8).normal(size=5)])
+        values = np.random.default_rng(8).normal(size=5)
         tracemalloc.start()
         try:
-            stratified_bootstrap_ci(matrix, resamples=resamples, seed=1)
+            pooled_bootstrap_cis(values, [(5,)], [1], resamples=resamples)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -427,11 +378,11 @@ def mixed_cells(rng, count):
     return cells
 
 
-def pooled_cells(cells, resamples):
+def pooled_cells(cells, resamples, confidence=DEFAULT_CONFIDENCE):
     """:func:`pooled_bootstrap_cis` of ``(rows, seed)`` cells, laid end to end."""
-    values = np.concatenate([np.concatenate(rows) for rows, _ in cells])
+    values = np.concatenate([np.concatenate(rows) for rows, _ in cells]).astype(float)
     patterns = [tuple(len(row) for row in rows) for rows, _ in cells]
-    return pooled_bootstrap_cis(values, patterns, [seed for _, seed in cells], resamples)
+    return pooled_bootstrap_cis(values, patterns, [seed for _, seed in cells], resamples, confidence)
 
 
 class TestCellBatches:
@@ -446,8 +397,7 @@ class TestCellBatches:
         rng = np.random.default_rng(chunk_entries or 0)
         cells = mixed_cells(rng, 24)
         resamples = MIN_RESAMPLES + 7
-        one_by_one = [stratified_bootstrap_ci(ScoreMatrix(rows), resamples=resamples, seed=seed)
-                      for rows, seed in cells]
+        one_by_one = [bootstrap_bounds(rows, resamples=resamples, seed=seed) for rows, seed in cells]
         if chunk_entries is not None:
             monkeypatch.setattr("thckit.stats._CHUNK_ENTRIES", chunk_entries)
         lower, upper, _ = pooled_cells(cells, resamples).tolist()
@@ -471,7 +421,7 @@ class TestCellBatches:
             monkeypatch.setattr("thckit.stats._CHUNK_ENTRIES", chunk_entries)
         points = pooled_cells(cells, MIN_RESAMPLES)[2].tolist()
         assert [point.hex() for point in points] == \
-            [iqm(np.concatenate(rows)).hex() for rows, _ in cells]
+            [brute_force_iqm(np.concatenate(rows)).hex() for rows, _ in cells]
 
     @pytest.mark.parametrize("values, patterns, seeds, message", [
         (np.arange(3.0), [(3,)], [1, 2], "got 2 seeds for 1 cells"),
@@ -570,8 +520,7 @@ class TestThreads:
         lower, upper, _ = pooled_bootstrap_cis(rows.ravel(), [(5,) * 26] * 2, [1, 2], MIN_RESAMPLES).tolist()
         assert len(started) == 1 and not started[0].is_alive()
         assert [hex_bounds(lo, up) for lo, up in zip(lower, upper)] == \
-            hexes(stratified_bootstrap_ci(ScoreMatrix(cell), MIN_RESAMPLES, seed=seed)
-                  for cell, seed in zip(rows, [1, 2]))
+            hexes(bootstrap_bounds(cell, MIN_RESAMPLES, seed=seed) for cell, seed in zip(rows, [1, 2]))
 
     def test_network_groups_and_lone_cells_start_no_thread(self, monkeypatch, cpus):
         cpus(3)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import io
 from unittest import mock
 
@@ -483,3 +484,8 @@ class TestPackageExports:
         exec("from thckit import *", namespace)
         assert set(thckit.__all__) <= set(namespace)
         assert namespace["generate"] is synth.generate
+        # A name deleted from a module but left in its __all__ fails here too.
+        for module in ("stats", "dataset", "ranking", "consistency", "report", "synth"):
+            namespace = {}
+            exec(f"from thckit.{module} import *", namespace)
+            assert set(importlib.import_module(f"thckit.{module}").__all__) <= set(namespace), module

@@ -25,14 +25,15 @@ KNOWN_MISSING = {
     "thckit.consistency.kendalltau",
     "thckit.consistency.stratified_bootstrap_ci",
     "thckit.consistency.mean_and_spread",
+    "thckit.consistency.slice_scores",
+    "thckit.consistency.compute_rankings",
+    "thckit.consistency.kendall_w",
+    "thckit.consistency.mean_pairwise_tau",
 }
 
 # Boundaries that resolve but that no command calls: the Kendall baselines are
 # scored in one pass per profile shape, so ``consistency.kendall_s`` reads 0.
-KNOWN_SILENT = {
-    "thckit.consistency.kendall_w",
-    "thckit.consistency.mean_pairwise_tau",
-}
+KNOWN_SILENT = set()
 
 
 def tracer_boundaries() -> tuple[tuple[str, str, str, str | None], ...]:
