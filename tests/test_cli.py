@@ -175,6 +175,21 @@ class TestRank:
         assert {e["final_rank"] for e in by_value.values()} == {2.0}
         assert sorted(e["initial_rank"] for e in by_value.values()) == [1, 2, 3]
 
+    @pytest.mark.parametrize("mode", ["span", "overlap"])
+    def test_table_rows_read_as_the_json_entries(self, reference_paths, tmp_path, capsys, mode):
+        sidecar = tmp_path / "rank.json"
+        assert main(["rank", *dataset_args(reference_paths), "--hyperparameter", "ha", "--agent", "agent01",
+                     "--data-regime", "regime01", "--ranking-mode", mode, "--resamples", "200",
+                     "--json", str(sidecar)]) == 0
+        lines = [line.split() for line in capsys.readouterr().out.splitlines()[1:] if line]
+        data = json.loads(sidecar.read_text())
+        assert data["ranking_mode"] == mode and data["interval_source"] == "iqm_ci"
+        header = ["value", "lower", "upper", "point", "initial_rank", "final_rank"]
+        assert lines[0] == header
+        rows = [[row[0], *map(float, row[1:4]), int(row[4]), float(row[5])] for row in lines[2:]]
+        assert rows == [[entry[key] for key in header] for entry in data["entries"]]
+        assert [row[4] for row in rows] == [1, 2, 3]
+
     def test_unknown_hyperparameter_exits_2(self, reference_paths, capsys):
         code = main(["rank", *dataset_args(reference_paths),
                      "--hyperparameter", "zz", "--agent", "agent01",

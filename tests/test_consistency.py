@@ -118,6 +118,10 @@ class TestThcOracles:
     def test_two_value_reversal_scores_one(self):
         assert thc(profile([[1, 2], [2, 1]])) == 1.0
 
+    def test_mode_given_by_value(self):
+        for mode in PtpNormalization:
+            assert thc(profile(TRAJECTORY_B2), mode.value) == thc(profile(TRAJECTORY_B2), mode)
+
     def test_sum_mode_collapses_to_reciprocal_value_count(self):
         for matrix in (TRAJECTORY_A1, TRAJECTORY_B1, TRAJECTORY_A2, TRAJECTORY_B2):
             m = len(matrix)
@@ -140,6 +144,12 @@ class TestRankProfileValidation:
     def test_empty(self):
         with pytest.raises(ValueError):
             RankProfile("hp", (), ("c1",), np.empty((0, 1)))
+
+    def test_ranks_are_held_as_c_ordered_floats(self):
+        ranks = np.asfortranarray([[1, 2], [2, 1], [3, 3]])
+        p = RankProfile("hp", ("a", "b", "c"), ("c1", "c2"), ranks)
+        assert p.ranks.dtype == np.float64 and p.ranks.flags.c_contiguous
+        assert p.ranks.tolist() == [[1.0, 2.0], [2.0, 1.0], [3.0, 3.0]]
 
     def test_duplicate_contexts(self):
         with pytest.raises(ValueError, match="contexts must be unique"):
@@ -580,6 +590,46 @@ class TestRankContext:
         with pytest.raises(ValueError, match="^no value of 'hp' has at least 2 seeds in this context$"):
             rank_context(dataset, "hp", agent="agent01", data_regime="regime01", environment="g2")
 
+    @pytest.mark.parametrize("pins, message", [
+        ({"agent": "agent99"}, "unknown agent 'agent99'"),
+        ({"data_regime": "regime99"}, "unknown data_regime 'regime99'"),
+        ({"environment": "g9"}, "unknown environment 'g9'"),
+    ], ids=["agent", "data regime", "environment"])
+    def test_undeclared_coordinate_raises(self, pins, message):
+        dataset = dataset_from_intervals({"hp": {"x": {"g1": (0.0, 1.0)}, "y": {"g1": (2.0, 3.0)}}})
+        coords = {"agent": "agent01", "data_regime": "regime01", **pins}
+        with pytest.raises(KeyError, match=message):
+            rank_context(dataset, "hp", **coords)
+
+    def test_values_without_two_seeds_are_left_out(self):
+        cells = {"hp": {"x": {"g1": (0.0, 1.0)}, "y": {"g1": (2.0, 3.0)}, "z": {"g1": (0.5, 2.5)}}}
+        dataset = dataset_from_intervals(cells)
+        dataset = SweepDataset([r for r in dataset.records if (r.value, r.seed) != ("y", 1)],
+                               dataset.baselines, dataset.schema)
+        values, intervals, order, ranks = rank_context(
+            dataset, "hp", agent="agent01", data_regime="regime01",
+            options=AssemblyOptions(interval_source=IntervalSource.MEAN_SD))
+        assert values == ("x", "z")
+        assert intervals.shape == (3, 2) and not np.isnan(intervals).any()
+        assert order.tolist() == [1, 0] and ranks.tolist() == [1.5, 1.5]
+
+    @pytest.mark.parametrize("mode, expected", [
+        (RankingMode.SPAN, [2.5, 1.5, 2.5, 2.5]),
+        (RankingMode.OVERLAP, [2.5, 1.5, 8 / 3, 8 / 3]),
+    ], ids=["span", "overlap"])
+    def test_ranking_mode_is_applied(self, mode, expected):
+        # The overlap sets of "low-a" and "low-b", positions {1, 3, 4}, skip
+        # "mid-hi", so the two modes rank them differently.
+        cells = {"hp": {"wide": {"g1": (0.0, 100.0)}, "mid-hi": {"g1": (80.0, 90.0)},
+                        "low-a": {"g1": (40.0, 50.0)}, "low-b": {"g1": (35.0, 45.0)}}}
+        values, intervals, order, ranks = rank_context(
+            dataset_from_intervals(cells), "hp", agent="agent01", data_regime="regime01",
+            options=AssemblyOptions(interval_source=IntervalSource.MEAN_SD, ranking_mode=mode))
+        assert values == ("wide", "mid-hi", "low-a", "low-b")
+        assert np.allclose(intervals[:2].T, [[0.0, 100.0], [80.0, 90.0], [40.0, 50.0], [35.0, 45.0]])
+        assert order.tolist() == [0, 1, 2, 3]
+        assert ranks.tolist() == pytest.approx(expected, abs=1e-15)
+
     def test_empty_context_raises(self):
         cells = {"hp": {"x": {"g1": (0.0, 1.0)}}}
         dataset = dataset_from_intervals(cells)
@@ -671,6 +721,13 @@ def profile_fields(p: RankProfile) -> tuple:
 
 
 class TestCellTable:
+    def test_context_arrays_are_read_only(self, fixture_dataset):
+        cells = CellTable(fixture_dataset, FIXTURE_OPTIONS)
+        arrays = cells.context_arrays("lr", "agent01", "low")
+        with pytest.raises(ValueError, match="read-only"):
+            arrays[0, 0] = 0.0
+        assert cells.context_arrays("lr", "agent01", "low") is arrays
+
     def test_one_interval_per_cell(self, bundle_cells):
         assert len(bundle_cells) == 160
         assert {key: found for key, found in bundle_cells.items() if len(found) != 1} == {}

@@ -93,12 +93,41 @@ class TestEdgeCases:
         ranked = rank_one([("narrow", (8, 10)), ("wide", (0, 10))])
         assert [label for label, _, _ in ranked] == ["narrow", "wide"]
 
+    def test_signed_zero_endpoints_touch(self):
+        assert ranks([("neg", (-1.0, -0.0)), ("pos", (0.0, 1.0))]) == {"neg": 1.5, "pos": 1.5}
+
+    def test_mode_given_by_value(self):
+        for mode in RankingMode:
+            assert ranks(FIVE_SETTINGS, mode.value) == ranks(FIVE_SETTINGS, mode)
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="'median' is not a valid RankingMode"):
+            ranks(FIVE_SETTINGS, "median")
+
+    def test_each_context_ranks_from_its_own_column(self):
+        labels = ["a", "b", "c"]
+        lower = np.array([[0.0, 5.0], [2.0, 0.0], [4.0, 9.0]])
+        upper = lower + 1.0
+        order, final = rank_intervals(labels, lower, upper)
+        assert order.T.tolist() == [[2, 1, 0], [2, 0, 1]]
+        assert final.T.tolist() == [[3.0, 2.0, 1.0], [2.0, 3.0, 1.0]]
+        lower[:, 1], upper[:, 1] = 0.0, 10.0
+        moved_order, moved_final = rank_intervals(labels, lower, upper)
+        assert moved_order[:, 0].tolist() == order[:, 0].tolist()
+        assert moved_final[:, 0].tolist() == final[:, 0].tolist()
+        assert moved_final[:, 1].tolist() == [2.0, 2.0, 2.0]
+
 
 class TestOverlapMode:
     def test_agrees_on_contiguous_overlaps(self):
         for settings_list in (FIVE_SETTINGS,
                               [("A", (200, 300)), ("B", (250, 350)), ("C", (180, 260))]):
             assert ranks(settings_list, mode=RankingMode.OVERLAP) == ranks(settings_list)
+
+    def test_contiguous_overlaps_log_nothing(self, caplog):
+        with caplog.at_level(logging.INFO, logger="thckit.ranking"):
+            ranks(FIVE_SETTINGS, mode=RankingMode.OVERLAP)
+        assert caplog.records == []
 
     def test_diverges_when_overlap_set_not_contiguous(self, caplog):
         # "wide" straddles "mid-hi" without touching it, so its overlap set
@@ -174,6 +203,28 @@ class TestProperties:
     def test_overlap_mode_respects_bounds_too(self, settings_list):
         for _, _, final in rank_one(settings_list, mode=RankingMode.OVERLAP):
             assert 1.0 <= final <= len(settings_list)
+
+    @given(settings_st, st.randoms())
+    def test_overlap_mode_input_order_is_irrelevant(self, settings_list, rnd):
+        shuffled = list(settings_list)
+        rnd.shuffle(shuffled)
+        assert ranks(shuffled, RankingMode.OVERLAP) == ranks(settings_list, RankingMode.OVERLAP)
+
+    @given(settings_st)
+    def test_a_separated_interval_ranks_better(self, settings_list):
+        result = ranks(settings_list)
+        for a, (a_lower, _) in settings_list:
+            for b, (_, b_upper) in settings_list:
+                if a_lower > b_upper:
+                    assert result[a] < result[b]
+
+    @pytest.mark.parametrize("mode", list(RankingMode))
+    @given(settings_st, st.integers(min_value=-100_000, max_value=100_000).map(float))
+    def test_intervals_sharing_a_point_share_the_mean_rank(self, mode, settings_list, point):
+        # Stretch every interval to cover the point, so that all overlap.
+        covering = [(label, (min(lower, point), max(upper, point))) for label, (lower, upper) in settings_list]
+        m = len(covering)
+        assert ranks(covering, mode) == {label: (1 + m) / 2 for label, _ in covering}
 
 
 class _Messages(logging.Handler):

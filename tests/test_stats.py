@@ -140,6 +140,12 @@ class TestMeanAndSpread:
         with pytest.raises(ValueError, match=f"cells hold 4 entries in all, but values holds {values.size}"):
             pooled_mean_and_spreads(values, np.array([2, 2]))
 
+    @given(st.lists(finite_scores, min_size=2, max_size=40))
+    def test_mean_lies_between_the_bounds(self, samples):
+        lower, upper, mean = pooled_mean_and_spreads(np.array(samples), np.array([len(samples)]))[:, 0].tolist()
+        assert lower <= mean <= upper
+        assert upper - mean == pytest.approx(mean - lower, rel=1e-9, abs=1e-6)
+
     def test_batched_matches_one_dimensional_mean_and_std(self):
         # Sets of one length share a row-wise mean and std; each interval must
         # equal the 1-D numpy formula bit for bit, whatever the set's
@@ -268,6 +274,43 @@ class TestStratifiedBootstrap:
             pooled_bootstrap_cis(values, [(2,)], [-1])
         with pytest.raises(ValueError):
             pooled_bootstrap_cis(values, [(2,)], [2**128])
+
+    def test_strata_are_resampled_separately(self):
+        # Each replicate keeps five entries of each row, so its IQM never
+        # moves; one row of the same ten entries mixes them and does.
+        rows = [[0.0] * 5, [10.0] * 5]
+        assert pooled_cells([(rows, 4)], 200)[:, 0].tolist() == [5.0, 5.0, 5.0]
+        lower, upper = bootstrap_bounds([rows[0] + rows[1]], resamples=200, seed=4)
+        assert lower < 5.0 < upper
+
+    def test_ragged_rows_match_reference(self):
+        rows = [[1.5, -2.0], [0.5, 4.0, 3.0, 3.5, -1.0], [7.0], [2.0, 2.5, -0.5]]
+        bounds = bootstrap_bounds(rows, resamples=MIN_RESAMPLES, seed=99)
+        assert hex_bounds(*bounds) == hex_bounds(*reference_bootstrap(rows, MIN_RESAMPLES, DEFAULT_CONFIDENCE, 99))
+
+    def test_numpy_integer_seeds_accepted(self):
+        rows = [[1.0, 5.0, 2.0, 8.0, 3.0]]
+        expected = bootstrap_bounds(rows, resamples=MIN_RESAMPLES, seed=2**63 + 5)
+        assert bootstrap_bounds(rows, resamples=MIN_RESAMPLES, seed=np.uint64(2**63 + 5)) == expected
+
+    @pytest.mark.parametrize("seed", [1.0, "1"], ids=["float", "str"])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(TypeError):
+            pooled_bootstrap_cis(np.array([1.0, 2.0]), [(2,)], [seed], MIN_RESAMPLES)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.lists(finite_scores, min_size=1, max_size=6), min_size=1, max_size=4),
+           st.integers(min_value=0, max_value=2**64 - 1))
+    def test_bounds_and_point_lie_within_the_data(self, rows, seed):
+        lower, upper, point = pooled_cells([(rows, seed)], MIN_RESAMPLES)[:, 0].tolist()
+        pooled = [score for row in rows for score in row]
+        # np.percentile's interpolation and the IQM's mean may round a few
+        # ulps past the data, e.g. an upper bound of 699050.7001559244 over
+        # [0.0, 0.0, 699050.7001559243].
+        slack = 4 * np.spacing(max(map(abs, pooled)))
+        assert lower <= upper
+        for estimate in (lower, upper, point):
+            assert min(pooled) - slack <= estimate <= max(pooled) + slack
 
     def test_wider_confidence_widens_interval(self):
         rng = np.random.default_rng(21)
@@ -434,6 +477,18 @@ class TestCellBatches:
     def test_malformed_layout_rejected(self, values, patterns, seeds, message):
         with pytest.raises(ValueError, match=message):
             pooled_bootstrap_cis(values, patterns, seeds, MIN_RESAMPLES)
+
+    def test_no_cells_give_an_empty_result(self):
+        assert pooled_bootstrap_cis(np.empty(0), [], [], MIN_RESAMPLES).shape == (3, 0)
+        assert pooled_mean_and_spreads(np.empty(0), np.empty(0, dtype=int)).shape == (3, 0)
+
+    def test_read_only_values_are_left_unchanged(self):
+        values = np.random.default_rng(3).normal(size=3 * 4 + 20)
+        kept = values.copy()
+        values.flags.writeable = False
+        pooled_bootstrap_cis(values, [(3, 3, 3, 3), (20,)], [1, 2], MIN_RESAMPLES)
+        pooled_mean_and_spreads(values, np.array([12, 20]))
+        assert values.tobytes() == kept.tobytes()
 
     def test_any_bad_seed_rejected(self):
         for seeds in ([1, 2**128], [-1, 1]):
