@@ -12,13 +12,11 @@ planted ground truth and a byte-stable report exporter.
 __version__ = "0.1.0"
 
 from .consistency import (
-    AssembledProfiles,
     AssemblyOptions,
     CellTable,
     ConsistencyReport,
     HyperparameterConsistency,
     IntervalSource,
-    KendallSummary,
     PtpNormalization,
     RankProfile,
     SkippedHyperparameter,
@@ -57,7 +55,6 @@ def __getattr__(name: str):
 
 __all__ = [
     "__version__",
-    "AssembledProfiles",
     "AssemblyOptions",
     "Axis",
     "BaselineTable",
@@ -67,7 +64,6 @@ __all__ = [
     "EmptySliceError",
     "HyperparameterConsistency",
     "IntervalSource",
-    "KendallSummary",
     "PlantedDesign",
     "PlantedHyperparameter",
     "PtpNormalization",

@@ -248,18 +248,18 @@ def _cmd_thc(args: argparse.Namespace) -> int:
         dataset, setup, options, args.ptp_normalization, include_kendall=args.kendall)
     _require_comparable([report])
 
-    _print_table(consistency_rows(report, args.kendall))
+    _print_table(consistency_rows(report))
     for skip in report.skipped:
         print(f"skipped {_entry_label(skip, '; ')}: {skip.reason}")
 
     if args.json:
         Path(args.json).write_bytes(_json_bytes({"setup": setup.value,
                                                  "ptp_normalization": args.ptp_normalization,
-                                                 **report_to_dict(report, args.kendall)}))
+                                                 **report_to_dict(report)}))
 
     if args.strict:
         undefined = [_entry_label(entry) for entry in report.entries
-                     if entry.kendall is None or entry.kendall.w is None]
+                     if entry.kendall_w is None]
         if undefined:
             raise DegenerateError(f"Kendall W undefined for: {', '.join(undefined)}")
     return EXIT_OK

@@ -21,6 +21,7 @@ import enum
 import functools
 import itertools
 import logging
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -29,6 +30,7 @@ import numpy as np
 from .dataset import Axis, EmptySliceError, SweepDataset, SweepSchema
 from .ranking import RankingMode, rank_intervals
 from .stats import (
+    _require_kind,
     _require_resampling,
     DEFAULT_CONFIDENCE,
     DEFAULT_RESAMPLES,
@@ -38,13 +40,11 @@ from .stats import (
 )
 
 __all__ = [
-    "AssembledProfiles",
     "AssemblyOptions",
     "CellTable",
     "ConsistencyReport",
     "HyperparameterConsistency",
     "IntervalSource",
-    "KendallSummary",
     "PtpNormalization",
     "RankProfile",
     "SkippedHyperparameter",
@@ -234,8 +234,9 @@ def thc(profile: RankProfile, mode: PtpNormalization = PtpNormalization.MAX) -> 
 
 @dataclass(frozen=True)
 class AssemblyOptions:
-    """Knobs for turning a dataset into rank profiles. The bootstrap's
-    ``resamples`` and ``confidence`` are checked whatever the interval source."""
+    """Knobs for turning a dataset into rank profiles. The ``seed`` and the
+    bootstrap's ``resamples`` and ``confidence`` are checked whatever the
+    interval source."""
 
     interval_source: IntervalSource = IntervalSource.IQM_CI
     ranking_mode: RankingMode = RankingMode.SPAN
@@ -249,6 +250,7 @@ class AssemblyOptions:
     def __post_init__(self) -> None:
         object.__setattr__(self, "interval_source", IntervalSource(self.interval_source))
         object.__setattr__(self, "ranking_mode", RankingMode(self.ranking_mode))
+        _require_kind("seed", self.seed, numbers.Integral)
         _require_resampling(self.resamples, self.confidence)
 
 
@@ -260,37 +262,29 @@ class SkippedHyperparameter:
 
 
 @dataclass(frozen=True)
-class AssembledProfiles:
-    profiles: tuple[RankProfile, ...]
-    skipped: tuple[SkippedHyperparameter, ...]
-    setup: TransferSetup
-
-
-@dataclass(frozen=True)
-class KendallSummary:
-    """Classical concordance baselines for one profile. ``None`` fields mean
-    the statistic is undefined for this profile's ranks."""
-
-    w: float | None
-    mean_tau: float | None
-
-
-@dataclass(frozen=True)
 class HyperparameterConsistency:
+    """One profile's scores. The Kendall baselines are ``None`` where the
+    statistic is undefined for the profile's ranks or was not scored."""
+
     hyperparameter: str
     fixed: Mapping[str, str]
     contexts: tuple[str, ...]
     values: tuple[str, ...]
     thc: float
     normalized_ptp: Mapping[str, float]
-    kendall: KendallSummary | None = None
+    kendall_w: float | None = None
+    kendall_mean_tau: float | None = None
 
 
 @dataclass(frozen=True)
 class ConsistencyReport:
+    """One setup's scored entries and skipped hyper-parameters; ``kendall``
+    tells whether the entries' Kendall baselines were scored."""
+
     setup: TransferSetup
     entries: tuple[HyperparameterConsistency, ...]
     skipped: tuple[SkippedHyperparameter, ...]
+    kendall: bool = False
 
 
 def _check_varying(setup: TransferSetup, options: AssemblyOptions) -> None:
@@ -446,9 +440,9 @@ def assemble_profiles(
     options: AssemblyOptions = AssemblyOptions(),
     *,
     cells: CellTable | None = None,
-) -> AssembledProfiles:
+) -> tuple[tuple[RankProfile, ...], tuple[SkippedHyperparameter, ...]]:
     """Build one rank profile per (hyper-parameter, complementary-coordinate
-    combination) for a transfer setup.
+    combination) for a transfer setup; returns ``(profiles, skipped)``.
 
     Each context's values are ranked by their cells' intervals, read from
     ``cells`` (a fresh :class:`CellTable` when omitted). Environments are
@@ -481,7 +475,7 @@ def assemble_profiles(
         result = _profile_of(dataset, hp, axis, combo, coords, cells)
         (skipped if isinstance(result, SkippedHyperparameter) else profiles).append(result)
 
-    return AssembledProfiles(tuple(profiles), tuple(skipped), setup)
+    return tuple(profiles), tuple(skipped)
 
 
 def _combos(
@@ -603,20 +597,18 @@ def build_consistency_report(
 
     Returns the report plus the underlying profiles (for table/plot export).
     """
-    assembled = assemble_profiles(dataset, setup, options, cells=cells)
-    profiles, entries = assembled.profiles, [None] * len(assembled.profiles)
+    setup = TransferSetup(setup)
+    profiles, skipped = assemble_profiles(dataset, setup, options, cells=cells)
+    entries = [None] * len(profiles)
     shapes: dict[tuple[int, int], list[int]] = {}
     for k, profile in enumerate(profiles):
         shapes.setdefault(profile.ranks.shape, []).append(k)
-    for (v, _), members in shapes.items():
+    for members in shapes.values():
         ranks = np.stack([profiles[k].ranks for k in members])
-        kendall = itertools.repeat(None)
-        if include_kendall:
-            kendall = map(KendallSummary, _kendall_ws(ranks), _mean_taus(ranks)) if v >= 2 else \
-                itertools.repeat(KendallSummary(None, None))
-        for k, spreads, summary in zip(members, _spreads(ranks, PtpNormalization(normalization)), kendall):
+        kendall = zip(_kendall_ws(ranks), _mean_taus(ranks)) if include_kendall else itertools.repeat(())
+        for k, spreads, baselines in zip(members, _spreads(ranks, PtpNormalization(normalization)), kendall):
             p = profiles[k]
             entries[k] = HyperparameterConsistency(p.hyperparameter, dict(p.fixed), p.contexts, p.values,
                                                    sum(spreads) / len(spreads), dict(zip(p.values, spreads)),
-                                                   summary)
-    return ConsistencyReport(assembled.setup, tuple(entries), assembled.skipped), profiles
+                                                   *baselines)
+    return ConsistencyReport(setup, tuple(entries), skipped, bool(include_kendall)), profiles

@@ -26,8 +26,10 @@ gets a ``malformed row`` diagnostic. The header line is read the same way,
 and a byte-order mark that starts either stream is read past. Each rule is
 then one predicate over a column of a block, whether the block was parsed or
 given as records: identifiers become integer codes by dict lookup, seeds and
-scores are converted with ``map``, finiteness is one ``np.isfinite``, and
-duplicate keys come from one stable sort of all runs; an empty identifier
+scores are converted with ``map`` (a cell holding a ``_`` digit separator or
+a non-ASCII character, which ``int`` and ``float`` accept, does not
+convert), finiteness is one ``np.isfinite``, and duplicate keys come from
+one stable sort of all runs; an empty identifier
 is an unknown one, as a schema declares no empty label. Diagnostics are
 formatted only for the rows that fail. The runs of rows that all pass are
 then human-normalised in one pass, one problem per environment with a
@@ -158,19 +160,6 @@ class BaselineTable:
         table = cls.__new__(cls)
         object.__setattr__(table, "scores", _admit_baselines(rows, source))
         return table
-
-    def __contains__(self, environment: str) -> bool:
-        return environment in self.scores
-
-    @property
-    def environments(self) -> tuple[str, ...]:
-        return tuple(self.scores)
-
-    def random_score(self, environment: str) -> float:
-        return self.scores[environment][0]
-
-    def human_score(self, environment: str) -> float:
-        return self.scores[environment][1]
 
 
 def _given_baseline(item: tuple[str, object]) -> tuple:
@@ -615,6 +604,11 @@ def _raise_problems(problems: Mapping[int, list[str]], rows: int, after: bool | 
 
 
 def _convert(kind: type, text: str) -> int | float | None:
+    """``kind(text)``, or None where it fails or ``text`` holds a ``_`` digit
+    separator or a non-ASCII character (such as ``"١٥"``), which Python's
+    ``int`` and ``float`` accept."""
+    if "_" in text or not text.isascii():
+        return None
     try:
         return kind(text)
     except ValueError:
@@ -622,9 +616,13 @@ def _convert(kind: type, text: str) -> int | float | None:
 
 
 def _converted(kind: type, texts: Sequence[str], repeats: bool = False) -> list:
-    """Each text converted by ``kind``, None where it fails; cell by cell
-    only in a column where a conversion fails. With ``repeats`` (seeds, which
-    every cell of a sweep repeats) each distinct text is converted once."""
+    """Each text converted as ``_convert`` converts it; cell by cell only in a
+    column where a conversion fails or a text is refused. With ``repeats``
+    (seeds, which every cell of a sweep repeats) each distinct text is
+    converted once."""
+    joined = "".join(texts)
+    if "_" in joined or not joined.isascii():
+        return [_convert(kind, text) for text in texts]
     try:
         if repeats:
             distinct = set(texts)
@@ -843,7 +841,5 @@ def write_run_log(dataset: SweepDataset, stream: IO[str]) -> None:
 def write_baselines(dataset: SweepDataset, stream: IO[str]) -> None:
     stream.write(",".join(BASELINES_HEADER) + "\n")
     writer = csv.writer(stream, lineterminator="\n")
-    for env in sorted(dataset.baselines.environments):
-        writer.writerow([env,
-                         repr(float(dataset.baselines.random_score(env))),
-                         repr(float(dataset.baselines.human_score(env)))])
+    for env, (random_score, human_score) in sorted(dataset.baselines.scores.items()):
+        writer.writerow([env, repr(float(random_score)), repr(float(human_score))])

@@ -35,7 +35,7 @@ from .consistency import (
 from .dataset import SweepDataset
 
 __all__ = ["ReportBundle", "build_report_bundle", "write_report_bundle",
-           "consistency_rows", "entry_to_dict", "report_to_dict"]
+           "consistency_rows", "report_to_dict"]
 
 
 @dataclass(frozen=True)
@@ -108,39 +108,32 @@ def _entry_label(item: HyperparameterConsistency | RankProfile | SkippedHyperpar
     return item.hyperparameter + (f" [{_fixed_label(item.fixed, sep)}]" if item.fixed else "")
 
 
-def entry_to_dict(entry: HyperparameterConsistency, include_kendall: bool) -> dict[str, Any]:
-    data: dict[str, Any] = {
-        "hyperparameter": entry.hyperparameter,
-        "fixed": dict(entry.fixed),
-        "contexts": list(entry.contexts),
-        "values": list(entry.values),
-        "thc": entry.thc,
-        "normalized_ptp": dict(entry.normalized_ptp),
-    }
-    if include_kendall:
-        kendall = entry.kendall
-        data["kendall_w"] = None if kendall is None else kendall.w
-        data["kendall_mean_tau"] = None if kendall is None else kendall.mean_tau
-    return data
+def _kendall_keys(report: ConsistencyReport) -> list[str]:
+    """The entry fields of the Kendall baselines, when the report scored them."""
+    return ["kendall_w", "kendall_mean_tau"] if report.kendall else []
 
 
-def report_to_dict(report: ConsistencyReport, include_kendall: bool) -> dict[str, Any]:
-    """Scored entries and skipped hyper-parameters of one setup, as JSON data."""
+def report_to_dict(report: ConsistencyReport) -> dict[str, Any]:
+    """Scored entries and skipped hyper-parameters of one setup, as JSON data;
+    the Kendall baselines only when the report scored them."""
     return {
-        "entries": [entry_to_dict(e, include_kendall) for e in report.entries],
+        "entries": [{"hyperparameter": e.hyperparameter, "fixed": dict(e.fixed), "contexts": list(e.contexts),
+                     "values": list(e.values), "thc": e.thc, "normalized_ptp": dict(e.normalized_ptp),
+                     **{key: getattr(e, key) for key in _kendall_keys(report)}}
+                    for e in report.entries],
         "skipped": [dataclasses.asdict(s) for s in report.skipped],
     }
 
 
-def consistency_rows(report: ConsistencyReport, include_kendall: bool) -> list[list[str]]:
+def consistency_rows(report: ConsistencyReport) -> list[list[str]]:
     """Rows of the consistency table, shared by the CSV and the printed view."""
-    kendall = ["kendall_w", "kendall_mean_tau"] if include_kendall else []
+    kendall = _kendall_keys(report)
     rows = [["setup", "hyperparameter", "fixed", "contexts", "values", "thc", *kendall]]
     for entry in report.entries:
-        data = entry_to_dict(entry, include_kendall)
+        baselines = (getattr(entry, key) for key in kendall)
         rows.append([report.setup.value, entry.hyperparameter, _fixed_label(entry.fixed),
                      str(len(entry.contexts)), str(len(entry.values)), repr(entry.thc),
-                     *("undefined" if data[key] is None else repr(data[key]) for key in kendall)])
+                     *("undefined" if value is None else repr(value) for value in baselines)])
     return rows
 
 
@@ -229,8 +222,6 @@ def _bundle_files(bundle: ReportBundle) -> dict[str, bytes]:
     """All report files as path -> bytes (manifest excluded). Raises
     ``ValueError`` when two profiles' series would share one file name, or
     when a profile built from ranks alone holds nothing to export."""
-    include_kendall = bundle.provenance["flags"]["kendall"]
-
     consistency = []
     skipped = [["setup", "hyperparameter", "fixed", "reason"]]
     columns = ["setup", "hyperparameter", "fixed", "context", "value", "lower", "upper"]
@@ -241,12 +232,12 @@ def _bundle_files(bundle: ReportBundle) -> dict[str, bytes]:
     setups_json: dict[str, Any] = {}
 
     for report, profiles in zip(bundle.reports, bundle.profiles):
-        rows = consistency_rows(report, include_kendall)
+        rows = consistency_rows(report)
         consistency.extend(rows if not consistency else rows[1:])
         for skip in report.skipped:
             skipped.append([report.setup.value, skip.hyperparameter,
                             _fixed_label(skip.fixed), skip.reason])
-        setups_json[report.setup.value] = report_to_dict(report, include_kendall)
+        setups_json[report.setup.value] = report_to_dict(report)
         for profile in profiles:
             if profile.intervals is None or profile.order is None:
                 raise ValueError(f"profile {_entry_label(profile)!r} has no intervals or positions to export")

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 import os
 import threading
@@ -93,8 +94,18 @@ def derive_seed(master: int, *parts: object) -> int:
     return int.from_bytes(sha256(text.encode("utf-8")).digest()[:8], "big")
 
 
+def _require_kind(name: str, value: object, kind: type) -> None:
+    """Reject a ``value`` that is not a ``kind``, or is a bool, naming its field."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"{name} must be {'an integer' if kind is numbers.Integral else 'a real number'}, "
+                         f"got {value!r}")
+
+
 def _require_resampling(resamples: int, confidence: float) -> None:
-    """Reject fewer than ``MIN_RESAMPLES`` resamples or a confidence off (0, 1)."""
+    """Reject a ``resamples`` that is not an integer or is below
+    ``MIN_RESAMPLES``, or a ``confidence`` that is not a real number in (0, 1)."""
+    _require_kind("resamples", resamples, numbers.Integral)
+    _require_kind("confidence", confidence, numbers.Real)
     if resamples < MIN_RESAMPLES:
         raise ValueError(f"resamples must be >= {MIN_RESAMPLES}, got {resamples}")
     if not 0.0 < confidence < 1.0:

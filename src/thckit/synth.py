@@ -251,8 +251,8 @@ def recovery_study(
                 generate(trial_design), setup, options, include_kendall=True)
             for entry in report.entries:
                 thc_samples.append(entry.thc)
-                if entry.kendall is not None and entry.kendall.w is not None:
-                    w_samples.append(entry.kendall.w)
+                if entry.kendall_w is not None:
+                    w_samples.append(entry.kendall_w)
         rows.append(RecoveryRow(
             noise_scale=float(noise),
             trials=trials,

@@ -210,6 +210,8 @@ def reference_rankings(
 
 
 def _reference_convert(kind: type, text: str) -> int | float | None:
+    if "_" in text or any(ord(ch) > 127 for ch in text):
+        return None
     try:
         return kind(text)
     except ValueError:
@@ -262,7 +264,7 @@ def _reference_admit(rows: Iterable[tuple], baselines: BaselineTable, schema: Sw
     environments = frozenset(schema.environments)
     regimes = frozenset(schema.data_regimes)
     declared = {hp: frozenset(values) for hp, values in schema.hyperparameters.items()}
-    with_baselines = frozenset(baselines.environments)
+    with_baselines = frozenset(baselines.scores)
     runs: list[tuple[tuple, float]] = []
     problems: list[str] = []
     seen: set[tuple] = set()

@@ -420,7 +420,7 @@ class TestAssembly:
         dataset = dataset_from_intervals(reference_trajectory_cells())
         options = AssemblyOptions(interval_source=IntervalSource.MEAN_SD)
         setup = TransferSetup.ACROSS_ENVIRONMENTS
-        profiles = assemble_profiles(dataset, setup, options).profiles
+        profiles, _ = assemble_profiles(dataset, setup, options)
         assert len(profiles) == 2
         for p in profiles:
             assert hexed_cells(p) == fresh_cells(dataset, setup, options, p)
@@ -433,14 +433,32 @@ class TestAssembly:
             assemble_profiles(dataset, TransferSetup.ACROSS_ENVIRONMENTS,
                               AssemblyOptions(environment="g1"))
 
+    @pytest.mark.parametrize("field, value, diagnostic", [
+        ("seed", 1.7, "seed must be an integer, got 1.7"),
+        ("seed", "3", "seed must be an integer, got '3'"),
+        ("seed", True, "seed must be an integer, got True"),
+        ("resamples", 200.5, "resamples must be an integer, got 200.5"),
+        ("resamples", False, "resamples must be an integer, got False"),
+        ("confidence", "0.9", "confidence must be a real number, got '0.9'"),
+    ])
+    def test_options_of_the_wrong_kind_rejected_naming_the_field(self, field, value, diagnostic):
+        # A float seed would run truncated while the report recorded it as given.
+        with pytest.raises(ValueError) as excinfo:
+            AssemblyOptions(**{field: value})
+        assert str(excinfo.value) == diagnostic
+
+    def test_numpy_scalar_options_accepted(self):
+        options = AssemblyOptions(seed=np.int64(3), resamples=np.int32(150), confidence=np.float64(0.9))
+        assert (options.seed, options.resamples, options.confidence) == (3, 150, 0.9)
+
     def test_single_context_hyperparameter_skipped_with_reason(self):
         cells = {"solo": {"x": {"g1": (0.0, 1.0)}, "y": {"g1": (2.0, 3.0)}}}
         dataset = dataset_from_intervals(cells)
-        assembled = assemble_profiles(dataset, TransferSetup.ACROSS_ENVIRONMENTS,
-                                      AssemblyOptions(interval_source=IntervalSource.MEAN_SD))
-        assert not assembled.profiles
-        assert len(assembled.skipped) == 1
-        assert "1 context" in assembled.skipped[0].reason
+        profiles, skipped = assemble_profiles(dataset, TransferSetup.ACROSS_ENVIRONMENTS,
+                                              AssemblyOptions(interval_source=IntervalSource.MEAN_SD))
+        assert not profiles
+        assert len(skipped) == 1
+        assert "1 context" in skipped[0].reason
 
     def test_context_of_thin_groups_only_skipped_with_reason(self):
         cells = {"hp": {"x": {"g1": (0.0, 1.0), "g2": (0.0, 1.0)}, "y": {"g1": (2.0, 3.0), "g2": (2.0, 3.0)}}}
@@ -448,19 +466,19 @@ class TestAssembly:
         # g2 keeps one seed per value: it has data but no rankable value.
         dataset = SweepDataset([r for r in dataset.records if (r.environment, r.seed) != ("g2", 1)],
                                dataset.baselines, dataset.schema)
-        assembled = assemble_profiles(dataset, TransferSetup.ACROSS_ENVIRONMENTS,
-                                      AssemblyOptions(interval_source=IntervalSource.MEAN_SD))
-        assert not assembled.profiles
-        assert [(s.hyperparameter, dict(s.fixed), s.reason) for s in assembled.skipped] == [
+        profiles, skipped = assemble_profiles(dataset, TransferSetup.ACROSS_ENVIRONMENTS,
+                                              AssemblyOptions(interval_source=IntervalSource.MEAN_SD))
+        assert not profiles
+        assert [(s.hyperparameter, dict(s.fixed), s.reason) for s in skipped] == [
             ("hp", {"agent": "agent01", "data_regime": "regime01"}, "only 1 context(s) with rankable values")]
 
     def test_no_value_rankable_in_every_context_skipped_with_reason(self):
         cells = {"hp": {"x": {"g1": (0.0, 1.0)}, "y": {"g2": (2.0, 3.0)}}}
         dataset = dataset_from_intervals(cells)
-        assembled = assemble_profiles(dataset, TransferSetup.ACROSS_ENVIRONMENTS,
-                                      AssemblyOptions(interval_source=IntervalSource.MEAN_SD))
-        assert not assembled.profiles
-        assert [(s.hyperparameter, dict(s.fixed), s.reason) for s in assembled.skipped] == [
+        profiles, skipped = assemble_profiles(dataset, TransferSetup.ACROSS_ENVIRONMENTS,
+                                              AssemblyOptions(interval_source=IntervalSource.MEAN_SD))
+        assert not profiles
+        assert [(s.hyperparameter, dict(s.fixed), s.reason) for s in skipped] == [
             ("hp", {"agent": "agent01", "data_regime": "regime01"}, "no value is rankable in every context")]
 
     def test_value_missing_from_one_context_is_excluded(self, caplog):
@@ -473,9 +491,9 @@ class TestAssembly:
         }
         dataset = dataset_from_intervals(cells)
         with caplog.at_level(logging.WARNING, logger="thckit.consistency"):
-            assembled = assemble_profiles(dataset, TransferSetup.ACROSS_ENVIRONMENTS,
-                                          AssemblyOptions(interval_source=IntervalSource.MEAN_SD))
-        assert assembled.profiles[0].values == ("x", "y")
+            profiles, skipped = assemble_profiles(dataset, TransferSetup.ACROSS_ENVIRONMENTS,
+                                                  AssemblyOptions(interval_source=IntervalSource.MEAN_SD))
+        assert profiles[0].values == ("x", "y")
         assert any("not rankable in every context" in r.message for r in caplog.records)
 
     def test_thin_groups_dropped_with_warning(self, caplog):
@@ -499,18 +517,18 @@ class TestAssembly:
         records.append(RunRecord("agent01", "g2", "regime01", "hp", "z", 0, 10.0))
         dataset = SweepDataset(records, dataset.baselines, schema)
         with caplog.at_level(logging.WARNING, logger="thckit.consistency"):
-            assembled = assemble_profiles(dataset, TransferSetup.ACROSS_ENVIRONMENTS,
-                                          AssemblyOptions(interval_source=IntervalSource.MEAN_SD))
-        assert assembled.profiles[0].values == ("x", "y")
+            profiles, skipped = assemble_profiles(dataset, TransferSetup.ACROSS_ENVIRONMENTS,
+                                                  AssemblyOptions(interval_source=IntervalSource.MEAN_SD))
+        assert profiles[0].values == ("x", "y")
         assert any("fewer than 2 seeds" in r.message for r in caplog.records)
 
     def test_iqm_ci_source_is_deterministic(self):
         dataset = dataset_from_intervals(reference_trajectory_cells())
         options = AssemblyOptions(resamples=150, seed=9)
-        first = assemble_profiles(dataset, TransferSetup.ACROSS_ENVIRONMENTS, options)
-        second = assemble_profiles(dataset, TransferSetup.ACROSS_ENVIRONMENTS, options)
-        assert first.profiles
-        for a, b in zip(first.profiles, second.profiles):
+        first, _ = assemble_profiles(dataset, TransferSetup.ACROSS_ENVIRONMENTS, options)
+        second, _ = assemble_profiles(dataset, TransferSetup.ACROSS_ENVIRONMENTS, options)
+        assert first
+        for a, b in zip(first, second):
             assert np.array_equal(a.ranks, b.ranks)
             assert profile_fields(a) == profile_fields(b)
 
@@ -520,9 +538,9 @@ class TestAssembly:
         report, _ = build_consistency_report(
             dataset, TransferSetup.ACROSS_ENVIRONMENTS, options, include_kendall=True)
         entry = {e.hyperparameter: e for e in report.entries}["hb"]
-        assert entry.kendall is not None
-        assert entry.kendall.w == pytest.approx(0.76)
-        assert entry.kendall.mean_tau == pytest.approx(0.6)
+        assert report.kendall
+        assert entry.kendall_w == pytest.approx(0.76)
+        assert entry.kendall_mean_tau == pytest.approx(0.6)
 
     @pytest.mark.parametrize("normalization", list(PtpNormalization))
     def test_entry_scores_are_the_profiles_thc_and_spreads(self, normalization):
@@ -539,7 +557,8 @@ class TestAssembly:
         options = AssemblyOptions(interval_source=IntervalSource.MEAN_SD)
         report, _ = build_consistency_report(
             dataset, TransferSetup.ACROSS_ENVIRONMENTS, options)
-        assert all(e.kendall is None for e in report.entries)
+        assert not report.kendall
+        assert all(e.kendall_w is e.kendall_mean_tau is None for e in report.entries)
 
 
 class TestRankContext:
@@ -741,9 +760,9 @@ class TestCellTable:
 
         values, intervals, _, _ = rank_context(fixture_dataset, "lr", agent="agent01", data_regime="low",
                                                environment="env01", options=FIXTURE_OPTIONS)
-        pinned = assemble_profiles(fixture_dataset, TransferSetup.ACROSS_AGENTS,
-                                   dataclasses.replace(FIXTURE_OPTIONS, environment="env01"))
-        profile = next(p for p in pinned.profiles
+        pinned, _ = assemble_profiles(fixture_dataset, TransferSetup.ACROSS_AGENTS,
+                                      dataclasses.replace(FIXTURE_OPTIONS, environment="env01"))
+        profile = next(p for p in pinned
                        if p.hyperparameter == "lr" and p.fixed["data_regime"] == "low")
         lower, upper, _ = profile.intervals[:, :, profile.contexts.index("agent01")].tolist()
         across_agents = dict(zip(profile.values, zip(lower, upper)))
@@ -943,10 +962,10 @@ class TestAssemblyReference:
     def test_matches_brute_force_plan(self, dataset, setup_and_pins):
         setup, pins = setup_and_pins
         options = AssemblyOptions(interval_source=IntervalSource.MEAN_SD, **pins)
-        assembled = assemble_profiles(dataset, setup, options)
-        profiles, skipped = reference_plan(dataset, setup, {"environment": None, **pins})
-        assert [(p.hyperparameter, dict(p.fixed), p.contexts, p.values) for p in assembled.profiles] == profiles
-        assert [(s.hyperparameter, dict(s.fixed), s.reason) for s in assembled.skipped] == skipped
+        profiles, skipped = assemble_profiles(dataset, setup, options)
+        expected_profiles, expected_skipped = reference_plan(dataset, setup, {"environment": None, **pins})
+        assert [(p.hyperparameter, dict(p.fixed), p.contexts, p.values) for p in profiles] == expected_profiles
+        assert [(s.hyperparameter, dict(s.fixed), s.reason) for s in skipped] == expected_skipped
 
 
 def walked_context(dataset: SweepDataset, options: AssemblyOptions, key: tuple,
@@ -1145,8 +1164,7 @@ class TestBatchedScoring:
     @settings(deadline=None)
     def test_report_scores_equal_the_references(self, batch, normalization):
         profiles = tuple(profile(ranks, name=f"hp{k}") for k, ranks in enumerate(batch))
-        assembled = consistency.AssembledProfiles(profiles, (), TransferSetup.ACROSS_AGENTS)
-        with mock.patch.object(consistency, "assemble_profiles", return_value=assembled):
+        with mock.patch.object(consistency, "assemble_profiles", return_value=(profiles, ())):
             report, _ = build_consistency_report(None, TransferSetup.ACROSS_AGENTS, AssemblyOptions(),
                                                  normalization, include_kendall=True)
         for entry, p in zip(report.entries, profiles, strict=True):
@@ -1154,24 +1172,25 @@ class TestBatchedScoring:
             assert list(map(float.hex, entry.normalized_ptp.values())) == list(map(float.hex, spreads))
             assert entry.thc.hex() == thc(p, normalization).hex() == (sum(spreads) / len(spreads)).hex()
             if len(p.values) < 2:
-                assert entry.kendall == consistency.KendallSummary(None, None)
+                assert (entry.kendall_w, entry.kendall_mean_tau) == (None, None)
                 continue
-            assert hexed(entry.kendall.w) == hexed(loop_kendall_w(p.ranks))
-            assert hexed(entry.kendall.mean_tau) == hexed(reference_mean_tau(p))
+            assert hexed(entry.kendall_w) == hexed(loop_kendall_w(p.ranks))
+            assert hexed(entry.kendall_mean_tau) == hexed(reference_mean_tau(p))
 
     def test_wide_profiles_equal_the_references(self):
         rng = np.random.default_rng(23)
         shapes = [(4, 26)] * 3 + [(15, 29)] * 2 + [(9, 9), (1, 12)]
         batch = list(tied_profiles(rng, shapes))
-        assembled = consistency.AssembledProfiles(tuple(batch), (), TransferSetup.ACROSS_AGENTS)
-        with mock.patch.object(consistency, "assemble_profiles", return_value=assembled):
+        with mock.patch.object(consistency, "assemble_profiles", return_value=(tuple(batch), ())):
             report, _ = build_consistency_report(None, TransferSetup.ACROSS_AGENTS, AssemblyOptions(),
                                                  include_kendall=True)
         for entry, p in zip(report.entries, batch, strict=True):
             assert entry.thc.hex() == thc(p).hex()
             if len(p.values) >= 2:
-                assert hexed(entry.kendall.w) == hexed(loop_kendall_w(p.ranks))
-                assert hexed(entry.kendall.mean_tau) == hexed(reference_mean_tau(p))
+                assert hexed(entry.kendall_w) == hexed(loop_kendall_w(p.ranks))
+                assert hexed(entry.kendall_mean_tau) == hexed(reference_mean_tau(p))
+            else:
+                assert (entry.kendall_w, entry.kendall_mean_tau) == (None, None)
 
     @given(st.one_of(sparse_sweeps(), dense_sweeps()), setups_and_pins(), st.sampled_from(list(RankingMode)))
     @example(straddling_sweep(), (TransferSetup.ACROSS_AGENTS, {"environment": None, "data_regime": None}),
@@ -1192,10 +1211,10 @@ class TestBatchedScoring:
         with caplog.at_level(logging.INFO, logger="thckit"):
             caplog.clear()
             with mock.patch.object(consistency, "rank_intervals", wraps=consistency.rank_intervals) as ranked:
-                assembled = assemble_profiles(dataset, setup, options, cells=cells)
+                profiles, skipped = assemble_profiles(dataset, setup, options, cells=cells)
             batched_log = records()
-            profiles, skipped = per_plan_assembly(dataset, setup, options, cells)
+            expected_profiles, expected_skipped = per_plan_assembly(dataset, setup, options, cells)
             assert batched_log == records()
-        assert list(map(profile_record, assembled.profiles)) == list(map(profile_record, profiles))
-        assert [(s.hyperparameter, dict(s.fixed), s.reason) for s in assembled.skipped] == skipped
-        assert ranked.call_count == len(assembled.profiles)
+        assert list(map(profile_record, profiles)) == list(map(profile_record, expected_profiles))
+        assert [(s.hyperparameter, dict(s.fixed), s.reason) for s in skipped] == expected_skipped
+        assert ranked.call_count == len(profiles)

@@ -95,9 +95,8 @@ class TestRunRecord:
 class TestBaselineTable:
     def test_lookup(self):
         table = small_baselines()
-        assert "e1" in table and "missing" not in table
-        assert table.random_score("e2") == 100.0
-        assert table.human_score("e2") == 1100.0
+        assert table.scores == {"e1": (0.0, 1.0), "e2": (100.0, 1100.0)}
+        assert all(type(pair) is tuple for pair in table.scores.values())
 
     def test_equal_scores_rejected(self):
         with pytest.raises(ValueError):
@@ -141,6 +140,18 @@ FAULTS = [
     pytest.param(RUNS_CSV + "a1,e1,r1,lr,0.1,7,nope\n", BASELINES_CSV,
                  ["<run log>:8: column 'final_score' is not a number: 'nope'"],
                  with_record("a1", "e1", "r1", "lr", "0.1", 7, "nope"), id="non-numeric-score"),
+    pytest.param(RUNS_CSV + "a1,e1,r1,lr,0.1,7,1_5.0\n", BASELINES_CSV,
+                 ["<run log>:8: column 'final_score' is not a number: '1_5.0'"], None,
+                 id="digit-separator-score"),
+    pytest.param(RUNS_CSV + "a1,e1,r1,lr,0.1,7,\u0661\u0665\n", BASELINES_CSV,
+                 ["<run log>:8: column 'final_score' is not a number: '\u0661\u0665'"], None,
+                 id="arabic-indic-score"),
+    pytest.param(RUNS_CSV + "a2,e1,r1,lr,0.1,\uff11,1.0\n", BASELINES_CSV,
+                 ["<run log>:8: column 'seed' must be a non-negative integer, got '\uff11'"], None,
+                 id="fullwidth-seed"),
+    pytest.param(RUNS_CSV + "a2,e1,r1,lr,0.1,1_0,1.0\n", BASELINES_CSV,
+                 ["<run log>:8: column 'seed' must be a non-negative integer, got '1_0'"], None,
+                 id="digit-separator-seed"),
     pytest.param(RUNS_CSV + "a1,e1,r1,lr,0.1,7,inf\n", BASELINES_CSV,
                  ["<run log>:8: column 'final_score' must be finite, got 'inf'"],
                  with_record("a1", "e1", "r1", "lr", "0.1", 7, math.inf), id="infinite-score"),
@@ -179,6 +190,12 @@ FAULTS = [
     pytest.param(RUNS_CSV, BASELINES_CSV + "e3,x,1\n",
                  ["<baselines>:4: non-numeric score for environment 'e3'"],
                  with_baseline("e3", "x", 1.0), id="non-numeric-baseline"),
+    pytest.param(RUNS_CSV, BASELINES_CSV + "e3,0_0.0,1\n",
+                 ["<baselines>:4: non-numeric score for environment 'e3'"], None,
+                 id="digit-separator-baseline"),
+    pytest.param(RUNS_CSV, BASELINES_CSV + "e3,0,\u0661\n",
+                 ["<baselines>:4: non-numeric score for environment 'e3'"], None,
+                 id="arabic-indic-baseline"),
     pytest.param(RUNS_CSV, BASELINES_CSV + "e3,False,True\n",
                  ["<baselines>:4: non-numeric score for environment 'e3'"],
                  with_baseline("e3", False, True), id="bool-baseline"),
@@ -326,6 +343,10 @@ ROW_EDITS = {
     "zero-padded-seed": lambda fields: with_cell(5, "0" + fields[5])(fields),
     "huge-seed": with_cell(5, str(2**64 + 1)),
     "non-numeric-score": with_cell(6, "nope"),
+    "digit-separator-score": with_cell(6, "1_5.0"),
+    "non-ascii-digit-score": with_cell(6, "\u0661\u0665"),
+    "digit-separator-seed": with_cell(5, "1_0"),
+    "fullwidth-seed": with_cell(5, "\uff11"),
     "infinite-score": with_cell(6, "inf"),
     "nan-score": with_cell(6, "NaN"),
     "unknown-agent": with_cell(0, "zz"),
@@ -468,6 +489,21 @@ class TestIngestMatchesReference:
     def test_edges_of_a_malformed_line_and_the_cap(self, text):
         assert_ingest_matches_reference(3, text)
 
+    @pytest.mark.parametrize("edit, diagnostic", [
+        ("digit-separator-score", "column 'final_score' is not a number: '1_5.0'"),
+        ("non-ascii-digit-score", "column 'final_score' is not a number: '\u0661\u0665'"),
+        ("digit-separator-seed", "column 'seed' must be a non-negative integer, got '1_0'"),
+        ("fullwidth-seed", "column 'seed' must be a non-negative integer, got '\uff11'"),
+    ])
+    def test_refused_number_spellings_in_a_plain_block(self, edit, diagnostic):
+        # Python's int and float read each of these; a plain block is split at
+        # once and converted a column at a time, so it must refuse them too.
+        text = ingest_text(3, {0: edit})
+        assert thckit.dataset._plain(text.split("\n", 1)[1].rstrip("\n"), 3)
+        with pytest.raises(DatasetError) as excinfo:
+            parse_dataset(io.StringIO(text), io.StringIO(INGEST_BASELINES_CSV), INGEST_SCHEMA)
+        assert excinfo.value.diagnostics == [f"<run log>:2: {diagnostic}"]
+
     def test_blocks_end_at_a_malformed_line(self):
         # Blocks of lines 2-4 and 5-7: the second ends at the malformed line 6,
         # and lines 8-10 make no block.
@@ -567,7 +603,7 @@ class TestParse:
         ds = parse_dataset(io.StringIO(RUNS_CSV), io.StringIO(BASELINES_CSV), small_schema())
         by_key = {rec.key: rec for rec in ds.records}
         rec = by_key[("a1", "e2", "r1", "lr", "0.01", 0)]
-        rnd, hum = ds.baselines.random_score("e2"), ds.baselines.human_score("e2")
+        rnd, hum = ds.baselines.scores["e2"]
         assert human_normalize(rec.final_score, rnd, hum) == pytest.approx(0.2)
 
     def test_byte_order_mark_is_read_past(self):

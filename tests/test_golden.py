@@ -3,7 +3,7 @@
 The fixture under tests/data was produced by the synth subcommand from
 design.yaml; tests/golden holds a full report bundle, a recovery-study
 table, and the printed tables and JSON sidecars of ``rank`` and ``thc``
-built from it. Any numeric or formatting drift shows up here as a byte
+(with and without ``--kendall``) built from it. Any numeric or formatting drift shows up here as a byte
 diff. Regenerate with:
 
     python3 -m thckit.cli synth --design tests/data/design.yaml --out tests/data
@@ -17,6 +17,10 @@ diff. Regenerate with:
     python3 -m thckit.cli thc --runs tests/data/runs.csv \
         --baselines tests/data/baselines.csv --schema tests/data/schema.yaml \
         --setup agents --kendall --json tests/golden/cli/thc.json > tests/golden/cli/thc.txt
+    python3 -m thckit.cli thc --runs tests/data/runs.csv \
+        --baselines tests/data/baselines.csv --schema tests/data/schema.yaml \
+        --setup environments --interval-source mean_sd \
+        --json tests/golden/cli/thc_plain.json > tests/golden/cli/thc_plain.txt
     python3 -c "import dataclasses, json; from thckit.synth import load_design, recovery_study; \
         rows = recovery_study(load_design('tests/data/design.yaml'), [0.0, 0.25, 0.5], 5); \
         print(json.dumps([dataclasses.asdict(r) for r in rows], indent=2, sort_keys=True))" \
@@ -60,6 +64,7 @@ CLI_COMMANDS = {
     "rank": ["rank", *DATASET_FLAGS, "--hyperparameter", "depth", "--agent", "agent02",
              "--data-regime", "high"],
     "thc": ["thc", *DATASET_FLAGS, "--setup", "agents", "--kendall"],
+    "thc_plain": ["thc", *DATASET_FLAGS, "--setup", "environments", "--interval-source", "mean_sd"],
 }
 
 

@@ -289,7 +289,7 @@ class TestReferenceEquivalence:
                                   resamples=200)
         cells = CellTable(dataset, options)
         with ranking_messages() as messages:
-            profiles = assemble_profiles(dataset, setup, options, cells=cells).profiles
+            profiles, _ = assemble_profiles(dataset, setup, options, cells=cells)
         assert profiles
         expected_messages = []
         for profile in profiles:

@@ -25,8 +25,8 @@ from thckit.report import (
     _series_name,
     build_report_bundle,
     consistency_rows,
-    entry_to_dict,
     file_digest,
+    report_to_dict,
     write_report_bundle,
 )
 
@@ -54,29 +54,42 @@ def read_rows(path: Path) -> list[list[str]]:
 
 
 class TestTables:
-    def test_entry_to_dict_kendall_keys(self, reference_dataset_cached):
-        report, _ = build_consistency_report(
-            reference_dataset_cached, TransferSetup.ACROSS_ENVIRONMENTS, MEAN_SD,
-            include_kendall=True)
-        with_kendall = entry_to_dict(report.entries[0], True)
-        without = entry_to_dict(report.entries[0], False)
-        assert "kendall_w" in with_kendall and "kendall_mean_tau" in with_kendall
-        assert "kendall_w" not in without and "kendall_mean_tau" not in without
-        assert without["hyperparameter"] == report.entries[0].hyperparameter
+    @pytest.mark.parametrize("include_kendall", [False, True])
+    def test_kendall_columns_and_keys_follow_the_report(self, include_kendall):
+        # "hc" ranks a single value, so neither of its baselines is defined.
+        cells = {**reference_trajectory_cells(), "hc": {"only": {"g1": (0.0, 1.0), "g2": (0.0, 1.0)}}}
+        report, _ = build_consistency_report(dataset_from_intervals(cells), TransferSetup.ACROSS_ENVIRONMENTS,
+                                             MEAN_SD, include_kendall=include_kendall)
+        assert report.kendall is include_kendall
+        rows = consistency_rows(report)
+        entries = report_to_dict(report)["entries"]
+        assert [row[1] for row in rows[1:]] == [e["hyperparameter"] for e in entries] == ["ha", "hb", "hc"]
+        kendall = ["kendall_w", "kendall_mean_tau"]
+        if not include_kendall:
+            assert rows[0] == ["setup", "hyperparameter", "fixed", "contexts", "values", "thc"]
+            assert {len(row) for row in rows} == {6}
+            assert all(key not in e for e in entries for key in kendall)
+            return
+        assert rows[0][-2:] == kendall
+        for row, data, entry in zip(rows[1:], entries, report.entries, strict=True):
+            baselines = [entry.kendall_w, entry.kendall_mean_tau]
+            assert [data[key] for key in kendall] == baselines
+            assert row[-2:] == ["undefined" if b is None else repr(b) for b in baselines]
+            assert (None in baselines) is (entry.hyperparameter == "hc")
 
     def test_consistency_rows_undefined_marker(self, tmp_path):
         cells = {"hp": {"only": {"g1": (0.0, 1.0), "g2": (0.0, 1.0)}}}
         dataset = dataset_from_intervals(cells)
         report, _ = build_consistency_report(
             dataset, TransferSetup.ACROSS_ENVIRONMENTS, MEAN_SD, include_kendall=True)
-        rows = consistency_rows(report, True)
+        rows = consistency_rows(report)
         assert rows[0][-2:] == ["kendall_w", "kendall_mean_tau"]
         assert rows[1][-2:] == ["undefined", "undefined"]
 
     def test_consistency_rows_float_repr(self, reference_dataset_cached):
         report, _ = build_consistency_report(
             reference_dataset_cached, TransferSetup.ACROSS_ENVIRONMENTS, MEAN_SD)
-        rows = consistency_rows(report, False)
+        rows = consistency_rows(report)
         scores = {row[1]: row[5] for row in rows[1:]}
         assert scores["ha"] == repr(2.5 / 3)
         assert scores["hb"] == repr(1 / 3)

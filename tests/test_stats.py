@@ -298,6 +298,15 @@ class TestStratifiedBootstrap:
         with pytest.raises(TypeError):
             pooled_bootstrap_cis(np.array([1.0, 2.0]), [(2,)], [seed], MIN_RESAMPLES)
 
+    @pytest.mark.parametrize("resamples, confidence, diagnostic", [
+        (200.5, DEFAULT_CONFIDENCE, "resamples must be an integer, got 200.5"),
+        (MIN_RESAMPLES, "0.9", "confidence must be a real number, got '0.9'"),
+    ], ids=["float-resamples", "str-confidence"])
+    def test_resampling_of_the_wrong_kind_rejected(self, resamples, confidence, diagnostic):
+        with pytest.raises(ValueError) as excinfo:
+            pooled_bootstrap_cis(np.array([1.0, 2.0]), [(2,)], [0], resamples, confidence)
+        assert str(excinfo.value) == diagnostic
+
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.lists(finite_scores, min_size=1, max_size=6), min_size=1, max_size=4),
            st.integers(min_value=0, max_value=2**64 - 1))

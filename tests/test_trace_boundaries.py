@@ -31,8 +31,8 @@ KNOWN_MISSING = {
     "thckit.consistency.mean_pairwise_tau",
 }
 
-# Boundaries that resolve but that no command calls: the Kendall baselines are
-# scored in one pass per profile shape, so ``consistency.kendall_s`` reads 0.
+# Boundaries that resolve but that no command calls, so their layers' metrics
+# read 0; a change that makes a command call one of them shrinks this set.
 KNOWN_SILENT = set()
 
 
